@@ -6,7 +6,7 @@ incoherent channel and dumps its spectrum; ``recover_profile`` runs the full
 spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 (e.g. ``"0.785398 * ZZ + 0.1 * XI"``) so every fixture stays auditable.
 Outputs are written atomically and listed in a manifest with content hashes;
-identical config + seed gives byte-identical artifacts.
+identical config gives byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -42,7 +42,7 @@ from .spectral import (
     profile_metrics,
     three_qubit_fixture,
 )
-from .tomography import evolve_and_reduce, prepare_correlated_inputs, run_qpt_scenario
+from .tomography import run_qpt_scenario
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -129,15 +129,18 @@ class QptScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated config; the Pauli-sum fields hold their parsed matrices
+    (``u_ab`` is the generator of the joint unitary), which equality skips
+    because ``raw`` already holds their expressions."""
+
     mode: str
     raw: dict
-    seed: int | None
     cp_tol: float
     method: str
-    u_ab_expr: str | None = None
+    u_ab: np.ndarray | None = field(default=None, compare=False)
     qpt_scenarios: tuple[QptScenarioSpec, ...] = ()
-    h0_expr: str | None = None
-    k_expr: str | None = None
+    h0: np.ndarray | None = field(default=None, compare=False)
+    k: np.ndarray | None = field(default=None, compare=False)
     t: float = 1.0
     fixture: str | None = None
     profile_spec: dict | None = None
@@ -174,18 +177,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if mode not in ("qpt_demo", "rud_build", "recover_profile"):
         raise ConfigError(f"mode must be qpt_demo, rud_build or recover_profile, got {mode!r}")
 
-    seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     cp_tol = _number(raw, "cp_tol", "config", 1e-9)
     method = raw.get("method", "weighted_riemann")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    common = {"mode", "seed", "cp_tol", "method"}
+    common = {"mode", "cp_tol", "method"}
     if mode == "qpt_demo":
         _require_keys(raw, common | {"u_ab", "scenarios"}, {"u_ab", "scenarios"}, "qpt_demo config")
-        parse_pauli_sum(raw["u_ab"])
+        u_ab = parse_pauli_sum(raw["u_ab"])
         if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
             raise ConfigError("scenarios must be a non-empty list")
         specs = []
@@ -210,17 +210,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 )
             )
         return ScenarioConfig(
-            mode=mode, raw=raw, seed=seed, cp_tol=cp_tol, method=method,
-            u_ab_expr=raw["u_ab"], qpt_scenarios=tuple(specs),
+            mode=mode, raw=raw, cp_tol=cp_tol, method=method,
+            u_ab=u_ab, qpt_scenarios=tuple(specs),
         )
 
     if mode == "rud_build":
         _require_keys(raw, common | {"h0", "k", "t", "profile"}, {"h0", "k", "profile"}, "rud_build config")
-        parse_pauli_sum(raw["h0"])
-        parse_pauli_sum(raw["k"])
         return ScenarioConfig(
-            mode=mode, raw=raw, seed=seed, cp_tol=cp_tol, method=method,
-            h0_expr=raw["h0"], k_expr=raw["k"], t=_number(raw, "t", "config", 1.0),
+            mode=mode, raw=raw, cp_tol=cp_tol, method=method,
+            h0=parse_pauli_sum(raw["h0"]), k=parse_pauli_sum(raw["k"]), t=_number(raw, "t", "config", 1.0),
             profile_spec=_parse_profile_spec(raw["profile"], "profile"),
         )
 
@@ -237,11 +235,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("recover_profile needs either a fixture name or explicit h0 and k")
     if fixture is not None and ("h0" in raw or "k" in raw):
         raise ConfigError("give either a fixture name or explicit h0/k, not both")
-    h0_expr = raw.get("h0")
-    k_expr = raw.get("k")
-    if h0_expr is not None:
-        parse_pauli_sum(h0_expr)
-        parse_pauli_sum(k_expr)
+    h0 = k = None
+    if fixture is None:
+        h0 = parse_pauli_sum(raw["h0"])
+        k = parse_pauli_sum(raw["k"])
     grid_raw = raw["grid"]
     _require_keys(grid_raw, {"min", "max", "n_bins"}, {"min", "max", "n_bins"}, "grid")
     if isinstance(grid_raw["n_bins"], bool) or not isinstance(grid_raw["n_bins"], int):
@@ -250,8 +247,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         _number(grid_raw, "min", "grid"), _number(grid_raw, "max", "grid"), grid_raw["n_bins"]
     )
     return ScenarioConfig(
-        mode=mode, raw=raw, seed=seed, cp_tol=cp_tol, method=method,
-        h0_expr=h0_expr, k_expr=k_expr, t=_number(raw, "t", "config", 1.0),
+        mode=mode, raw=raw, cp_tol=cp_tol, method=method,
+        h0=h0, k=k, t=_number(raw, "t", "config", 1.0),
         fixture=fixture, profile_spec=_parse_profile_spec(raw["profile"], "profile"),
         grid=grid, offset=_number(raw, "offset", "config", 0.0),
     )
@@ -319,7 +316,7 @@ def _build_profile(spec: dict) -> RFProfile:
 
 
 def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
-    u_ab = expm_unitary(parse_pauli_sum(cfg.u_ab_expr))
+    u_ab = expm_unitary(cfg.u_ab)
     rows = []
     for spec in cfg.qpt_scenarios:
         report = run_qpt_scenario(
@@ -327,8 +324,6 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             correlated=spec.correlated, apply_cp_filter=spec.cp_filter,
             cp_tol=cfg.cp_tol,
         )
-        inputs = prepare_correlated_inputs(spec.alpha, spec.beta, spec.gamma)
-        in_mat = np.column_stack([columnize(r) for r in inputs.reduced_inputs])
         rows.append({
             "name": spec.name,
             "alpha": spec.alpha,
@@ -343,31 +338,17 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "kraus_count": report.kraus_count,
             "removed_weight": report.removed_weight,
             "condition_number": report.condition_number,
-            "qpt_residual": _residual_entry(report.s_obs, inputs, u_ab, spec, in_mat),
+            # the forward residual is only meaningful for the unfiltered map
+            "qpt_residual": {"value": report.forward_residual, "tol": 1e-10},
         })
-    doc = {"mode": "qpt_demo", "u_ab": cfg.u_ab_expr, "scenarios": rows}
+    doc = {"mode": "qpt_demo", "u_ab": cfg.raw["u_ab"], "scenarios": rows}
     return [("qpt_report.json", _json_bytes(doc), "report")]
 
 
-def _residual_entry(s_obs, inputs, u_ab, spec, in_mat) -> dict:
-    # forward residual only meaningful for the unfiltered map
-    if spec.cp_filter:
-        return {"value": None, "tol": 1e-10}
-    if spec.correlated:
-        joints = inputs.joint_states
-    else:
-        rho_b = inputs.environment_state
-        joints = tuple(np.kron(r, rho_b) for r in inputs.reduced_inputs)
-    out_mat = np.column_stack([columnize(evolve_and_reduce(u_ab, j)) for j in joints])
-    residual = float(np.abs(s_obs @ in_mat - out_mat).max())
-    return {"value": residual, "tol": 1e-10}
-
-
 def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
-    h0 = parse_pauli_sum(cfg.h0_expr)
-    k = parse_pauli_sum(cfg.k_expr)
+    h0 = cfg.h0
     profile = _build_profile(cfg.profile_spec)
-    s = rf_incoherent_channel(h0, k, profile, t=cfg.t)
+    s = rf_incoherent_channel(h0, cfg.k, profile, t=cfg.t)
     evals, _ = eig_general(s)
     dim = h0.shape[0]
     ident = columnize(np.eye(dim) / dim)
@@ -400,8 +381,8 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     elif cfg.fixture == "four_qubit":
         h0t, k = four_qubit_fixture()
     else:
-        h0t = parse_pauli_sum(cfg.h0_expr) * cfg.t
-        k = parse_pauli_sum(cfg.k_expr)
+        h0t = cfg.h0 * cfg.t
+        k = cfg.k
     profile = _build_profile(cfg.profile_spec)
     channel_profile = shifted_profile(profile, cfg.offset) if cfg.offset else profile
     s = rf_incoherent_channel(h0t, k, channel_profile)
@@ -490,7 +471,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--method", choices=METHODS)
     p_run.add_argument("--tol", type=float, help="override the CP-test tolerance")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
 
     p_val = sub.add_parser("validate", help="check a scenario config")
     p_val.add_argument("--config", required=True)
@@ -498,15 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "run":
-            raw = dict(cfg.raw)
-            if args.method is not None:
-                raw["method"] = args.method
-            if args.tol is not None:
-                raw["cp_tol"] = args.tol
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            cfg = parse_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -514,6 +485,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         print(f"ok: mode={cfg.mode}")
         return 0
+    # argparse has already checked the override values, so they replace the
+    # parsed fields without a second parse; an invalid method or cp_tol in the
+    # file is still rejected above.  raw takes them too, for the config hash.
+    overrides = {}
+    if args.method is not None:
+        overrides["method"] = args.method
+    if args.tol is not None:
+        overrides["cp_tol"] = args.tol
+    cfg = replace(cfg, raw={**cfg.raw, **overrides}, **overrides)
     try:
         manifest = run_scenario(cfg, args.out)
     except ConfigError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import _fix_phases, eig_general
+from .liouville import eig_general, eig_hermitian
 from .validation import require_hermitian
 
 
@@ -74,16 +74,26 @@ class SpectralSampleSet:
         return float(np.pi / np.abs(self.k).max())
 
     def conjugate_symmetry_residual(self) -> float:
-        """Worst mismatch between each sample and the conjugate at -k."""
-        worst = 0.0
-        for i in range(self.k.size):
-            partner = int(np.argmin(np.abs(self.k + self.k[i])))
-            worst = max(
-                worst,
-                abs(self.k[partner] + self.k[i]),
-                abs(self.f[partner] - np.conj(self.f[i])),
-            )
-        return worst
+        """Worst mismatch between each sample and the conjugate at -k.
+
+        The partner of sample i is the sample whose k is nearest to -k[i],
+        the lowest index among equally near ones.
+        """
+        k, n = self.k, self.k.size
+        order = np.argsort(k, kind="stable")
+        k_sorted = k[order]
+        pos = np.searchsorted(k_sorted, -k)
+        # nearest at or above -k[i], and the first of the run of equal k just below
+        above = order[np.minimum(pos, n - 1)]
+        below = order[np.searchsorted(k_sorted, k_sorted[np.maximum(pos - 1, 0)])]
+        d_above = np.where(pos < n, np.abs(k[above] + k), np.inf)
+        d_below = np.where(pos > 0, np.abs(k[below] + k), np.inf)
+        take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
+        partner = np.where(take_above, above, below)
+        return float(max(
+            np.max(np.abs(k[partner] + k), initial=0.0),
+            np.max(np.abs(self.f[partner] - np.conj(self.f)), initial=0.0),
+        ))
 
 
 class ProfileMoments(NamedTuple):
@@ -94,8 +104,8 @@ class ProfileMoments(NamedTuple):
 
 def eigenbasis(h0t: np.ndarray, degeneracy_tol: float = 1e-6) -> EigenBasis:
     """Diagonalize the nominal generator; reject near-degenerate spectra."""
-    h0t = require_hermitian(h0t, 1e-10, "h0t")
-    phis, vectors = np.linalg.eigh(h0t)
+    phis, vectors = eig_hermitian(h0t, 1e-10)
+    phis, vectors = phis[::-1], vectors[:, ::-1]
     if phis.size > 1:
         min_gap = float(np.min(np.diff(phis)))
         if min_gap <= degeneracy_tol:
@@ -103,7 +113,7 @@ def eigenbasis(h0t: np.ndarray, degeneracy_tol: float = 1e-6) -> EigenBasis:
                 f"nominal spectrum has gap {min_gap:.3e} <= {degeneracy_tol:g}; "
                 "first-order pairing is invalid"
             )
-    return EigenBasis(phis, _fix_phases(vectors))
+    return EigenBasis(phis, vectors)
 
 
 def _diagonal_perturbations(basis: EigenBasis, k: np.ndarray) -> np.ndarray:

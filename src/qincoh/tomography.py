@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import (
-    choi_to_kraus,
-    columnize,
-    cp_filter,
-    eig_hermitian,
-    is_cp,
-    superop_to_choi,
-)
-from .validation import as_square_matrix, require_unitary
+from .liouville import columnize, cp_filter, eig_hermitian, superop_to_choi
+from .validation import as_square_matrix, require_hermitian, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -50,8 +43,12 @@ class CorrelatedInputSet:
 class QPTReport:
     """Diagnostics of one simulated tomography scenario.
 
-    ``kraus_count`` is present exactly when the reported map is CP;
-    ``removed_weight`` is present exactly when CP-filtering was applied.
+    ``is_cp``, ``kraus_count`` and ``choi_eigenvalues`` all come from one
+    diagonalization of the reported map's Choi matrix.  ``kraus_count`` is
+    present exactly when the reported map is CP; ``removed_weight`` is
+    present exactly when CP-filtering was applied, and ``forward_residual``
+    (``max|S_obs @ In - Out|`` over the tomography inputs) exactly when it
+    was not.
     """
 
     s_obs: np.ndarray
@@ -60,6 +57,7 @@ class QPTReport:
     kraus_count: int | None
     removed_weight: float | None
     condition_number: float
+    forward_residual: float | None
 
 
 def prepare_correlated_inputs(
@@ -188,14 +186,21 @@ def run_qpt_scenario(
     s_obs, cond = qpt_solve(in_vecs, out_vecs)
 
     removed_weight = None
+    forward_residual = None
     if apply_cp_filter:
         s_obs, removed_weight = cp_filter(s_obs)
+    else:
+        residual = s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)
+        forward_residual = float(np.abs(residual).max())
     choi = superop_to_choi(s_obs)
     eigenvalues, _ = eig_hermitian(choi, tol=1e-8)
-    cp_flag, _ = is_cp(s_obs, cp_tol)
-    # rank cutoff matches the CP tolerance so a map that just passed the CP
-    # test cannot fail Kraus extraction on the same eigenvalue
-    kraus_count = len(choi_to_kraus(choi, rank_tol=cp_tol)) if cp_flag else None
+    cp_flag = bool(eigenvalues[-1] >= -cp_tol)
+    kraus_count = None
+    if cp_flag:
+        # the count and the Hermiticity check of choi_to_kraus(choi,
+        # rank_tol=cp_tol), without diagonalizing the Choi matrix again
+        require_hermitian(choi, 1e-10, "Choi matrix")
+        kraus_count = int(np.count_nonzero(eigenvalues > cp_tol))
     return QPTReport(
         s_obs=s_obs,
         choi_eigenvalues=eigenvalues,
@@ -203,4 +208,5 @@ def run_qpt_scenario(
         kraus_count=kraus_count,
         removed_weight=removed_weight,
         condition_number=cond,
+        forward_residual=forward_residual,
     )

@@ -14,6 +14,7 @@ from qincoh.liouville import unitary_superoperator
 from qincoh.spectral import (
     EigenPairing,
     PairedEigenvalue,
+    SpectralSampleSet,
     build_samples,
     detect_offset,
     eigenbasis,
@@ -126,6 +127,39 @@ def test_build_samples_on_fixture():
     dc = np.flatnonzero(samples.k == 0.0)
     assert dc.size == 1
     assert samples.f[dc[0]] == 1.0 + 0.0j
+
+
+def _symmetry_residual_loop(samples):
+    """Reference: the nearest partner of each sample by a full scan."""
+    worst = 0.0
+    for i in range(samples.k.size):
+        partner = int(np.argmin(np.abs(samples.k + samples.k[i])))
+        worst = max(
+            worst,
+            abs(samples.k[partner] + samples.k[i]),
+            abs(samples.f[partner] - np.conj(samples.f[i])),
+        )
+    return worst
+
+
+def test_conjugate_symmetry_residual_matches_loop_on_asymmetric_sets():
+    rng = np.random.default_rng(42)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            # integer coordinates: repeated k and partners tied on both sides
+            ks = rng.integers(-6, 7, n).astype(float)
+        else:
+            ks = rng.normal(scale=5.0, size=n)
+        if trial % 2 == 0:
+            ks = np.sort(ks)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        samples = SpectralSampleSet(ks, f)
+        expected = _symmetry_residual_loop(samples)
+        assert abs(samples.conjugate_symmetry_residual() - expected) <= 1e-15 * expected
+    h0t, k, s = fixture_channel()
+    samples = build_samples(pair_eigenvalues(s, h0t, k))
+    assert samples.conjugate_symmetry_residual() == _symmetry_residual_loop(samples)
 
 
 def test_build_samples_flat_spectrum_for_unperturbed_channel():

@@ -147,6 +147,19 @@ def test_qpt_solve_rejects_singular_inputs():
     assert exc.value.condition_number > 1e8
 
 
+def _forward_residual_oracle(u_ab, alpha, beta, gamma, correlated, s_obs):
+    """Prepare and evolve the inputs again, then compare S_obs @ In with Out."""
+    inputs = prepare_correlated_inputs(alpha, beta, gamma)
+    if correlated:
+        joints = inputs.joint_states
+    else:
+        rho_b = inputs.environment_state
+        joints = tuple(np.kron(r, rho_b) for r in inputs.reduced_inputs)
+    in_mat = np.column_stack([columnize(r) for r in inputs.reduced_inputs])
+    out_mat = np.column_stack([columnize(evolve_and_reduce(u_ab, j)) for j in joints])
+    return float(np.abs(s_obs @ in_mat - out_mat).max())
+
+
 def test_scenario_reports_match_summary_table():
     rows = [
         ((0.5, 0.5, 0.6), True, False, False, None),
@@ -163,6 +176,33 @@ def test_scenario_reports_match_summary_table():
         assert report.kraus_count == expect_kraus
         assert (report.kraus_count is not None) == report.is_cp
         assert (report.removed_weight is not None) == cpf
+        if cpf:
+            assert report.forward_residual is None
+        else:
+            assert report.forward_residual == _forward_residual_oracle(
+                U_ZZ, alpha, beta, gamma, correlated, report.s_obs
+            )
+            assert report.forward_residual < 1e-10
+
+
+def test_scenario_diagonalizes_the_reported_choi_matrix_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for correlated, cpf, expected in ((True, False, 1), (False, False, 1), (True, True, 2)):
+        calls.clear()
+        prepare_correlated_inputs(0.5, 0.5, 0.6)
+        n_prepare = len(calls)
+        calls.clear()
+        run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=correlated, apply_cp_filter=cpf)
+        # one Choi diagonalization, plus the one inside CP-filtering
+        assert len(calls) - n_prepare == expected
 
 
 def test_scenario_choi_spectra():

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .liouville import columnize, uncolumnize
-from .validation import as_square_matrix, require_hermitian, require_unitary
+from .liouville import columnize, conjugation_sum, uncolumnize
+from .validation import as_square_matrix, require_hermitian
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
 
@@ -126,19 +126,39 @@ def make_synthetic_profile(
     return RFProfile(xs, ws)
 
 
+def _expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """``exp(-i h t)`` for a Hermitian ``h`` or a stack of them, from one
+    (batched) ``eigh``, which reads the lower triangle."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """``exp(-i H t)`` for Hermitian H, via eigendecomposition (exact for
     Hermitian generators, no scaling-and-squaring error)."""
     h = require_hermitian(h, 1e-12, "h")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return _expm_hermitian((h + h.conj().T) / 2, t)
+
+
+def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Check a ``(K, N, N)`` stack is unitary within 1e-10 with one batched
+    ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM."""
+    gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
+    dev = np.abs(gram - np.eye(unitaries.shape[-1])).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-10)
+    if bad.size:
+        raise ValueError(
+            f"ensemble[{bad[0]}] is not unitary within 1e-10 (deviation {dev[bad[0]]:.3e})"
+        )
+    return conjugation_sum(unitaries, weights)
 
 
 def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
     """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
 
-    Weights must be non-negative and sum to 1 within 1e-12; members are
-    summed in list order so the result is bit-stable.
+    Weights must be non-negative and sum to 1 within 1e-12, and every member
+    unitary within 1e-10.  The sum is one matrix product, so the same
+    ensemble gives the same bytes for a given BLAS and thread count.
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")
@@ -147,14 +167,10 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
         raise ValueError("ensemble weights must be non-negative")
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1 within 1e-12")
-    mats = [require_unitary(u, 1e-10, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
-    dim = mats[0].shape[0]
-    if any(u.shape[0] != dim for u in mats):
+    mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
+    if any(u.shape != mats[0].shape for u in mats):
         raise ValueError("ensemble members have mismatched dimensions")
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for p, u in zip(weights, mats):
-        s += p * np.kron(u.conj(), u)
-    return s
+    return _unitary_ensemble_superop(weights, np.stack(mats))
 
 
 def rf_incoherent_channel(
@@ -168,17 +184,18 @@ def rf_incoherent_channel(
     Each profile point ``dw`` contributes the unitary
     ``exp(-i (h0*t + dw*k))`` with its probability weight; note that ``k``
     carries the full dimensionless product (duration absorbed), so ``t``
-    scales the nominal generator only.
+    scales the nominal generator only.  The member generators are real
+    combinations of the validated ``h0`` and ``k``, so they are Hermitian
+    without a check of their own and are diagonalized as one stack.
     """
     h0 = require_hermitian(h0, 1e-12, "h0")
     k = require_hermitian(k, 1e-12, "k")
     if h0.shape != k.shape:
         raise ValueError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
-    members = [
-        (w, expm_unitary(h0 * t + dw * k))
-        for dw, w in zip(profile.delta_omega, profile.weight)
-    ]
-    return rud_superoperator(members)
+    h0 = (h0 + h0.conj().T) / 2
+    k = (k + k.conj().T) / 2
+    generators = h0 * t + profile.delta_omega[:, None, None] * k
+    return _unitary_ensemble_superop(profile.weight, _expm_hermitian(generators))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -61,6 +61,22 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lapack_eig(solver, m: np.ndarray):
+    """``solver(m)`` with a non-convergence error that names the matrix size."""
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} "
+            f"matrix (max|entry| = {max_abs(m):.3e}): {exc}"
+        ) from exc
+
+
+def _descending(w: np.ndarray) -> np.ndarray:
+    """Order of eigenvalues by (real part desc, imag part desc)."""
+    return np.lexsort((-w.imag, -w.real))
+
+
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a general (possibly non-normal) square matrix.
 
@@ -69,27 +85,24 @@ def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are listed with multiplicity.
     """
     m = as_square_matrix(m, "m")
-    try:
-        w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} "
-            f"matrix (max|entry| = {max_abs(m):.3e}): {exc}"
-        ) from exc
-    order = np.lexsort((-w.imag, -w.real))
+    w, v = _lapack_eig(np.linalg.eig, m)
+    order = _descending(w)
     w = w[order]
     v = v[:, order]
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     return w, _fix_phases(v)
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(
+    m: np.ndarray, tol: float = 1e-10, name: str = "m"
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns real eigenvalues sorted descending and orthonormal eigenvector
     columns (phase-fixed so the first significant entry is real positive).
+    ``name`` labels the matrix in the rejection of a non-Hermitian input.
     """
-    m = require_hermitian(m, tol, "m")
+    m = require_hermitian(m, tol, name)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     w = w[::-1].real
     v = v[:, ::-1]
@@ -102,6 +115,52 @@ def _superop_dim(mat: np.ndarray, name: str) -> int:
     if n * n != mat.shape[0]:
         raise ValueError(f"{name} side {mat.shape[0]} is not a perfect square")
     return n
+
+
+# A superoperator whose form in the Hermitian basis has imaginary parts at
+# most this fraction of its largest entry preserves Hermiticity to rounding.
+_REAL_FORM_TOL = 1e-12
+
+
+def _hermitian_basis_form(s: np.ndarray, n: int) -> np.ndarray:
+    """``B^dag S B`` for the orthonormal Hermitian basis ``B`` = {E_ii,
+    (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 : i < j}, vectorized.
+
+    Each basis vector touches at most two vec positions, so the change of
+    basis is a gather plus two rows and two columns combined per element:
+    O(N^4), no dense product.  The result is real exactly when ``S`` maps
+    Hermitian matrices to Hermitian matrices.
+    """
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n) * (n + 1)
+    order = np.concatenate([diag, i + j * n, j + i * n])
+    r = s[np.ix_(order, order)]
+    sym, anti = slice(n, n + i.size), slice(n + i.size, None)
+    half = np.sqrt(0.5)
+    diff = r[:, sym] - r[:, anti]
+    r[:, sym] += r[:, anti]
+    r[:, sym] *= half
+    np.multiply(diff, 1j * half, out=r[:, anti])
+    diff = r[sym] - r[anti]
+    r[sym] += r[anti]
+    r[sym] *= half
+    np.multiply(diff, -1j * half, out=r[anti])
+    return r
+
+
+def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a superoperator, ordered like :func:`eig_general`.
+
+    No eigenvectors are computed.  A Hermiticity-preserving ``S`` is solved
+    in its real form in the Hermitian basis (a similar real matrix, so the
+    eigenvalues come in exact conjugate pairs); any other input, judged by
+    ``max|Im R| <= 1e-12 max|R|``, is solved as the complex matrix given.
+    """
+    s = as_square_matrix(s, "s")
+    r = _hermitian_basis_form(s, _superop_dim(s, "s"))
+    m = r.real if max_abs(r.imag) <= _REAL_FORM_TOL * max_abs(r) else s
+    w = np.asarray(_lapack_eig(np.linalg.eigvals, m), dtype=complex)
+    return w[_descending(w)]
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -145,18 +204,29 @@ def choi_to_kraus(c: np.ndarray, rank_tol: float | None = None) -> list[np.ndarr
     return [np.sqrt(w[i]) * uncolumnize(v[:, i]) for i in range(w.size) if w[i] > rank_tol]
 
 
+def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k w_k conj(A_k) kron A_k`` for a ``(K, N, N)`` stack, as one GEMM.
+
+    The sum is a product of ``(N^2, K)`` and ``(K, N^2)`` matrices in the
+    index order ``[(a,b), (c,d)]``, swapped to the superoperator's
+    ``[(a,c), (b,d)]``.  The same inputs give the same bytes for a given BLAS
+    and thread count.
+    """
+    k, n, _ = ops.shape
+    flat = ops.reshape(k, n * n)
+    m = (weights[:, None] * flat.conj()).T @ flat
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def kraus_to_superop(kraus_ops: list[np.ndarray]) -> np.ndarray:
-    """Assemble ``sum_i conj(A_i) kron A_i`` (summed in list order)."""
+    """Assemble ``sum_i conj(A_i) kron A_i``."""
     if not kraus_ops:
         raise ValueError("empty Kraus operator list")
     ops = [as_square_matrix(a, f"kraus_ops[{i}]") for i, a in enumerate(kraus_ops)]
     dim = ops[0].shape[0]
     if any(a.shape[0] != dim for a in ops):
         raise ValueError("Kraus operators have mismatched dimensions")
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in ops:
-        s += np.kron(a.conj(), a)
-    return s
+    return conjugation_sum(np.stack(ops), np.ones(len(ops)))
 
 
 def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:

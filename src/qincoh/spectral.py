@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import eig_general, eig_hermitian
+from .liouville import eig_hermitian, superop_eigenvalues
 from .validation import require_hermitian
 
 
@@ -104,7 +104,7 @@ class ProfileMoments(NamedTuple):
 
 def eigenbasis(h0t: np.ndarray, degeneracy_tol: float = 1e-6) -> EigenBasis:
     """Diagonalize the nominal generator; reject near-degenerate spectra."""
-    phis, vectors = eig_hermitian(h0t, 1e-10)
+    phis, vectors = eig_hermitian(h0t, 1e-10, "h0t")
     phis, vectors = phis[::-1], vectors[:, ::-1]
     if phis.size > 1:
         min_gap = float(np.min(np.diff(phis)))
@@ -136,6 +136,23 @@ def predict_eigenvalues(
     return unperturbed * attenuation
 
 
+def label_seeds(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Expectation values of S in the unperturbed eigenvectors, as an (N, N)
+    array indexed [j, m].
+
+    ``seed[j, m] = <b|S|b>`` with ``b = conj(|phi_m>) kron |phi_j>`` and
+    ``|phi_j>`` the columns of ``vectors``.  The ``(N, N, N, N)`` view of S
+    is contracted with one eigenvector index at a time: O(N^5), where the
+    dense ``B^dag S B`` would be O(N^6).
+    """
+    n = vectors.shape[0]
+    # t[a, b, c, j] = sum_d S[a*n + b, c*n + d] V[d, j]
+    t = (s.reshape(n**3, n) @ vectors).reshape(n, n, n, n)
+    t = np.einsum("abcj,bj->acj", t, vectors.conj())
+    t = np.swapaxes(t, 1, 2) @ vectors.conj()
+    return np.einsum("am,ajm->jm", vectors, t)
+
+
 def pair_eigenvalues(
     s: np.ndarray,
     h0t: np.ndarray,
@@ -146,27 +163,27 @@ def pair_eigenvalues(
     """Label the eigenvalues of a measured superoperator by (j, m).
 
     For each label the expectation value of S in the unperturbed eigenvector
-    ``conj(|phi_m>) kron |phi_j>`` seeds the search; seeds are processed in
-    (j*N + m) order and each greedily takes the nearest unused eigenvalue.
-    Matches farther than ``match_tol`` are collected as warnings; if every
-    match fails, pairing is considered broken.
+    ``conj(|phi_m>) kron |phi_j>`` (:func:`label_seeds`) seeds the search;
+    seeds are processed in (j*N + m) order and each greedily takes the
+    nearest unused eigenvalue.  Only eigenvalues are computed
+    (:func:`qincoh.liouville.superop_eigenvalues`).  Matches farther than
+    ``match_tol`` are collected as warnings; if every match fails, pairing
+    is considered broken.
     """
     basis = eigenbasis(h0t, degeneracy_tol)
     n = basis.phis.size
     if s.shape != (n * n, n * n):
         raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
     kd = _diagonal_perturbations(basis, k)
-    evals, _ = eig_general(s)
-
-    big_basis = np.kron(basis.vectors.conj(), basis.vectors)
-    seeds_diag = np.einsum("ij,ij->j", big_basis.conj(), s @ big_basis)
+    evals = superop_eigenvalues(s)
+    seeds = label_seeds(s, basis.vectors)
 
     used = np.zeros(n * n, dtype=bool)
     entries = []
     warn_list = []
     for j in range(n):
         for m in range(n):
-            seed = seeds_diag[m * n + j]
+            seed = seeds[j, m]
             dist = np.abs(evals - seed)
             dist[used] = np.inf
             pick = int(np.argmin(dist))

@@ -193,7 +193,7 @@ def run_qpt_scenario(
         residual = s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)
         forward_residual = float(np.abs(residual).max())
     choi = superop_to_choi(s_obs)
-    eigenvalues, _ = eig_hermitian(choi, tol=1e-8)
+    eigenvalues, _ = eig_hermitian(choi, tol=1e-8, name="choi")
     cp_flag = bool(eigenvalues[-1] >= -cp_tol)
     kraus_count = None
     if cp_flag:

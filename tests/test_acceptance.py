@@ -264,5 +264,5 @@ def test_c11_determinism(tmp_path):
         (dir_a / e["path"]).read_bytes() == (dir_b / e["path"]).read_bytes()
         for e in json.loads(manifest_a)["files"]
     )
-    _report(11, "same config + seed gives byte-identical manifests and artifacts",
+    _report(11, "same config gives byte-identical manifests and artifacts",
             manifest_a == manifest_b and files_ok)

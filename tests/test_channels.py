@@ -70,6 +70,10 @@ def test_rud_rejects_bad_ensembles():
         rud_superoperator([(0.5, np.eye(2, dtype=complex))])
     with pytest.raises(ValueError, match="non-negative"):
         rud_superoperator([(1.5, np.eye(2, dtype=complex)), (-0.5, SZ)])
+    with pytest.raises(ValueError, match=r"ensemble\[1\] is not unitary"):
+        rud_superoperator([(0.5, SZ), (0.5, np.array([[1.0, 0.1], [0.0, 1.0]]))])
+    with pytest.raises(ValueError, match="mismatched"):
+        rud_superoperator([(0.5, SZ), (0.5, np.eye(4, dtype=complex))])
 
 
 def test_rud_channel_properties_seeded():
@@ -112,6 +116,27 @@ def test_rf_channel_sinc_attenuation_oracle():
     attenuation = np.sum(profile.weight * np.exp(-1j * np.pi / 2 * profile.delta_omega))
     assert abs(attenuation.imag) < 1e-12
     assert attenuation.real < 1.0
+
+
+def test_rf_channel_matches_member_loop():
+    # oracle: the per-member exponential and kron accumulation of the
+    # batched build
+    rng = np.random.default_rng(26)
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
+    generators = [three_qubit_fixture()]
+    for dim in (2, 4):
+        h0, k = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in "hk")
+        # Hermitian only within 1e-13, so which triangle is read matters
+        skew = 1e-13 * rng.standard_normal((dim, dim))
+        generators.append((h0 + h0.conj().T + skew, k + k.conj().T - skew))
+    for h0, k in generators:
+        for t in (1.0, 0.7):
+            dim = h0.shape[0]
+            oracle = np.zeros((dim * dim, dim * dim), dtype=complex)
+            for dw, p in zip(profile.delta_omega, profile.weight):
+                u = expm_unitary(h0 * t + dw * k)
+                oracle += p * np.kron(u.conj(), u)
+            assert np.abs(rf_incoherent_channel(h0, k, profile, t=t) - oracle).max() < 1e-14
 
 
 def test_rf_channel_dim_mismatch():

@@ -12,6 +12,7 @@ from qincoh.liouville import (
     eig_hermitian,
     is_cp,
     kraus_to_superop,
+    superop_eigenvalues,
     superop_to_choi,
     uncolumnize,
     unitary_superoperator,
@@ -36,6 +37,28 @@ def choi_by_elementary_sum(s):
             e_ij[i, j] = 1.0
             c += np.kron(e_ij, eye) @ s @ np.kron(eye, e_ij)
     return c
+
+
+def kron_loop(weights, ops):
+    """Oracle: the per-member kron accumulation the one-GEMM sum replaced."""
+    dim = ops[0].shape[0]
+    s = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for p, a in zip(weights, ops):
+        s += p * np.kron(a.conj(), a)
+    return s
+
+
+def greedy_multiset_distance(a, b):
+    """Largest distance when each entry of a takes the nearest unused entry of b."""
+    assert a.size == b.size
+    free = np.ones(b.size, dtype=bool)
+    worst = 0.0
+    for x in a:
+        d = np.where(free, np.abs(b - x), np.inf)
+        i = int(np.argmin(d))
+        free[i] = False
+        worst = max(worst, float(d[i]))
+    return worst
 
 
 def test_columnize_examples():
@@ -246,6 +269,44 @@ def test_kraus_round_trip_on_seeded_channels():
         s = rud_superoperator(random_rud_ensemble(1 + i % 2, 3, rng))
         ops = choi_to_kraus(superop_to_choi(s))
         assert np.abs(kraus_to_superop(ops) - s).max() < 1e-10
+
+
+def test_one_gemm_sums_match_kron_loop():
+    rng = np.random.default_rng(24)
+    for i in range(12):
+        n_qubits = 1 + i % 3
+        ensemble = random_rud_ensemble(n_qubits, 2 + i % 5, rng)
+        weights = [p for p, _ in ensemble]
+        unitaries = [u for _, u in ensemble]
+        s = rud_superoperator(ensemble)
+        assert np.abs(s - kron_loop(weights, unitaries)).max() < 1e-14
+        kraus = choi_to_kraus(superop_to_choi(s))
+        assert np.abs(kraus_to_superop(kraus) - kron_loop([1.0] * len(kraus), kraus)).max() < 1e-14
+
+
+def test_superop_eigenvalues_match_eig_multiset():
+    rng = np.random.default_rng(25)
+    preserving = [EQ4_S, UNCORR_S] + [
+        rud_superoperator(random_rud_ensemble(1 + i % 3, 2 + i % 4, rng)) for i in range(9)
+    ]
+    general = [
+        np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex),
+        rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
+    ]
+    for s in preserving + general:
+        w = superop_eigenvalues(s)
+        assert greedy_multiset_distance(w, np.linalg.eig(s)[0]) < 1e-12
+        assert np.array_equal(np.lexsort((-w.imag, -w.real)), np.arange(w.size))
+    for s in preserving:
+        # the real form gives eigenvalues in exact conjugate pairs
+        w = superop_eigenvalues(s)
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+    assert np.abs(superop_eigenvalues(EQ4_S) - np.array([1.0, 1.0, 1.2j, -1.2j])).max() < 1e-15
+
+
+def test_superop_eigenvalues_rejects_non_square_side():
+    with pytest.raises(ValueError, match="perfect square"):
+        superop_eigenvalues(np.eye(3))
 
 
 def test_cp_filter_eq4_example():

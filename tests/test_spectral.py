@@ -19,6 +19,7 @@ from qincoh.spectral import (
     detect_offset,
     eigenbasis,
     four_qubit_fixture,
+    label_seeds,
     pair_eigenvalues,
     predict_eigenvalues,
     profile_metrics,
@@ -49,6 +50,11 @@ def test_eigenbasis_sorted_and_reconstructs():
 def test_eigenbasis_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         eigenbasis(np.diag([1.0, 1.0, 2.0]))
+
+
+def test_eigenbasis_names_non_hermitian_h0t():
+    with pytest.raises(ValueError, match="h0t is not Hermitian"):
+        eigenbasis(np.array([[1.0, 0.5], [0.0, 2.0]]))
 
 
 def test_predict_without_perturbation_is_unperturbed():
@@ -109,6 +115,38 @@ def test_pairing_on_fixture_channel():
     kd = np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
     for e in pairing.entries[:10]:
         assert abs(e.k_jm - (kd[e.j] - kd[e.m])) < 1e-12
+
+
+def test_label_seeds_match_dense_expectation_values():
+    h0t, _, s = fixture_channel()
+    rng = np.random.default_rng(27)
+    s_random = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    h_random = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h_random = h_random + h_random.conj().T
+    for h, sup in ((h0t, s), (h_random, s_random)):
+        v = eigenbasis(h).vectors
+        n = v.shape[0]
+        # oracle: diag(B^dag S B) with the dense basis B = conj(V) kron V
+        big_basis = np.kron(v.conj(), v)
+        dense = np.einsum("ij,ij->j", big_basis.conj(), sup @ big_basis)
+        seeds = label_seeds(sup, v)
+        assert np.abs(seeds - dense.reshape(n, n).T).max() < 1e-13
+
+
+def test_pairing_computes_eigenvalues_only(monkeypatch):
+    h0t, k, s = fixture_channel()
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    pairing = pair_eigenvalues(s, h0t, k)
+    assert calls == {"eig": 0, "eigvals": 1}
+    assert len(pairing.warnings) == 0
 
 
 def test_pairing_fails_loudly_when_spectrum_is_unrelated():

@@ -5,6 +5,10 @@ joint unitary and reports CP diagnostics; ``rud_build`` constructs an
 incoherent channel and dumps its spectrum; ``recover_profile`` runs the full
 spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 (e.g. ``"0.785398 * ZZ + 0.1 * XI"``) so every fixture stays auditable.
+Each config object is described once, by a table of ``{key: (check,
+default)}`` entries.  Parsing runs every check, range checks included, and
+builds the finished objects (matrices, the profile, the recovery grid), so
+``validate`` rejects every config that ``run`` would reject as a config error.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.
 """
@@ -17,8 +21,8 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .channels import (
     shifted_profile,
 )
 from .errors import ConfigError
-from .liouville import columnize, eig_general, is_cp
+from .liouville import columnize, is_cp, superop_eigenvalues
 from .nudft import METHODS, RecoveryGrid, inverse_nudft
 from .spectral import (
     build_samples,
@@ -88,170 +92,185 @@ def parse_pauli_sum(expr: str) -> np.ndarray:
     return matrix
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], context: str) -> None:
+# ---------------------------------------------------------------------------
+# Config tables: ``{key: (check, default)}``, where ``check(value, name)``
+# returns the parsed value or raises ConfigError.
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that must be given
+
+_Check = Callable[[Any, str], Any]
+
+
+def _fields(d: Any, table: dict[str, tuple[_Check, Any]], ctx: str) -> dict:
+    """Every key of ``table`` mapped to its checked value in ``d`` or its default."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be an object")
-    unknown = set(d) - allowed
+        raise ConfigError(f"{ctx} must be an object")
+    unknown = set(d) - set(table)
     if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {context}")
-    missing = required - set(d)
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {ctx}")
+    missing = [key for key, (_, default) in table.items() if default is _REQUIRED and key not in d]
     if missing:
-        raise ConfigError(f"missing required field(s) {sorted(missing)} in {context}")
+        raise ConfigError(f"missing required field(s) {sorted(missing)} in {ctx}")
+    return {
+        key: check(d[key], f"{ctx}.{key}") if key in d else default
+        for key, (check, default) in table.items()
+    }
 
 
-def _number(d: dict, key: str, context: str, default: float | None = None) -> float:
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing {key} in {context}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} in {context} must be a number, got {v!r}")
-    return float(v)
+def _typed(kind: type | tuple[type, ...], what: str) -> _Check:
+    """A check accepting instances of ``kind``; a JSON boolean is not a number."""
+    def check(v: Any, name: str) -> Any:
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigError(f"{name} must be {what}, got {v!r}")
+        return v
+    return check
 
 
-def _flag(d: dict, key: str, context: str, default: bool) -> bool:
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{key} in {context} must be a boolean, got {v!r}")
-    return v
+_flag = _typed(bool, "a boolean")
+_integer = _typed(int, "an integer")
+_string = _typed(str, "a string")
+_real = _typed((int, float), "a number")
 
 
-@dataclass(frozen=True)
-class QptScenarioSpec:
-    name: str
-    alpha: float
-    beta: float
-    gamma: float
-    correlated: bool
-    cp_filter: bool
+def _number(v: Any, name: str) -> float:
+    return float(_real(v, name))
+
+
+def _nonnegative(v: Any, name: str) -> float:
+    x = _number(v, name)
+    if not x >= 0.0:
+        raise ConfigError(f"{name} must be a non-negative number, got {v!r}")
+    return x
+
+
+def _one_of(*choices: str) -> _Check:
+    def check(v: Any, name: str) -> str:
+        if v not in choices:
+            raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {v!r}")
+        return v
+    return check
+
+
+def _pauli(v: Any, name: str) -> np.ndarray:
+    try:
+        return parse_pauli_sum(v)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _built(table: dict[str, tuple[_Check, Any]], build: Callable[..., Any]) -> _Check:
+    """A check for a nested object whose fields are passed to ``build`` by key;
+    a ValueError from ``build`` (its range checks) becomes a ConfigError."""
+    def check(v: Any, name: str) -> Any:
+        fields = _fields(v, table, name)
+        try:
+            return build(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return check
+
+
+def _nonempty_list(item: _Check) -> _Check:
+    def check(v: Any, name: str) -> tuple:
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{name} must be a non-empty list")
+        return tuple(item(x, f"{name}[{i}]") for i, x in enumerate(v))
+    return check
+
+
+_SCENARIO = {
+    "name": (_string, _REQUIRED),
+    "alpha": (_number, _REQUIRED),
+    "beta": (_number, _REQUIRED),
+    "gamma": (_number, _REQUIRED),
+    "correlated": (_flag, True),
+    "cp_filter": (_flag, False),
+}
+
+_PROFILE = {
+    "kind": (_one_of("uniform", "gaussian", "skewed"), _REQUIRED),
+    "center": (_number, 0.0),
+    "width": (_number, _REQUIRED),
+    "skew": (_number, 0.0),
+    "n_points": (_integer, 41),
+}
+
+_GRID = {
+    "min": (_number, _REQUIRED),
+    "max": (_number, _REQUIRED),
+    "n_bins": (_integer, _REQUIRED),
+}
+
+# make_synthetic_profile is looked up at each call rather than bound here, so
+# a wrapper installed on this module's attribute sees the call.
+_CHANNEL = {
+    "t": (_number, 1.0),
+    "profile": (_built(_PROFILE, lambda **p: make_synthetic_profile(**p)), _REQUIRED),
+}
+
+_MODES = {
+    "qpt_demo": {
+        "u_ab": (_pauli, _REQUIRED),
+        "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
+    },
+    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL},
+    "recover_profile": {
+        "fixture": (_one_of("three_qubit", "four_qubit"), None),
+        "h0": (_pauli, None),
+        "k": (_pauli, None),
+        **_CHANNEL,
+        "grid": (_built(_GRID, lambda **g: RecoveryGrid(g["min"], g["max"], g["n_bins"])), _REQUIRED),
+        "offset": (_number, 0.0),
+    },
+}
+
+_COMMON = {
+    "mode": (_one_of(*_MODES), _REQUIRED),
+    "cp_tol": (_nonnegative, 1e-9),
+    "method": (_one_of(*METHODS), "weighted_riemann"),
+}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated config; the Pauli-sum fields hold their parsed matrices
-    (``u_ab`` is the generator of the joint unitary), which equality skips
-    because ``raw`` already holds their expressions."""
+    """A validated config: ``raw`` as read, which alone defines equality and
+    the config hash, and ``fields``, each key's parsed value (matrices,
+    profile and grid built, defaults filled in)."""
 
-    mode: str
     raw: dict
-    cp_tol: float
-    method: str
-    u_ab: np.ndarray | None = field(default=None, compare=False)
-    qpt_scenarios: tuple[QptScenarioSpec, ...] = ()
-    h0: np.ndarray | None = field(default=None, compare=False)
-    k: np.ndarray | None = field(default=None, compare=False)
-    t: float = 1.0
-    fixture: str | None = None
-    profile_spec: dict | None = None
-    grid: RecoveryGrid | None = None
-    offset: float = 0.0
+    fields: dict = field(compare=False)
+
+    @property
+    def mode(self) -> str:
+        return self.fields["mode"]
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _parse_profile_spec(d: dict, context: str) -> dict:
-    _require_keys(d, {"kind", "center", "width", "skew", "n_points"}, {"kind", "width"}, context)
-    kind = d["kind"]
-    if kind not in ("uniform", "gaussian", "skewed"):
-        raise ConfigError(f"unknown profile kind {kind!r} in {context}")
-    n_points = d.get("n_points", 41)
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ConfigError(f"n_points in {context} must be an integer")
-    return {
-        "kind": kind,
-        "center": _number(d, "center", context, 0.0),
-        "width": _number(d, "width", context),
-        "skew": _number(d, "skew", context, 0.0),
-        "n_points": n_points,
-    }
+def _recover_generators(raw: dict, f: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``(h0·t, k)`` of a recover_profile config: the fixture's or the given ones."""
+    if f["fixture"] is None:
+        if f["h0"] is None or f["k"] is None:
+            raise ConfigError("recover_profile needs either a fixture name or explicit h0 and k")
+        return f["h0"] * f["t"], f["k"]
+    explicit = [key for key in ("h0", "k", "t") if key in raw]
+    if explicit:
+        raise ConfigError(f"give either a fixture name or explicit h0/k/t, not both (got {explicit})")
+    return three_qubit_fixture() if f["fixture"] == "three_qubit" else four_qubit_fixture()
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw config dict; unknown fields are rejected everywhere."""
+    """Validate a raw config dict and build its objects; unknown fields are rejected everywhere."""
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-    mode = raw.get("mode")
-    if mode not in ("qpt_demo", "rud_build", "recover_profile"):
-        raise ConfigError(f"mode must be qpt_demo, rud_build or recover_profile, got {mode!r}")
-
-    cp_tol = _number(raw, "cp_tol", "config", 1e-9)
-    method = raw.get("method", "weighted_riemann")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-
-    common = {"mode", "cp_tol", "method"}
-    if mode == "qpt_demo":
-        _require_keys(raw, common | {"u_ab", "scenarios"}, {"u_ab", "scenarios"}, "qpt_demo config")
-        u_ab = parse_pauli_sum(raw["u_ab"])
-        if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
-            raise ConfigError("scenarios must be a non-empty list")
-        specs = []
-        for i, sc in enumerate(raw["scenarios"]):
-            ctx = f"scenarios[{i}]"
-            _require_keys(
-                sc,
-                {"name", "alpha", "beta", "gamma", "correlated", "cp_filter"},
-                {"name", "alpha", "beta", "gamma"},
-                ctx,
-            )
-            if not isinstance(sc["name"], str):
-                raise ConfigError(f"name in {ctx} must be a string")
-            specs.append(
-                QptScenarioSpec(
-                    name=sc["name"],
-                    alpha=_number(sc, "alpha", ctx),
-                    beta=_number(sc, "beta", ctx),
-                    gamma=_number(sc, "gamma", ctx),
-                    correlated=_flag(sc, "correlated", ctx, True),
-                    cp_filter=_flag(sc, "cp_filter", ctx, False),
-                )
-            )
-        return ScenarioConfig(
-            mode=mode, raw=raw, cp_tol=cp_tol, method=method,
-            u_ab=u_ab, qpt_scenarios=tuple(specs),
-        )
-
-    if mode == "rud_build":
-        _require_keys(raw, common | {"h0", "k", "t", "profile"}, {"h0", "k", "profile"}, "rud_build config")
-        return ScenarioConfig(
-            mode=mode, raw=raw, cp_tol=cp_tol, method=method,
-            h0=parse_pauli_sum(raw["h0"]), k=parse_pauli_sum(raw["k"]), t=_number(raw, "t", "config", 1.0),
-            profile_spec=_parse_profile_spec(raw["profile"], "profile"),
-        )
-
-    _require_keys(
-        raw,
-        common | {"fixture", "h0", "k", "t", "profile", "grid", "offset"},
-        {"profile", "grid"},
-        "recover_profile config",
-    )
-    fixture = raw.get("fixture")
-    if fixture is not None and fixture not in ("three_qubit", "four_qubit"):
-        raise ConfigError(f"fixture must be three_qubit or four_qubit, got {fixture!r}")
-    if fixture is None and ("h0" not in raw or "k" not in raw):
-        raise ConfigError("recover_profile needs either a fixture name or explicit h0 and k")
-    if fixture is not None and ("h0" in raw or "k" in raw):
-        raise ConfigError("give either a fixture name or explicit h0/k, not both")
-    h0 = k = None
-    if fixture is None:
-        h0 = parse_pauli_sum(raw["h0"])
-        k = parse_pauli_sum(raw["k"])
-    grid_raw = raw["grid"]
-    _require_keys(grid_raw, {"min", "max", "n_bins"}, {"min", "max", "n_bins"}, "grid")
-    if isinstance(grid_raw["n_bins"], bool) or not isinstance(grid_raw["n_bins"], int):
-        raise ConfigError("grid n_bins must be an integer")
-    grid = RecoveryGrid(
-        _number(grid_raw, "min", "grid"), _number(grid_raw, "max", "grid"), grid_raw["n_bins"]
-    )
-    return ScenarioConfig(
-        mode=mode, raw=raw, cp_tol=cp_tol, method=method,
-        h0=h0, k=k, t=_number(raw, "t", "config", 1.0),
-        fixture=fixture, profile_spec=_parse_profile_spec(raw["profile"], "profile"),
-        grid=grid, offset=_number(raw, "offset", "config", 0.0),
-    )
+    mode = _COMMON["mode"][0](raw.get("mode"), "config.mode")
+    fields = _fields(raw, {**_COMMON, **_MODES[mode]}, "config")
+    if mode == "recover_profile":
+        fields["h0t"], fields["k"] = _recover_generators(raw, fields)
+    return ScenarioConfig(raw, fields)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -277,17 +296,9 @@ def _json_bytes(obj: Any) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _eigenvalues_csv(evals: np.ndarray) -> bytes:
-    lines = ["re,im"]
-    for z in evals:
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _samples_csv(samples) -> bytes:
-    lines = ["k,f_real,f_imag"]
-    for kk, ff in zip(samples.k, samples.f):
-        lines.append(f"{float(kk)!r},{float(ff.real)!r},{float(ff.imag)!r}")
+def _csv(header: str, *columns: np.ndarray) -> bytes:
+    """A header line, then one line of exact float reprs per row of ``columns``."""
+    lines = [header] + [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -308,33 +319,27 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _build_profile(spec: dict) -> RFProfile:
-    return make_synthetic_profile(
-        spec["kind"], center=spec["center"], width=spec["width"],
-        skew=spec["skew"], n_points=spec["n_points"],
-    )
-
-
 def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
-    u_ab = expm_unitary(cfg.u_ab)
+    f = cfg.fields
+    u_ab = expm_unitary(f["u_ab"])
     rows = []
-    for spec in cfg.qpt_scenarios:
+    for sc in f["scenarios"]:
         report = run_qpt_scenario(
-            u_ab, spec.alpha, spec.beta, spec.gamma,
-            correlated=spec.correlated, apply_cp_filter=spec.cp_filter,
-            cp_tol=cfg.cp_tol,
+            u_ab, sc["alpha"], sc["beta"], sc["gamma"],
+            correlated=sc["correlated"], apply_cp_filter=sc["cp_filter"],
+            cp_tol=f["cp_tol"],
         )
         rows.append({
-            "name": spec.name,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "gamma": spec.gamma,
-            "cp_filtered": spec.cp_filter,
-            "correlated": spec.correlated,
+            "name": sc["name"],
+            "alpha": sc["alpha"],
+            "beta": sc["beta"],
+            "gamma": sc["gamma"],
+            "cp_filtered": sc["cp_filter"],
+            "correlated": sc["correlated"],
             "s_obs": _matrix_json(report.s_obs),
             "choi_eigenvalues": [float(x) for x in report.choi_eigenvalues],
             "is_cp": report.is_cp,
-            "cp_tol": cfg.cp_tol,
+            "cp_tol": f["cp_tol"],
             "kraus_count": report.kraus_count,
             "removed_weight": report.removed_weight,
             "condition_number": report.condition_number,
@@ -346,15 +351,15 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
 
 
 def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
-    h0 = cfg.h0
-    profile = _build_profile(cfg.profile_spec)
-    s = rf_incoherent_channel(h0, cfg.k, profile, t=cfg.t)
-    evals, _ = eig_general(s)
+    f = cfg.fields
+    h0, profile = f["h0"], f["profile"]
+    s = rf_incoherent_channel(h0, f["k"], profile, t=f["t"])
+    evals = superop_eigenvalues(s)
     dim = h0.shape[0]
     ident = columnize(np.eye(dim) / dim)
     unitality = float(np.abs(s @ ident - ident).max())
     tp = float(np.abs(columnize(np.eye(dim)).conj() @ s - columnize(np.eye(dim)).conj()).max())
-    cp_flag, min_eig = is_cp(s, cfg.cp_tol)
+    cp_flag, min_eig = is_cp(s, f["cp_tol"])
     report = {
         "mode": "rud_build",
         "dim": dim,
@@ -364,37 +369,31 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "trace_preservation_residual": {"value": tp, "tol": 1e-11},
         "is_cp": cp_flag,
         "min_choi_eigenvalue": min_eig,
-        "cp_tol": cfg.cp_tol,
+        "cp_tol": f["cp_tol"],
         "max_eigenvalue_modulus": {"value": float(np.abs(evals).max()), "tol": 1e-10},
     }
     return [
         ("channel_report.json", _json_bytes(report), "report"),
-        ("eigenvalues.csv", _eigenvalues_csv(evals), "spectrum"),
+        ("eigenvalues.csv", _csv("re,im", evals.real, evals.imag), "spectrum"),
         ("superoperator.json", _json_bytes(_matrix_json(s)), "superoperator"),
         ("profile.csv", profile_to_csv(profile).encode(), "profile_truth"),
     ]
 
 
 def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
-    if cfg.fixture == "three_qubit":
-        h0t, k = three_qubit_fixture()
-    elif cfg.fixture == "four_qubit":
-        h0t, k = four_qubit_fixture()
-    else:
-        h0t = cfg.h0 * cfg.t
-        k = cfg.k
-    profile = _build_profile(cfg.profile_spec)
-    channel_profile = shifted_profile(profile, cfg.offset) if cfg.offset else profile
+    f = cfg.fields
+    h0t, k, profile, grid = f["h0t"], f["k"], f["profile"], f["grid"]
+    channel_profile = shifted_profile(profile, f["offset"]) if f["offset"] else profile
     s = rf_incoherent_channel(h0t, k, channel_profile)
     pairing = pair_eigenvalues(s, h0t, k)
     samples = build_samples(pairing)
-    result = inverse_nudft(samples, cfg.grid, method=cfg.method)
+    result = inverse_nudft(samples, grid, method=f["method"])
     recovered = result.profile
     report = {
         "mode": "recover_profile",
-        "fixture": cfg.fixture,
-        "method": cfg.method,
-        "offset_injected": cfg.offset,
+        "fixture": f["fixture"],
+        "method": f["method"],
+        "offset_injected": f["offset"],
         "n_samples": len(samples),
         "window_span": samples.window_span(),
         "resolution_estimate": samples.resolution_estimate(),
@@ -419,15 +418,16 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "recovered_moments": _moments_json(recovered),
         "offset_estimate": detect_offset(recovered),
         "grid": {
-            "min": cfg.grid.delta_omega_min,
-            "max": cfg.grid.delta_omega_max,
-            "n_bins": cfg.grid.n_bins,
-            "bin_width": cfg.grid.bin_width,
+            "min": grid.delta_omega_min,
+            "max": grid.delta_omega_max,
+            "n_bins": grid.n_bins,
+            "bin_width": grid.bin_width,
         },
     }
     return [
         ("recovery_report.json", _json_bytes(report), "report"),
-        ("samples.csv", _samples_csv(samples), "spectral_samples"),
+        ("samples.csv", _csv("k,f_real,f_imag", samples.k, samples.f.real, samples.f.imag),
+         "spectral_samples"),
         ("true_profile.csv", profile_to_csv(channel_profile).encode(), "profile_truth"),
         ("recovered_profile.csv", profile_to_csv(recovered).encode(), "profile_recovered"),
     ]
@@ -478,6 +478,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "run":
+            # A flag goes through its field's table check and replaces the
+            # file's value, which was checked too; raw takes it as well, for
+            # the config hash.
+            flags = {"method": ("--method", args.method), "cp_tol": ("--tol", args.tol)}
+            overrides = {
+                key: _COMMON[key][0](value, flag)
+                for key, (flag, value) in flags.items() if value is not None
+            }
+            cfg = ScenarioConfig({**cfg.raw, **overrides}, {**cfg.fields, **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -485,20 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         print(f"ok: mode={cfg.mode}")
         return 0
-    # argparse has already checked the override values, so they replace the
-    # parsed fields without a second parse; an invalid method or cp_tol in the
-    # file is still rejected above.  raw takes them too, for the config hash.
-    overrides = {}
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.tol is not None:
-        overrides["cp_tol"] = args.tol
-    cfg = replace(cfg, raw={**cfg.raw, **overrides}, **overrides)
     try:
         manifest = run_scenario(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

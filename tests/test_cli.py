@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qincoh.channels import make_synthetic_profile
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
+from qincoh.nudft import RecoveryGrid
+from qincoh.spectral import three_qubit_fixture
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,3 +126,126 @@ def test_method_override(tmp_path):
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     assert report["method"] == "least_squares"
     assert report["quality"]["condition_number"] is not None
+
+
+def _bundled(name: str, edit) -> dict:
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    edit(raw)
+    return raw
+
+
+# Each config below must fail `validate` as a config error (exit 1), not pass
+# it and fail later in `run`, and not escape as a traceback.
+MALFORMED = {
+    # range checks of the profile and grid constructors
+    "grid-too-few-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=7)),
+    "grid-min-equals-max": ("recover3q.json", lambda c: c["grid"].update(min=0.25)),
+    "grid-min-above-max": ("recover3q.json", lambda c: c["grid"].update(min=0.3, max=-0.3)),
+    "profile-two-points": ("recover3q.json", lambda c: c["profile"].update(n_points=2)),
+    "profile-zero-width": ("recover3q.json", lambda c: c["profile"].update(width=0.0)),
+    "profile-negative-width": ("recover3q.json", lambda c: c["profile"].update(width=-0.05)),
+    "profile-skew-on-gaussian": ("recover3q.json", lambda c: c["profile"].update(kind="gaussian")),
+    "profile-skew-on-uniform": ("recover3q.json", lambda c: c["profile"].update(kind="uniform")),
+    "profile-skew-one": ("recover3q.json", lambda c: c["profile"].update(skew=1.0)),
+    "profile-skew-minus-one": ("recover3q.json", lambda c: c["profile"].update(skew=-1.0)),
+    "rud-profile-two-points": ("rud2q.json", lambda c: c["profile"].update(n_points=2)),
+    "negative-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=-1)),
+    # a fixture fixes h0, k and t
+    "t-with-fixture": ("recover3q.json", lambda c: c.update(t=2.0)),
+    "h0-with-fixture": ("recover3q.json", lambda c: c.update(h0="1.0 * ZZZ")),
+    "no-fixture-no-generators": ("recover3q.json", lambda c: c.pop("fixture")),
+    # a bool where a number or an integer belongs
+    "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
+    "bool-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=True)),
+    "bool-offset": ("recover3q.json", lambda c: c.update(offset=False)),
+    "bool-width": ("recover3q.json", lambda c: c["profile"].update(width=True)),
+    "bool-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=True)),
+    "bool-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=True)),
+    "bool-t": ("rud2q.json", lambda c: c.update(t=True)),
+    "float-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=101.0)),
+    "string-correlated": ("eq4_demo.json", lambda c: c["scenarios"][0].update(correlated="yes")),
+    # unknown and missing keys at each nesting level
+    "unknown-top": ("eq4_demo.json", lambda c: c.update(extra=1)),
+    "unknown-scenario": ("eq4_demo.json", lambda c: c["scenarios"][0].update(extra=1)),
+    "unknown-profile": ("recover3q.json", lambda c: c["profile"].update(extra=1)),
+    "unknown-grid": ("recover3q.json", lambda c: c["grid"].update(padding=2)),
+    "unknown-for-mode": ("rud2q.json", lambda c: c.update(grid={"min": -1, "max": 1, "n_bins": 9})),
+    "missing-mode": ("eq4_demo.json", lambda c: c.pop("mode")),
+    "missing-top": ("eq4_demo.json", lambda c: c.pop("u_ab")),
+    "missing-scenario-key": ("eq4_demo.json", lambda c: c["scenarios"][0].pop("gamma")),
+    "missing-profile-key": ("recover3q.json", lambda c: c["profile"].pop("width")),
+    "missing-grid-key": ("recover3q.json", lambda c: c["grid"].pop("n_bins")),
+    "missing-profile": ("rud2q.json", lambda c: c.pop("profile")),
+    # malformed values and containers
+    "empty-scenarios": ("eq4_demo.json", lambda c: c.update(scenarios=[])),
+    "scenarios-not-list": ("eq4_demo.json", lambda c: c.update(scenarios={"name": "x"})),
+    "scenario-name-not-string": ("eq4_demo.json", lambda c: c["scenarios"][0].update(name=3)),
+    "profile-not-object": ("recover3q.json", lambda c: c.update(profile=[0.05])),
+    "unknown-mode": ("eq4_demo.json", lambda c: c.update(mode="qpt")),
+    "mode-not-string": ("eq4_demo.json", lambda c: c.update(mode=["qpt_demo"])),
+    "unknown-kind": ("recover3q.json", lambda c: c["profile"].update(kind="lorentzian")),
+    "unknown-fixture": ("recover3q.json", lambda c: c.update(fixture="five_qubit")),
+    "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
+    "bad-pauli-sum": ("rud2q.json", lambda c: c.update(k="0.1 * ZQ")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_fails_validate(case, tmp_path, capsys):
+    name, edit = MALFORMED[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_bundled(name, edit)))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def test_negative_cp_tol_is_rejected_from_file_and_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=-1e-9))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out),
+                 "--tol", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["config error"] * 2
+    assert "--tol" in err[1]
+    assert not out.exists()
+    assert main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out),
+                 "--tol", "0"]) == 0
+
+
+def test_parsing_builds_the_profile_grid_and_generators():
+    cfg = load_config(f"{CONFIG_DIR}/recover3q.json")
+    h0t, k = three_qubit_fixture()
+    assert np.array_equal(cfg.fields["h0t"], h0t) and np.array_equal(cfg.fields["k"], k)
+    assert cfg.fields["grid"] == RecoveryGrid(-0.25, 0.25, 101)
+    expected = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
+    assert np.array_equal(cfg.fields["profile"].weight, expected.weight)
+    raw = {"mode": "recover_profile", "h0": "0.5 * ZI", "k": "1.0 * IZ", "t": 0.5,
+           "profile": {"kind": "uniform", "width": 0.1}, "grid": {"min": -1, "max": 1, "n_bins": 8}}
+    cfg = parse_config(raw)
+    assert np.array_equal(cfg.fields["h0t"], parse_pauli_sum("0.25 * ZI"))
+    assert cfg.fields["profile"].delta_omega.size == 41
+
+
+def test_rud2q_run(tmp_path):
+    assert main(["run", "--config", f"{CONFIG_DIR}/rud2q.json", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert {e["path"] for e in manifest["files"]} | {"manifest.json"} == {
+        p.name for p in tmp_path.iterdir()
+    }
+    for entry in manifest["files"]:
+        digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
+    rows = (tmp_path / "eigenvalues.csv").read_text().splitlines()
+    assert rows[0] == "re,im" and len(rows) == 17
+    report = json.loads((tmp_path / "channel_report.json").read_text())
+    assert report["is_cp"] is True
+    checked = {key: v for key, v in report.items() if isinstance(v, dict)}
+    assert set(checked) == {
+        "unitality_residual", "trace_preservation_residual", "max_eigenvalue_modulus",
+    }
+    for key, v in checked.items():
+        bound = 1 + v["tol"] if key == "max_eigenvalue_modulus" else v["tol"]
+        assert v["value"] <= bound, key

@@ -6,7 +6,8 @@ incoherent channel and dumps its spectrum; ``recover_profile`` runs the full
 spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 (e.g. ``"0.785398 * ZZ + 0.1 * XI"``) so every fixture stays auditable.
 Each config object is described once, by a table of ``{key: (check,
-default)}`` entries.  Parsing runs every check, range checks included, and
+default)}`` entries.  Parsing runs every check, range checks included (every
+number must be finite, and ``h0`` and ``k`` must have the same size), and
 builds the finished objects (matrices, the profile, the recovery grid), so
 ``validate`` rejects every config that ``run`` would reject as a config error.
 Outputs are written atomically and listed in a manifest with content hashes;
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -77,6 +79,8 @@ def parse_pauli_sum(expr: str) -> np.ndarray:
         if sign is None and not first:
             raise ConfigError(f"missing +/- between terms in {expr!r}")
         coeff = float(m.group("coeff")) * (-1.0 if sign == "-" else 1.0)
+        if not math.isfinite(coeff):
+            raise ConfigError(f"coefficient {m.group('coeff')} overflows in {expr!r}")
         label = m.group("label")
         if n_letters is None:
             n_letters = len(label)
@@ -134,7 +138,10 @@ _real = _typed((int, float), "a number")
 
 
 def _number(v: Any, name: str) -> float:
-    return float(_real(v, name))
+    x = float(_real(v, name))
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return x
 
 
 def _nonnegative(v: Any, name: str) -> float:
@@ -268,6 +275,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("top-level config must be a JSON object")
     mode = _COMMON["mode"][0](raw.get("mode"), "config.mode")
     fields = _fields(raw, {**_COMMON, **_MODES[mode]}, "config")
+    h0, k = fields.get("h0"), fields.get("k")
+    if h0 is not None and k is not None and h0.shape != k.shape:
+        raise ConfigError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
     if mode == "recover_profile":
         fields["h0t"], fields["k"] = _recover_generators(raw, fields)
     return ScenarioConfig(raw, fields)

@@ -48,16 +48,20 @@ def unitary_superoperator(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
+    """Rotate each column so its first significant entry is real positive.
+
+    An entry is significant above ``1e-12`` times its column's largest
+    magnitude; an all-zero column is left as it is.
+    """
     out = np.array(vectors, dtype=complex)
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.flatnonzero(mags > 1e-12 * top)[0])
-        out[:, i] = col * (abs(col[lead]) / col[lead])
+    mags = np.abs(out)
+    top = mags.max(axis=0)
+    cols = np.flatnonzero(top)
+    lead = np.argmax(mags[:, cols] > 1e-12 * top[cols], axis=0)
+    first = out[lead, cols]
+    # hypot rounds like abs() of a complex scalar; np.abs of an array may take
+    # a SIMD path that differs in the last bit, which would change the phases
+    out[:, cols] *= np.hypot(first.real, first.imag) / first
     return out
 
 

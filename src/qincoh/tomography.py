@@ -7,6 +7,11 @@ them under a joint unitary, reduces, and solves for the map by
 right-multiplying the output-state matrix with the inverse of the
 input-state matrix.  With correlations present the resulting map need not
 be completely positive.
+
+The four states travel as one ``(4, 4, 4)`` stack: they are built from
+constant stacks of Pauli products, checked for positivity by one batched
+``eigvalsh``, and evolved by one batched product under one unitarity check
+of ``u_ab``, so a scenario makes one preparation and one evolution.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import columnize, cp_filter, eig_hermitian, superop_to_choi
+from .liouville import cp_filter, eig_hermitian, superop_to_choi
 from .validation import as_square_matrix, require_hermitian, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,13 +28,23 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
 
+# The joint state k (k = 1..4, with sigma_1 = 0) is
+# (I + alpha*sigma_k x I + beta*I x Z + gamma*sigma_k x Z) / 4,
+# summed in this order; these are its constant terms, one stack per weight.
+_EYE4 = np.eye(4, dtype=complex)
+_ZERO2 = np.zeros((2, 2), dtype=complex)
+_SIGMA_KRON_I = np.stack([np.kron(s, _EYE2) for s in (_ZERO2, SIGMA_X, SIGMA_Y, SIGMA_Z)])
+_I_KRON_Z = np.kron(_EYE2, SIGMA_Z)
+_SIGMA_KRON_Z = np.stack([np.kron(s, SIGMA_Z) for s in (_ZERO2, SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
 
 @dataclass(frozen=True)
 class CorrelatedInputSet:
-    """The four joint input states and their reduced system inputs."""
+    """The four joint input states, a ``(4, 4, 4)`` stack, and their reduced
+    system inputs, a ``(4, 2, 2)`` stack."""
 
-    joint_states: tuple[np.ndarray, ...]
-    reduced_inputs: tuple[np.ndarray, ...]
+    joint_states: np.ndarray
+    reduced_inputs: np.ndarray
     alpha: float
     beta: float
     gamma: float
@@ -67,40 +82,36 @@ def prepare_correlated_inputs(
     psd_tol: float = 1e-10,
 ) -> CorrelatedInputSet:
     """Build the four correlated joint states and check they are physical."""
-    joints = [(np.kron(_EYE2, _EYE2) + beta * np.kron(_EYE2, SIGMA_Z)) / 4]
-    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        joints.append(
-            (
-                np.kron(_EYE2, _EYE2)
-                + alpha * np.kron(sigma, _EYE2)
-                + beta * np.kron(_EYE2, SIGMA_Z)
-                + gamma * np.kron(sigma, SIGMA_Z)
-            )
-            / 4
+    joints = (_EYE4 + alpha * _SIGMA_KRON_I + beta * _I_KRON_Z + gamma * _SIGMA_KRON_Z) / 4
+    min_eigs = np.linalg.eigvalsh(joints)[:, 0]
+    bad = np.flatnonzero(min_eigs < -psd_tol)
+    if bad.size:
+        idx = int(bad[0])
+        raise NonPhysicalStateError(
+            f"joint input state {idx + 1} has negative eigenvalue {float(min_eigs[idx]):.3e} "
+            f"for (alpha, beta, gamma) = ({alpha}, {beta}, {gamma})"
         )
-    for idx, rho in enumerate(joints, start=1):
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -psd_tol:
-            raise NonPhysicalStateError(
-                f"joint input state {idx} has negative eigenvalue {min_eig:.3e} "
-                f"for (alpha, beta, gamma) = ({alpha}, {beta}, {gamma})"
-            )
-    reduced = tuple(partial_trace_b(rho) for rho in joints)
-    return CorrelatedInputSet(tuple(joints), reduced, alpha, beta, gamma)
+    return CorrelatedInputSet(joints, partial_trace_b(joints), alpha, beta, gamma)
 
 
 def partial_trace_b(rho_ab: np.ndarray, dim_b: int = 2) -> np.ndarray:
-    """Trace out the (trailing) environment factor."""
-    rho_ab = as_square_matrix(rho_ab, "rho_ab")
-    n = rho_ab.shape[0]
+    """Trace out the (trailing) environment factor of a matrix or a ``(K, n, n)`` stack."""
+    rho_ab = np.asarray(rho_ab, dtype=complex)
+    if rho_ab.ndim != 3 or rho_ab.shape[1] != rho_ab.shape[2]:
+        rho_ab = as_square_matrix(rho_ab, "rho_ab")
+    n = rho_ab.shape[-1]
     if n % dim_b != 0:
         raise ValueError(f"dimension {n} is not divisible by environment dim {dim_b}")
     da = n // dim_b
-    return np.einsum("abcb->ac", rho_ab.reshape(da, dim_b, da, dim_b))
+    return np.einsum("...abcb->...ac", rho_ab.reshape(*rho_ab.shape[:-2], da, dim_b, da, dim_b))
 
 
 def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
-    """Joint unitary evolution followed by the environment partial trace."""
+    """Joint unitary evolution followed by the environment partial trace.
+
+    ``rho_ab`` may be a ``(K, n, n)`` stack; it is evolved by one batched
+    product after one unitarity check of ``u_ab``.
+    """
     u_ab = require_unitary(u_ab, 1e-10, "u_ab")
     return partial_trace_b(u_ab @ rho_ab @ u_ab.conj().T)
 
@@ -160,6 +171,11 @@ def qpt_solve(
     return s_obs, cond
 
 
+def _columnize_stack(stack: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``columnize(stack[i])``."""
+    return stack.transpose(0, 2, 1).reshape(stack.shape[0], -1)
+
+
 def run_qpt_scenario(
     u_ab: np.ndarray,
     alpha: float,
@@ -176,13 +192,15 @@ def run_qpt_scenario(
     of its marginals (all other parameters kept equal).
     """
     inputs = prepare_correlated_inputs(alpha, beta, gamma)
+    reduced = inputs.reduced_inputs
     if correlated:
         joints = inputs.joint_states
     else:
+        # kron(rho_a, rho_b) for every rho_a of the stack, as one outer product
         rho_b = inputs.environment_state
-        joints = tuple(np.kron(rho_a, rho_b) for rho_a in inputs.reduced_inputs)
-    in_vecs = [columnize(rho_a) for rho_a in inputs.reduced_inputs]
-    out_vecs = [columnize(evolve_and_reduce(u_ab, rho)) for rho in joints]
+        joints = (reduced[:, :, None, :, None] * rho_b[:, None, :]).reshape(-1, 4, 4)
+    in_vecs = _columnize_stack(reduced)
+    out_vecs = _columnize_stack(evolve_and_reduce(u_ab, joints))
     s_obs, cond = qpt_solve(in_vecs, out_vecs)
 
     removed_weight = None

@@ -187,6 +187,15 @@ MALFORMED = {
     "unknown-fixture": ("recover3q.json", lambda c: c.update(fixture="five_qubit")),
     "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
     "bad-pauli-sum": ("rud2q.json", lambda c: c.update(k="0.1 * ZQ")),
+    "pauli-coefficient-overflow": ("eq4_demo.json", lambda c: c.update(u_ab="1e999 * ZZ")),
+    # h0 and k on different qubit counts
+    "rud-h0-k-sizes": ("rud2q.json", lambda c: c.update(h0="0.5 * ZI", k="0.1 * Z")),
+    "recover-h0-k-sizes": ("recover3q.json", lambda c: (
+        c.pop("fixture"), c.update(h0="0.5 * ZI", k="0.1 * Z"))),
+    # JSON NaN and Infinity
+    "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
+    "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
+    "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
 }
 
 

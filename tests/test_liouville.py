@@ -4,6 +4,7 @@ import pytest
 from qincoh.channels import random_rud_ensemble, random_unitary, rud_superoperator
 from qincoh.errors import NotCompletelyPositiveError
 from qincoh.liouville import (
+    _fix_phases,
     choi_to_kraus,
     choi_to_superop,
     columnize,
@@ -191,6 +192,49 @@ def test_eig_hermitian_reconstruction():
         rebuilt = (v * w) @ v.conj().T
         assert np.abs(rebuilt - m).max() < 1e-10 * np.abs(m).max()
         assert np.all(np.diff(w) <= 1e-12)
+
+
+def fix_phases_loop(vectors):
+    """Oracle: the per-column rule the vectorized phase fix replaced."""
+    out = np.array(vectors, dtype=complex)
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        lead = int(np.flatnonzero(mags > 1e-12 * top)[0])
+        out[:, i] = col * (abs(col[lead]) / col[lead])
+    return out
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(16)
+    for shape in ((2, 2), (3, 5), (5, 3), (4, 4), (16, 16), (64, 64)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cases = [m]
+        zero_col = m.copy()
+        zero_col[:, 1] = 0.0
+        cases.append(zero_col)
+        # leading entries below 1e-12 of the column's largest magnitude are skipped
+        small_lead = m.copy()
+        small_lead[: shape[0] // 2, 0] *= 1e-13
+        small_lead[0, -1] = 1e-300j
+        cases.append(small_lead)
+        for case in cases:
+            fixed = _fix_phases(case)
+            assert np.array_equal(fixed, fix_phases_loop(case))
+        assert not np.any(_fix_phases(zero_col)[:, 1])
+    for dim in (2, 4, 9, 16):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = m + m.conj().T
+        _, v = np.linalg.eigh(h)
+        _, vh = eig_hermitian(h)
+        assert np.array_equal(vh, fix_phases_loop(v[:, ::-1]))
+        _, vg = eig_general(m)
+        assert np.array_equal(_fix_phases(vg), fix_phases_loop(vg))
+        _, v = np.linalg.eig(m)
+        assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
 
 
 def test_eig_hermitian_rejects_non_hermitian():

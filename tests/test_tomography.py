@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qincoh.channels import expm_unitary, random_rud_ensemble, rud_superoperator
+from qincoh.channels import expm_unitary, random_rud_ensemble, random_unitary, rud_superoperator
 from qincoh.errors import IllConditionedError, NonPhysicalStateError
-from qincoh.liouville import columnize, kraus_to_superop, uncolumnize
+from qincoh.liouville import columnize, cp_filter, kraus_to_superop, uncolumnize
 from qincoh.tomography import (
     SIGMA_X,
     SIGMA_Y,
@@ -68,6 +68,130 @@ def test_prepared_inputs_second_scenario_is_physical():
 def test_prepare_rejects_non_physical_state():
     with pytest.raises(NonPhysicalStateError, match="joint input state 2"):
         prepare_correlated_inputs(0.9, 0.0, 0.9)
+
+
+EYE2 = np.eye(2, dtype=complex)
+
+
+def _reduce_oracle(rho_ab):
+    return np.einsum("abcb->ac", rho_ab.reshape(2, 2, 2, 2))
+
+
+def _inputs_oracle(alpha, beta, gamma):
+    """The per-state kron construction the constant stacks replaced."""
+    joints = [(np.kron(EYE2, EYE2) + beta * np.kron(EYE2, SIGMA_Z)) / 4]
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        joints.append(
+            (
+                np.kron(EYE2, EYE2)
+                + alpha * np.kron(sigma, EYE2)
+                + beta * np.kron(EYE2, SIGMA_Z)
+                + gamma * np.kron(sigma, SIGMA_Z)
+            )
+            / 4
+        )
+    return joints, [_reduce_oracle(rho) for rho in joints]
+
+
+def _physical_triples(seed, count=40):
+    # the joint states have eigenvalues (1 +- beta) / 4 and
+    # (1 + s*alpha + t*beta + s*t*gamma) / 4 for signs s, t, so all are positive
+    return np.random.default_rng(seed).uniform(-1 / 3, 1 / 3, size=(count, 3))
+
+
+def test_prepared_stacks_equal_per_state_kron_construction():
+    for alpha, beta, gamma in [(0.5, 0.5, 0.6), (0.5, 0.5, 0.5), *_physical_triples(34)]:
+        inputs = prepare_correlated_inputs(alpha, beta, gamma)
+        joints, reduced = _inputs_oracle(alpha, beta, gamma)
+        assert inputs.joint_states.shape == (4, 4, 4)
+        assert inputs.reduced_inputs.shape == (4, 2, 2)
+        assert np.array_equal(inputs.joint_states, np.stack(joints))
+        assert np.array_equal(inputs.reduced_inputs, np.stack(reduced))
+
+
+def _scenario_oracle(u_ab, alpha, beta, gamma, correlated, apply_cp_filter):
+    """One evolution per state, with product states built by np.kron."""
+    joints, reduced = _inputs_oracle(alpha, beta, gamma)
+    if not correlated:
+        rho_b = (EYE2 + beta * SIGMA_Z) / 2
+        joints = [np.kron(rho_a, rho_b) for rho_a in reduced]
+    in_vecs = [columnize(rho_a) for rho_a in reduced]
+    out_vecs = [columnize(_reduce_oracle(u_ab @ rho @ u_ab.conj().T)) for rho in joints]
+    s_obs, cond = qpt_solve(in_vecs, out_vecs)
+    if apply_cp_filter:
+        s_obs, removed_weight = cp_filter(s_obs)
+        return s_obs, cond, removed_weight, None
+    residual = s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)
+    return s_obs, cond, None, float(np.abs(residual).max())
+
+
+def test_scenario_equals_per_state_loop_oracle():
+    rng = np.random.default_rng(35)
+    triples = [(0.5, 0.5, 0.6), (0.5, 0.5, 0.5), *_physical_triples(36, 15)]
+    for i, (alpha, beta, gamma) in enumerate(triples):
+        u_ab = U_ZZ if i < 2 else random_unitary(4, rng)
+        for correlated, cpf in ((True, False), (False, False), (True, True)):
+            report = run_qpt_scenario(
+                u_ab, alpha, beta, gamma, correlated=correlated, apply_cp_filter=cpf
+            )
+            s_obs, cond, removed_weight, residual = _scenario_oracle(
+                u_ab, alpha, beta, gamma, correlated, cpf
+            )
+            assert np.array_equal(report.s_obs, s_obs)
+            assert report.condition_number == cond
+            assert report.removed_weight == removed_weight
+            assert report.forward_residual == residual
+
+
+def test_prepare_checks_positivity_with_one_eigvalsh(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prepare_correlated_inputs(0.5, 0.5, 0.6)
+    assert calls == ["eigvalsh"]
+
+
+def test_prepare_names_the_first_non_physical_state(monkeypatch):
+    # states 2-4 share one spectrum, so states 3 and 4 are made non-physical
+    # by shifting the eigenvalues the check sees
+    solver = np.linalg.eigvalsh
+
+    def shifted(a):
+        w = solver(a)
+        w[2:] -= 0.5
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(NonPhysicalStateError) as exc:
+        prepare_correlated_inputs(0.2, 0.3, 0.1)
+    # state 3's smallest eigenvalue is (1 - alpha - beta + gamma) / 4 = 0.15
+    assert str(exc.value).startswith("joint input state 3 has negative eigenvalue -3.500e-01 ")
+
+
+def test_scenario_rejects_non_unitary_u_ab():
+    with pytest.raises(ValueError, match="u_ab is not unitary"):
+        run_qpt_scenario(2.0 * U_ZZ, 0.5, 0.5, 0.6)
+
+
+def test_stacked_evolution_and_partial_trace_equal_single_matrix_results():
+    rng = np.random.default_rng(37)
+    u_ab = random_unitary(4, rng)
+    stack = prepare_correlated_inputs(0.2, -0.3, 0.1).joint_states
+    traced = partial_trace_b(stack)
+    evolved = evolve_and_reduce(u_ab, stack)
+    for i, rho in enumerate(stack):
+        assert np.array_equal(traced[i], partial_trace_b(rho))
+        assert np.array_equal(evolved[i], evolve_and_reduce(u_ab, rho))
+    with pytest.raises(ValueError, match="divisible"):
+        partial_trace_b(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="divisible"):
+        evolve_and_reduce(np.eye(3), np.zeros((2, 3, 3)))
 
 
 def test_partial_trace_product_state():
@@ -218,8 +342,6 @@ def test_scenario_choi_spectra():
 
 def test_uncorrelated_map_matches_environment_kraus_sum():
     rng = np.random.default_rng(33)
-    from qincoh.channels import random_unitary
-
     for u_ab in (U_ZZ, random_unitary(4, rng)):
         report = run_qpt_scenario(u_ab, 0.5, 0.5, 0.6, correlated=False)
         rho_b = (np.eye(2) + 0.5 * SIGMA_Z) / 2

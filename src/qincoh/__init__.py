@@ -3,7 +3,6 @@ control-parameter distributions from superoperator eigenvalue spectra."""
 
 from .channels import (
     RFProfile,
-    apply_superoperator,
     expm_unitary,
     make_synthetic_profile,
     profile_from_csv,
@@ -27,7 +26,6 @@ from .liouville import (
     choi_to_superop,
     columnize,
     cp_filter,
-    eig_general,
     eig_hermitian,
     is_cp,
     kraus_to_superop,
@@ -50,7 +48,6 @@ from .spectral import (
     ProfileMoments,
     SpectralSampleSet,
     build_samples,
-    detect_offset,
     eigenbasis,
     four_qubit_fixture,
     pair_eigenvalues,

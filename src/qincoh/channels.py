@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .liouville import columnize, conjugation_sum, uncolumnize
+from .liouville import conjugation_sum
 from .validation import as_square_matrix, require_hermitian
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
@@ -218,9 +218,3 @@ def random_rud_ensemble(
     weights = rng.random(n_members) + 0.05
     weights = weights / weights.sum()
     return [(float(p), random_unitary(dim, rng)) for p in weights]
-
-
-def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Act on a density matrix through Liouville space."""
-    rho = as_square_matrix(rho, "rho")
-    return uncolumnize(s @ columnize(rho))

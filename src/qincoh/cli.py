@@ -39,10 +39,10 @@ from .channels import (
 )
 from .errors import ConfigError
 from .liouville import columnize, is_cp, superop_eigenvalues
-from .nudft import METHODS, RecoveryGrid, inverse_nudft
+from .nudft import METHODS, SYMMETRY_TOL, RecoveryGrid, inverse_nudft
 from .spectral import (
+    MATCH_TOL,
     build_samples,
-    detect_offset,
     four_qubit_fixture,
     pair_eigenvalues,
     profile_metrics,
@@ -399,6 +399,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     samples = build_samples(pairing)
     result = inverse_nudft(samples, grid, method=f["method"])
     recovered = result.profile
+    recovered_moments = _moments_json(recovered)
     report = {
         "mode": "recover_profile",
         "fixture": f["fixture"],
@@ -411,12 +412,12 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "n_entries": len(pairing.entries),
             "n_degenerate": sum(e.degenerate for e in pairing.entries),
             "max_match_distance": max(e.distance for e in pairing.entries),
-            "match_tol": 0.2,
+            "match_tol": MATCH_TOL,
             "n_warnings": len(pairing.warnings),
         },
         "conjugate_symmetry_residual": {
             "value": samples.conjugate_symmetry_residual(),
-            "tol": 1e-6,
+            "tol": SYMMETRY_TOL,
         },
         "quality": {
             "imag_residual": result.imag_residual,
@@ -425,8 +426,8 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "condition_number": result.condition_number,
         },
         "true_profile_moments": _moments_json(profile),
-        "recovered_moments": _moments_json(recovered),
-        "offset_estimate": detect_offset(recovered),
+        "recovered_moments": recovered_moments,
+        "offset_estimate": recovered_moments["mean"],
         "grid": {
             "min": grid.delta_omega_min,
             "max": grid.delta_omega_max,

@@ -41,9 +41,15 @@ def uncolumnize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((n, n), order="F")
 
 
-def unitary_superoperator(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+# unitary_superoperator accepts U with max|U^dag U - I| up to this.
+UNITARY_TOL = 1e-10
+# choi_to_kraus keeps the eigenvalues above this fraction of the largest.
+KRAUS_RANK_RTOL = 1e-10
+
+
+def unitary_superoperator(u: np.ndarray) -> np.ndarray:
     """Superoperator ``conj(U) kron U`` of the conjugation ``rho -> U rho U^dag``."""
-    u = require_unitary(u, tol, "u")
+    u = require_unitary(u, UNITARY_TOL, "u")
     return np.kron(u.conj(), u)
 
 
@@ -63,38 +69,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # a SIMD path that differs in the last bit, which would change the phases
     out[:, cols] *= np.hypot(first.real, first.imag) / first
     return out
-
-
-def _lapack_eig(solver, m: np.ndarray):
-    """``solver(m)`` with a non-convergence error that names the matrix size."""
-    try:
-        return solver(m)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} "
-            f"matrix (max|entry| = {max_abs(m):.3e}): {exc}"
-        ) from exc
-
-
-def _descending(w: np.ndarray) -> np.ndarray:
-    """Order of eigenvalues by (real part desc, imag part desc)."""
-    return np.lexsort((-w.imag, -w.real))
-
-
-def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a general (possibly non-normal) square matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with unit-norm eigenvector
-    columns, ordered by (real part desc, imag part desc).  Repeated
-    eigenvalues are listed with multiplicity.
-    """
-    m = as_square_matrix(m, "m")
-    w, v = _lapack_eig(np.linalg.eig, m)
-    order = _descending(w)
-    w = w[order]
-    v = v[:, order]
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    return w, _fix_phases(v)
 
 
 def eig_hermitian(
@@ -153,18 +127,27 @@ def _hermitian_basis_form(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a superoperator, ordered like :func:`eig_general`.
+    """Eigenvalues of a superoperator, with multiplicity, ordered by (real
+    part desc, imag part desc).
 
     No eigenvectors are computed.  A Hermiticity-preserving ``S`` is solved
     in its real form in the Hermitian basis (a similar real matrix, so the
     eigenvalues come in exact conjugate pairs); any other input, judged by
     ``max|Im R| <= 1e-12 max|R|``, is solved as the complex matrix given.
+    A LAPACK failure is re-raised as a ``LinAlgError`` that names the
+    matrix size.
     """
     s = as_square_matrix(s, "s")
     r = _hermitian_basis_form(s, _superop_dim(s, "s"))
     m = r.real if max_abs(r.imag) <= _REAL_FORM_TOL * max_abs(r) else s
-    w = np.asarray(_lapack_eig(np.linalg.eigvals, m), dtype=complex)
-    return w[_descending(w)]
+    try:
+        w = np.asarray(np.linalg.eigvals(m), dtype=complex)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} "
+            f"matrix (max|entry| = {max_abs(m):.3e}): {exc}"
+        ) from exc
+    return w[np.lexsort((-w.imag, -w.real))]
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -190,19 +173,18 @@ def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     return min_eig >= -tol, min_eig
 
 
-def choi_to_kraus(c: np.ndarray, rank_tol: float | None = None) -> list[np.ndarray]:
+def choi_to_kraus(c: np.ndarray) -> list[np.ndarray]:
     """Kraus operators from a positive-semidefinite Choi matrix.
 
-    Each eigenvalue above ``rank_tol`` contributes ``sqrt(lam) * uncolumnize(v)``,
-    so the operator count is the numerical rank of the Choi matrix.  By default
-    ``rank_tol = 1e-10 * (max eigenvalue)``.  A negative eigenvalue below
+    Each eigenvalue above ``rank_tol = KRAUS_RANK_RTOL * (max eigenvalue)``
+    contributes ``sqrt(lam) * uncolumnize(v)``, so the operator count is the
+    numerical rank of the Choi matrix.  A negative eigenvalue below
     ``-rank_tol`` raises :class:`NotCompletelyPositiveError`.
     """
     w, v = eig_hermitian(c)
     if w[0] <= 0.0:
         raise ValueError("Choi matrix has no positive spectrum")
-    if rank_tol is None:
-        rank_tol = 1e-10 * w[0]
+    rank_tol = KRAUS_RANK_RTOL * w[0]
     if w[-1] < -rank_tol:
         raise NotCompletelyPositiveError(float(w[-1]))
     return [np.sqrt(w[i]) * uncolumnize(v[:, i]) for i in range(w.size) if w[i] > rank_tol]

@@ -19,6 +19,8 @@ from .errors import IllConditionedError
 from .spectral import SpectralSampleSet
 
 METHODS = ("weighted_riemann", "least_squares")
+# A sample set whose conjugate-symmetry residual exceeds this gets a warning.
+SYMMETRY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,21 +97,21 @@ def inverse_nudft(
     grid: RecoveryGrid = DEFAULT_GRID,
     method: str = "weighted_riemann",
     ridge_mu: float | None = None,
-    symmetry_tol: float = 1e-6,
 ) -> RecoveryResult:
     """Recover a deviation profile from unequally spaced Fourier samples.
 
-    The imaginary part left over after inversion is reported relative to the
-    real part; negative weights are clipped to zero and the clipped mass
-    (relative to the retained positive mass) is reported, then the profile
-    is renormalized.
+    A sample set whose conjugate-symmetry residual exceeds
+    :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over after
+    inversion is reported relative to the real part; negative weights are
+    clipped to zero and the clipped mass (relative to the retained positive
+    mass) is reported, then the profile is renormalized.
     """
     if len(samples) < 5:
         raise ValueError(f"need at least 5 samples, got {len(samples)}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     sym = samples.conjugate_symmetry_residual()
-    if sym > symmetry_tol:
+    if sym > SYMMETRY_TOL:
         warnings.warn(
             f"sample set is conjugate-asymmetric by {sym:.3e}; "
             "the recovered profile may not be real",

@@ -24,6 +24,17 @@ from .errors import DegenerateSpectrumError, PairingError
 from .liouville import eig_hermitian, superop_eigenvalues
 from .validation import require_hermitian
 
+# Nominal eigenphases closer than this make first-order pairing invalid.
+DEGENERACY_TOL = 1e-6
+# A label whose paired eigenvalue is farther than this from its seed is a
+# pairing warning; a pairing with only such labels is broken.
+MATCH_TOL = 0.2
+# Sample k coordinates closer than this estimate the same Fourier point; a
+# |k| within it is indistinguishable from the DC anchor.
+K_DEDUP_TOL = 1e-9
+# Merged samples that spread by more than this signal a model violation.
+F_DISAGREEMENT_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -49,7 +60,7 @@ class EigenPairing:
     """Injective match between measured eigenvalues and (j, m) labels.
 
     ``warnings`` lists the (j, m, distance) triples whose match distance
-    exceeded the tolerance passed to :func:`pair_eigenvalues`.
+    exceeded :data:`MATCH_TOL`.
     """
 
     entries: tuple[PairedEigenvalue, ...]
@@ -102,15 +113,15 @@ class ProfileMoments(NamedTuple):
     skewness: float
 
 
-def eigenbasis(h0t: np.ndarray, degeneracy_tol: float = 1e-6) -> EigenBasis:
+def eigenbasis(h0t: np.ndarray) -> EigenBasis:
     """Diagonalize the nominal generator; reject near-degenerate spectra."""
     phis, vectors = eig_hermitian(h0t, 1e-10, "h0t")
     phis, vectors = phis[::-1], vectors[:, ::-1]
     if phis.size > 1:
         min_gap = float(np.min(np.diff(phis)))
-        if min_gap <= degeneracy_tol:
+        if min_gap <= DEGENERACY_TOL:
             raise DegenerateSpectrumError(
-                f"nominal spectrum has gap {min_gap:.3e} <= {degeneracy_tol:g}; "
+                f"nominal spectrum has gap {min_gap:.3e} <= {DEGENERACY_TOL:g}; "
                 "first-order pairing is invalid"
             )
     return EigenBasis(phis, vectors)
@@ -125,10 +136,9 @@ def predict_eigenvalues(
     h0t: np.ndarray,
     k: np.ndarray,
     profile: RFProfile,
-    degeneracy_tol: float = 1e-6,
 ) -> np.ndarray:
     """First-order channel eigenvalues, as an (N, N) array indexed [j, m]."""
-    basis = eigenbasis(h0t, degeneracy_tol)
+    basis = eigenbasis(h0t)
     kd = _diagonal_perturbations(basis, k)
     k_jm = kd[:, None] - kd[None, :]
     attenuation = np.exp(-1j * np.multiply.outer(k_jm, profile.delta_omega)) @ profile.weight
@@ -153,13 +163,7 @@ def label_seeds(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("am,ajm->jm", vectors, t)
 
 
-def pair_eigenvalues(
-    s: np.ndarray,
-    h0t: np.ndarray,
-    k: np.ndarray,
-    match_tol: float = 0.2,
-    degeneracy_tol: float = 1e-6,
-) -> EigenPairing:
+def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPairing:
     """Label the eigenvalues of a measured superoperator by (j, m).
 
     For each label the expectation value of S in the unperturbed eigenvector
@@ -167,10 +171,10 @@ def pair_eigenvalues(
     seeds are processed in (j*N + m) order and each greedily takes the
     nearest unused eigenvalue.  Only eigenvalues are computed
     (:func:`qincoh.liouville.superop_eigenvalues`).  Matches farther than
-    ``match_tol`` are collected as warnings; if every match fails, pairing
-    is considered broken.
+    :data:`MATCH_TOL` are collected as warnings; if every match fails,
+    pairing is considered broken.
     """
-    basis = eigenbasis(h0t, degeneracy_tol)
+    basis = eigenbasis(h0t)
     n = basis.phis.size
     if s.shape != (n * n, n * n):
         raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
@@ -189,7 +193,7 @@ def pair_eigenvalues(
             pick = int(np.argmin(dist))
             used[pick] = True
             d = float(dist[pick])
-            if d > match_tol:
+            if d > MATCH_TOL:
                 warn_list.append((j, m, d))
             entries.append(
                 PairedEigenvalue(
@@ -204,38 +208,34 @@ def pair_eigenvalues(
             )
     if len(warn_list) == len(entries):
         raise PairingError(
-            f"every eigenvalue match exceeded match_tol={match_tol}; "
+            f"every eigenvalue match exceeded match_tol={MATCH_TOL}; "
             "the measured map does not resemble the nominal channel"
         )
     return EigenPairing(tuple(entries), tuple(warn_list))
 
 
-def build_samples(
-    pairing: EigenPairing,
-    k_dedup_tol: float = 1e-9,
-    f_disagreement_tol: float = 0.05,
-) -> SpectralSampleSet:
+def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     """Fourier samples from a pairing: drop degenerate labels, divide out the
     unperturbed phase, merge duplicate k coordinates, add the DC anchor.
 
     Degenerate (j = m) entries carry no profile information beyond
     normalization and are dropped; a single sample (0, 1) is inserted so the
-    recovered distribution has no DC offset.  Entries whose k coordinates
-    coincide within ``k_dedup_tol`` estimate the same Fourier point and are
-    averaged; disagreement beyond ``f_disagreement_tol`` signals a model
-    violation and emits a warning.
+    recovered distribution has no DC offset.  Runs of sorted k coordinates
+    whose neighbours lie within :data:`K_DEDUP_TOL` estimate the same Fourier
+    point and are averaged; a spread beyond :data:`F_DISAGREEMENT_TOL`
+    signals a model violation and emits a warning.
     """
     live = [e for e in pairing.entries if not e.degenerate]
     if not live:
         raise ValueError("pairing contains only degenerate entries")
     ks = np.array([e.k_jm for e in live])
-    fs = np.array([e.lambda_measured * np.conj(e.lambda_unperturbed) for e in live])
-    if float(np.abs(ks).max()) < k_dedup_tol:
+    fs = np.array([e.lambda_measured * np.conj(e.lambda_unperturbed) for e in live], dtype=complex)
+    if float(np.abs(ks).max()) < K_DEDUP_TOL:
         raise PairingError(
             "all diagonal perturbation differences vanish; the model "
             "perturbation provides no spectral contrast"
         )
-    near_dc = np.abs(ks) <= k_dedup_tol
+    near_dc = np.abs(ks) <= K_DEDUP_TOL
     if near_dc.any():
         warnings.warn(
             f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point",
@@ -245,27 +245,20 @@ def build_samples(
 
     order = np.argsort(ks)
     ks, fs = ks[order], fs[order]
-    out_k = [0.0]
-    out_f = [1.0 + 0.0j]
-    start = 0
-    while start < ks.size:
-        stop = start + 1
-        while stop < ks.size and ks[stop] - ks[stop - 1] <= k_dedup_tol:
-            stop += 1
-        group_f = fs[start:stop]
-        if stop - start > 1:
-            spread = float(np.abs(group_f - group_f.mean()).max())
-            if spread > f_disagreement_tol:
-                warnings.warn(
-                    f"samples sharing k={ks[start]:.6g} disagree by {spread:.3g}; "
-                    "the perturbation model may be violated",
-                    stacklevel=2,
-                )
-        out_k.append(float(ks[start:stop].mean()))
-        out_f.append(complex(group_f.mean()))
-        start = stop
-    order = np.argsort(out_k)
-    return SpectralSampleSet(np.array(out_k)[order], np.array(out_f)[order])
+    starts = np.flatnonzero(np.diff(ks, prepend=-np.inf) > K_DEDUP_TOL)
+    sizes = np.diff(starts, append=ks.size)
+    k_mean = np.add.reduceat(ks, starts) / sizes
+    f_mean = np.add.reduceat(fs, starts) / sizes
+    spread = np.maximum.reduceat(np.abs(fs - np.repeat(f_mean, sizes)), starts)
+    # a single sample has spread 0, so only merged groups can warn
+    for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
+        warnings.warn(
+            f"samples sharing k={ks[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
+            "the perturbation model may be violated",
+            stacklevel=2,
+        )
+    dc = np.searchsorted(k_mean, 0.0)
+    return SpectralSampleSet(np.insert(k_mean, dc, 0.0), np.insert(f_mean, dc, 1.0))
 
 
 def profile_metrics(profile: RFProfile) -> ProfileMoments:
@@ -279,15 +272,6 @@ def profile_metrics(profile: RFProfile) -> ProfileMoments:
         return ProfileMoments(mean, 0.0, 0.0)
     skew = float(w @ (x - mean) ** 3) / std**3
     return ProfileMoments(mean, std, skew)
-
-
-def detect_offset(recovered: RFProfile) -> float:
-    """Offset of the nominal generator along the perturbation direction.
-
-    A recovered distribution centered at beta instead of 0 indicates the
-    true nominal generator was ``H0 + beta*K``.
-    """
-    return profile_metrics(recovered).mean
 
 
 # ---------------------------------------------------------------------------

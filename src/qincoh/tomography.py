@@ -37,6 +37,15 @@ _SIGMA_KRON_I = np.stack([np.kron(s, _EYE2) for s in (_ZERO2, SIGMA_X, SIGMA_Y, 
 _I_KRON_Z = np.kron(_EYE2, SIGMA_Z)
 _SIGMA_KRON_Z = np.stack([np.kron(s, SIGMA_Z) for s in (_ZERO2, SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
+# The environment is one qubit.
+ENV_DIM = 2
+# A joint input state with an eigenvalue below -PSD_TOL is not physical.
+PSD_TOL = 1e-10
+# qpt_solve rejects an input-state matrix with a larger condition number.
+COND_LIMIT = 1e8
+# environment_kraus_operators skips environment eigenstates of weight up to this.
+KRAUS_WEIGHT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CorrelatedInputSet:
@@ -79,12 +88,11 @@ def prepare_correlated_inputs(
     alpha: float,
     beta: float,
     gamma: float,
-    psd_tol: float = 1e-10,
 ) -> CorrelatedInputSet:
     """Build the four correlated joint states and check they are physical."""
     joints = (_EYE4 + alpha * _SIGMA_KRON_I + beta * _I_KRON_Z + gamma * _SIGMA_KRON_Z) / 4
     min_eigs = np.linalg.eigvalsh(joints)[:, 0]
-    bad = np.flatnonzero(min_eigs < -psd_tol)
+    bad = np.flatnonzero(min_eigs < -PSD_TOL)
     if bad.size:
         idx = int(bad[0])
         raise NonPhysicalStateError(
@@ -94,16 +102,17 @@ def prepare_correlated_inputs(
     return CorrelatedInputSet(joints, partial_trace_b(joints), alpha, beta, gamma)
 
 
-def partial_trace_b(rho_ab: np.ndarray, dim_b: int = 2) -> np.ndarray:
-    """Trace out the (trailing) environment factor of a matrix or a ``(K, n, n)`` stack."""
+def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
+    """Trace out the (trailing) qubit environment of a matrix or a ``(K, n, n)`` stack."""
     rho_ab = np.asarray(rho_ab, dtype=complex)
     if rho_ab.ndim != 3 or rho_ab.shape[1] != rho_ab.shape[2]:
         rho_ab = as_square_matrix(rho_ab, "rho_ab")
     n = rho_ab.shape[-1]
-    if n % dim_b != 0:
-        raise ValueError(f"dimension {n} is not divisible by environment dim {dim_b}")
-    da = n // dim_b
-    return np.einsum("...abcb->...ac", rho_ab.reshape(*rho_ab.shape[:-2], da, dim_b, da, dim_b))
+    if n % ENV_DIM != 0:
+        raise ValueError(f"dimension {n} is not divisible by environment dim {ENV_DIM}")
+    da = n // ENV_DIM
+    blocks = rho_ab.reshape(*rho_ab.shape[:-2], da, ENV_DIM, da, ENV_DIM)
+    return np.einsum("...abcb->...ac", blocks)
 
 
 def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
@@ -116,11 +125,7 @@ def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     return partial_trace_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
-def environment_kraus_operators(
-    u_ab: np.ndarray,
-    rho_b: np.ndarray,
-    weight_tol: float = 1e-12,
-) -> list[np.ndarray]:
+def environment_kraus_operators(u_ab: np.ndarray, rho_b: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of the uncorrelated reduced dynamics.
 
     Built from the environment-block matrix elements ``<mu|U_AB|nu>`` with
@@ -137,7 +142,7 @@ def environment_kraus_operators(
     u4 = u_ab.reshape(da, db, da, db)
     ops = []
     for nu in range(db):
-        if probs[nu] <= weight_tol:
+        if probs[nu] <= KRAUS_WEIGHT_TOL:
             continue
         block = np.einsum("ambn,n->amb", u4, basis[:, nu])
         for mu in range(db):
@@ -148,12 +153,11 @@ def environment_kraus_operators(
 def qpt_solve(
     input_vectors: list[np.ndarray],
     output_vectors: list[np.ndarray],
-    cond_limit: float = 1e8,
 ) -> tuple[np.ndarray, float]:
     """Solve ``S @ In = Out`` for the observed map.
 
     The columns of In/Out are the vectorized input/output states; the input
-    matrix must be square and its condition number below ``cond_limit``.
+    matrix must be square and its condition number at most :data:`COND_LIMIT`.
     Returns the map and the condition number.
     """
     in_mat = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in input_vectors])
@@ -165,7 +169,7 @@ def qpt_solve(
     if out_mat.shape != in_mat.shape:
         raise ValueError("inputs and outputs have mismatched shapes")
     cond = float(np.linalg.cond(in_mat))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError(cond, "tomography input matrix")
     s_obs = np.linalg.solve(in_mat.T, out_mat.T).T
     return s_obs, cond
@@ -215,8 +219,8 @@ def run_qpt_scenario(
     cp_flag = bool(eigenvalues[-1] >= -cp_tol)
     kraus_count = None
     if cp_flag:
-        # the count and the Hermiticity check of choi_to_kraus(choi,
-        # rank_tol=cp_tol), without diagonalizing the Choi matrix again
+        # the Kraus count and the Hermiticity check of choi_to_kraus, with
+        # the rank cut at cp_tol, without diagonalizing the Choi matrix again
         require_hermitian(choi, 1e-10, "Choi matrix")
         kraus_count = int(np.count_nonzero(eigenvalues > cp_tol))
     return QPTReport(

@@ -37,14 +37,3 @@ def require_unitary(u: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> 
     if dev > tol:
         raise ValueError(f"{name} is not unitary within {tol:g} (deviation {dev:.3e})")
     return u
-
-
-def require_density_matrix(rho: np.ndarray, tol: float = 1e-9, name: str = "rho") -> np.ndarray:
-    rho = require_hermitian(rho, tol, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"{name} has trace {tr:.6g}, expected 1 within {tol:g}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if min_eig < -tol:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-    return rho

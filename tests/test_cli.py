@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qincoh.channels import make_synthetic_profile
+from qincoh.channels import make_synthetic_profile, profile_from_csv
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
-from qincoh.nudft import RecoveryGrid
-from qincoh.spectral import three_qubit_fixture
+from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
+from qincoh.spectral import MATCH_TOL, profile_metrics, three_qubit_fixture
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,6 +105,16 @@ def test_recover3q_artifacts(tmp_path):
     recovered = (tmp_path / "recovered_profile.csv").read_text().splitlines()
     assert recovered[0] == "delta_omega,weight"
     assert len(recovered) == 102
+
+
+def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
+    assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "recovery_report.json").read_text())
+    assert report["pairing"]["match_tol"] == MATCH_TOL
+    assert report["conjugate_symmetry_residual"]["tol"] == SYMMETRY_TOL
+    recovered = profile_from_csv((tmp_path / "recovered_profile.csv").read_text())
+    assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
+    assert report["offset_estimate"] == report["recovered_moments"]["mean"]
 
 
 def test_manifest_hashes_match_files(tmp_path):

@@ -9,7 +9,6 @@ from qincoh.liouville import (
     choi_to_superop,
     columnize,
     cp_filter,
-    eig_general,
     eig_hermitian,
     is_cp,
     kraus_to_superop,
@@ -140,37 +139,6 @@ def test_unitary_superoperator_rejects_non_unitary():
         unitary_superoperator(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-def test_eig_general_eq4_spectrum_and_order():
-    w, _ = eig_general(EQ4_S)
-    assert np.abs(w - np.array([1.0, 1.0, 1.2j, -1.2j])).max() < 1e-12
-
-
-def test_eig_general_identity():
-    w, v = eig_general(np.eye(4))
-    assert np.abs(w - 1.0).max() < 1e-14
-    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
-
-
-def test_eig_general_rotation_matrix():
-    theta = np.pi / 3
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    w, _ = eig_general(rot)
-    for lam in (np.exp(1j * theta), np.exp(-1j * theta)):
-        assert np.abs(w - lam).min() < 1e-12
-
-
-def test_eig_general_residuals_on_random_matrices():
-    rng = np.random.default_rng(14)
-    for dim in (3, 5, 8):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        w, v = eig_general(m)
-        assert w.size == dim
-        scale = np.abs(m).max()
-        for i in range(dim):
-            assert np.abs(m @ v[:, i] - w[i] * v[:, i]).max() < 1e-10 * scale
-            assert abs(np.linalg.norm(v[:, i]) - 1.0) < 1e-12
-
-
 def test_eig_hermitian_choi_spectra():
     w, _ = eig_hermitian(superop_to_choi(EQ4_S))
     assert np.abs(w - np.array([2.2, 0.0, 0.0, -0.2])).max() < 1e-12
@@ -231,8 +199,6 @@ def test_fix_phases_matches_column_loop():
         _, v = np.linalg.eigh(h)
         _, vh = eig_hermitian(h)
         assert np.array_equal(vh, fix_phases_loop(v[:, ::-1]))
-        _, vg = eig_general(m)
-        assert np.array_equal(_fix_phases(vg), fix_phases_loop(vg))
         _, v = np.linalg.eig(m)
         assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
 
@@ -396,7 +362,7 @@ def test_unitary_superoperator_spectrum_on_unit_circle():
     rng = np.random.default_rng(19)
     for dim in (2, 4):
         s = unitary_superoperator(random_unitary(dim, rng))
-        w, _ = eig_general(s)
+        w = np.linalg.eigvals(s)
         assert np.abs(np.abs(w) - 1.0).max() < 1e-10
         # closed under conjugation
         for lam in w:

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from qincoh.channels import (
 from qincoh.errors import DegenerateSpectrumError, PairingError
 from qincoh.liouville import unitary_superoperator
 from qincoh.spectral import (
+    F_DISAGREEMENT_TOL,
+    K_DEDUP_TOL,
     EigenPairing,
     PairedEigenvalue,
     SpectralSampleSet,
     build_samples,
-    detect_offset,
     eigenbasis,
     four_qubit_fixture,
     label_seeds,
@@ -259,6 +261,86 @@ def test_build_samples_warns_on_model_disagreement():
         build_samples(EigenPairing(entries, ()))
 
 
+def _build_samples_loop(pairing):
+    """Reference: the per-group merge loop that the grouped reduction replaced."""
+    live = [e for e in pairing.entries if not e.degenerate]
+    ks = np.array([e.k_jm for e in live])
+    fs = np.array([e.lambda_measured * np.conj(e.lambda_unperturbed) for e in live], dtype=complex)
+    near_dc = np.abs(ks) <= K_DEDUP_TOL
+    if near_dc.any():
+        warnings.warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
+        ks, fs = ks[~near_dc], fs[~near_dc]
+    order = np.argsort(ks)
+    ks, fs = ks[order], fs[order]
+    out_k = [0.0]
+    out_f = [1.0 + 0.0j]
+    start = 0
+    while start < ks.size:
+        stop = start + 1
+        while stop < ks.size and ks[stop] - ks[stop - 1] <= K_DEDUP_TOL:
+            stop += 1
+        group_f = fs[start:stop]
+        if stop - start > 1:
+            spread = float(np.abs(group_f - group_f.mean()).max())
+            if spread > F_DISAGREEMENT_TOL:
+                warnings.warn(
+                    f"samples sharing k={ks[start]:.6g} disagree by {spread:.3g}; "
+                    "the perturbation model may be violated"
+                )
+        out_k.append(float(ks[start:stop].mean()))
+        out_f.append(complex(group_f.mean()))
+        start = stop
+    order = np.argsort(out_k)
+    return SpectralSampleSet(np.array(out_k)[order], np.array(out_f)[order])
+
+
+def _samples_and_warnings(build, pairing):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = build(pairing)
+    return samples, [str(w.message) for w in caught]
+
+
+def test_build_samples_equals_merge_loop_on_fixtures():
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+    fixtures = (three_qubit_fixture(), three_qubit_fixture(off_diagonal_ratio=0.0), four_qubit_fixture())
+    for h0t, k in fixtures:
+        pairing = pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k)
+        samples, caught = _samples_and_warnings(build_samples, pairing)
+        expected, expected_caught = _samples_and_warnings(_build_samples_loop, pairing)
+        assert np.array_equal(samples.k, expected.k)
+        assert np.array_equal(samples.f, expected.f)
+        assert caught == expected_caught == []
+
+
+def test_build_samples_matches_merge_loop_on_repeated_coordinates():
+    # repeated k, neighbours just inside and just outside the merge
+    # tolerance, chains of them, and near-DC coordinates
+    rng = np.random.default_rng(43)
+    steps = K_DEDUP_TOL * np.array([0.0, 0.5, 0.999, 1.001, 2.0])
+    n_warned = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 40))
+        ks = rng.integers(-5, 6, n) + rng.choice(steps, n) * rng.choice([-1.0, 1.0], n)
+        ks[0] = max(abs(ks[0]), 1.0)  # at least one coordinate off the DC point
+        # samples sharing a k estimate one Fourier point, with scatter that
+        # exceeds F_DISAGREEMENT_TOL on every other trial
+        spread = 0.2 if trial % 2 else 1e-3
+        f = 0.9 * np.exp(-0.05j * ks) + spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        lam0 = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        lam = f * lam0
+        entries = tuple(_entry(0, i + 1, lam[i], lam0[i], ks[i]) for i in range(n))
+        pairing = EigenPairing(entries, ())
+        samples, caught = _samples_and_warnings(build_samples, pairing)
+        expected, expected_caught = _samples_and_warnings(_build_samples_loop, pairing)
+        assert samples.k.shape == expected.k.shape
+        assert np.all(np.abs(samples.k - expected.k) <= 1e-15 * np.abs(expected.k))
+        assert np.all(np.abs(samples.f - expected.f) <= 1e-15 * np.abs(expected.f))
+        assert len(caught) == len(expected_caught)
+        n_warned += bool(caught)
+    assert n_warned > 50
+
+
 def test_build_samples_rejects_contrastless_model():
     h0 = 0.8 * SZ
     k = 0.5 * SX  # zero diagonal in the h0 eigenbasis
@@ -277,11 +359,6 @@ def test_profile_metrics_gaussian_and_delta():
     delta = RFProfile(np.array([0.07]), np.array([1.0]))
     dm = profile_metrics(delta)
     assert dm.mean == 0.07 and dm.std == 0.0 and dm.skewness == 0.0
-
-
-def test_detect_offset_is_recovered_mean():
-    delta = RFProfile(np.array([0.05]), np.array([1.0]))
-    assert abs(detect_offset(delta) - 0.05) < 1e-15
 
 
 def test_offset_leaves_recovered_skewness_unchanged():

@@ -412,6 +412,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "n_entries": len(pairing.entries),
             "n_degenerate": sum(e.degenerate for e in pairing.entries),
             "max_match_distance": max(e.distance for e in pairing.entries),
+            "max_certified_radius": max(e.radius for e in pairing.entries if not e.degenerate),
             "match_tol": MATCH_TOL,
             "n_warnings": len(pairing.warnings),
         },

@@ -4,8 +4,8 @@ The forward direction evaluates ``f(k) = sum_b p_b exp(-i k x_b)`` for a
 discrete profile; the inverse maps a sample set back onto a uniform
 deviation grid.  Two methods are provided: a Voronoi-gap-weighted Riemann
 sum of the inversion integral (default, parameter-light) and a
-ridge-regularized least-squares fit.  Sample counts here are small
-(tens to a few hundred), so direct summation is used throughout.
+ridge-regularized least-squares fit.  Sample counts stay small (57 at 3
+qubits, 241 at 4 and 993 at 5), so direct summation is used throughout.
 """
 from __future__ import annotations
 

@@ -21,13 +21,13 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import eig_hermitian, superop_eigenvalues
+from .liouville import eig_hermitian
 from .validation import require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
 DEGENERACY_TOL = 1e-6
-# A label whose paired eigenvalue is farther than this from its seed is a
-# pairing warning; a pairing with only such labels is broken.
+# A label whose certified radius exceeds this is a pairing warning; a pairing
+# with only such labels is broken.
 MATCH_TOL = 0.2
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -46,20 +46,24 @@ class EigenBasis:
 
 @dataclass(frozen=True)
 class PairedEigenvalue:
+    """One (j, m) label: its eigenvalue, the distance of that value from the
+    label's seed, and the certified radius about the seed that holds it."""
+
     j: int
     m: int
     lambda_measured: complex
     lambda_unperturbed: complex
     k_jm: float
     distance: float
+    radius: float
     degenerate: bool
 
 
 @dataclass(frozen=True)
 class EigenPairing:
-    """Injective match between measured eigenvalues and (j, m) labels.
+    """Measured eigenvalues labelled by (j, m).
 
-    ``warnings`` lists the (j, m, distance) triples whose match distance
+    ``warnings`` lists the (j, m, radius) triples whose certified radius
     exceeded :data:`MATCH_TOL`.
     """
 
@@ -146,72 +150,138 @@ def predict_eigenvalues(
     return unperturbed * attenuation
 
 
-def label_seeds(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Expectation values of S in the unperturbed eigenvectors, as an (N, N)
-    array indexed [j, m].
+def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``S_B = B^dag S B`` in the unperturbed label basis.
 
-    ``seed[j, m] = <b|S|b>`` with ``b = conj(|phi_m>) kron |phi_j>`` and
-    ``|phi_j>`` the columns of ``vectors``.  The ``(N, N, N, N)`` view of S
-    is contracted with one eigenvector index at a time: O(N^5), where the
-    dense ``B^dag S B`` would be O(N^6).
+    ``B`` has columns ``b_jm = conj(|phi_m>) kron |phi_j>``, with ``|phi_j>``
+    the columns of ``vectors``; rows and columns of ``S_B`` are indexed
+    ``j*N + m``.  Each of the four eigenvector indices is contracted with
+    the ``(N, N, N, N)`` view of S as one matrix product: O(N^5), where the
+    dense ``B^dag S B`` would be O(N^6).  For a unitary ``vectors`` the
+    result is similar to S.
     """
     n = vectors.shape[0]
-    # t[a, b, c, j] = sum_d S[a*n + b, c*n + d] V[d, j]
-    t = (s.reshape(n**3, n) @ vectors).reshape(n, n, n, n)
-    t = np.einsum("abcj,bj->acj", t, vectors.conj())
-    t = np.swapaxes(t, 1, 2) @ vectors.conj()
-    return np.einsum("am,ajm->jm", vectors, t)
+    v, vc = vectors, vectors.conj()
+    # t[a, b, c, d] = S[a*n + b, c*n + d] and B[(a, b), (j, m)] = vc[a, m] v[b, j];
+    # the batched products read transposed operands in place, with no copy
+    t = (s.reshape(n**3, n) @ v).reshape(n * n, n, n)  # d -> j': [ab, c, j']
+    t = np.swapaxes(t, 1, 2) @ vc  # c -> m': [ab, j', m']
+    t = vc.T @ t.reshape(n, n, n * n)  # b -> j: [a, j, j'm']
+    t = v.T @ np.swapaxes(t, 0, 1)  # a -> m: [j, m, j'm']
+    return t.reshape(n * n, n * n)
+
+
+def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Connected components of overlapping closed discs, as one index per disc.
+
+    Candidate pairs come from a sweep over the discs' real extents sorted by
+    their left edge: a disc can only meet the discs whose left edge lies
+    within its own extent.  Components are found by propagating the
+    smallest index across the overlaps.
+    """
+    size = centres.size
+    left, right = centres.real - radii, centres.real + radii
+    order = np.argsort(left, kind="stable")
+    stop = np.searchsorted(left[order], right[order], side="right")
+    counts = stop - np.arange(size) - 1
+    first = np.repeat(np.arange(size), counts)
+    # the window of sorted disc i is i+1, ..., stop[i]-1
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[second]
+    meet = np.abs(centres[a] - centres[b]) <= radii[a] + radii[b]
+    a, b = a[meet], b[meet]
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, a, label[b])
+        np.minimum.at(new, b, label[a])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _component_extents(centres: np.ndarray, radii: np.ndarray, component: np.ndarray) -> np.ndarray:
+    """Per disc, the radius about its centre that covers its whole component:
+    the disc's own radius when it stands alone."""
+    extent = radii.copy()
+    for label in np.flatnonzero(np.bincount(component) > 1):
+        group = np.flatnonzero(component == label)
+        gap = np.abs(centres[group, None] - centres[None, group])
+        extent[group] = np.max(gap + radii[group], axis=1)
+    return extent
+
+
+# Rows of S_B per block of the second-order sum.
+_BLOCK_ROWS = 64
+
+
+def _second_order_values(sb: np.ndarray, component: np.ndarray) -> np.ndarray:
+    """``d_a + sum_b S_B[a,b] S_B[b,a] / (d_a - d_b)`` over the labels ``b``
+    outside the component of ``a``; ``d`` is the diagonal of ``S_B``.
+
+    Discs of different components are disjoint, so no denominator is 0.
+    Each quotient is taken as ``x * conj(g) / |g|^2``, one real division.
+    """
+    d = sb.diagonal()
+    values = d.copy()
+    for lo in range(0, d.size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        gap = d[rows, None] - d[None, :]
+        outside = component[rows, None] != component[None, :]
+        scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape), where=outside)
+        terms = sb[rows] * sb[:, rows].T
+        terms *= gap.conj()
+        terms *= scale
+        values[rows] += terms.sum(axis=1)
+    return values
 
 
 def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPairing:
-    """Label the eigenvalues of a measured superoperator by (j, m).
+    """Label the eigenvalues of a measured superoperator by (j, m), with a
+    Gershgorin certificate and no eigensolver on S.
 
-    For each label the expectation value of S in the unperturbed eigenvector
-    ``conj(|phi_m>) kron |phi_j>`` (:func:`label_seeds`) seeds the search;
-    seeds are processed in (j*N + m) order and each greedily takes the
-    nearest unused eigenvalue.  Only eigenvalues are computed
-    (:func:`qincoh.liouville.superop_eigenvalues`).  Matches farther than
-    :data:`MATCH_TOL` are collected as warnings; if every match fails,
-    pairing is considered broken.
+    In the unperturbed label basis (:func:`eigenbasis_form`) label ``a =
+    (j, m)`` owns the disc with centre ``S_B[a, a]`` (its seed) and radius
+    the off-diagonal absolute sum of row ``a``.  Overlapping discs form
+    components (the ``j = m`` discs, all near 1, typically form one); by
+    Gershgorin's theorem a component of ``c`` discs holds exactly ``c``
+    eigenvalues.  Each label's value is its seed plus the second-order
+    coupling to the labels outside its component.  Its ``radius`` is the disc radius for a lone
+    disc, otherwise the extent of the component about its seed.  Labels
+    whose radius exceeds :data:`MATCH_TOL` are collected as warnings; if
+    every label warns, pairing is considered broken.
     """
     basis = eigenbasis(h0t)
     n = basis.phis.size
     if s.shape != (n * n, n * n):
         raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
+    if not np.isfinite(s).all():
+        raise ValueError("superoperator has non-finite entries")
     kd = _diagonal_perturbations(basis, k)
-    evals = superop_eigenvalues(s)
-    seeds = label_seeds(s, basis.vectors)
-
-    used = np.zeros(n * n, dtype=bool)
-    entries = []
-    warn_list = []
-    for j in range(n):
-        for m in range(n):
-            seed = seeds[j, m]
-            dist = np.abs(evals - seed)
-            dist[used] = np.inf
-            pick = int(np.argmin(dist))
-            used[pick] = True
-            d = float(dist[pick])
-            if d > MATCH_TOL:
-                warn_list.append((j, m, d))
-            entries.append(
-                PairedEigenvalue(
-                    j=j,
-                    m=m,
-                    lambda_measured=complex(evals[pick]),
-                    lambda_unperturbed=complex(np.exp(-1j * (basis.phis[j] - basis.phis[m]))),
-                    k_jm=float(kd[j] - kd[m]),
-                    distance=d,
-                    degenerate=(j == m),
-                )
-            )
+    sb = eigenbasis_form(s, basis.vectors)
+    seeds = sb.diagonal()
+    off_diagonal = np.abs(sb)
+    np.fill_diagonal(off_diagonal, 0.0)
+    disc_radii = off_diagonal.sum(axis=1)
+    component = _disc_components(seeds, disc_radii)
+    radii = _component_extents(seeds, disc_radii, component)
+    values = _second_order_values(sb, component)
+    unperturbed = np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :]))
+    k_jm = kd[:, None] - kd[None, :]
+    columns = zip(values.tolist(), unperturbed.ravel().tolist(), k_jm.ravel().tolist(),
+                  np.abs(values - seeds).tolist(), radii.tolist())
+    entries = tuple(
+        PairedEigenvalue(a // n, a % n, *column, degenerate=a // n == a % n)
+        for a, column in enumerate(columns)
+    )
+    warn_list = [(e.j, e.m, e.radius) for e in entries if e.radius > MATCH_TOL]
     if len(warn_list) == len(entries):
         raise PairingError(
             f"every eigenvalue match exceeded match_tol={MATCH_TOL}; "
             "the measured map does not resemble the nominal channel"
         )
-    return EigenPairing(tuple(entries), tuple(warn_list))
+    return EigenPairing(entries, tuple(warn_list))
 
 
 def build_samples(pairing: EigenPairing) -> SpectralSampleSet:

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qincoh.channels import make_synthetic_profile, profile_from_csv
+from qincoh.channels import make_synthetic_profile, profile_from_csv, rf_incoherent_channel
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
-from qincoh.spectral import MATCH_TOL, profile_metrics, three_qubit_fixture
+from qincoh.spectral import MATCH_TOL, pair_eigenvalues, profile_metrics, three_qubit_fixture
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -115,6 +115,16 @@ def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     recovered = profile_from_csv((tmp_path / "recovered_profile.csv").read_text())
     assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
     assert report["offset_estimate"] == report["recovered_moments"]["mean"]
+
+
+def test_recovery_report_states_the_certified_radius(tmp_path):
+    assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "recovery_report.json").read_text())
+    f = load_config(f"{CONFIG_DIR}/recover3q.json").fields
+    pairing = pair_eigenvalues(rf_incoherent_channel(f["h0t"], f["k"], f["profile"]), f["h0t"], f["k"])
+    radius = max(e.radius for e in pairing.entries if not e.degenerate)
+    assert report["pairing"]["max_certified_radius"] == radius
+    assert 0.0 < radius <= MATCH_TOL
 
 
 def test_manifest_hashes_match_files(tmp_path):

@@ -9,19 +9,23 @@ from qincoh.channels import (
     make_synthetic_profile,
     rf_incoherent_channel,
     RFProfile,
+    random_unitary,
 )
 from qincoh.errors import DegenerateSpectrumError, PairingError
-from qincoh.liouville import unitary_superoperator
+from qincoh.liouville import choi_to_superop, superop_to_choi, unitary_superoperator
+from qincoh.nudft import RecoveryGrid, inverse_nudft
 from qincoh.spectral import (
     F_DISAGREEMENT_TOL,
     K_DEDUP_TOL,
+    MATCH_TOL,
     EigenPairing,
     PairedEigenvalue,
     SpectralSampleSet,
+    _disc_components,
     build_samples,
     eigenbasis,
+    eigenbasis_form,
     four_qubit_fixture,
-    label_seeds,
     pair_eigenvalues,
     predict_eigenvalues,
     profile_metrics,
@@ -109,7 +113,7 @@ def test_pairing_on_fixture_channel():
     assert len(pairing.entries) == 64
     assert sum(e.degenerate for e in pairing.entries) == 8
     assert len(pairing.warnings) == 0
-    # injective: every measured eigenvalue used once
+    # distinct: each label holds its own eigenvalue
     measured = sorted((e.lambda_measured.real, e.lambda_measured.imag) for e in pairing.entries)
     assert len(set(measured)) == 64
     # k coordinate is the diagonal contrast of the model perturbation
@@ -119,7 +123,16 @@ def test_pairing_on_fixture_channel():
         assert abs(e.k_jm - (kd[e.j] - kd[e.m])) < 1e-12
 
 
-def test_label_seeds_match_dense_expectation_values():
+def _dense_eigenbasis_form(sup, v):
+    """Oracle: ``B^dag S B`` with the dense basis ``B = conj(V) kron V``, whose
+    column ``m*N + j`` is ``b_jm``, reordered to ``j*N + m``."""
+    n = v.shape[0]
+    big_basis = np.kron(v.conj(), v)
+    dense = big_basis.conj().T @ sup @ big_basis
+    return dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
+def test_eigenbasis_form_matches_dense_change_of_basis():
     h0t, _, s = fixture_channel()
     rng = np.random.default_rng(27)
     s_random = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -127,17 +140,12 @@ def test_label_seeds_match_dense_expectation_values():
     h_random = h_random + h_random.conj().T
     for h, sup in ((h0t, s), (h_random, s_random)):
         v = eigenbasis(h).vectors
-        n = v.shape[0]
-        # oracle: diag(B^dag S B) with the dense basis B = conj(V) kron V
-        big_basis = np.kron(v.conj(), v)
-        dense = np.einsum("ij,ij->j", big_basis.conj(), sup @ big_basis)
-        seeds = label_seeds(sup, v)
-        assert np.abs(seeds - dense.reshape(n, n).T).max() < 1e-13
+        assert np.abs(eigenbasis_form(sup, v) - _dense_eigenbasis_form(sup, v)).max() < 1e-13
 
 
-def test_pairing_computes_eigenvalues_only(monkeypatch):
+def test_pairing_runs_no_eigensolver_on_the_superoperator(monkeypatch):
     h0t, k, s = fixture_channel()
-    calls = {"eig": 0, "eigvals": 0}
+    calls = {"eig": 0, "eigvals": 0, "eigh": 0, "eigvalsh": 0}
     for name in calls:
         solver = getattr(np.linalg, name)
 
@@ -147,8 +155,168 @@ def test_pairing_computes_eigenvalues_only(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     pairing = pair_eigenvalues(s, h0t, k)
-    assert calls == {"eig": 0, "eigvals": 1}
+    # the only solve is the nominal basis: one eigh of the N x N generator
+    assert calls == {"eig": 0, "eigvals": 0, "eigh": 1, "eigvalsh": 0}
     assert len(pairing.warnings) == 0
+
+
+def _greedy_pairing_oracle(s, h0t):
+    """Reference: every eigenvalue from a dense complex solve, matched in
+    (j*N + m) order to the nearest unused one from the label's seed
+    ``<b_jm|S|b_jm>`` (the pairing this module used before the discs)."""
+    v = eigenbasis(h0t).vectors
+    n = v.shape[0]
+    evals = np.linalg.eigvals(s)
+    seeds = np.diagonal(_dense_eigenbasis_form(s, v))
+    used = np.zeros(n * n, dtype=bool)
+    picked = np.empty(n * n, dtype=complex)
+    for a, seed in enumerate(seeds):
+        dist = np.abs(evals - seed)
+        dist[used] = np.inf
+        pick = int(np.argmin(dist))
+        used[pick] = True
+        picked[a] = evals[pick]
+    return picked, evals
+
+
+def test_pairing_agrees_with_greedy_oracle():
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+    h3, k3 = three_qubit_fixture()
+    hc, kc = three_qubit_fixture(off_diagonal_ratio=0.0)
+    h4, k4 = four_qubit_fixture()
+    channels = (
+        (rf_incoherent_channel(h3, k3, SKEWED_PROFILE), h3, k3),
+        (rf_incoherent_channel(h4, k4, profile), h4, k4),
+        (rf_incoherent_channel(hc, kc, SKEWED_PROFILE), hc, kc),
+        (unitary_superoperator(expm_unitary(h3)), h3, k3),
+    )
+    for s, h0t, k in channels:
+        pairing = pair_eigenvalues(s, h0t, k)
+        picked, evals = _greedy_pairing_oracle(s, h0t)
+        assert len(pairing.warnings) == 0
+        for a, e in enumerate(pairing.entries):
+            if not e.degenerate:
+                assert abs(e.lambda_measured - picked[a]) < 1e-12
+            # the certificate, with room for the oracle solver's rounding
+            assert np.abs(evals - e.lambda_measured).min() <= e.radius + 1e-13
+            assert e.distance <= e.radius
+
+
+def _noisy_map(s, sigma, rng):
+    """S with Hermitian Gaussian noise of size sigma per entry of its Choi
+    matrix: still Hermiticity-preserving, no longer a random-unitary map."""
+    g = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+    return choi_to_superop(superop_to_choi(s) + sigma * (g + g.conj().T) / 2)
+
+
+def _discs(s, h0t):
+    sb = eigenbasis_form(s, eigenbasis(h0t).vectors)
+    return sb.diagonal(), np.abs(sb - np.diag(sb.diagonal())).sum(axis=1)
+
+
+def _dense_components(centres, radii):
+    """Reference: connected components of the full pairwise overlap matrix,
+    numbered by their smallest member."""
+    meet = np.abs(centres[:, None] - centres[None, :]) <= radii[:, None] + radii[None, :]
+    label = np.full(centres.size, -1)
+    for root in range(centres.size):
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for other in np.flatnonzero(meet[stack.pop()] & (label < 0)):
+                label[other] = root
+                stack.append(other)
+    return label
+
+
+def test_fixture_discs_isolate_every_off_diagonal_label():
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+    h3, k3, s3 = fixture_channel()
+    h4, k4 = four_qubit_fixture()
+    for s, h0t, k in ((s3, h3, k3), (rf_incoherent_channel(h4, k4, profile), h4, k4)):
+        centres, radii = _discs(s, h0t)
+        component = _disc_components(centres, radii)
+        n = h0t.shape[0]
+        diagonal = np.arange(n) * (n + 1)
+        # the j = m discs, all near 1, form one component; every other disc
+        # stands alone, so its label's radius is its own disc radius
+        assert np.unique(component[diagonal]).size == 1
+        assert np.unique(component).size == n * n - n + 1
+        for a, e in enumerate(pair_eigenvalues(s, h0t, k).entries):
+            if not e.degenerate:
+                assert e.radius == radii[a]
+
+
+def test_each_disc_component_holds_as_many_eigenvalues_as_discs():
+    h0t, _, s = fixture_channel()
+    rng = np.random.default_rng(71)
+    n_joined = 0
+    for sigma in (1e-8, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2):
+        for _ in range(3):
+            s_noisy = _noisy_map(s, sigma, rng)
+            centres, radii = _discs(s_noisy, h0t)
+            component = _disc_components(centres, radii)
+            assert np.array_equal(component, _dense_components(centres, radii))
+            # every eigenvalue lies in some disc, and all discs that hold it
+            # meet there, so it belongs to exactly one component
+            evals = np.linalg.eigvals(s_noisy)
+            inside = np.abs(evals[:, None] - centres[None, :]) <= radii[None, :] * (1 + 1e-9) + 1e-13
+            assert inside.any(axis=1).all()
+            holder = component[np.argmax(inside, axis=1)]
+            assert all(np.unique(component[row]).size == 1 for row in inside)
+            assert np.array_equal(
+                np.bincount(holder, minlength=centres.size),
+                np.bincount(component, minlength=centres.size),
+            )
+            # beyond the one component of the eight j = m discs
+            n_joined += np.unique(component).size < centres.size - 7
+    assert n_joined > 0
+
+
+def test_noisy_map_warns_then_fails_by_name():
+    h0t, k, s = fixture_channel()
+    rng = np.random.default_rng(72)
+    quiet = pair_eigenvalues(_noisy_map(s, 1e-6, rng), h0t, k)
+    assert len(quiet.warnings) == 0
+    noisy = pair_eigenvalues(_noisy_map(s, 1e-3, rng), h0t, k)
+    assert 0 < len(noisy.warnings) < len(noisy.entries)
+    assert all(radius > MATCH_TOL for _, _, radius in noisy.warnings)
+    for _ in range(3):
+        # the run stops before a profile, and so a skewness sign, exists
+        with pytest.raises(PairingError, match="every eigenvalue match"):
+            samples = build_samples(pair_eigenvalues(_noisy_map(s, 1e-2, rng), h0t, k))
+            inverse_nudft(samples, RecoveryGrid(-0.35, 0.35, 141))
+
+
+def test_repeated_phase_differences_share_a_component_and_merge():
+    # equally spaced levels: (0,1), (1,2) and (2,3) share a phase difference,
+    # as do (0,2) and (1,3), and the diagonal contrast repeats with them
+    rng = np.random.default_rng(73)
+    w = random_unitary(4, rng)
+    levels = np.diag([-1.5, -0.5, 0.5, 1.5])
+    coupling = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    np.fill_diagonal(coupling, 0.0)  # non-commuting, with no diagonal contrast of its own
+    h0 = w @ levels @ w.conj().T
+    k = w @ (0.3 * levels + 1e-3 * (coupling + coupling.conj().T)) @ w.conj().T
+    h0, k = (h0 + h0.conj().T) / 2, (k + k.conj().T) / 2
+    s = rf_incoherent_channel(h0, k, make_synthetic_profile("gaussian", width=0.05, n_points=21))
+    centres, radii = _discs(s, h0)
+    component = _disc_components(centres, radii)
+    label = np.arange(16).reshape(4, 4)
+    for group in ([(0, 1), (1, 2), (2, 3)], [(1, 0), (2, 1), (3, 2)],
+                  [(0, 2), (1, 3)], [(2, 0), (3, 1)]):
+        assert np.unique([component[label[j, m]] for j, m in group]).size == 1
+    # the diagonal, the three pairs of groups above and the lone (0, 3), (3, 0)
+    assert np.unique(component).size == 1 + 4 + 2
+    pairing = pair_eigenvalues(s, h0, k)
+    assert len(pairing.warnings) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = build_samples(pairing)
+    # k_jm takes the 6 values 0.3 * {+-1, +-2, +-3}, plus the DC anchor
+    assert len(samples) == 7
 
 
 def test_pairing_fails_loudly_when_spectrum_is_unrelated():
@@ -156,6 +324,15 @@ def test_pairing_fails_loudly_when_spectrum_is_unrelated():
     s_far = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     with pytest.raises(PairingError):
         pair_eigenvalues(s_far, h0, 0.3 * h0)
+
+
+def test_pairing_rejects_non_finite_superoperator():
+    h0t, k, s = fixture_channel()
+    for bad in (np.nan, np.inf):
+        s_bad = s.copy()
+        s_bad[3, 17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pair_eigenvalues(s_bad, h0t, k)
 
 
 def test_build_samples_on_fixture():
@@ -233,7 +410,7 @@ def test_four_qubit_fixture_sample_count():
 
 
 def _entry(j, m, lam, lam0, kjm):
-    return PairedEigenvalue(j, m, lam, lam0, kjm, 0.0, j == m)
+    return PairedEigenvalue(j, m, lam, lam0, kjm, 0.0, 0.0, j == m)
 
 
 def test_build_samples_merges_duplicate_coordinates():

@@ -10,8 +10,12 @@ default)}`` entries.  Parsing runs every check, range checks included (every
 number must be finite, and ``h0`` and ``k`` must have the same size), and
 builds the finished objects (matrices, the profile, the recovery grid), so
 ``validate`` rejects every config that ``run`` would reject as a config error.
+A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
+and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
+its only input, so the manifest's config hash covers exactly what ran.
 Outputs are written atomically and listed in a manifest with content hashes;
-identical config gives byte-identical artifacts.
+identical config gives byte-identical artifacts.  Exit codes: 0 success,
+1 config error, 2 numerical failure (and argparse usage errors), 3 output error.
 """
 from __future__ import annotations
 
@@ -209,6 +213,9 @@ _GRID = {
     "n_bins": (_integer, _REQUIRED),
 }
 
+# The CP-test tolerance, read by the two modes that judge complete positivity.
+_CP_TOL = {"cp_tol": (_nonnegative, 1e-9)}
+
 # make_synthetic_profile is looked up at each call rather than bound here, so
 # a wrapper installed on this module's attribute sees the call.
 _CHANNEL = {
@@ -220,8 +227,9 @@ _MODES = {
     "qpt_demo": {
         "u_ab": (_pauli, _REQUIRED),
         "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
+        **_CP_TOL,
     },
-    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL},
+    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL, **_CP_TOL},
     "recover_profile": {
         "fixture": (_one_of("three_qubit", "four_qubit"), None),
         "h0": (_pauli, None),
@@ -229,14 +237,11 @@ _MODES = {
         **_CHANNEL,
         "grid": (_built(_GRID, lambda **g: RecoveryGrid(g["min"], g["max"], g["n_bins"])), _REQUIRED),
         "offset": (_number, 0.0),
+        "method": (_one_of(*METHODS), "weighted_riemann"),
     },
 }
 
-_COMMON = {
-    "mode": (_one_of(*_MODES), _REQUIRED),
-    "cp_tol": (_nonnegative, 1e-9),
-    "method": (_one_of(*METHODS), "weighted_riemann"),
-}
+_COMMON = {"mode": (_one_of(*_MODES), _REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -453,9 +458,11 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> dict:
-    """Execute a validated config, write artifacts + manifest, return the manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute a validated config, write artifacts + manifest, return the manifest.
+    ``out_dir`` is created only once the artifacts are built, so a failed run
+    leaves none behind."""
     artifacts = _RUNNERS[cfg.mode](cfg)
+    os.makedirs(out_dir, exist_ok=True)
     entries = []
     for name, data, role in artifacts:
         _write_atomic(os.path.join(out_dir, name), data)
@@ -481,8 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--method", choices=METHODS)
-    p_run.add_argument("--tol", type=float, help="override the CP-test tolerance")
 
     p_val = sub.add_parser("validate", help="check a scenario config")
     p_val.add_argument("--config", required=True)
@@ -490,16 +495,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "run":
-            # A flag goes through its field's table check and replaces the
-            # file's value, which was checked too; raw takes it as well, for
-            # the config hash.
-            flags = {"method": ("--method", args.method), "cp_tol": ("--tol", args.tol)}
-            overrides = {
-                key: _COMMON[key][0](value, flag)
-                for key, (flag, value) in flags.items() if value is not None
-            }
-            cfg = ScenarioConfig({**cfg.raw, **overrides}, {**cfg.fields, **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -512,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {len(manifest['files']) + 1} files to {args.out}")
     return 0
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qincoh.channels import make_synthetic_profile, profile_from_csv, rf_incoherent_channel
+from qincoh import cli
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
@@ -139,11 +141,11 @@ def test_manifest_hashes_match_files(tmp_path):
 
 
 def test_method_override(tmp_path):
-    assert main([
-        "run", "--config", f"{CONFIG_DIR}/recover3q.json",
-        "--out", str(tmp_path), "--method", "least_squares",
-    ]) == 0
-    report = json.loads((tmp_path / "recovery_report.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bundled("recover3q.json", lambda c: c.update(method="least_squares"))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "recovery_report.json").read_text())
     assert report["method"] == "least_squares"
     assert report["quality"]["condition_number"] is not None
 
@@ -216,6 +218,10 @@ MALFORMED = {
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
     "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
     "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
+    # a knob in a mode that does not read it
+    "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
+    "method-in-rud-build": ("rud2q.json", lambda c: c.update(method="least_squares")),
+    "cp-tol-in-recover-profile": ("recover3q.json", lambda c: c.update(cp_tol=1e-9)),
 }
 
 
@@ -234,14 +240,77 @@ def test_negative_cp_tol_is_rejected_from_file_and_flag(tmp_path, capsys):
     path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=-1e-9))))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
-    assert main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out),
-                 "--tol", "-1"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in err] == ["config error"] * 2
-    assert "--tol" in err[1]
+    assert [line.split(":")[0] for line in err] == ["config error"]
+    assert "cp_tol" in err[0]
     assert not out.exists()
-    assert main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out),
-                 "--tol", "0"]) == 0
+    # the file is the only input: there is no flag to set the tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out), "--tol", "0"])
+    assert exc.value.code == 2
+    assert not out.exists()
+    path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=0))))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+
+def test_run_help_lists_only_config_and_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    options = re.findall(r"--[a-z]+", capsys.readouterr().out)
+    assert sorted(set(options)) == ["--config", "--help", "--out"]
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "recover_profile", "h0": "0.5 * Z", "k": "0.1 * Z",
+        "profile": {"kind": "gaussian", "width": 0.05},
+        "grid": {"min": -0.25, "max": 0.25, "n_bins": 101},
+    }))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "need at least 5 samples, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a regular file")
+    assert main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error:"), err
+    assert out.read_text() == "a regular file"
+
+
+def _readme_config_tables() -> dict[str, dict[str, str]]:
+    """README's "Config fields" table as ``{object: {field: default cell}}``."""
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    section = text.split("### Config fields", 1)[1].split("\n#", 1)[0]
+    tables: dict[str, dict[str, str]] = {}
+    obj = None
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("Object", "---"):
+            continue
+        obj = cells[0].strip("`") or obj
+        for key in re.findall(r"`([^`]+)`", cells[1]):
+            tables.setdefault(obj, {})[key] = cells[3]
+    return tables
+
+
+def test_readme_config_table_matches_cli_tables():
+    expected = {
+        "every mode": cli._COMMON, **cli._MODES,
+        "scenario": cli._SCENARIO, "profile": cli._PROFILE, "grid": cli._GRID,
+    }
+    documented = _readme_config_tables()
+    assert set(documented) == set(expected)
+    for obj, table in expected.items():
+        assert set(documented[obj]) == set(table), obj
+        for key, (_, default) in table.items():
+            assert (documented[obj][key] == "required") == (default is cli._REQUIRED), (obj, key)
 
 
 def test_parsing_builds_the_profile_grid_and_generators():

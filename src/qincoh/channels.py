@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .liouville import conjugation_sum
+from .liouville import UNITARY_TOL, conjugation_sum
 from .validation import as_square_matrix, require_hermitian
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
@@ -141,14 +141,15 @@ def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Check a ``(K, N, N)`` stack is unitary within 1e-10 with one batched
-    ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM."""
+    """Check a ``(K, N, N)`` stack is unitary within ``UNITARY_TOL`` with one
+    batched ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM."""
     gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
     dev = np.abs(gram - np.eye(unitaries.shape[-1])).max(axis=(1, 2))
-    bad = np.flatnonzero(dev > 1e-10)
+    bad = np.flatnonzero(dev > UNITARY_TOL)
     if bad.size:
         raise ValueError(
-            f"ensemble[{bad[0]}] is not unitary within 1e-10 (deviation {dev[bad[0]]:.3e})"
+            f"ensemble[{bad[0]}] is not unitary within {UNITARY_TOL:g} "
+            f"(deviation {dev[bad[0]]:.3e})"
         )
     return conjugation_sum(unitaries, weights)
 
@@ -157,8 +158,8 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
 
     Weights must be non-negative and sum to 1 within 1e-12, and every member
-    unitary within 1e-10.  The sum is one matrix product, so the same
-    ensemble gives the same bytes for a given BLAS and thread count.
+    unitary within ``UNITARY_TOL``.  The sum is one matrix product, so the
+    same ensemble gives the same bytes for a given BLAS and thread count.
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")

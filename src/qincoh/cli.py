@@ -15,7 +15,7 @@ and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
 its only input, so the manifest's config hash covers exactly what ran.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.  Exit codes: 0 success,
-1 config error, 2 numerical failure (and argparse usage errors), 3 output error.
+1 config error, 2 numerical failure, 3 output error, 64 usage error.
 """
 from __future__ import annotations
 
@@ -481,8 +481,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> dict:
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 64 (``EX_USAGE`` of sysexits.h) on a usage error, where argparse
+    exits 2, so that 2 means only a numerical failure.  Subparsers inherit
+    the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="qincoh", description=__doc__)
+    parser = _Parser(prog="qincoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario config")

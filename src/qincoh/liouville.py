@@ -95,57 +95,22 @@ def _superop_dim(mat: np.ndarray, name: str) -> int:
     return n
 
 
-# A superoperator whose form in the Hermitian basis has imaginary parts at
-# most this fraction of its largest entry preserves Hermiticity to rounding.
-_REAL_FORM_TOL = 1e-12
-
-
-def _hermitian_basis_form(s: np.ndarray, n: int) -> np.ndarray:
-    """``B^dag S B`` for the orthonormal Hermitian basis ``B`` = {E_ii,
-    (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 : i < j}, vectorized.
-
-    Each basis vector touches at most two vec positions, so the change of
-    basis is a gather plus two rows and two columns combined per element:
-    O(N^4), no dense product.  The result is real exactly when ``S`` maps
-    Hermitian matrices to Hermitian matrices.
-    """
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n) * (n + 1)
-    order = np.concatenate([diag, i + j * n, j + i * n])
-    r = s[np.ix_(order, order)]
-    sym, anti = slice(n, n + i.size), slice(n + i.size, None)
-    half = np.sqrt(0.5)
-    diff = r[:, sym] - r[:, anti]
-    r[:, sym] += r[:, anti]
-    r[:, sym] *= half
-    np.multiply(diff, 1j * half, out=r[:, anti])
-    diff = r[sym] - r[anti]
-    r[sym] += r[anti]
-    r[sym] *= half
-    np.multiply(diff, -1j * half, out=r[anti])
-    return r
-
-
 def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of a superoperator, with multiplicity, ordered by (real
     part desc, imag part desc).
 
-    No eigenvectors are computed.  A Hermiticity-preserving ``S`` is solved
-    in its real form in the Hermitian basis (a similar real matrix, so the
-    eigenvalues come in exact conjugate pairs); any other input, judged by
-    ``max|Im R| <= 1e-12 max|R|``, is solved as the complex matrix given.
-    A LAPACK failure is re-raised as a ``LinAlgError`` that names the
-    matrix size.
+    One ``eigvals`` of ``S`` as given; no eigenvectors are computed.  A
+    LAPACK failure is re-raised as a ``LinAlgError`` that names the matrix
+    size.
     """
     s = as_square_matrix(s, "s")
-    r = _hermitian_basis_form(s, _superop_dim(s, "s"))
-    m = r.real if max_abs(r.imag) <= _REAL_FORM_TOL * max_abs(r) else s
+    _superop_dim(s, "s")
     try:
-        w = np.asarray(np.linalg.eigvals(m), dtype=complex)
+        w = np.linalg.eigvals(s)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"eigendecomposition did not converge for {m.shape[0]}x{m.shape[1]} "
-            f"matrix (max|entry| = {max_abs(m):.3e}): {exc}"
+            f"eigendecomposition did not converge for {s.shape[0]}x{s.shape[1]} "
+            f"matrix (max|entry| = {max_abs(s):.3e}): {exc}"
         ) from exc
     return w[np.lexsort((-w.imag, -w.real))]
 
@@ -162,14 +127,22 @@ def choi_to_superop(c: np.ndarray) -> np.ndarray:
     return superop_to_choi(c)
 
 
-def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
-    """Test complete positivity; returns ``(flag, min Choi eigenvalue)``.
+# choi_spectrum refuses a Choi matrix further than this from Hermitian.
+CHOI_HERMITIAN_TOL = 1e-10
 
-    The flag is True when the smallest eigenvalue of the Hermitian part of
-    the Choi matrix is >= -tol.
-    """
-    c = superop_to_choi(s)
-    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+
+def choi_spectrum(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Choi matrix of ``s``, sorted descending: one check
+    that it is Hermitian within :data:`CHOI_HERMITIAN_TOL` (that ``s``
+    preserves Hermiticity), then one ``eigvalsh``, with no eigenvectors."""
+    c = require_hermitian(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
+    return np.linalg.eigvalsh((c + c.conj().T) / 2)[::-1]
+
+
+def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+    """Test complete positivity; returns ``(flag, min Choi eigenvalue)``, the
+    flag True when the last of :func:`choi_spectrum` is >= -tol."""
+    min_eig = float(choi_spectrum(s)[-1])
     return min_eig >= -tol, min_eig
 
 

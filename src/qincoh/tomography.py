@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import cp_filter, eig_hermitian, superop_to_choi
-from .validation import as_square_matrix, require_hermitian, require_unitary
+from .liouville import UNITARY_TOL, choi_spectrum, cp_filter, eig_hermitian
+from .validation import as_square_matrix, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -67,12 +67,12 @@ class CorrelatedInputSet:
 class QPTReport:
     """Diagnostics of one simulated tomography scenario.
 
-    ``is_cp``, ``kraus_count`` and ``choi_eigenvalues`` all come from one
-    diagonalization of the reported map's Choi matrix.  ``kraus_count`` is
-    present exactly when the reported map is CP; ``removed_weight`` is
-    present exactly when CP-filtering was applied, and ``forward_residual``
-    (``max|S_obs @ In - Out|`` over the tomography inputs) exactly when it
-    was not.
+    ``is_cp``, ``kraus_count`` and ``choi_eigenvalues`` all read one
+    :func:`~qincoh.liouville.choi_spectrum` of the reported map.
+    ``kraus_count`` is present exactly when the reported map is CP;
+    ``removed_weight`` is present exactly when CP-filtering was applied, and
+    ``forward_residual`` (``max|S_obs @ In - Out|`` over the tomography
+    inputs) exactly when it was not.
     """
 
     s_obs: np.ndarray
@@ -121,7 +121,7 @@ def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     ``rho_ab`` may be a ``(K, n, n)`` stack; it is evolved by one batched
     product after one unitarity check of ``u_ab``.
     """
-    u_ab = require_unitary(u_ab, 1e-10, "u_ab")
+    u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
     return partial_trace_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
@@ -131,7 +131,7 @@ def environment_kraus_operators(u_ab: np.ndarray, rho_b: np.ndarray) -> list[np.
     Built from the environment-block matrix elements ``<mu|U_AB|nu>`` with
     ``|nu>`` the eigenvectors of rho_B, each scaled by sqrt of its weight.
     """
-    u_ab = require_unitary(u_ab, 1e-10, "u_ab")
+    u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
     rho_b = as_square_matrix(rho_b, "rho_b")
     db = rho_b.shape[0]
     n = u_ab.shape[0]
@@ -214,15 +214,9 @@ def run_qpt_scenario(
     else:
         residual = s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)
         forward_residual = float(np.abs(residual).max())
-    choi = superop_to_choi(s_obs)
-    eigenvalues, _ = eig_hermitian(choi, tol=1e-8, name="choi")
+    eigenvalues = choi_spectrum(s_obs)
     cp_flag = bool(eigenvalues[-1] >= -cp_tol)
-    kraus_count = None
-    if cp_flag:
-        # the Kraus count and the Hermiticity check of choi_to_kraus, with
-        # the rank cut at cp_tol, without diagonalizing the Choi matrix again
-        require_hermitian(choi, 1e-10, "Choi matrix")
-        kraus_count = int(np.count_nonzero(eigenvalues > cp_tol))
+    kraus_count = int(np.count_nonzero(eigenvalues > cp_tol)) if cp_flag else None
     return QPTReport(
         s_obs=s_obs,
         choi_eigenvalues=eigenvalues,

@@ -247,7 +247,7 @@ def test_negative_cp_tol_is_rejected_from_file_and_flag(tmp_path, capsys):
     # the file is the only input: there is no flag to set the tolerance
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out), "--tol", "0"])
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     assert not out.exists()
     path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=0))))
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
@@ -259,6 +259,22 @@ def test_run_help_lists_only_config_and_out(capsys):
     assert exc.value.code == 0
     options = re.findall(r"--[a-z]+", capsys.readouterr().out)
     assert sorted(set(options)) == ["--config", "--help", "--out"]
+
+
+def test_usage_errors_exit_64_apart_from_numerical_failures(tmp_path, capsys):
+    config = f"{CONFIG_DIR}/eq4_demo.json"
+    out = str(tmp_path / "out")
+    for argv in (
+        ["run", "--config", config, "--out", out, "--bogus"],
+        ["run", "--config", config],
+        ["check", "--config", config],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64, argv
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

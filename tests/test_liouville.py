@@ -4,7 +4,9 @@ import pytest
 from qincoh.channels import random_rud_ensemble, random_unitary, rud_superoperator
 from qincoh.errors import NotCompletelyPositiveError
 from qincoh.liouville import (
+    CHOI_HERMITIAN_TOL,
     _fix_phases,
+    choi_spectrum,
     choi_to_kraus,
     choi_to_superop,
     columnize,
@@ -241,6 +243,33 @@ def test_is_cp_examples():
     assert flag and abs(min_eig) < 1e-12
 
 
+def test_choi_spectrum_is_the_descending_choi_eigvalsh():
+    rng = np.random.default_rng(26)
+    for s in [EQ4_S, UNCORR_S, np.eye(4)] + [
+        rud_superoperator(random_rud_ensemble(1 + i % 3, 2 + i % 4, rng)) for i in range(6)
+    ]:
+        c = superop_to_choi(s)
+        w = choi_spectrum(s)
+        assert np.array_equal(w, np.linalg.eigvalsh((c + c.conj().T) / 2)[::-1])
+        assert is_cp(s, 1e-9)[1] == w[-1]
+    assert np.abs(choi_spectrum(EQ4_S) - np.array([2.2, 0.0, 0.0, -0.2])).max() < 1e-12
+
+
+def test_is_cp_rejects_a_map_that_does_not_preserve_hermiticity():
+    rng = np.random.default_rng(27)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    choi = h + h.conj().T
+    skew = 1j * np.eye(4)
+    # adding i*x*I moves max|C - C^dag| to 2x: 0.8 and 1.2 times the tolerance
+    is_cp(choi_to_superop(choi + 0.4 * CHOI_HERMITIAN_TOL * skew))
+    for s in (
+        choi_to_superop(choi + 0.6 * CHOI_HERMITIAN_TOL * skew),
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
+    ):
+        with pytest.raises(ValueError, match="^Choi matrix is not Hermitian within 1e-10 "):
+            is_cp(s)
+
+
 def test_choi_to_kraus_counts():
     assert len(choi_to_kraus(superop_to_choi(UNCORR_S))) == 2
     assert len(choi_to_kraus(superop_to_choi(np.eye(4)))) == 1
@@ -307,10 +336,6 @@ def test_superop_eigenvalues_match_eig_multiset():
         w = superop_eigenvalues(s)
         assert greedy_multiset_distance(w, np.linalg.eig(s)[0]) < 1e-12
         assert np.array_equal(np.lexsort((-w.imag, -w.real)), np.arange(w.size))
-    for s in preserving:
-        # the real form gives eigenvalues in exact conjugate pairs
-        w = superop_eigenvalues(s)
-        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
     assert np.abs(superop_eigenvalues(EQ4_S) - np.array([1.0, 1.0, 1.2j, -1.2j])).max() < 1e-15
 
 

@@ -3,7 +3,15 @@ import pytest
 
 from qincoh.channels import expm_unitary, random_rud_ensemble, random_unitary, rud_superoperator
 from qincoh.errors import IllConditionedError, NonPhysicalStateError
-from qincoh.liouville import columnize, cp_filter, kraus_to_superop, uncolumnize
+from qincoh.liouville import (
+    choi_spectrum,
+    columnize,
+    cp_filter,
+    eig_hermitian,
+    kraus_to_superop,
+    superop_to_choi,
+    uncolumnize,
+)
 from qincoh.tomography import (
     SIGMA_X,
     SIGMA_Y,
@@ -314,19 +322,55 @@ def test_scenario_diagonalizes_the_reported_choi_matrix_once(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _solver=solver, **kwargs):
-            calls.append(1)
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for correlated, cpf, expected in ((True, False, 1), (False, False, 1), (True, True, 2)):
-        calls.clear()
-        prepare_correlated_inputs(0.5, 0.5, 0.6)
-        n_prepare = len(calls)
+    calls.clear()
+    prepare_correlated_inputs(0.5, 0.5, 0.6)
+    n_prepare = calls.count("eigvalsh")
+    assert calls == ["eigvalsh"] * n_prepare
+    for correlated, cpf, expected_eigh in ((True, False, 0), (False, False, 0), (True, True, 1)):
         calls.clear()
         run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=correlated, apply_cp_filter=cpf)
-        # one Choi diagonalization, plus the one inside CP-filtering
-        assert len(calls) - n_prepare == expected
+        # one eigenvalues-only Choi spectrum; eigenvectors only inside CP-filtering
+        assert calls.count("eigh") == expected_eigh
+        assert calls.count("eigvalsh") - n_prepare == 1
+
+
+def _choi_eigh_oracle(s_obs):
+    """The Choi spectrum as the scenario computed it before: eigenvectors and
+    all, with the Choi matrix checked at 1e-8."""
+    return eig_hermitian(superop_to_choi(s_obs), tol=1e-8, name="choi")[0]
+
+
+TABLE1_ROWS = [
+    ((0.5, 0.5, 0.6), True, False),
+    ((0.5, 0.5, 0.6), True, True),
+    ((0.5, 0.5, 0.6), False, False),
+    ((0.5, 0.5, 0.5), True, False),
+    ((0.5, 0.5, 0.5), False, False),
+]
+
+
+def test_choi_spectrum_equals_eigh_oracle():
+    rng = np.random.default_rng(38)
+    cases = [(U_ZZ, *row) for row in TABLE1_ROWS] + [
+        (random_unitary(4, rng), tuple(t), correlated, cpf)
+        for t in _physical_triples(39, 15)
+        for correlated, cpf in ((True, False), (False, False), (True, True))
+    ]
+    for u_ab, (alpha, beta, gamma), correlated, cpf in cases:
+        report = run_qpt_scenario(
+            u_ab, alpha, beta, gamma, correlated=correlated, apply_cp_filter=cpf
+        )
+        expected = _choi_eigh_oracle(report.s_obs)
+        # ill-conditioned triples give spectra of size ~100, so the bound
+        # scales with the largest eigenvalue above 1
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(report.choi_eigenvalues - expected).max() <= 1e-14 * scale
+        assert np.array_equal(report.choi_eigenvalues, choi_spectrum(report.s_obs))
 
 
 def test_scenario_choi_spectra():

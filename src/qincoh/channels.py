@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .liouville import UNITARY_TOL, conjugation_sum
+from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
 from .validation import as_square_matrix, require_hermitian
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
@@ -136,8 +136,7 @@ def _expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """``exp(-i H t)`` for Hermitian H, via eigendecomposition (exact for
     Hermitian generators, no scaling-and-squaring error)."""
-    h = require_hermitian(h, 1e-12, "h")
-    return _expm_hermitian((h + h.conj().T) / 2, t)
+    return _expm_hermitian(require_hermitian(h, GENERATOR_HERMITIAN_TOL, "h"), t)
 
 
 def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -189,12 +188,10 @@ def rf_incoherent_channel(
     combinations of the validated ``h0`` and ``k``, so they are Hermitian
     without a check of their own and are diagonalized as one stack.
     """
-    h0 = require_hermitian(h0, 1e-12, "h0")
-    k = require_hermitian(k, 1e-12, "k")
+    h0 = require_hermitian(h0, GENERATOR_HERMITIAN_TOL, "h0")
+    k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
     if h0.shape != k.shape:
         raise ValueError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
-    h0 = (h0 + h0.conj().T) / 2
-    k = (k + k.conj().T) / 2
     generators = h0 * t + profile.delta_omega[:, None, None] * k
     return _unitary_ensemble_superop(profile.weight, _expm_hermitian(generators))
 

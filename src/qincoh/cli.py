@@ -422,7 +422,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "n_warnings": len(pairing.warnings),
         },
         "conjugate_symmetry_residual": {
-            "value": samples.conjugate_symmetry_residual(),
+            "value": result.symmetry_residual,
             "tol": SYMMETRY_TOL,
         },
         "quality": {

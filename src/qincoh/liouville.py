@@ -45,6 +45,9 @@ def uncolumnize(vec: np.ndarray) -> np.ndarray:
 UNITARY_TOL = 1e-10
 # choi_to_kraus keeps the eigenvalues above this fraction of the largest.
 KRAUS_RANK_RTOL = 1e-10
+# A generator (h0, h0*t, k or a Hamiltonian h) is refused when max|H - H^dag|
+# exceeds this, by every function that takes one.
+GENERATOR_HERMITIAN_TOL = 1e-12
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:
@@ -53,46 +56,28 @@ def unitary_superoperator(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive.
-
-    An entry is significant above ``1e-12`` times its column's largest
-    magnitude; an all-zero column is left as it is.
-    """
-    out = np.array(vectors, dtype=complex)
-    mags = np.abs(out)
-    top = mags.max(axis=0)
-    cols = np.flatnonzero(top)
-    lead = np.argmax(mags[:, cols] > 1e-12 * top[cols], axis=0)
-    first = out[lead, cols]
-    # hypot rounds like abs() of a complex scalar; np.abs of an array may take
-    # a SIMD path that differs in the last bit, which would change the phases
-    out[:, cols] *= np.hypot(first.real, first.imag) / first
-    return out
-
-
 def eig_hermitian(
     m: np.ndarray, tol: float = 1e-10, name: str = "m"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix: one ``eigh`` of the Hermitian
+    part that :func:`~qincoh.validation.require_hermitian` returns.
 
     Returns real eigenvalues sorted descending and orthonormal eigenvector
-    columns (phase-fixed so the first significant entry is real positive).
-    ``name`` labels the matrix in the rejection of a non-Hermitian input.
+    columns with no phase convention: every consumer is invariant under a
+    phase per column.  ``name`` labels the matrix in the rejection of a
+    non-Hermitian input.
     """
-    m = require_hermitian(m, tol, name)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = w[::-1].real
-    v = v[:, ::-1]
-    return w, _fix_phases(v)
+    w, v = np.linalg.eigh(require_hermitian(m, tol, name))
+    return w[::-1], v[:, ::-1]
 
 
-def _superop_dim(mat: np.ndarray, name: str) -> int:
+def _superop_dim(mat: np.ndarray, name: str) -> tuple[np.ndarray, int]:
+    """The checked square matrix and its Hilbert dimension ``sqrt(side)``."""
     mat = as_square_matrix(mat, name)
     n = math.isqrt(mat.shape[0])
     if n * n != mat.shape[0]:
         raise ValueError(f"{name} side {mat.shape[0]} is not a perfect square")
-    return n
+    return mat, n
 
 
 def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -103,8 +88,7 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
     LAPACK failure is re-raised as a ``LinAlgError`` that names the matrix
     size.
     """
-    s = as_square_matrix(s, "s")
-    _superop_dim(s, "s")
+    s, _ = _superop_dim(s, "s")
     try:
         w = np.linalg.eigvals(s)
     except np.linalg.LinAlgError as exc:
@@ -117,8 +101,7 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
     """Choi matrix of a superoperator (pure index permutation, involutive)."""
-    s = np.asarray(s, dtype=complex)
-    n = _superop_dim(s, "s")
+    s, n = _superop_dim(s, "s")
     return s.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
@@ -136,7 +119,7 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
     that it is Hermitian within :data:`CHOI_HERMITIAN_TOL` (that ``s``
     preserves Hermiticity), then one ``eigvalsh``, with no eigenvectors."""
     c = require_hermitian(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
-    return np.linalg.eigvalsh((c + c.conj().T) / 2)[::-1]
+    return np.linalg.eigvalsh(c)[::-1]
 
 
 def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
@@ -154,7 +137,7 @@ def choi_to_kraus(c: np.ndarray) -> list[np.ndarray]:
     numerical rank of the Choi matrix.  A negative eigenvalue below
     ``-rank_tol`` raises :class:`NotCompletelyPositiveError`.
     """
-    w, v = eig_hermitian(c)
+    w, v = eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")
     if w[0] <= 0.0:
         raise ValueError("Choi matrix has no positive spectrum")
     rank_tol = KRAUS_RANK_RTOL * w[0]
@@ -197,7 +180,7 @@ def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:
     """
     c = superop_to_choi(s)
     n = math.isqrt(c.shape[0])
-    w, v = eig_hermitian(c)
+    w, v = eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")
     removed_weight = float(np.abs(w[w < 0.0]).sum())
     kept = np.clip(w, 0.0, None)
     total = float(kept.sum())

@@ -50,13 +50,14 @@ DEFAULT_GRID = RecoveryGrid(-0.15, 0.15, 61)
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Recovered profile plus the quality diagnostics of the inversion."""
+    """Recovered profile plus the quality diagnostics of the inversion,
+    including the sample set's conjugate-symmetry residual."""
 
     profile: RFProfile
     imag_residual: float
     clipped_mass: float
     condition_number: float | None
-    method: str
+    symmetry_residual: float
 
 
 def forward_nudft(profile: RFProfile, ks: np.ndarray) -> np.ndarray:
@@ -145,5 +146,5 @@ def inverse_nudft(
         imag_residual=imag_residual,
         clipped_mass=clipped_mass,
         condition_number=condition_number,
-        method=method,
+        symmetry_residual=sym,
     )

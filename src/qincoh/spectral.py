@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import eig_hermitian
+from .liouville import GENERATOR_HERMITIAN_TOL
 from .validation import require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
@@ -118,9 +118,9 @@ class ProfileMoments(NamedTuple):
 
 
 def eigenbasis(h0t: np.ndarray) -> EigenBasis:
-    """Diagonalize the nominal generator; reject near-degenerate spectra."""
-    phis, vectors = eig_hermitian(h0t, 1e-10, "h0t")
-    phis, vectors = phis[::-1], vectors[:, ::-1]
+    """Diagonalize the nominal generator (one ascending ``eigh``); reject
+    near-degenerate spectra."""
+    phis, vectors = np.linalg.eigh(require_hermitian(h0t, GENERATOR_HERMITIAN_TOL, "h0t"))
     if phis.size > 1:
         min_gap = float(np.min(np.diff(phis)))
         if min_gap <= DEGENERACY_TOL:
@@ -132,7 +132,7 @@ def eigenbasis(h0t: np.ndarray) -> EigenBasis:
 
 
 def _diagonal_perturbations(basis: EigenBasis, k: np.ndarray) -> np.ndarray:
-    k = require_hermitian(k, 1e-10, "k")
+    k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
     return np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
 
 

@@ -49,18 +49,13 @@ KRAUS_WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CorrelatedInputSet:
-    """The four joint input states, a ``(4, 4, 4)`` stack, and their reduced
-    system inputs, a ``(4, 2, 2)`` stack."""
+    """The four joint input states, a ``(4, 4, 4)`` stack, their reduced
+    system inputs, a ``(4, 2, 2)`` stack, and the environment marginal
+    ``(I + beta*Z)/2`` that all four share."""
 
     joint_states: np.ndarray
     reduced_inputs: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
-
-    @property
-    def environment_state(self) -> np.ndarray:
-        return (_EYE2 + self.beta * SIGMA_Z) / 2
+    environment_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def prepare_correlated_inputs(
             f"joint input state {idx + 1} has negative eigenvalue {float(min_eigs[idx]):.3e} "
             f"for (alpha, beta, gamma) = ({alpha}, {beta}, {gamma})"
         )
-    return CorrelatedInputSet(joints, partial_trace_b(joints), alpha, beta, gamma)
+    return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + beta * SIGMA_Z) / 2)
 
 
 def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
@@ -132,13 +127,12 @@ def environment_kraus_operators(u_ab: np.ndarray, rho_b: np.ndarray) -> list[np.
     ``|nu>`` the eigenvectors of rho_B, each scaled by sqrt of its weight.
     """
     u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
-    rho_b = as_square_matrix(rho_b, "rho_b")
-    db = rho_b.shape[0]
+    probs, basis = eig_hermitian(rho_b, name="rho_b")
+    db = basis.shape[0]
     n = u_ab.shape[0]
     if n % db != 0:
         raise ValueError("u_ab dimension incompatible with rho_b")
     da = n // db
-    probs, basis = eig_hermitian(rho_b)
     u4 = u_ab.reshape(da, db, da, db)
     ops = []
     for nu in range(db):

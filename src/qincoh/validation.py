@@ -24,11 +24,13 @@ def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
+    """The Hermitian part ``(m + m^dag) / 2`` of ``m``, once ``max|m - m^dag|``
+    is checked to be at most ``tol``; callers use it in place of ``m``."""
     m = as_square_matrix(m, name)
     dev = max_abs(m - m.conj().T)
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    return m
+    return (m + m.conj().T) / 2
 
 
 def require_unitary(u: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:

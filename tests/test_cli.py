@@ -11,7 +11,13 @@ from qincoh import cli
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
-from qincoh.spectral import MATCH_TOL, pair_eigenvalues, profile_metrics, three_qubit_fixture
+from qincoh.spectral import (
+    MATCH_TOL,
+    SpectralSampleSet,
+    pair_eigenvalues,
+    profile_metrics,
+    three_qubit_fixture,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +123,23 @@ def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     recovered = profile_from_csv((tmp_path / "recovered_profile.csv").read_text())
     assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
     assert report["offset_estimate"] == report["recovered_moments"]["mean"]
+
+
+def test_recovery_computes_the_symmetry_residual_once(tmp_path, monkeypatch):
+    calls = []
+    residual = SpectralSampleSet.conjugate_symmetry_residual
+
+    def counted(samples):
+        calls.append(1)
+        return residual(samples)
+
+    monkeypatch.setattr(SpectralSampleSet, "conjugate_symmetry_residual", counted)
+    assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "recovery_report.json").read_text())
+    k, f_real, f_imag = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1).T
+    samples = SpectralSampleSet(k, f_real + 1j * f_imag)
+    assert report["conjugate_symmetry_residual"]["value"] == residual(samples)
 
 
 def test_recovery_report_states_the_certified_radius(tmp_path):

@@ -5,7 +5,6 @@ from qincoh.channels import random_rud_ensemble, random_unitary, rud_superoperat
 from qincoh.errors import NotCompletelyPositiveError
 from qincoh.liouville import (
     CHOI_HERMITIAN_TOL,
-    _fix_phases,
     choi_spectrum,
     choi_to_kraus,
     choi_to_superop,
@@ -164,47 +163,6 @@ def test_eig_hermitian_reconstruction():
         assert np.all(np.diff(w) <= 1e-12)
 
 
-def fix_phases_loop(vectors):
-    """Oracle: the per-column rule the vectorized phase fix replaced."""
-    out = np.array(vectors, dtype=complex)
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.flatnonzero(mags > 1e-12 * top)[0])
-        out[:, i] = col * (abs(col[lead]) / col[lead])
-    return out
-
-
-def test_fix_phases_matches_column_loop():
-    rng = np.random.default_rng(16)
-    for shape in ((2, 2), (3, 5), (5, 3), (4, 4), (16, 16), (64, 64)):
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cases = [m]
-        zero_col = m.copy()
-        zero_col[:, 1] = 0.0
-        cases.append(zero_col)
-        # leading entries below 1e-12 of the column's largest magnitude are skipped
-        small_lead = m.copy()
-        small_lead[: shape[0] // 2, 0] *= 1e-13
-        small_lead[0, -1] = 1e-300j
-        cases.append(small_lead)
-        for case in cases:
-            fixed = _fix_phases(case)
-            assert np.array_equal(fixed, fix_phases_loop(case))
-        assert not np.any(_fix_phases(zero_col)[:, 1])
-    for dim in (2, 4, 9, 16):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = m + m.conj().T
-        _, v = np.linalg.eigh(h)
-        _, vh = eig_hermitian(h)
-        assert np.array_equal(vh, fix_phases_loop(v[:, ::-1]))
-        _, v = np.linalg.eig(m)
-        assert np.array_equal(_fix_phases(v), fix_phases_loop(v))
-
-
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -258,16 +216,16 @@ def test_choi_spectrum_is_the_descending_choi_eigvalsh():
 def test_is_cp_rejects_a_map_that_does_not_preserve_hermiticity():
     rng = np.random.default_rng(27)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    choi = h + h.conj().T
+    # positive definite, so choi_to_kraus and cp_filter accept it too
+    choi = h @ h.conj().T
     skew = 1j * np.eye(4)
-    # adding i*x*I moves max|C - C^dag| to 2x: 0.8 and 1.2 times the tolerance
-    is_cp(choi_to_superop(choi + 0.4 * CHOI_HERMITIAN_TOL * skew))
-    for s in (
-        choi_to_superop(choi + 0.6 * CHOI_HERMITIAN_TOL * skew),
-        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-    ):
-        with pytest.raises(ValueError, match="^Choi matrix is not Hermitian within 1e-10 "):
-            is_cp(s)
+    bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for check in (is_cp, cp_filter, lambda s: choi_to_kraus(superop_to_choi(s))):
+        # adding i*x*I moves max|C - C^dag| to 2x: 0.8 and 1.2 times the tolerance
+        check(choi_to_superop(choi + 0.4 * CHOI_HERMITIAN_TOL * skew))
+        for s in (choi_to_superop(choi + 0.6 * CHOI_HERMITIAN_TOL * skew), bad):
+            with pytest.raises(ValueError, match="^Choi matrix is not Hermitian within 1e-10 "):
+                check(s)
 
 
 def test_choi_to_kraus_counts():

@@ -1,9 +1,10 @@
-"""Property tests over seeded random-unitary channels of 1-3 qubits.
+"""Property tests over seeded random-unitary channels of 1-3 qubits and
+over sets of Gershgorin discs.
 
-Each example draws a seed, a qubit count and a member count, and builds the
-channel ``sum_k p_k conj(U_k) kron U_k`` from ``random_rud_ensemble``.  The
-examples are derandomized and kept few so the suite stays fast and
-reproducible.
+Each channel example draws a seed, a qubit count and a member count, and
+builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
+``random_rud_ensemble``.  The examples are derandomized and kept few so the
+suite stays fast and reproducible.
 """
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qincoh.liouville import (  # noqa: E402
     kraus_to_superop,
     superop_to_choi,
 )
+from qincoh.spectral import _component_extents, _disc_components  # noqa: E402
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -58,3 +60,26 @@ def test_cp_filter_is_idempotent(s, seed, strength):
 @given(rud_channels())
 def test_kraus_round_trip(s):
     assert np.abs(kraus_to_superop(choi_to_kraus(superop_to_choi(s))) - s).max() <= 1e-12
+
+
+@st.composite
+def permuted_discs(draw):
+    # centres on a coarse grid, so discs touch, overlap and share left edges
+    n = draw(st.integers(1, 12))
+    grid = st.integers(-4, 4).map(lambda i: i / 4)
+    centres = np.array([complex(draw(grid), draw(grid)) for _ in range(n)])
+    radii = np.array([draw(st.integers(0, 4)) / 8 for _ in range(n)])
+    return centres, radii, np.array(draw(st.permutations(range(n))), dtype=int)
+
+
+@PROPERTY
+@given(permuted_discs())
+def test_disc_components_are_equivariant_under_permutation(discs):
+    centres, radii, perm = discs
+    component = _disc_components(centres, radii)
+    permuted = _disc_components(centres[perm], radii[perm])
+    # the same partition: disc i of the permuted set is disc perm[i]
+    assert np.array_equal(permuted[:, None] == permuted[None, :],
+                          component[perm][:, None] == component[perm][None, :])
+    extents = _component_extents(centres, radii, component)
+    assert np.array_equal(_component_extents(centres[perm], radii[perm], permuted), extents[perm])

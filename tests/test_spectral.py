@@ -12,7 +12,12 @@ from qincoh.channels import (
     random_unitary,
 )
 from qincoh.errors import DegenerateSpectrumError, PairingError
-from qincoh.liouville import choi_to_superop, superop_to_choi, unitary_superoperator
+from qincoh.liouville import (
+    GENERATOR_HERMITIAN_TOL,
+    choi_to_superop,
+    superop_to_choi,
+    unitary_superoperator,
+)
 from qincoh.nudft import RecoveryGrid, inverse_nudft
 from qincoh.spectral import (
     F_DISAGREEMENT_TOL,
@@ -61,6 +66,25 @@ def test_eigenbasis_rejects_degenerate_spectrum():
 def test_eigenbasis_names_non_hermitian_h0t():
     with pytest.raises(ValueError, match="h0t is not Hermitian"):
         eigenbasis(np.array([[1.0, 0.5], [0.0, 2.0]]))
+
+
+def test_one_hermiticity_verdict_per_generator():
+    # every function that reads h0t or k refuses the same deviation
+    h0t, k, s = fixture_channel()
+    skew = np.zeros_like(h0t)
+    skew[0, 1] = 1e-11
+    refused = f"is not Hermitian within {GENERATOR_HERMITIAN_TOL:g} "
+    for bad_h0t, bad_k in ((h0t + skew, k), (h0t, k + skew)):
+        calls = [
+            lambda: rf_incoherent_channel(bad_h0t, bad_k, SKEWED_PROFILE),
+            lambda: predict_eigenvalues(bad_h0t, bad_k, SKEWED_PROFILE),
+            lambda: pair_eigenvalues(s, bad_h0t, bad_k),
+        ]
+        if bad_k is k:
+            calls.append(lambda: eigenbasis(bad_h0t))
+        for call in calls:
+            with pytest.raises(ValueError, match=refused):
+                call()
 
 
 def test_predict_without_perturbation_is_unperturbed():
@@ -141,6 +165,20 @@ def test_eigenbasis_form_matches_dense_change_of_basis():
     for h, sup in ((h0t, s), (h_random, s_random)):
         v = eigenbasis(h).vectors
         assert np.abs(eigenbasis_form(sup, v) - _dense_eigenbasis_form(sup, v)).max() < 1e-13
+
+
+def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():
+    # eigenvectors carry no phase convention: rotating each column by a phase
+    # must leave the diagonal of S_B, |S_B| and S_B[a,b] S_B[b,a] unchanged
+    h0t, _, s = fixture_channel()
+    rng = np.random.default_rng(28)
+    v = eigenbasis(h0t).vectors
+    rotated = v * np.exp(2j * np.pi * rng.random(v.shape[1]))
+    for sup in (s, _noisy_map(s, 1e-4, rng)):
+        sb, sb_rot = eigenbasis_form(sup, v), eigenbasis_form(sup, rotated)
+        for read in (np.diagonal, np.abs, lambda m: m * m.T):
+            reference = read(sb)
+            assert np.abs(read(sb_rot) - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_pairing_runs_no_eigensolver_on_the_superoperator(monkeypatch):

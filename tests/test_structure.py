@@ -21,6 +21,26 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+# The Hermiticity and unitarity checks; their tolerance is argument 1 or ``tol``.
+_TOLERANCE_CHECKS = {"require_hermitian", "require_unitary", "eig_hermitian"}
+
+
+def _literal_tolerances(path: Path) -> list[str]:
+    """Calls of a check in ``_TOLERANCE_CHECKS`` whose tolerance is a number
+    literal rather than a named constant or a parameter."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in _TOLERANCE_CHECKS:
+            continue
+        for tol in node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "tol"]:
+            if isinstance(tol, ast.Constant) and isinstance(tol.value, (int, float)):
+                found.append(f"{path.name}:{node.lineno}: {name} tol={tol.value!r}")
+    return found
+
+
 def test_no_private_helper_is_imported_across_modules():
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
@@ -39,4 +59,24 @@ def test_private_import_detector_sees_relative_and_absolute_forms(tmp_path):
     assert [line.split(": ", 1)[1] for line in _private_imports(probe)] == [
         ".liouville import _fix_phases",
         "qincoh.spectral import _SIDON_LEVELS",
+    ]
+
+
+def test_every_check_tolerance_is_named():
+    found = [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _literal_tolerances(path)]
+    assert found == []
+
+
+def test_literal_tolerance_detector_sees_positional_and_keyword_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'require_hermitian(h, 1e-12, "h")\n'
+        "validation.require_unitary(u, tol=1e-10)\n"
+        'eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")\n'
+        "require_hermitian(m, tol, name)\n"
+        'eig_hermitian(rho_b, name="rho_b")\n'
+    )
+    assert [line.split(": ", 1)[1] for line in _literal_tolerances(probe)] == [
+        "require_hermitian tol=1e-12",
+        "require_unitary tol=1e-10",
     ]

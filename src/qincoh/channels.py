@@ -141,14 +141,19 @@ def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Check a ``(K, N, N)`` stack is unitary within ``UNITARY_TOL`` with one
-    batched ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM."""
+    batched ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM.
+
+    A member with a non-finite entry (an overflowed generator exponentiates
+    to NaN) has a NaN or infinite deviation and is refused as not finite."""
     gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
     dev = np.abs(gram - np.eye(unitaries.shape[-1])).max(axis=(1, 2))
-    bad = np.flatnonzero(dev > UNITARY_TOL)
+    bad = np.flatnonzero(~(dev <= UNITARY_TOL))
     if bad.size:
+        i = bad[0]
+        if not np.isfinite(unitaries[i]).all():
+            raise ValueError(f"ensemble[{i}] is not finite")
         raise ValueError(
-            f"ensemble[{bad[0]}] is not unitary within {UNITARY_TOL:g} "
-            f"(deviation {dev[bad[0]]:.3e})"
+            f"ensemble[{i}] is not unitary within {UNITARY_TOL:g} (deviation {dev[i]:.3e})"
         )
     return conjugation_sum(unitaries, weights)
 

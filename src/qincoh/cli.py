@@ -54,6 +54,16 @@ from .spectral import (
 )
 from .tomography import run_qpt_scenario
 
+# The tolerances that reports state next to a tested value.
+# qpt_demo: the forward residual of an unfiltered tomographic map.
+QPT_RESIDUAL_TOL = 1e-10
+# rud_build: the unitality and trace-preservation residuals of the channel.
+CHANNEL_RESIDUAL_TOL = 1e-11
+# rud_build: how far the largest eigenvalue modulus may exceed 1.
+EIGENVALUE_MODULUS_TOL = 1e-10
+# recover_profile: the recovered mass clipped away as negative.
+CLIPPED_MASS_TOL = 0.1
+
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -359,7 +369,7 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "removed_weight": report.removed_weight,
             "condition_number": report.condition_number,
             # the forward residual is only meaningful for the unfiltered map
-            "qpt_residual": {"value": report.forward_residual, "tol": 1e-10},
+            "qpt_residual": {"value": report.forward_residual, "tol": QPT_RESIDUAL_TOL},
         })
     doc = {"mode": "qpt_demo", "u_ab": cfg.raw["u_ab"], "scenarios": rows}
     return [("qpt_report.json", _json_bytes(doc), "report")]
@@ -380,12 +390,12 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "dim": dim,
         "generator_convention": "deviation multiplies k directly (duration absorbed); t scales h0 only",
         "n_members": len(profile),
-        "unitality_residual": {"value": unitality, "tol": 1e-11},
-        "trace_preservation_residual": {"value": tp, "tol": 1e-11},
+        "unitality_residual": {"value": unitality, "tol": CHANNEL_RESIDUAL_TOL},
+        "trace_preservation_residual": {"value": tp, "tol": CHANNEL_RESIDUAL_TOL},
         "is_cp": cp_flag,
         "min_choi_eigenvalue": min_eig,
         "cp_tol": f["cp_tol"],
-        "max_eigenvalue_modulus": {"value": float(np.abs(evals).max()), "tol": 1e-10},
+        "max_eigenvalue_modulus": {"value": float(np.abs(evals).max()), "tol": EIGENVALUE_MODULUS_TOL},
     }
     return [
         ("channel_report.json", _json_bytes(report), "report"),
@@ -428,7 +438,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "quality": {
             "imag_residual": result.imag_residual,
             "clipped_mass": result.clipped_mass,
-            "clipped_mass_tol": 0.1,
+            "clipped_mass_tol": CLIPPED_MASS_TOL,
             "condition_number": result.condition_number,
         },
         "true_profile_moments": _moments_json(profile),

@@ -133,6 +133,9 @@ def eigenbasis(h0t: np.ndarray) -> EigenBasis:
 
 def _diagonal_perturbations(basis: EigenBasis, k: np.ndarray) -> np.ndarray:
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
+    n = basis.phis.size
+    if k.shape != (n, n):
+        raise ValueError(f"k has shape {k.shape}, but h0t has shape {(n, n)}")
     return np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
 
 
@@ -212,8 +215,8 @@ def _component_extents(centres: np.ndarray, radii: np.ndarray, component: np.nda
     return extent
 
 
-# Rows of S_B per block of the second-order sum.
-_BLOCK_ROWS = 64
+# Side of the square tiles of S_B that the second-order sum reads.
+_TILE = 128
 
 
 def _second_order_values(sb: np.ndarray, component: np.ndarray) -> np.ndarray:
@@ -222,18 +225,28 @@ def _second_order_values(sb: np.ndarray, component: np.ndarray) -> np.ndarray:
 
     Discs of different components are disjoint, so no denominator is 0.
     Each quotient is taken as ``x * conj(g) / |g|^2``, one real division.
+    The quotients ``Q[a,b]``, with ``g = d_a - d_b``, are antisymmetric bit
+    for bit: the complex product ``S_B[a,b] S_B[b,a]`` commutes, ``g``
+    changes sign and ``|g|^2`` does not.  So only the square tiles on and
+    above the diagonal are formed, each from two tiles of ``S_B``: tile
+    ``(r, c)`` adds its row sums to the labels of ``r`` and, off the
+    diagonal, subtracts its column sums from the labels of ``c``.
     """
     d = sb.diagonal()
     values = d.copy()
-    for lo in range(0, d.size, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        gap = d[rows, None] - d[None, :]
-        outside = component[rows, None] != component[None, :]
-        scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape), where=outside)
-        terms = sb[rows] * sb[:, rows].T
-        terms *= gap.conj()
-        terms *= scale
-        values[rows] += terms.sum(axis=1)
+    for lo in range(0, d.size, _TILE):
+        rows = slice(lo, lo + _TILE)
+        for co in range(lo, d.size, _TILE):
+            cols = slice(co, co + _TILE)
+            gap = d[rows, None] - d[None, cols]
+            outside = component[rows, None] != component[None, cols]
+            scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape), where=outside)
+            terms = sb[rows, cols] * sb[cols, rows].T
+            terms *= gap.conj()
+            terms *= scale
+            values[rows] += terms.sum(axis=1)
+            if co != lo:
+                values[cols] -= terms.sum(axis=0)
     return values
 
 

@@ -15,11 +15,15 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, once it is checked to be a non-empty square
+    2-d matrix with finite entries; ``name`` labels it in a rejection."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError(f"{name} must have at least one row")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} is not finite")
     return m
 
 
@@ -36,6 +40,7 @@ def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -
 def require_unitary(u: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
     u = as_square_matrix(u, name)
     dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
+    # huge finite entries can make the product NaN, which ``dev > tol`` passes
+    if not dev <= tol:
         raise ValueError(f"{name} is not unitary within {tol:g} (deviation {dev:.3e})")
     return u

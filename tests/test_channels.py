@@ -76,6 +76,26 @@ def test_rud_rejects_bad_ensembles():
         rud_superoperator([(0.5, SZ), (0.5, np.eye(4, dtype=complex))])
 
 
+def test_rud_refuses_a_non_finite_member_by_name():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^ensemble\[1\] is not finite$"):
+            rud_superoperator([(0.5, SZ), (0.5, np.full((2, 2), bad))])
+
+
+def test_rf_channel_refuses_non_finite_generators_and_members_by_name():
+    profile = RFProfile(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
+    for bad in (np.nan, np.inf):
+        nonfinite = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="^h0 is not finite$"):
+            rf_incoherent_channel(nonfinite, SZ, profile)
+        with pytest.raises(ValueError, match="^k is not finite$"):
+            rf_incoherent_channel(SZ, nonfinite, profile)
+    # finite generators whose h0*t overflows exponentiate to NaN members
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"^ensemble\[0\] is not finite$"):
+        rf_incoherent_channel(1e300 * SZ, SZ, profile, t=1e10)
+
+
 def test_rud_channel_properties_seeded():
     rng = np.random.default_rng(23)
     for i in range(10):

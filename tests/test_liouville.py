@@ -140,6 +140,16 @@ def test_unitary_superoperator_rejects_non_unitary():
         unitary_superoperator(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_non_finite_maps_are_refused_by_name():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^u is not finite$"):
+            unitary_superoperator(np.full((2, 2), bad))
+        s = np.eye(4, dtype=complex)
+        s[1, 2] = bad
+        with pytest.raises(ValueError, match="^s is not finite$"):
+            is_cp(s)
+
+
 def test_eig_hermitian_choi_spectra():
     w, _ = eig_hermitian(superop_to_choi(EQ4_S))
     assert np.abs(w - np.array([2.2, 0.0, 0.0, -0.2])).max() < 1e-12

@@ -26,7 +26,9 @@ from qincoh.spectral import (
     EigenPairing,
     PairedEigenvalue,
     SpectralSampleSet,
+    _TILE,
     _disc_components,
+    _second_order_values,
     build_samples,
     eigenbasis,
     eigenbasis_form,
@@ -165,6 +167,52 @@ def test_eigenbasis_form_matches_dense_change_of_basis():
     for h, sup in ((h0t, s), (h_random, s_random)):
         v = eigenbasis(h).vectors
         assert np.abs(eigenbasis_form(sup, v) - _dense_eigenbasis_form(sup, v)).max() < 1e-13
+
+
+def second_order_loop(sb, component):
+    """Per label ``a``: ``d_a + sum_b S_B[a,b] S_B[b,a] / (d_a - d_b)`` over
+    the ``b`` outside the component of ``a``, as a double loop, and the
+    magnitude ``|d_a| + sum_b |term|`` that bounds its rounding."""
+    rows, d, comp = sb.tolist(), sb.diagonal().tolist(), component.tolist()
+    values, magnitudes = [], []
+    for a, row in enumerate(rows):
+        total, magnitude = d[a], abs(d[a])
+        for b, x in enumerate(row):
+            if comp[b] != comp[a]:
+                term = x * rows[b][a] / (d[a] - d[b])
+                total += term
+                magnitude += abs(term)
+        values.append(total)
+        magnitudes.append(magnitude)
+    return np.array(values), np.array(magnitudes)
+
+
+@pytest.mark.parametrize("size", [1, 64, _TILE - 1, _TILE, _TILE + 1, 300])
+def test_second_order_values_match_double_loop(size):
+    rng = np.random.default_rng(size)
+    sb = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    singletons = np.arange(size)
+    # members on both sides of the first tile boundary, and the last label
+    straddling = singletons.copy()
+    members = [i for i in (0, _TILE - 1, _TILE, size - 1) if i < size]
+    straddling[members] = members[0]
+    # recursive summation of n terms, each quotient rounded a few times
+    rtol = (size + 4) * np.finfo(float).eps
+    for component in (singletons, straddling):
+        want, magnitude = second_order_loop(sb, component)
+        got = _second_order_values(sb, component)
+        assert np.all(np.abs(got - want) <= rtol * magnitude)
+    # one component holding every label leaves every seed as it is
+    assert np.array_equal(_second_order_values(sb, np.zeros(size, dtype=int)), sb.diagonal())
+
+
+def test_k_of_another_shape_is_refused_by_name():
+    h0t, k, s = fixture_channel()
+    refused = r"^k has shape \(4, 4\), but h0t has shape \(8, 8\)$"
+    with pytest.raises(ValueError, match=refused):
+        predict_eigenvalues(h0t, k[:4, :4], SKEWED_PROFILE)
+    with pytest.raises(ValueError, match=refused):
+        pair_eigenvalues(s, h0t, k[:4, :4])
 
 
 def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():

@@ -64,6 +64,7 @@ from .tomography import (
     prepare_correlated_inputs,
     qpt_solve,
     run_qpt_scenario,
+    run_qpt_scenarios,
 )
 
 __version__ = "0.1.0"

@@ -143,8 +143,8 @@ def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.
     """Check a ``(K, N, N)`` stack is unitary within ``UNITARY_TOL`` with one
     batched ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM.
 
-    A member with a non-finite entry (an overflowed generator exponentiates
-    to NaN) has a NaN or infinite deviation and is refused as not finite."""
+    A member with a non-finite entry has a NaN or infinite deviation and is
+    refused as not finite."""
     gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
     dev = np.abs(gram - np.eye(unitaries.shape[-1])).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= UNITARY_TOL))
@@ -197,7 +197,12 @@ def rf_incoherent_channel(
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
     if h0.shape != k.shape:
         raise ValueError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
-    generators = h0 * t + profile.delta_omega[:, None, None] * k
+    # finite h0, k and t can still overflow; such a member is refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        generators = h0 * t + profile.delta_omega[:, None, None] * k
+    bad = np.flatnonzero(~np.isfinite(generators).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"ensemble[{bad[0]}] is not finite")
     return _unitary_ensemble_superop(profile.weight, _expm_hermitian(generators))
 
 

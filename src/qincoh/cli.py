@@ -52,7 +52,7 @@ from .spectral import (
     profile_metrics,
     three_qubit_fixture,
 )
-from .tomography import run_qpt_scenario
+from .tomography import run_qpt_scenarios
 
 # The tolerances that reports state next to a tested value.
 # qpt_demo: the forward residual of an unfiltered tomographic map.
@@ -346,14 +346,15 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     f = cfg.fields
-    u_ab = expm_unitary(f["u_ab"])
+    scenarios = f["scenarios"]
+    alpha, beta, gamma, correlated, cp_filter = (
+        [sc[key] for sc in scenarios] for key in ("alpha", "beta", "gamma", "correlated", "cp_filter")
+    )
+    reports = run_qpt_scenarios(
+        expm_unitary(f["u_ab"]), alpha, beta, gamma, correlated, cp_filter, cp_tol=f["cp_tol"]
+    )
     rows = []
-    for sc in f["scenarios"]:
-        report = run_qpt_scenario(
-            u_ab, sc["alpha"], sc["beta"], sc["gamma"],
-            correlated=sc["correlated"], apply_cp_filter=sc["cp_filter"],
-            cp_tol=f["cp_tol"],
-        )
+    for sc, report in zip(scenarios, reports):
         rows.append({
             "name": sc["name"],
             "alpha": sc["alpha"],

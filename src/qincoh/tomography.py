@@ -8,14 +8,18 @@ right-multiplying the output-state matrix with the inverse of the
 input-state matrix.  With correlations present the resulting map need not
 be completely positive.
 
-The four states travel as one ``(4, 4, 4)`` stack: they are built from
-constant stacks of Pauli products, checked for positivity by one batched
-``eigvalsh``, and evolved by one batched product under one unitarity check
-of ``u_ab``, so a scenario makes one preparation and one evolution.
+A run of S scenarios (:func:`run_qpt_scenarios`) travels as one stack: the
+``(S, 4, 4, 4)`` joint states are built from constant stacks of Pauli
+products, checked for positivity by one batched ``eigvalsh``, evolved by one
+batched product under one unitarity check of ``u_ab``, and inverted by one
+batched condition check, solve and forward residual, so a run makes one
+preparation and one evolution however many scenarios it holds.  Only the
+CP filter and the Choi spectrum run per scenario.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +55,8 @@ KRAUS_WEIGHT_TOL = 1e-12
 class CorrelatedInputSet:
     """The four joint input states, a ``(4, 4, 4)`` stack, their reduced
     system inputs, a ``(4, 2, 2)`` stack, and the environment marginal
-    ``(I + beta*Z)/2`` that all four share."""
+    ``(I + beta*Z)/2`` that all four share; prepared for several scenarios
+    at once, each field has the scenarios' shape in front."""
 
     joint_states: np.ndarray
     reduced_inputs: np.ndarray
@@ -80,27 +85,42 @@ class QPTReport:
 
 
 def prepare_correlated_inputs(
-    alpha: float,
-    beta: float,
-    gamma: float,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
+    gamma: float | np.ndarray,
 ) -> CorrelatedInputSet:
-    """Build the four correlated joint states and check they are physical."""
-    joints = (_EYE4 + alpha * _SIGMA_KRON_I + beta * _I_KRON_Z + gamma * _SIGMA_KRON_Z) / 4
-    min_eigs = np.linalg.eigvalsh(joints)[:, 0]
-    bad = np.flatnonzero(min_eigs < -PSD_TOL)
+    """Build the four correlated joint states and check they are physical.
+
+    ``alpha``, ``beta`` and ``gamma`` may also be arrays of one shape, such as
+    ``(S,)`` for S scenarios; every field of the result then carries that
+    shape in front, and the error names the first non-physical state of the
+    first scenario that has one.  Non-finite parameters are refused by name
+    before the states are built.
+    """
+    params = np.array((alpha, beta, gamma), dtype=float)
+    finite = np.isfinite(params)
+    if not finite.all():
+        which, *where = np.argwhere(~finite)[0]
+        name = ("alpha", "beta", "gamma")[which]
+        raise ValueError(f"{name}{''.join(f'[{i}]' for i in where)} is not finite")
+    a, b, g = params[..., None, None, None]
+    joints = (_EYE4 + a * _SIGMA_KRON_I + b * _I_KRON_Z + g * _SIGMA_KRON_Z) / 4
+    min_eigs = np.linalg.eigvalsh(joints)[..., 0]
+    bad = np.argwhere(min_eigs < -PSD_TOL)
     if bad.size:
-        idx = int(bad[0])
+        *scenario, idx = bad[0]
+        a0, b0, g0 = (float(x[tuple(scenario)]) for x in params)
         raise NonPhysicalStateError(
-            f"joint input state {idx + 1} has negative eigenvalue {float(min_eigs[idx]):.3e} "
-            f"for (alpha, beta, gamma) = ({alpha}, {beta}, {gamma})"
+            f"joint input state {idx + 1} has negative eigenvalue "
+            f"{float(min_eigs[tuple(bad[0])]):.3e} for (alpha, beta, gamma) = ({a0}, {b0}, {g0})"
         )
-    return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + beta * SIGMA_Z) / 2)
+    return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
 
 
 def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
-    """Trace out the (trailing) qubit environment of a matrix or a ``(K, n, n)`` stack."""
+    """Trace out the (trailing) qubit environment of a matrix or a ``(..., n, n)`` stack."""
     rho_ab = np.asarray(rho_ab, dtype=complex)
-    if rho_ab.ndim != 3 or rho_ab.shape[1] != rho_ab.shape[2]:
+    if rho_ab.ndim < 3 or rho_ab.shape[-1] != rho_ab.shape[-2]:
         rho_ab = as_square_matrix(rho_ab, "rho_ab")
     n = rho_ab.shape[-1]
     if n % ENV_DIM != 0:
@@ -113,7 +133,7 @@ def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
 def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     """Joint unitary evolution followed by the environment partial trace.
 
-    ``rho_ab`` may be a ``(K, n, n)`` stack; it is evolved by one batched
+    ``rho_ab`` may be a ``(..., n, n)`` stack; it is evolved by one batched
     product after one unitarity check of ``u_ab``.
     """
     u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
@@ -162,16 +182,96 @@ def qpt_solve(
         )
     if out_mat.shape != in_mat.shape:
         raise ValueError("inputs and outputs have mismatched shapes")
-    cond = float(np.linalg.cond(in_mat))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(cond, "tomography input matrix")
-    s_obs = np.linalg.solve(in_mat.T, out_mat.T).T
-    return s_obs, cond
+    s_obs, cond, _ = _solve_stack(in_mat[None], out_mat[None])
+    return s_obs[0], float(cond[0])
 
 
-def _columnize_stack(stack: np.ndarray) -> np.ndarray:
-    """Row ``i`` is ``columnize(stack[i])``."""
-    return stack.transpose(0, 2, 1).reshape(stack.shape[0], -1)
+def _solve_stack(
+    in_mats: np.ndarray,
+    out_mats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`qpt_solve` for a ``(S, n, n)`` stack of input and output
+    matrices: every input matrix is checked against :data:`COND_LIMIT` (the
+    first that fails is the error), then one batched solve.  Returns the maps,
+    the condition numbers and the forward residuals ``max|S @ In - Out|``.
+    """
+    cond = np.linalg.cond(in_mats)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
+    if bad.size:
+        raise IllConditionedError(float(cond[bad[0]]), "tomography input matrix")
+    # the right-hand side is a stack of matrices, as the matrix stack is, so
+    # numpy 1.x and 2.x read it alike
+    s_obs = np.linalg.solve(in_mats.swapaxes(-1, -2), out_mats.swapaxes(-1, -2)).swapaxes(-1, -2)
+    residual = np.abs(s_obs @ in_mats - out_mats).max(axis=(-2, -1))
+    return s_obs, cond, residual
+
+
+def _vector_columns(stack: np.ndarray) -> np.ndarray:
+    """A ``(..., K, d, d)`` stack of K states to ``(..., d*d, K)`` matrices
+    whose column k is ``columnize`` of state k, in C order as
+    ``np.column_stack`` builds them in :func:`qpt_solve`, so the residual
+    product makes the same BLAS call for a stack as for one map."""
+    vectors = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], -1)
+    return np.ascontiguousarray(vectors.swapaxes(-1, -2))
+
+
+def run_qpt_scenarios(
+    u_ab: np.ndarray,
+    alpha: Sequence[float],
+    beta: Sequence[float],
+    gamma: Sequence[float],
+    correlated: Sequence[bool],
+    apply_cp_filter: Sequence[bool],
+    cp_tol: float = 1e-9,
+) -> list[QPTReport]:
+    """Simulate S tomography scenarios under one joint unitary as one stack.
+
+    Each argument but ``u_ab`` and ``cp_tol`` holds one value per scenario;
+    the reports come back in the same order.  See :func:`run_qpt_scenario`
+    for what a scenario does; each report equals that of its own one-row run.
+    The checks run stage by stage over all scenarios (positivity, unitarity
+    of ``u_ab``, conditioning, then each Choi matrix), so the error is the
+    first scenario that fails the earliest failing stage.
+    """
+    inputs = prepare_correlated_inputs(alpha, beta, gamma)
+    reduced = inputs.reduced_inputs
+    if reduced.ndim != 4:
+        raise ValueError(f"expected one parameter per scenario, got shape {reduced.shape[:-3]}")
+    n = reduced.shape[0]
+    correlated = np.asarray(correlated, dtype=bool)
+    apply_cp_filter = np.asarray(apply_cp_filter, dtype=bool)
+    if correlated.shape != (n,) or apply_cp_filter.shape != (n,):
+        raise ValueError(f"expected {n} correlated and apply_cp_filter flags")
+    # kron(rho_a, rho_b) for every rho_a, as one outer product per scenario
+    rho_b = inputs.environment_state
+    products = reduced[..., :, None, :, None] * rho_b[:, None, None, :, None, :]
+    joints = np.where(
+        correlated[:, None, None, None], inputs.joint_states, products.reshape(n, 4, 4, 4)
+    )
+    outputs = evolve_and_reduce(u_ab, joints)
+    s_obs, cond, residual = _solve_stack(_vector_columns(reduced), _vector_columns(outputs))
+
+    reports = []
+    for i in range(n):
+        s_i = s_obs[i]
+        removed_weight = None
+        forward_residual = None
+        if apply_cp_filter[i]:
+            s_i, removed_weight = cp_filter(s_i)
+        else:
+            forward_residual = float(residual[i])
+        eigenvalues = choi_spectrum(s_i)
+        cp_flag = bool(eigenvalues[-1] >= -cp_tol)
+        reports.append(QPTReport(
+            s_obs=s_i,
+            choi_eigenvalues=eigenvalues,
+            is_cp=cp_flag,
+            kraus_count=int(np.count_nonzero(eigenvalues > cp_tol)) if cp_flag else None,
+            removed_weight=removed_weight,
+            condition_number=float(cond[i]),
+            forward_residual=forward_residual,
+        ))
+    return reports
 
 
 def run_qpt_scenario(
@@ -187,36 +287,10 @@ def run_qpt_scenario(
 
     With ``correlated=False`` the system-environment correlations are
     removed before evolution by replacing each joint state with the product
-    of its marginals (all other parameters kept equal).
+    of its marginals (all other parameters kept equal).  With
+    ``apply_cp_filter`` the map's negative Choi eigenvalues are removed
+    before the diagnostics.  This is the one-row :func:`run_qpt_scenarios`.
     """
-    inputs = prepare_correlated_inputs(alpha, beta, gamma)
-    reduced = inputs.reduced_inputs
-    if correlated:
-        joints = inputs.joint_states
-    else:
-        # kron(rho_a, rho_b) for every rho_a of the stack, as one outer product
-        rho_b = inputs.environment_state
-        joints = (reduced[:, :, None, :, None] * rho_b[:, None, :]).reshape(-1, 4, 4)
-    in_vecs = _columnize_stack(reduced)
-    out_vecs = _columnize_stack(evolve_and_reduce(u_ab, joints))
-    s_obs, cond = qpt_solve(in_vecs, out_vecs)
-
-    removed_weight = None
-    forward_residual = None
-    if apply_cp_filter:
-        s_obs, removed_weight = cp_filter(s_obs)
-    else:
-        residual = s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)
-        forward_residual = float(np.abs(residual).max())
-    eigenvalues = choi_spectrum(s_obs)
-    cp_flag = bool(eigenvalues[-1] >= -cp_tol)
-    kraus_count = int(np.count_nonzero(eigenvalues > cp_tol)) if cp_flag else None
-    return QPTReport(
-        s_obs=s_obs,
-        choi_eigenvalues=eigenvalues,
-        is_cp=cp_flag,
-        kraus_count=kraus_count,
-        removed_weight=removed_weight,
-        condition_number=cond,
-        forward_residual=forward_residual,
-    )
+    return run_qpt_scenarios(
+        u_ab, [alpha], [beta], [gamma], [correlated], [apply_cp_filter], cp_tol
+    )[0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,23 @@ def test_rf_channel_refuses_non_finite_generators_and_members_by_name():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match=r"^ensemble\[0\] is not finite$"):
         rf_incoherent_channel(1e300 * SZ, SZ, profile, t=1e10)
+
+
+def test_rf_channel_refuses_an_overflowing_member_without_a_warning(monkeypatch):
+    # no np.errstate here: tier-1 turns a RuntimeWarning into an error, and
+    # the named refusal must come first, before any eigensolver sees the stack
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh ran on an overflowed generator")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    profile = RFProfile(np.array([0.0, 1e10]), np.array([0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^ensemble\[0\] is not finite$"):
+            rf_incoherent_channel(1e300 * SZ, SZ, profile, t=1e10)
+        # h0*t is finite; dw*k overflows for the second member only
+        with pytest.raises(ValueError, match=r"^ensemble\[1\] is not finite$"):
+            rf_incoherent_channel(SZ, 1e300 * SZ, profile)
 
 
 def test_rud_channel_properties_seeded():

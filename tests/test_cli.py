@@ -101,6 +101,37 @@ def test_table1_run_reproduces_all_rows(tmp_path):
     }
 
 
+def test_table1_run_prepares_evolves_and_checks_positivity_once(tmp_path, monkeypatch):
+    from qincoh import tomography
+
+    calls, active = [], []
+    for name in ("prepare_correlated_inputs", "evolve_and_reduce", "qpt_solve"):
+        def counted(*args, _fn=getattr(tomography, name), _name=name, **kwargs):
+            calls.append(_name)
+            active.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(tomography, name, counted)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls.append("psd_eigvalsh" if "prepare_correlated_inputs" in active else "eigvalsh")
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    assert main(["run", "--config", f"{CONFIG_DIR}/table1.json", "--out", str(tmp_path)]) == 0
+    assert calls.count("prepare_correlated_inputs") == 1
+    assert calls.count("evolve_and_reduce") == 1
+    assert calls.count("psd_eigvalsh") == 1
+    # the stack never passes through qpt_solve, whose callers expect one map
+    assert calls.count("qpt_solve") == 0
+    # one Choi spectrum per row
+    assert calls.count("eigvalsh") == 5
+
+
 def test_recover3q_artifacts(tmp_path):
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qincoh.tomography import (
     prepare_correlated_inputs,
     qpt_solve,
     run_qpt_scenario,
+    run_qpt_scenarios,
 )
 
 U_ZZ = expm_unitary(np.pi / 4 * np.kron(SIGMA_Z, SIGMA_Z))
@@ -412,3 +415,94 @@ def test_cp_filter_scenario_kraus_is_unitary():
     (op,) = choi_to_kraus(superop_to_choi(report.s_obs))
     assert np.abs(op.conj().T @ op - np.eye(2)).max() < 1e-10
     assert abs(report.removed_weight - 0.2) < 1e-12
+
+
+def _public_steps_oracle(u_ab, alpha, beta, gamma, correlated, apply_cp_filter, cp_tol):
+    """One scenario from the public single-map steps: prepare, evolve each
+    state, qpt_solve, cp_filter, choi_spectrum."""
+    inputs = prepare_correlated_inputs(alpha, beta, gamma)
+    joints = inputs.joint_states
+    if not correlated:
+        joints = [np.kron(r, inputs.environment_state) for r in inputs.reduced_inputs]
+    in_vecs = [columnize(r) for r in inputs.reduced_inputs]
+    out_vecs = [columnize(evolve_and_reduce(u_ab, rho)) for rho in joints]
+    s_obs, cond = qpt_solve(in_vecs, out_vecs)
+    removed_weight = residual = None
+    if apply_cp_filter:
+        s_obs, removed_weight = cp_filter(s_obs)
+    else:
+        residual = float(np.abs(s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)).max())
+    eigenvalues = choi_spectrum(s_obs)
+    is_cp = bool(eigenvalues[-1] >= -cp_tol)
+    kraus_count = int(np.count_nonzero(eigenvalues > cp_tol)) if is_cp else None
+    return s_obs, eigenvalues, is_cp, kraus_count, removed_weight, cond, residual
+
+
+@pytest.mark.parametrize("batch", ["table1", "seeded"])
+def test_stacked_run_equals_per_row_oracle(batch):
+    if batch == "table1":
+        u_ab, cp_tol = U_ZZ, 1e-9
+        rows = [(*triple, correlated, cpf) for triple, correlated, cpf in TABLE1_ROWS]
+    else:
+        rng = np.random.default_rng(40)
+        u_ab, cp_tol = random_unitary(4, rng), 1e-7
+        flags = rng.random((24, 2)) < 0.5
+        rows = [(*t, c, f) for t, (c, f) in zip(_physical_triples(41, 24), flags)]
+        # every combination of the two flags occurs
+        assert len({(c, f) for c, f in flags}) == 4
+    reports = run_qpt_scenarios(u_ab, *map(list, zip(*rows)), cp_tol=cp_tol)
+    assert len(reports) == len(rows)
+    for report, row in zip(reports, rows):
+        s_obs, eigenvalues, is_cp, kraus_count, removed_weight, cond, residual = (
+            _public_steps_oracle(u_ab, *row, cp_tol)
+        )
+        assert np.array_equal(report.s_obs, s_obs)
+        assert np.array_equal(report.choi_eigenvalues, eigenvalues)
+        assert report.is_cp == is_cp
+        assert report.kraus_count == kraus_count
+        assert report.removed_weight == removed_weight
+        assert report.condition_number == cond
+        assert report.forward_residual == residual
+
+
+def test_stacked_run_names_a_non_physical_third_row():
+    with pytest.raises(NonPhysicalStateError) as single:
+        prepare_correlated_inputs(0.9, 0.0, 0.9)
+    with pytest.raises(NonPhysicalStateError) as stacked:
+        run_qpt_scenarios(
+            U_ZZ, [0.5, 0.2, 0.9], [0.5, 0.1, 0.0], [0.6, 0.0, 0.9],
+            [True, False, True], [False, True, False],
+        )
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value).startswith("joint input state 2 has negative eigenvalue -2.000e-01 ")
+    assert str(stacked.value).endswith("for (alpha, beta, gamma) = (0.9, 0.0, 0.9)")
+
+
+def test_stacked_run_rejects_mismatched_flags():
+    with pytest.raises(ValueError, match="expected 2 correlated and apply_cp_filter flags"):
+        run_qpt_scenarios(U_ZZ, [0.5, 0.5], [0.5, 0.5], [0.6, 0.5], [True], [False, False])
+
+
+def test_prepare_refuses_non_finite_parameters_by_name(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a non-finite parameter")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    cases = [
+        ((np.nan, 0.5, 0.5), "alpha"),
+        ((0.5, np.nan, 0.5), "beta"),
+        ((0.5, 0.5, np.inf), "gamma"),
+        ((0.5, 0.5, -np.inf), "gamma"),
+        (([0.5, 0.2], [0.5, 0.1], [0.6, np.inf]), r"gamma\[1\]"),
+        (([0.5, np.nan], [0.5, 0.1], [0.6, 0.0]), r"alpha\[1\]"),
+    ]
+    # no np.errstate: any RuntimeWarning on the way is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, name in cases:
+            with pytest.raises(ValueError, match=f"^{name} is not finite$"):
+                prepare_correlated_inputs(*params)
+        with pytest.raises(ValueError, match=r"^gamma\[2\] is not finite$"):
+            run_qpt_scenarios(
+                U_ZZ, [0.5] * 3, [0.5] * 3, [0.6, 0.5, np.inf], [True] * 3, [False] * 3
+            )

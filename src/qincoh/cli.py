@@ -12,7 +12,10 @@ builds the finished objects (matrices, the profile, the recovery grid), so
 ``validate`` rejects every config that ``run`` would reject as a config error.
 A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
 and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
-its only input, so the manifest's config hash covers exactly what ran.
+its only input, so the manifest's config hash covers exactly what ran.  Each
+quantity has one field: the channel modes build their channel from exactly
+``h0``, ``k`` and ``profile``, so the profile's ``center`` is its only shift
+and the Pauli coefficients of ``h0`` are its only scale.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.  Exit codes: 0 success,
 1 config error, 2 numerical failure, 3 output error, 64 usage error.
@@ -39,10 +42,9 @@ from .channels import (
     make_synthetic_profile,
     profile_to_csv,
     rf_incoherent_channel,
-    shifted_profile,
 )
 from .errors import ConfigError
-from .liouville import columnize, is_cp, superop_eigenvalues
+from .liouville import CP_TOL, columnize, is_cp, superop_eigenvalues
 from .nudft import METHODS, SYMMETRY_TOL, RecoveryGrid, inverse_nudft
 from .spectral import (
     MATCH_TOL,
@@ -224,12 +226,11 @@ _GRID = {
 }
 
 # The CP-test tolerance, read by the two modes that judge complete positivity.
-_CP_TOL = {"cp_tol": (_nonnegative, 1e-9)}
+_CP_TOL_FIELD = {"cp_tol": (_nonnegative, CP_TOL)}
 
 # make_synthetic_profile is looked up at each call rather than bound here, so
 # a wrapper installed on this module's attribute sees the call.
 _CHANNEL = {
-    "t": (_number, 1.0),
     "profile": (_built(_PROFILE, lambda **p: make_synthetic_profile(**p)), _REQUIRED),
 }
 
@@ -237,16 +238,15 @@ _MODES = {
     "qpt_demo": {
         "u_ab": (_pauli, _REQUIRED),
         "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
-        **_CP_TOL,
+        **_CP_TOL_FIELD,
     },
-    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL, **_CP_TOL},
+    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL, **_CP_TOL_FIELD},
     "recover_profile": {
         "fixture": (_one_of("three_qubit", "four_qubit"), None),
         "h0": (_pauli, None),
         "k": (_pauli, None),
         **_CHANNEL,
         "grid": (_built(_GRID, lambda **g: RecoveryGrid(g["min"], g["max"], g["n_bins"])), _REQUIRED),
-        "offset": (_number, 0.0),
         "method": (_one_of(*METHODS), "weighted_riemann"),
     },
 }
@@ -273,14 +273,14 @@ class ScenarioConfig:
 
 
 def _recover_generators(raw: dict, f: dict) -> tuple[np.ndarray, np.ndarray]:
-    """``(h0·t, k)`` of a recover_profile config: the fixture's or the given ones."""
+    """``(h0, k)`` of a recover_profile config: the fixture's or the given ones."""
     if f["fixture"] is None:
         if f["h0"] is None or f["k"] is None:
             raise ConfigError("recover_profile needs either a fixture name or explicit h0 and k")
-        return f["h0"] * f["t"], f["k"]
-    explicit = [key for key in ("h0", "k", "t") if key in raw]
+        return f["h0"], f["k"]
+    explicit = [key for key in ("h0", "k") if key in raw]
     if explicit:
-        raise ConfigError(f"give either a fixture name or explicit h0/k/t, not both (got {explicit})")
+        raise ConfigError(f"give either a fixture name or explicit h0/k, not both (got {explicit})")
     return three_qubit_fixture() if f["fixture"] == "three_qubit" else four_qubit_fixture()
 
 
@@ -294,7 +294,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if h0 is not None and k is not None and h0.shape != k.shape:
         raise ConfigError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
     if mode == "recover_profile":
-        fields["h0t"], fields["k"] = _recover_generators(raw, fields)
+        fields["h0"], fields["k"] = _recover_generators(raw, fields)
     return ScenarioConfig(raw, fields)
 
 
@@ -379,7 +379,7 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
 def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     f = cfg.fields
     h0, profile = f["h0"], f["profile"]
-    s = rf_incoherent_channel(h0, f["k"], profile, t=f["t"])
+    s = rf_incoherent_channel(h0, f["k"], profile)
     evals = superop_eigenvalues(s)
     dim = h0.shape[0]
     ident = columnize(np.eye(dim) / dim)
@@ -389,7 +389,7 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     report = {
         "mode": "rud_build",
         "dim": dim,
-        "generator_convention": "deviation multiplies k directly (duration absorbed); t scales h0 only",
+        "generator_convention": "deviation multiplies k directly (duration absorbed)",
         "n_members": len(profile),
         "unitality_residual": {"value": unitality, "tol": CHANNEL_RESIDUAL_TOL},
         "trace_preservation_residual": {"value": tp, "tol": CHANNEL_RESIDUAL_TOL},
@@ -408,19 +408,16 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
 
 def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     f = cfg.fields
-    h0t, k, profile, grid = f["h0t"], f["k"], f["profile"], f["grid"]
-    channel_profile = shifted_profile(profile, f["offset"]) if f["offset"] else profile
-    s = rf_incoherent_channel(h0t, k, channel_profile)
-    pairing = pair_eigenvalues(s, h0t, k)
+    h0, k, profile, grid = f["h0"], f["k"], f["profile"], f["grid"]
+    s = rf_incoherent_channel(h0, k, profile)
+    pairing = pair_eigenvalues(s, h0, k)
     samples = build_samples(pairing)
     result = inverse_nudft(samples, grid, method=f["method"])
     recovered = result.profile
-    recovered_moments = _moments_json(recovered)
     report = {
         "mode": "recover_profile",
         "fixture": f["fixture"],
         "method": f["method"],
-        "offset_injected": f["offset"],
         "n_samples": len(samples),
         "window_span": samples.window_span(),
         "resolution_estimate": samples.resolution_estimate(),
@@ -443,8 +440,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "condition_number": result.condition_number,
         },
         "true_profile_moments": _moments_json(profile),
-        "recovered_moments": recovered_moments,
-        "offset_estimate": recovered_moments["mean"],
+        "recovered_moments": _moments_json(recovered),
         "grid": {
             "min": grid.delta_omega_min,
             "max": grid.delta_omega_max,
@@ -456,7 +452,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         ("recovery_report.json", _json_bytes(report), "report"),
         ("samples.csv", _csv("k,f_real,f_imag", samples.k, samples.f.real, samples.f.imag),
          "spectral_samples"),
-        ("true_profile.csv", profile_to_csv(channel_profile).encode(), "profile_truth"),
+        ("true_profile.csv", profile_to_csv(profile).encode(), "profile_truth"),
         ("recovered_profile.csv", profile_to_csv(recovered).encode(), "profile_recovered"),
     ]
 

@@ -48,6 +48,13 @@ KRAUS_RANK_RTOL = 1e-10
 # A generator (h0, h0*t, k or a Hamiltonian h) is refused when max|H - H^dag|
 # exceeds this, by every function that takes one.
 GENERATOR_HERMITIAN_TOL = 1e-12
+# eig_hermitian refuses a matrix further than this from Hermitian, unless
+# its caller names a tolerance of its own.
+EIG_HERMITIAN_TOL = 1e-10
+# The default complete-positivity tolerance: a map is CP when its smallest
+# Choi eigenvalue is at least -CP_TOL (is_cp, the tomography reports and
+# the cp_tol config field).
+CP_TOL = 1e-9
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:
@@ -57,7 +64,7 @@ def unitary_superoperator(u: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(
-    m: np.ndarray, tol: float = 1e-10, name: str = "m"
+    m: np.ndarray, tol: float = EIG_HERMITIAN_TOL, name: str = "m"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix: one ``eigh`` of the Hermitian
     part that :func:`~qincoh.validation.require_hermitian` returns.
@@ -122,7 +129,7 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(c)[::-1]
 
 
-def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+def is_cp(s: np.ndarray, tol: float = CP_TOL) -> tuple[bool, float]:
     """Test complete positivity; returns ``(flag, min Choi eigenvalue)``, the
     flag True when the last of :func:`choi_spectrum` is >= -tol."""
     min_eig = float(choi_spectrum(s)[-1])

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import UNITARY_TOL, choi_spectrum, cp_filter, eig_hermitian
+from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter, eig_hermitian
 from .validation import as_square_matrix, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,7 +95,9 @@ def prepare_correlated_inputs(
     ``(S,)`` for S scenarios; every field of the result then carries that
     shape in front, and the error names the first non-physical state of the
     first scenario that has one.  Non-finite parameters are refused by name
-    before the states are built.
+    before the states are built, and a state that overflows to a non-finite
+    entry (finite parameters can) is refused by name before the positivity
+    check, with no numpy warning.
     """
     params = np.array((alpha, beta, gamma), dtype=float)
     finite = np.isfinite(params)
@@ -103,17 +105,23 @@ def prepare_correlated_inputs(
         which, *where = np.argwhere(~finite)[0]
         name = ("alpha", "beta", "gamma")[which]
         raise ValueError(f"{name}{''.join(f'[{i}]' for i in where)} is not finite")
+
+    def state_error(position: np.ndarray, what: str) -> str:
+        *scenario, idx = position
+        a0, b0, g0 = (float(x[tuple(scenario)]) for x in params)
+        return f"joint input state {idx + 1} {what} for (alpha, beta, gamma) = ({a0}, {b0}, {g0})"
+
     a, b, g = params[..., None, None, None]
-    joints = (_EYE4 + a * _SIGMA_KRON_I + b * _I_KRON_Z + g * _SIGMA_KRON_Z) / 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        joints = (_EYE4 + a * _SIGMA_KRON_I + b * _I_KRON_Z + g * _SIGMA_KRON_Z) / 4
+    if not np.isfinite(joints).all():
+        overflowed = np.argwhere(~np.isfinite(joints).all(axis=(-2, -1)))[0]
+        raise ValueError(state_error(overflowed, "is not finite"))
     min_eigs = np.linalg.eigvalsh(joints)[..., 0]
     bad = np.argwhere(min_eigs < -PSD_TOL)
     if bad.size:
-        *scenario, idx = bad[0]
-        a0, b0, g0 = (float(x[tuple(scenario)]) for x in params)
-        raise NonPhysicalStateError(
-            f"joint input state {idx + 1} has negative eigenvalue "
-            f"{float(min_eigs[tuple(bad[0])]):.3e} for (alpha, beta, gamma) = ({a0}, {b0}, {g0})"
-        )
+        min_eig = float(min_eigs[tuple(bad[0])])
+        raise NonPhysicalStateError(state_error(bad[0], f"has negative eigenvalue {min_eig:.3e}"))
     return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
 
 
@@ -222,7 +230,7 @@ def run_qpt_scenarios(
     gamma: Sequence[float],
     correlated: Sequence[bool],
     apply_cp_filter: Sequence[bool],
-    cp_tol: float = 1e-9,
+    cp_tol: float = CP_TOL,
 ) -> list[QPTReport]:
     """Simulate S tomography scenarios under one joint unitary as one stack.
 
@@ -281,7 +289,7 @@ def run_qpt_scenario(
     gamma: float,
     correlated: bool = True,
     apply_cp_filter: bool = False,
-    cp_tol: float = 1e-9,
+    cp_tol: float = CP_TOL,
 ) -> QPTReport:
     """Simulate one full tomography scenario and collect CP diagnostics.
 

@@ -27,7 +27,7 @@ def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     """The Hermitian part ``(m + m^dag) / 2`` of ``m``, once ``max|m - m^dag|``
     is checked to be at most ``tol``; callers use it in place of ``m``."""
     m = as_square_matrix(m, name)
@@ -37,7 +37,7 @@ def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -
     return (m + m.conj().T) / 2
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     u = as_square_matrix(u, name)
     dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
     # huge finite entries can make the product NaN, which ``dev > tol`` passes

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,20 @@ def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     assert report["conjugate_symmetry_residual"]["tol"] == SYMMETRY_TOL
     recovered = profile_from_csv((tmp_path / "recovered_profile.csv").read_text())
     assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
-    assert report["offset_estimate"] == report["recovered_moments"]["mean"]
+
+
+def test_recovery_report_states_the_moments_of_the_profile_it_wrote(tmp_path):
+    # the profile's centre is the one shift of the channel's profile
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bundled("recover3q.json", lambda c: c["profile"].update(center=0.05))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "recovery_report.json").read_text())
+    truth = profile_metrics(profile_from_csv((out / "true_profile.csv").read_text()))
+    assert report["true_profile_moments"] == truth._asdict()
+    assert truth.mean > 0.05
+    recovered_mean = report["recovered_moments"]["mean"]
+    assert abs(recovered_mean - truth.mean) < report["grid"]["bin_width"]
 
 
 def test_recovery_computes_the_symmetry_residual_once(tmp_path, monkeypatch):
@@ -177,7 +191,7 @@ def test_recovery_report_states_the_certified_radius(tmp_path):
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     f = load_config(f"{CONFIG_DIR}/recover3q.json").fields
-    pairing = pair_eigenvalues(rf_incoherent_channel(f["h0t"], f["k"], f["profile"]), f["h0t"], f["k"])
+    pairing = pair_eigenvalues(rf_incoherent_channel(f["h0"], f["k"], f["profile"]), f["h0"], f["k"])
     radius = max(e.radius for e in pairing.entries if not e.degenerate)
     assert report["pairing"]["max_certified_radius"] == radius
     assert 0.0 < radius <= MATCH_TOL
@@ -226,18 +240,15 @@ MALFORMED = {
     "profile-skew-minus-one": ("recover3q.json", lambda c: c["profile"].update(skew=-1.0)),
     "rud-profile-two-points": ("rud2q.json", lambda c: c["profile"].update(n_points=2)),
     "negative-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=-1)),
-    # a fixture fixes h0, k and t
-    "t-with-fixture": ("recover3q.json", lambda c: c.update(t=2.0)),
+    # a fixture fixes h0 and k
     "h0-with-fixture": ("recover3q.json", lambda c: c.update(h0="1.0 * ZZZ")),
     "no-fixture-no-generators": ("recover3q.json", lambda c: c.pop("fixture")),
     # a bool where a number or an integer belongs
     "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
     "bool-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=True)),
-    "bool-offset": ("recover3q.json", lambda c: c.update(offset=False)),
     "bool-width": ("recover3q.json", lambda c: c["profile"].update(width=True)),
     "bool-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=True)),
     "bool-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=True)),
-    "bool-t": ("rud2q.json", lambda c: c.update(t=True)),
     "float-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=101.0)),
     "string-correlated": ("eq4_demo.json", lambda c: c["scenarios"][0].update(correlated="yes")),
     # unknown and missing keys at each nesting level
@@ -270,7 +281,6 @@ MALFORMED = {
         c.pop("fixture"), c.update(h0="0.5 * ZI", k="0.1 * Z"))),
     # JSON NaN and Infinity
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
-    "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
     "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
     # a knob in a mode that does not read it
     "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
@@ -287,6 +297,44 @@ def test_malformed_config_fails_validate(case, tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+# The profile's centre is its only shift and h0's coefficients its only
+# scale, so neither mode has an offset or a t field.
+REMOVED_FIELDS = {
+    "recover-offset": ("recover3q.json", "offset"),
+    "recover-t": ("recover3q.json", "t"),
+    "rud-t": ("rud2q.json", "t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_FIELDS))
+def test_removed_field_is_unknown(case, tmp_path, capsys):
+    name, key = REMOVED_FIELDS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_bundled(name, lambda c: c.update({key: 0.5}))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: unknown field(s) [{key!r}] in config"]
+    assert not out.exists()
+
+
+def test_overflowing_joint_state_is_a_named_numerical_failure(tmp_path, capsys):
+    # finite parameters whose joint state overflows: the run must exit 2 with
+    # the state named, not raise numpy's overflow warning as an error first
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bundled(
+        "eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=1e308, beta=0.0, gamma=1e308))))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: joint input state 2 is not finite "
+        "for (alpha, beta, gamma) = (1e+308, 0.0, 1e+308)"
+    ]
+    assert not out.exists()
 
 
 def test_negative_cp_tol_is_rejected_from_file_and_flag(tmp_path, capsys):
@@ -386,14 +434,14 @@ def test_readme_config_table_matches_cli_tables():
 def test_parsing_builds_the_profile_grid_and_generators():
     cfg = load_config(f"{CONFIG_DIR}/recover3q.json")
     h0t, k = three_qubit_fixture()
-    assert np.array_equal(cfg.fields["h0t"], h0t) and np.array_equal(cfg.fields["k"], k)
+    assert np.array_equal(cfg.fields["h0"], h0t) and np.array_equal(cfg.fields["k"], k)
     assert cfg.fields["grid"] == RecoveryGrid(-0.25, 0.25, 101)
     expected = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
     assert np.array_equal(cfg.fields["profile"].weight, expected.weight)
-    raw = {"mode": "recover_profile", "h0": "0.5 * ZI", "k": "1.0 * IZ", "t": 0.5,
+    raw = {"mode": "recover_profile", "h0": "0.25 * ZI", "k": "1.0 * IZ",
            "profile": {"kind": "uniform", "width": 0.1}, "grid": {"min": -1, "max": 1, "n_bins": 8}}
     cfg = parse_config(raw)
-    assert np.array_equal(cfg.fields["h0t"], parse_pauli_sum("0.25 * ZI"))
+    assert np.array_equal(cfg.fields["h0"], parse_pauli_sum("0.25 * ZI"))
     assert cfg.fields["profile"].delta_omega.size == 41
 
 

@@ -41,6 +41,26 @@ def _literal_tolerances(path: Path) -> list[str]:
     return found
 
 
+def _literal_tolerance_defaults(path: Path) -> list[str]:
+    """Parameters named ``tol`` or ``*_tol`` whose default is a number
+    literal (signed or not) rather than a named constant."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for arg, default in pairs:
+            if isinstance(default, ast.UnaryOp) and isinstance(default.op, (ast.USub, ast.UAdd)):
+                default = default.operand
+            literal = isinstance(default, ast.Constant) and type(default.value) in (int, float)
+            if (arg.arg == "tol" or arg.arg.endswith("_tol")) and literal:
+                found.append(f"{path.name}:{node.lineno}: {arg.arg}={default.value!r}")
+    return found
+
+
 def test_no_private_helper_is_imported_across_modules():
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
@@ -79,4 +99,28 @@ def test_literal_tolerance_detector_sees_positional_and_keyword_forms(tmp_path):
     assert [line.split(": ", 1)[1] for line in _literal_tolerances(probe)] == [
         "require_hermitian tol=1e-12",
         "require_unitary tol=1e-10",
+    ]
+
+
+def test_every_tolerance_default_is_named():
+    found = [
+        line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _literal_tolerance_defaults(path)
+    ]
+    assert found == []
+
+
+def test_literal_tolerance_default_detector_sees_each_parameter_kind(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def a(m, tol=1e-10, name='m'): pass\n"
+        "def b(s, *, cp_tol=-1e-9): pass\n"
+        "def c(x, atol=1e-8, rtol=1e-5, count=3): pass\n"
+        "def d(s, tol=CP_TOL, match_tol=None): pass\n"
+        "def e(s, tol): pass\n"
+        "f = lambda x, k_tol=0: x\n"
+    )
+    assert [line.split(": ", 1)[1] for line in _literal_tolerance_defaults(probe)] == [
+        "tol=1e-10",
+        "cp_tol=1e-09",
+        "k_tol=0",
     ]

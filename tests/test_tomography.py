@@ -483,6 +483,31 @@ def test_stacked_run_rejects_mismatched_flags():
         run_qpt_scenarios(U_ZZ, [0.5, 0.5], [0.5, 0.5], [0.6, 0.5], [True], [False, False])
 
 
+def test_prepare_refuses_an_overflowing_joint_state_without_a_warning(monkeypatch):
+    # finite parameters whose sum overflows: the state is named before any
+    # eigensolver sees it, and no numpy warning comes first
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on an overflowed joint state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=(
+            r"^joint input state 2 is not finite "
+            r"for \(alpha, beta, gamma\) = \(1e\+308, 0\.0, 1e\+308\)$"
+        )):
+            prepare_correlated_inputs(1e308, 0.0, 1e308)
+        # in a stack, the first scenario with an overflowing state is named
+        with pytest.raises(ValueError, match=(
+            r"^joint input state 4 is not finite "
+            r"for \(alpha, beta, gamma\) = \(1e\+308, 1e\+308, 0\.0\)$"
+        )):
+            run_qpt_scenarios(
+                U_ZZ, [0.5, 1e308, 1e308], [0.5, 1e308, 0.0], [0.6, 0.0, 1e308],
+                [True] * 3, [False] * 3,
+            )
+
+
 def test_prepare_refuses_non_finite_parameters_by_name(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("eigvalsh ran on a non-finite parameter")

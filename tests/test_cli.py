@@ -243,6 +243,11 @@ MALFORMED = {
     # a fixture fixes h0 and k
     "h0-with-fixture": ("recover3q.json", lambda c: c.update(h0="1.0 * ZZZ")),
     "no-fixture-no-generators": ("recover3q.json", lambda c: c.pop("fixture")),
+    # fields the channel modes no longer have, whatever their value
+    "t-with-fixture": ("recover3q.json", lambda c: c.update(t=2.0)),
+    "bool-t": ("rud2q.json", lambda c: c.update(t=True)),
+    "bool-offset": ("recover3q.json", lambda c: c.update(offset=False)),
+    "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
     # a bool where a number or an integer belongs
     "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
     "bool-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=True)),

@@ -44,7 +44,6 @@ from .nudft import (
 from .spectral import (
     EigenBasis,
     EigenPairing,
-    PairedEigenvalue,
     ProfileMoments,
     SpectralSampleSet,
     build_samples,

@@ -25,8 +25,8 @@ PROFILE_CSV_HEADER = "delta_omega,weight"
 class RFProfile:
     """Discrete probability distribution over the normalized amplitude deviation.
 
-    ``delta_omega`` must be strictly increasing, weights non-negative and
-    normalized to 1 within 1e-12.
+    Both arrays must be finite, ``delta_omega`` strictly increasing, weights
+    non-negative and normalized to 1 within 1e-12.
     """
 
     delta_omega: np.ndarray
@@ -37,6 +37,9 @@ class RFProfile:
         w = np.asarray(self.weight, dtype=float)
         if dw.ndim != 1 or w.shape != dw.shape or dw.size < 1:
             raise ValueError("profile needs matching 1-d delta_omega and weight arrays")
+        for name, x in (("delta_omega", dw), ("weight", w)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"profile {name} is not finite")
         if dw.size > 1 and np.any(np.diff(dw) <= 0.0):
             raise ValueError("delta_omega values must be strictly increasing")
         if np.any(w < 0.0):
@@ -95,6 +98,9 @@ def make_synthetic_profile(
     the sign of ``skew``.  The smooth shape keeps the Fourier transform
     compact, which sparse spectral sampling needs.
     """
+    for name, x in (("center", center), ("width", width), ("skew", skew)):
+        if not np.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
     if width <= 0.0:
@@ -170,7 +176,7 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     weights = np.array([float(p) for p, _ in ensemble])
     if np.any(weights < 0.0):
         raise ValueError("ensemble weights must be non-negative")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
+    if not abs(float(weights.sum()) - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1 within 1e-12")
     mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
     if any(u.shape != mats[0].shape for u in mats):

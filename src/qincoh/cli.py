@@ -7,8 +7,9 @@ spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 (e.g. ``"0.785398 * ZZ + 0.1 * XI"``) so every fixture stays auditable.
 Each config object is described once, by a table of ``{key: (check,
 default)}`` entries.  Parsing runs every check, range checks included (every
-number must be finite, and ``h0`` and ``k`` must have the same size), and
-builds the finished objects (matrices, the profile, the recovery grid), so
+number must be finite, ``h0`` and ``k`` must have the same size, ``u_ab``
+must act on 2 qubits, and a Pauli string may have at most ``MAX_QUBITS``
+letters), and builds the finished objects (matrices, the profile, the recovery grid), so
 ``validate`` rejects every config that ``run`` would reject as a config error.
 A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
 and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
@@ -65,6 +66,8 @@ CHANNEL_RESIDUAL_TOL = 1e-11
 EIGENVALUE_MODULUS_TOL = 1e-10
 # recover_profile: the recovered mass clipped away as negative.
 CLIPPED_MASS_TOL = 0.1
+# The most letters a Pauli string may have: its matrix is 2**letters square.
+MAX_QUBITS = 6
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -98,6 +101,8 @@ def parse_pauli_sum(expr: str) -> np.ndarray:
         if not math.isfinite(coeff):
             raise ConfigError(f"coefficient {m.group('coeff')} overflows in {expr!r}")
         label = m.group("label")
+        if len(label) > MAX_QUBITS:
+            raise ConfigError(f"a Pauli string of {len(label)} letters exceeds MAX_QUBITS = {MAX_QUBITS}")
         if n_letters is None:
             n_letters = len(label)
             matrix = np.zeros((2**n_letters, 2**n_letters), dtype=complex)
@@ -182,6 +187,14 @@ def _pauli(v: Any, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _two_qubit_pauli(v: Any, name: str) -> np.ndarray:
+    """The joint unitary's generator acts on the system and the environment qubit."""
+    u = _pauli(v, name)
+    if u.shape != (4, 4):
+        raise ConfigError(f"{name} must act on 2 qubits, got {u.shape[0].bit_length() - 1}")
+    return u
+
+
 def _built(table: dict[str, tuple[_Check, Any]], build: Callable[..., Any]) -> _Check:
     """A check for a nested object whose fields are passed to ``build`` by key;
     a ValueError from ``build`` (its range checks) becomes a ConfigError."""
@@ -236,7 +249,7 @@ _CHANNEL = {
 
 _MODES = {
     "qpt_demo": {
-        "u_ab": (_pauli, _REQUIRED),
+        "u_ab": (_two_qubit_pauli, _REQUIRED),
         "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
         **_CP_TOL_FIELD,
     },
@@ -411,6 +424,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     h0, k, profile, grid = f["h0"], f["k"], f["profile"], f["grid"]
     s = rf_incoherent_channel(h0, k, profile)
     pairing = pair_eigenvalues(s, h0, k)
+    entries = pairing.entries
     samples = build_samples(pairing)
     result = inverse_nudft(samples, grid, method=f["method"])
     recovered = result.profile
@@ -422,10 +436,10 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "window_span": samples.window_span(),
         "resolution_estimate": samples.resolution_estimate(),
         "pairing": {
-            "n_entries": len(pairing.entries),
-            "n_degenerate": sum(e.degenerate for e in pairing.entries),
-            "max_match_distance": max(e.distance for e in pairing.entries),
-            "max_certified_radius": max(e.radius for e in pairing.entries if not e.degenerate),
+            "n_entries": len(entries),
+            "n_degenerate": int(entries.degenerate.sum()),
+            "max_match_distance": float(entries.distance.max()),
+            "max_certified_radius": float(entries.radius[~entries.degenerate].max()),
             "match_tol": MATCH_TOL,
             "n_warnings": len(pairing.warnings),
         },

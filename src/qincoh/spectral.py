@@ -44,30 +44,26 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairedEigenvalue:
-    """One (j, m) label: its eigenvalue, the distance of that value from the
-    label's seed, and the certified radius about the seed that holds it."""
-
-    j: int
-    m: int
-    lambda_measured: complex
-    lambda_unperturbed: complex
-    k_jm: float
-    distance: float
-    radius: float
-    degenerate: bool
+# The record of one label ``a = j*N + m`` in :attr:`EigenPairing.entries`: its
+# eigenvalue, the distance of that value from the label's seed, and the
+# certified radius about the seed that holds it.
+PAIRING_DTYPE = np.dtype([
+    ("j", np.int64), ("m", np.int64),
+    ("lambda_measured", complex), ("lambda_unperturbed", complex),
+    ("k_jm", float), ("distance", float), ("radius", float), ("degenerate", bool),
+])
 
 
 @dataclass(frozen=True)
 class EigenPairing:
     """Measured eigenvalues labelled by (j, m).
 
+    ``entries`` is one :data:`PAIRING_DTYPE` record array over the labels.
     ``warnings`` lists the (j, m, radius) triples whose certified radius
     exceeded :data:`MATCH_TOL`.
     """
 
-    entries: tuple[PairedEigenvalue, ...]
+    entries: np.recarray
     warnings: tuple[tuple[int, int, float], ...]
 
 
@@ -131,12 +127,16 @@ def eigenbasis(h0t: np.ndarray) -> EigenBasis:
     return EigenBasis(phis, vectors)
 
 
-def _diagonal_perturbations(basis: EigenBasis, k: np.ndarray) -> np.ndarray:
+def _label_coordinates(basis: EigenBasis, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unperturbed phases ``exp(-i(phi_j - phi_m))`` and coordinates ``k_jm =
+    kd_j - kd_m``, with ``kd`` the diagonal of k in the eigenbasis; both
+    (N, N) arrays indexed [j, m]."""
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
     n = basis.phis.size
     if k.shape != (n, n):
         raise ValueError(f"k has shape {k.shape}, but h0t has shape {(n, n)}")
-    return np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
+    kd = np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
+    return np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :])), kd[:, None] - kd[None, :]
 
 
 def predict_eigenvalues(
@@ -145,11 +145,8 @@ def predict_eigenvalues(
     profile: RFProfile,
 ) -> np.ndarray:
     """First-order channel eigenvalues, as an (N, N) array indexed [j, m]."""
-    basis = eigenbasis(h0t)
-    kd = _diagonal_perturbations(basis, k)
-    k_jm = kd[:, None] - kd[None, :]
+    unperturbed, k_jm = _label_coordinates(eigenbasis(h0t), k)
     attenuation = np.exp(-1j * np.multiply.outer(k_jm, profile.delta_omega)) @ profile.weight
-    unperturbed = np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :]))
     return unperturbed * attenuation
 
 
@@ -271,7 +268,7 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
         raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
     if not np.isfinite(s).all():
         raise ValueError("superoperator has non-finite entries")
-    kd = _diagonal_perturbations(basis, k)
+    unperturbed, k_jm = _label_coordinates(basis, k)
     sb = eigenbasis_form(s, basis.vectors)
     seeds = sb.diagonal()
     off_diagonal = np.abs(sb)
@@ -280,21 +277,18 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     component = _disc_components(seeds, disc_radii)
     radii = _component_extents(seeds, disc_radii, component)
     values = _second_order_values(sb, component)
-    unperturbed = np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :]))
-    k_jm = kd[:, None] - kd[None, :]
-    columns = zip(values.tolist(), unperturbed.ravel().tolist(), k_jm.ravel().tolist(),
-                  np.abs(values - seeds).tolist(), radii.tolist())
-    entries = tuple(
-        PairedEigenvalue(a // n, a % n, *column, degenerate=a // n == a % n)
-        for a, column in enumerate(columns)
+    j, m = np.divmod(np.arange(n * n), n)
+    entries = np.rec.fromarrays(
+        (j, m, values, unperturbed.ravel(), k_jm.ravel(), np.abs(values - seeds), radii, j == m),
+        dtype=PAIRING_DTYPE,
     )
-    warn_list = [(e.j, e.m, e.radius) for e in entries if e.radius > MATCH_TOL]
-    if len(warn_list) == len(entries):
+    warn = radii > MATCH_TOL
+    if warn.all():
         raise PairingError(
             f"every eigenvalue match exceeded match_tol={MATCH_TOL}; "
             "the measured map does not resemble the nominal channel"
         )
-    return EigenPairing(entries, tuple(warn_list))
+    return EigenPairing(entries, tuple(zip(j[warn].tolist(), m[warn].tolist(), radii[warn].tolist())))
 
 
 def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
@@ -308,11 +302,13 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     point and are averaged; a spread beyond :data:`F_DISAGREEMENT_TOL`
     signals a model violation and emits a warning.
     """
-    live = [e for e in pairing.entries if not e.degenerate]
-    if not live:
+    live = pairing.entries[~pairing.entries.degenerate]
+    if not live.size:
         raise ValueError("pairing contains only degenerate entries")
-    ks = np.array([e.k_jm for e in live])
-    fs = np.array([e.lambda_measured * np.conj(e.lambda_unperturbed) for e in live], dtype=complex)
+    ks, a, b = live.k_jm, live.lambda_measured, live.lambda_unperturbed
+    # a * conj(b) in real parts, which rounds as the scalar complex product
+    # does; numpy's array product can differ from it in the last bit
+    fs = (a.real * b.real + a.imag * b.imag) + 1j * (a.imag * b.real - a.real * b.imag)
     if float(np.abs(ks).max()) < K_DEDUP_TOL:
         raise PairingError(
             "all diagonal perturbation differences vanish; the model "

@@ -84,6 +84,12 @@ def test_rud_refuses_a_non_finite_member_by_name():
             rud_superoperator([(0.5, SZ), (0.5, np.full((2, 2), bad))])
 
 
+def test_rud_refuses_non_finite_weights_by_name():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^ensemble weights sum to"):
+            rud_superoperator([(bad, SZ), (0.5, np.eye(2, dtype=complex))])
+
+
 def test_rf_channel_refuses_non_finite_generators_and_members_by_name():
     profile = RFProfile(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
     for bad in (np.nan, np.inf):
@@ -231,6 +237,23 @@ def test_make_synthetic_profile_rejects_bad_params():
         make_synthetic_profile("skewed", skew=1.0)
     with pytest.raises(ValueError, match="kind"):
         make_synthetic_profile("lorentzian")
+
+
+def test_make_synthetic_profile_refuses_non_finite_params_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("center", "width", "skew"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    make_synthetic_profile("skewed", **{name: bad})
+
+
+def test_profile_refuses_non_finite_arrays_by_name():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^profile weight is not finite$"):
+            RFProfile(np.array([0.0, 1.0]), np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="^profile delta_omega is not finite$"):
+            RFProfile(np.array([0.0, bad]), np.array([0.5, 0.5]))
 
 
 def test_profile_requires_increasing_support_and_normalization():

@@ -280,6 +280,10 @@ MALFORMED = {
     "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
     "bad-pauli-sum": ("rud2q.json", lambda c: c.update(k="0.1 * ZQ")),
     "pauli-coefficient-overflow": ("eq4_demo.json", lambda c: c.update(u_ab="1e999 * ZZ")),
+    # refused before its 2**40-square matrix is allocated
+    "pauli-string-too-long": ("rud2q.json", lambda c: c.update(k="0.1 * " + "Z" * 40)),
+    # the joint unitary acts on the system and the environment qubit
+    "u-ab-not-two-qubit": ("eq4_demo.json", lambda c: c.update(u_ab="0.7 * ZZZ")),
     # h0 and k on different qubit counts
     "rud-h0-k-sizes": ("rud2q.json", lambda c: c.update(h0="0.5 * ZI", k="0.1 * Z")),
     "recover-h0-k-sizes": ("recover3q.json", lambda c: (

@@ -23,8 +23,8 @@ from qincoh.spectral import (
     F_DISAGREEMENT_TOL,
     K_DEDUP_TOL,
     MATCH_TOL,
+    PAIRING_DTYPE,
     EigenPairing,
-    PairedEigenvalue,
     SpectralSampleSet,
     _TILE,
     _disc_components,
@@ -361,6 +361,24 @@ def test_each_disc_component_holds_as_many_eigenvalues_as_discs():
     assert n_joined > 0
 
 
+def test_pairing_reads_as_the_benchmark_harness_reads_it():
+    # perfbench/tracing.py iterates the records and reads their fields by
+    # attribute; perfbench/workloads.py tests the warnings with a bare `if`
+    h0t, k, s = fixture_channel()
+    pairing = pair_eigenvalues(s, h0t, k)
+    assert len(pairing.entries) == 64
+    predicted = predict_eigenvalues(h0t, k, SKEWED_PROFILE)
+    residual = max(abs(e.lambda_measured - predicted[e.j, e.m]) for e in pairing.entries)
+    assert residual == np.abs(pairing.entries.lambda_measured - predicted.ravel()).max()
+    assert max(e.distance for e in pairing.entries) == pairing.entries.distance.max()
+    assert pairing.warnings == () and not pairing.warnings
+    noisy = pair_eigenvalues(_noisy_map(s, 1e-3, np.random.default_rng(72)), h0t, k)
+    assert isinstance(noisy.warnings, tuple) and noisy.warnings
+    for j, m, radius in noisy.warnings:
+        assert type(j) is int and type(m) is int and type(radius) is float
+        assert noisy.entries[j * 8 + m].radius == radius > MATCH_TOL
+
+
 def test_noisy_map_warns_then_fails_by_name():
     h0t, k, s = fixture_channel()
     rng = np.random.default_rng(72)
@@ -477,9 +495,8 @@ def test_build_samples_is_order_invariant():
     pairing = pair_eigenvalues(s, h0t, k)
     samples = build_samples(pairing)
     rng = np.random.default_rng(41)
-    shuffled = list(pairing.entries)
-    rng.shuffle(shuffled)
-    samples2 = build_samples(EigenPairing(tuple(shuffled), pairing.warnings))
+    perm = rng.permutation(len(pairing.entries))
+    samples2 = build_samples(EigenPairing(pairing.entries[perm], pairing.warnings))
     assert np.array_equal(samples.k, samples2.k)
     assert np.array_equal(samples.f, samples2.f)
 
@@ -496,7 +513,11 @@ def test_four_qubit_fixture_sample_count():
 
 
 def _entry(j, m, lam, lam0, kjm):
-    return PairedEigenvalue(j, m, lam, lam0, kjm, 0.0, 0.0, j == m)
+    return (j, m, lam, lam0, kjm, 0.0, 0.0, j == m)
+
+
+def _pairing(entries):
+    return EigenPairing(np.rec.fromrecords(list(entries), dtype=PAIRING_DTYPE), ())
 
 
 def test_build_samples_merges_duplicate_coordinates():
@@ -507,7 +528,7 @@ def test_build_samples_merges_duplicate_coordinates():
         _entry(0, 2, 0.88 + 0.1j, 1.0, 2.0),
         _entry(2, 0, 0.88 - 0.1j, 1.0, -2.0),
     )
-    samples = build_samples(EigenPairing(entries, ()))
+    samples = build_samples(_pairing(entries))
     assert len(samples) == 3
     merged = samples.f[samples.k == 2.0]
     assert abs(merged[0] - (0.89 + 0.1j)) < 1e-12
@@ -521,7 +542,7 @@ def test_build_samples_warns_on_model_disagreement():
         _entry(2, 0, 0.5, 1.0, -2.0),
     )
     with pytest.warns(UserWarning, match="disagree"):
-        build_samples(EigenPairing(entries, ()))
+        build_samples(_pairing(entries))
 
 
 def _build_samples_loop(pairing):
@@ -593,7 +614,7 @@ def test_build_samples_matches_merge_loop_on_repeated_coordinates():
         lam0 = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         lam = f * lam0
         entries = tuple(_entry(0, i + 1, lam[i], lam0[i], ks[i]) for i in range(n))
-        pairing = EigenPairing(entries, ())
+        pairing = _pairing(entries)
         samples, caught = _samples_and_warnings(build_samples, pairing)
         expected, expected_caught = _samples_and_warnings(_build_samples_loop, pairing)
         assert samples.k.shape == expected.k.shape

@@ -11,7 +11,6 @@ from .channels import (
     random_unitary,
     rf_incoherent_channel,
     rud_superoperator,
-    shifted_profile,
 )
 from .errors import (
     ConfigError,
@@ -62,7 +61,6 @@ from .tomography import (
     partial_trace_b,
     prepare_correlated_inputs,
     qpt_solve,
-    run_qpt_scenario,
     run_qpt_scenarios,
 )
 

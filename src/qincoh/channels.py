@@ -19,6 +19,10 @@ from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
 from .validation import as_square_matrix, require_hermitian
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
+# The most points make_synthetic_profile builds.  Each point is one channel
+# member, so at 6 qubits (64 x 64 generators) the member stack of
+# rf_incoherent_channel stays at or below 4096 * 64**2 * 16 bytes = 268 MB.
+MAX_PROFILE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,6 @@ class RFProfile:
 
     def __len__(self) -> int:
         return self.delta_omega.size
-
-
-def shifted_profile(profile: RFProfile, offset: float) -> RFProfile:
-    """Same weights on deviation points displaced by a constant offset."""
-    return RFProfile(profile.delta_omega + float(offset), profile.weight)
 
 
 def profile_to_csv(profile: RFProfile) -> str:
@@ -97,52 +96,67 @@ def make_synthetic_profile(
     (right), truncated at 3 side-sigmas, so the third central moment has
     the sign of ``skew``.  The smooth shape keeps the Fourier transform
     compact, which sparse spectral sampling needs.
+
+    ``n_points`` may be at most :data:`MAX_PROFILE_POINTS`, and a support
+    whose length overflows, or a side width that underflows to zero, is
+    refused by name before any array is built.
     """
     for name, x in (("center", center), ("width", width), ("skew", skew)):
         if not np.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
-    if n_points < 3:
-        raise ValueError("n_points must be >= 3")
+    # Python floats overflow to inf without a warning, so the support is
+    # checked in them before numpy computes on it
+    center, width, skew = float(center), float(width), float(skew)
+    if not 3 <= n_points <= MAX_PROFILE_POINTS:
+        raise ValueError(
+            f"n_points must lie in [3, MAX_PROFILE_POINTS = {MAX_PROFILE_POINTS}], got {n_points}"
+        )
     if width <= 0.0:
         raise ValueError("width must be positive")
     if kind in ("uniform", "gaussian"):
         if skew != 0.0:
             raise ValueError(f"skew is only meaningful for kind 'skewed', not {kind!r}")
-        if kind == "uniform":
-            xs = np.linspace(center - width, center + width, n_points)
-            ws = np.full(n_points, 1.0 / n_points)
-        else:
-            xs = np.linspace(center - 3 * width, center + 3 * width, n_points)
-            ws = np.exp(-0.5 * ((xs - center) / width) ** 2)
-            ws = ws / ws.sum()
     elif kind == "skewed":
         if not -1.0 < skew < 1.0:
             raise ValueError("skew must lie strictly inside (-1, 1)")
-        sigma_left = width * (1.0 - skew)
-        sigma_right = width * (1.0 + skew)
-        xs = np.linspace(center - 3 * sigma_left, center + 3 * sigma_right, n_points)
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    # a gaussian has equal sides; a uniform profile reaches one width out
+    sigma_left = width * (1.0 - skew)
+    sigma_right = width * (1.0 + skew)
+    if min(sigma_left, sigma_right) <= 0.0:
+        raise ValueError(f"side width of width={width!r}, skew={skew!r} underflows to zero")
+    reach = 1 if kind == "uniform" else 3
+    lo, hi = center - reach * sigma_left, center + reach * sigma_right
+    if not np.isfinite(hi - lo):
+        raise ValueError(
+            f"{kind} profile support from center={center!r}, width={width!r} has non-finite length"
+        )
+    xs = np.linspace(lo, hi, n_points)
+    if kind == "uniform":
+        ws = np.full(n_points, 1.0 / n_points)
+    else:
         ws = np.where(
             xs <= center,
             np.exp(-0.5 * ((xs - center) / sigma_left) ** 2),
             np.exp(-0.5 * ((xs - center) / sigma_right) ** 2),
         )
         ws = ws / ws.sum()
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
     return RFProfile(xs, ws)
 
 
-def _expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """``exp(-i h t)`` for a Hermitian ``h`` or a stack of them, from one
+def _expm_hermitian(h: np.ndarray) -> np.ndarray:
+    """``exp(-i h)`` for a Hermitian ``h`` or a stack of them, from one
     (batched) ``eigh``, which reads the lower triangle."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """``exp(-i H t)`` for Hermitian H, via eigendecomposition (exact for
-    Hermitian generators, no scaling-and-squaring error)."""
-    return _expm_hermitian(require_hermitian(h, GENERATOR_HERMITIAN_TOL, "h"), t)
+def expm_unitary(h: np.ndarray) -> np.ndarray:
+    """``exp(-i H)`` for Hermitian H, via eigendecomposition (exact for
+    Hermitian generators, no scaling-and-squaring error); a duration is
+    part of ``H``."""
+    return _expm_hermitian(require_hermitian(h, GENERATOR_HERMITIAN_TOL, "h"))
 
 
 def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 Each config object is described once, by a table of ``{key: (check,
 default)}`` entries.  Parsing runs every check, range checks included (every
 number must be finite, ``h0`` and ``k`` must have the same size, ``u_ab``
-must act on 2 qubits, and a Pauli string may have at most ``MAX_QUBITS``
-letters), and builds the finished objects (matrices, the profile, the recovery grid), so
-``validate`` rejects every config that ``run`` would reject as a config error.
+must act on 2 qubits, a Pauli string may have at most ``MAX_QUBITS``
+letters, and the profile's points and the grid's bins are capped before
+anything is allocated), and builds the finished objects (matrices, the
+profile, the recovery grid), so ``validate`` rejects every config that
+``run`` would reject as a config error.
 A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
 and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
 its only input, so the manifest's config hash covers exactly what ran.  Each

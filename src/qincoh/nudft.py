@@ -4,7 +4,7 @@ The forward direction evaluates ``f(k) = sum_b p_b exp(-i k x_b)`` for a
 discrete profile; the inverse maps a sample set back onto a uniform
 deviation grid.  Two methods are provided: a Voronoi-gap-weighted Riemann
 sum of the inversion integral (default, parameter-light) and a
-ridge-regularized least-squares fit.  Sample counts stay small (57 at 3
+least-squares fit with a fixed ridge.  Sample counts stay small (57 at 3
 qubits, 241 at 4 and 993 at 5), so direct summation is used throughout.
 """
 from __future__ import annotations
@@ -15,12 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RFProfile
-from .errors import IllConditionedError
 from .spectral import SpectralSampleSet
 
 METHODS = ("weighted_riemann", "least_squares")
 # A sample set whose conjugate-symmetry residual exceeds this gets a warning.
 SYMMETRY_TOL = 1e-6
+# The least-squares ridge is this times the number of samples.  Every entry
+# of the design matrix has modulus 1, so the normal matrix D^H D + mu*I has
+# eigenvalues in [mu, mu + n_samples * n_bins] and, up to rounding, a condition
+# number of at most 1 + n_bins / RIDGE_PER_SAMPLE.
+RIDGE_PER_SAMPLE = 1e-6
+# The most bins a recovery grid may have: the least-squares normal matrix is
+# n_bins**2 complex entries, 268 MB at this cap.
+MAX_GRID_BINS = 4096
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,13 @@ class RecoveryGrid:
     def __post_init__(self):
         if not self.delta_omega_min < self.delta_omega_max:
             raise ValueError("grid requires delta_omega_min < delta_omega_max")
+        # Python floats overflow to inf without the warning numpy gives
+        if not np.isfinite(float(self.delta_omega_max) - float(self.delta_omega_min)):
+            raise ValueError("grid span delta_omega_max - delta_omega_min is not finite")
         if self.n_bins < 8:
             raise ValueError("grid needs at least 8 bins")
+        if self.n_bins > MAX_GRID_BINS:
+            raise ValueError(f"grid has {self.n_bins} bins, more than MAX_GRID_BINS = {MAX_GRID_BINS}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.delta_omega_min, self.delta_omega_max, self.n_bins)
@@ -97,7 +109,6 @@ def inverse_nudft(
     samples: SpectralSampleSet,
     grid: RecoveryGrid = DEFAULT_GRID,
     method: str = "weighted_riemann",
-    ridge_mu: float | None = None,
 ) -> RecoveryResult:
     """Recover a deviation profile from unequally spaced Fourier samples.
 
@@ -105,7 +116,9 @@ def inverse_nudft(
     :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over after
     inversion is reported relative to the real part; negative weights are
     clipped to zero and the clipped mass (relative to the retained positive
-    mass) is reported, then the profile is renormalized.
+    mass) is reported, then the profile is renormalized.  The least-squares
+    method also reports the condition number of its normal matrix, which
+    :data:`RIDGE_PER_SAMPLE` bounds.
     """
     if len(samples) < 5:
         raise ValueError(f"need at least 5 samples, got {len(samples)}")
@@ -125,16 +138,9 @@ def inverse_nudft(
     if method == "weighted_riemann":
         raw = kernel @ (voronoi_weights(samples.k) * samples.f)
     else:
-        if ridge_mu is None:
-            ridge_mu = 1e-6 * len(samples)
         design = kernel.conj().T
-        normal = design.conj().T @ design + ridge_mu * np.eye(xs.size)
+        normal = design.conj().T @ design + RIDGE_PER_SAMPLE * len(samples) * np.eye(xs.size)
         condition_number = float(np.linalg.cond(normal))
-        if condition_number > 1e12:
-            raise IllConditionedError(
-                condition_number,
-                "least-squares normal matrix (increase ridge_mu or coarsen the grid)",
-            )
         raw = np.linalg.solve(normal, design.conj().T @ samples.f)
 
     re, im = raw.real, raw.imag

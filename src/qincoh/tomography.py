@@ -232,14 +232,19 @@ def run_qpt_scenarios(
     apply_cp_filter: Sequence[bool],
     cp_tol: float = CP_TOL,
 ) -> list[QPTReport]:
-    """Simulate S tomography scenarios under one joint unitary as one stack.
+    """Simulate S tomography scenarios under one joint unitary as one stack
+    and collect the CP diagnostics of each.
 
     Each argument but ``u_ab`` and ``cp_tol`` holds one value per scenario;
-    the reports come back in the same order.  See :func:`run_qpt_scenario`
-    for what a scenario does; each report equals that of its own one-row run.
-    The checks run stage by stage over all scenarios (positivity, unitarity
-    of ``u_ab``, conditioning, then each Choi matrix), so the error is the
-    first scenario that fails the earliest failing stage.
+    the reports come back in the same order, and each equals that of its own
+    one-row run.  A scenario that is not ``correlated`` has its
+    system-environment correlations removed before evolution, by replacing
+    each joint state with the product of its marginals (all other parameters
+    kept equal).  With ``apply_cp_filter`` the map's negative Choi
+    eigenvalues are removed before the diagnostics.  The checks run stage by
+    stage over all scenarios (positivity, unitarity of ``u_ab``,
+    conditioning, then each Choi matrix), so the error is the first scenario
+    that fails the earliest failing stage.
     """
     inputs = prepare_correlated_inputs(alpha, beta, gamma)
     reduced = inputs.reduced_inputs
@@ -280,25 +285,3 @@ def run_qpt_scenarios(
             forward_residual=forward_residual,
         ))
     return reports
-
-
-def run_qpt_scenario(
-    u_ab: np.ndarray,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    correlated: bool = True,
-    apply_cp_filter: bool = False,
-    cp_tol: float = CP_TOL,
-) -> QPTReport:
-    """Simulate one full tomography scenario and collect CP diagnostics.
-
-    With ``correlated=False`` the system-environment correlations are
-    removed before evolution by replacing each joint state with the product
-    of its marginals (all other parameters kept equal).  With
-    ``apply_cp_filter`` the map's negative Choi eigenvalues are removed
-    before the diagnostics.  This is the one-row :func:`run_qpt_scenarios`.
-    """
-    return run_qpt_scenarios(
-        u_ab, [alpha], [beta], [gamma], [correlated], [apply_cp_filter], cp_tol
-    )[0]

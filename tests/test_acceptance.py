@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from qincoh.channels import (
+    RFProfile,
     expm_unitary,
     make_synthetic_profile,
     random_rud_ensemble,
     rf_incoherent_channel,
     rud_superoperator,
-    shifted_profile,
 )
 from qincoh.cli import load_config, run_scenario
 from qincoh.liouville import (
@@ -42,7 +42,7 @@ from qincoh.tomography import (
     SIGMA_Z,
     prepare_correlated_inputs,
     qpt_solve,
-    run_qpt_scenario,
+    run_qpt_scenarios,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -97,9 +97,11 @@ def test_c03_summary_table_rows():
         ((0.5, 0.5, 0.5), True, False, True, 1),
         ((0.5, 0.5, 0.5), False, False, True, 2),
     ]
-    ok = True
-    for (a, b, g), corr, cpf, want_cp, want_kraus in expected:
-        rep = run_qpt_scenario(U_ZZ, a, b, g, correlated=corr, apply_cp_filter=cpf)
+    # one stacked run over the table rows, as the qpt_demo mode makes
+    triples, corr, cpf, _, _ = zip(*expected)
+    reports = run_qpt_scenarios(U_ZZ, *zip(*triples), corr, cpf)
+    ok = len(reports) == len(expected)
+    for rep, (_, _, _, want_cp, want_kraus) in zip(reports, expected):
         ok = ok and rep.is_cp == want_cp and rep.kraus_count == want_kraus
     _report(3, "all five summary-table rows (CPF/Corr/CP/Kraus) reproduce exactly", ok)
 
@@ -224,7 +226,7 @@ def test_c08_end_to_end_recovery():
 def test_c09_offset_detection():
     h0t, k, _ = skewed_channel()
     base = make_synthetic_profile("gaussian", width=0.04, n_points=41)
-    s = rf_incoherent_channel(h0t, k, shifted_profile(base, 0.05))
+    s = rf_incoherent_channel(h0t, k, RFProfile(base.delta_omega + 0.05, base.weight))
     samples = build_samples(pair_eigenvalues(s, h0t, k))
     result = inverse_nudft(samples, RECOVERY_GRID)
     offset = profile_metrics(result.profile).mean

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qincoh.channels import (
+    MAX_PROFILE_POINTS,
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
@@ -41,10 +42,10 @@ def test_expm_unitary_is_unitary_and_semigroup():
     rng = np.random.default_rng(21)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = h + h.conj().T
-    u = expm_unitary(h, 0.7)
+    u = expm_unitary(0.7 * h)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-11
     assert np.abs(
-        expm_unitary(h, 0.3) @ expm_unitary(h, 0.4) - expm_unitary(h, 0.7)
+        expm_unitary(0.3 * h) @ expm_unitary(0.4 * h) - expm_unitary(0.7 * h)
     ).max() < 1e-11
 
 
@@ -246,6 +247,43 @@ def test_make_synthetic_profile_refuses_non_finite_params_without_a_warning():
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     make_synthetic_profile("skewed", **{name: bad})
+
+
+@pytest.mark.filterwarnings("error")
+def test_make_synthetic_profile_refuses_an_overflowing_support_without_a_warning():
+    # finite parameters whose support, or its length, overflows; numpy
+    # scalars overflow with a warning where Python floats do not
+    cases = [
+        ("uniform", {"center": 1e308, "width": 1e308}),
+        ("uniform", {"width": 1e308}),
+        ("gaussian", {"width": 1e308}),
+        ("gaussian", {"width": np.float64(1e308)}),
+        ("gaussian", {"center": -1.7e308, "width": 1e307}),
+        ("skewed", {"width": 1e308, "skew": 0.5}),
+        ("skewed", {"width": 5e307, "skew": -0.5}),
+    ]
+    for kind, params in cases:
+        with pytest.raises(ValueError, match=f"^{kind} profile support from center=.* has non-finite length$"):
+            make_synthetic_profile(kind, **params)
+    # half the smallest subnormal rounds to zero
+    with pytest.raises(ValueError, match="^side width of width=5e-324, skew=0.5 underflows to zero$"):
+        make_synthetic_profile("skewed", width=5e-324, skew=0.5)
+    # a support just inside the float range is built
+    for kind, width in (("uniform", 8e307), ("gaussian", 2.9e307), ("skewed", 1e307)):
+        assert np.isfinite(make_synthetic_profile(kind, width=width).delta_omega).all()
+
+
+def test_make_synthetic_profile_refuses_more_than_max_points_before_allocating(monkeypatch):
+    assert len(make_synthetic_profile("gaussian", n_points=MAX_PROFILE_POINTS)) == MAX_PROFILE_POINTS
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a profile array was allocated")
+
+    monkeypatch.setattr(np, "linspace", refused)
+    monkeypatch.setattr(np, "full", refused)
+    for n_points in (MAX_PROFILE_POINTS + 1, 10**11):
+        with pytest.raises(ValueError, match=rf"^n_points must lie in \[3, MAX_PROFILE_POINTS = 4096\], got {n_points}$"):
+            make_synthetic_profile("uniform", n_points=n_points)
 
 
 def test_profile_refuses_non_finite_arrays_by_name():

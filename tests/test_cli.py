@@ -231,6 +231,7 @@ MALFORMED = {
     "grid-too-few-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=7)),
     "grid-min-equals-max": ("recover3q.json", lambda c: c["grid"].update(min=0.25)),
     "grid-min-above-max": ("recover3q.json", lambda c: c["grid"].update(min=0.3, max=-0.3)),
+    "grid-huge-span": ("recover3q.json", lambda c: c["grid"].update(min=-1e308, max=1e308)),
     "profile-two-points": ("recover3q.json", lambda c: c["profile"].update(n_points=2)),
     "profile-zero-width": ("recover3q.json", lambda c: c["profile"].update(width=0.0)),
     "profile-negative-width": ("recover3q.json", lambda c: c["profile"].update(width=-0.05)),
@@ -239,6 +240,11 @@ MALFORMED = {
     "profile-skew-one": ("recover3q.json", lambda c: c["profile"].update(skew=1.0)),
     "profile-skew-minus-one": ("recover3q.json", lambda c: c["profile"].update(skew=-1.0)),
     "rud-profile-two-points": ("rud2q.json", lambda c: c["profile"].update(n_points=2)),
+    # refused by name before numpy computes an overflowing support
+    "profile-huge-width": ("recover3q.json", lambda c: c["profile"].update(width=1e308)),
+    # refused before the profile or the grid is allocated
+    "profile-huge-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=10**11)),
+    "grid-huge-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=10**11)),
     "negative-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=-1)),
     # a fixture fixes h0 and k
     "h0-with-fixture": ("recover3q.json", lambda c: c.update(h0="1.0 * ZZZ")),

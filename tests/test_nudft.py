@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qincoh.channels import RFProfile, make_synthetic_profile
-from qincoh.errors import IllConditionedError
 from qincoh.nudft import (
     DEFAULT_GRID,
+    MAX_GRID_BINS,
+    RIDGE_PER_SAMPLE,
     RecoveryGrid,
     forward_nudft,
     inverse_nudft,
@@ -136,13 +137,50 @@ def test_inverse_rejects_unknown_method():
         inverse_nudft(s, DEFAULT_GRID, method="magic")
 
 
-def test_least_squares_flags_hopeless_conditioning():
-    # five samples cannot constrain 201 bins even with the default ridge
+def test_least_squares_condition_number_is_bounded():
+    # every design entry has modulus 1, so the normal matrix D^H D + mu*I,
+    # mu = RIDGE_PER_SAMPLE * n_samples, has eigenvalues in
+    # [mu, mu + n_samples * n_bins]; samples clustered near k = 0 make D^H D
+    # nearly rank one and meet the bound, so the check allows the rounding of
+    # forming D^H D, about eps * n_bins relative to mu
     true = make_synthetic_profile("gaussian", width=0.05, n_points=21)
-    ks = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    samples = SpectralSampleSet(ks, forward_nudft(true, ks))
-    with pytest.raises(IllConditionedError):
-        inverse_nudft(samples, RecoveryGrid(-0.5, 0.5, 201), method="least_squares", ridge_mu=1e-15)
+    rng = np.random.default_rng(143)
+    # five samples cannot constrain 201 bins, yet the ridge bounds the condition
+    cases = [(np.array([1.0, 2.0]), RecoveryGrid(-0.5, 0.5, 201))]
+    for _ in range(40):
+        pos = np.sort(rng.uniform(0.0, 10 ** rng.uniform(-3, 2.5), rng.integers(2, 151)))
+        half = rng.uniform(0.05, 1.0)
+        cases.append((pos, RecoveryGrid(-half, half, int(rng.integers(8, 301)))))
+    ratios = []
+    for pos, grid in cases:
+        ks = np.concatenate([-pos[::-1], [0.0], pos])
+        samples = SpectralSampleSet(ks, forward_nudft(true, ks))
+        res = inverse_nudft(samples, grid, method="least_squares")
+        bound = 1 + grid.n_bins / RIDGE_PER_SAMPLE
+        rounding = 8 * np.finfo(float).eps * grid.n_bins / RIDGE_PER_SAMPLE
+        assert 1.0 <= res.condition_number <= bound * (1 + rounding)
+        ratios.append(res.condition_number / bound)
+    # the bound is sharp: clustered sample sets come within 1% of it
+    assert max(ratios) > 0.99
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_refuses_a_non_finite_span_without_a_warning():
+    for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="^grid span delta_omega_max - delta_omega_min is not finite$"):
+            RecoveryGrid(lo, hi, 101)
+    assert np.isfinite(RecoveryGrid(-8e307, 8e307, 101).points()).all()
+
+
+def test_grid_refuses_more_than_max_bins_before_allocating(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a grid array was allocated")
+
+    monkeypatch.setattr(np, "linspace", refused)
+    assert RecoveryGrid(-1.0, 1.0, MAX_GRID_BINS).n_bins == MAX_GRID_BINS
+    for n_bins in (MAX_GRID_BINS + 1, 10**11):
+        with pytest.raises(ValueError, match=f"^grid has {n_bins} bins, more than MAX_GRID_BINS = 4096$"):
+            RecoveryGrid(-1.0, 1.0, n_bins)
 
 
 def test_grid_validation():

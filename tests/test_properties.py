@@ -1,18 +1,25 @@
-"""Property tests over seeded random-unitary channels of 1-3 qubits and
-over sets of Gershgorin discs.
+"""Property tests over seeded random-unitary channels of 1-3 qubits, over
+sets of Gershgorin discs and over synthetic profile parameters.
 
 Each channel example draws a seed, a qubit count and a member count, and
 builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
 ``random_rud_ensemble``.  The examples are derandomized and kept few so the
 suite stays fast and reproducible.
 """
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qincoh.channels import random_rud_ensemble, rud_superoperator  # noqa: E402
+from qincoh.channels import (  # noqa: E402
+    make_synthetic_profile,
+    random_rud_ensemble,
+    rud_superoperator,
+)
 from qincoh.liouville import (  # noqa: E402
     choi_to_kraus,
     choi_to_superop,
@@ -83,3 +90,26 @@ def test_disc_components_are_equivariant_under_permutation(discs):
                           component[perm][:, None] == component[perm][None, :])
     extents = _component_extents(centres, radii, component)
     assert np.array_equal(_component_extents(centres[perm], radii[perm], permuted), extents[perm])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["uniform", "gaussian", "skewed"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.integers(3, 64),
+)
+def test_synthetic_profile_is_built_or_refused_by_name(kind, center, width, skew, n_points):
+    # any finite parameters give a profile or a named refusal, never a numpy
+    # warning; a width below the spacing of floats near the centre collapses
+    # the support to repeated points
+    skew = skew if kind == "skewed" else 0.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = make_synthetic_profile(kind, center, width, skew, n_points)
+    except ValueError as exc:
+        assert re.search("non-finite length|underflows to zero|strictly increasing", str(exc)), exc
+        return
+    assert len(profile) == n_points

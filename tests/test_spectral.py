@@ -656,9 +656,7 @@ def test_offset_leaves_recovered_skewness_unchanged():
     base = make_synthetic_profile("gaussian", width=0.04, n_points=41)
 
     def recovered_metrics(offset):
-        from qincoh.channels import shifted_profile
-
-        profile = shifted_profile(base, offset) if offset else base
+        profile = RFProfile(base.delta_omega + offset, base.weight) if offset else base
         s = rf_incoherent_channel(h0t, k, profile)
         res = inverse_nudft(
             build_samples(pair_eigenvalues(s, h0t, k)), grid, method="least_squares"

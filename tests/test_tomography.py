@@ -23,7 +23,6 @@ from qincoh.tomography import (
     partial_trace_b,
     prepare_correlated_inputs,
     qpt_solve,
-    run_qpt_scenario,
     run_qpt_scenarios,
 )
 
@@ -142,9 +141,7 @@ def test_scenario_equals_per_state_loop_oracle():
     for i, (alpha, beta, gamma) in enumerate(triples):
         u_ab = U_ZZ if i < 2 else random_unitary(4, rng)
         for correlated, cpf in ((True, False), (False, False), (True, True)):
-            report = run_qpt_scenario(
-                u_ab, alpha, beta, gamma, correlated=correlated, apply_cp_filter=cpf
-            )
+            (report,) = run_qpt_scenarios(u_ab, [alpha], [beta], [gamma], [correlated], [cpf])
             s_obs, cond, removed_weight, residual = _scenario_oracle(
                 u_ab, alpha, beta, gamma, correlated, cpf
             )
@@ -187,7 +184,7 @@ def test_prepare_names_the_first_non_physical_state(monkeypatch):
 
 def test_scenario_rejects_non_unitary_u_ab():
     with pytest.raises(ValueError, match="u_ab is not unitary"):
-        run_qpt_scenario(2.0 * U_ZZ, 0.5, 0.5, 0.6)
+        run_qpt_scenarios(2.0 * U_ZZ, [0.5], [0.5], [0.6], [True], [False])
 
 
 def test_stacked_evolution_and_partial_trace_equal_single_matrix_results():
@@ -303,10 +300,10 @@ def test_scenario_reports_match_summary_table():
         ((0.5, 0.5, 0.5), True, False, True, 1),
         ((0.5, 0.5, 0.5), False, False, True, 2),
     ]
-    for (alpha, beta, gamma), correlated, cpf, expect_cp, expect_kraus in rows:
-        report = run_qpt_scenario(
-            U_ZZ, alpha, beta, gamma, correlated=correlated, apply_cp_filter=cpf
-        )
+    triples, correlated_flags, cpf_flags, _, _ = zip(*rows)
+    reports = run_qpt_scenarios(U_ZZ, *zip(*triples), correlated_flags, cpf_flags)
+    for report, row in zip(reports, rows):
+        (alpha, beta, gamma), correlated, cpf, expect_cp, expect_kraus = row
         assert report.is_cp == expect_cp
         assert report.kraus_count == expect_kraus
         assert (report.kraus_count is not None) == report.is_cp
@@ -336,7 +333,7 @@ def test_scenario_diagonalizes_the_reported_choi_matrix_once(monkeypatch):
     assert calls == ["eigvalsh"] * n_prepare
     for correlated, cpf, expected_eigh in ((True, False, 0), (False, False, 0), (True, True, 1)):
         calls.clear()
-        run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=correlated, apply_cp_filter=cpf)
+        run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [correlated], [cpf])
         # one eigenvalues-only Choi spectrum; eigenvectors only inside CP-filtering
         assert calls.count("eigh") == expected_eigh
         assert calls.count("eigvalsh") - n_prepare == 1
@@ -365,9 +362,7 @@ def test_choi_spectrum_equals_eigh_oracle():
         for correlated, cpf in ((True, False), (False, False), (True, True))
     ]
     for u_ab, (alpha, beta, gamma), correlated, cpf in cases:
-        report = run_qpt_scenario(
-            u_ab, alpha, beta, gamma, correlated=correlated, apply_cp_filter=cpf
-        )
+        (report,) = run_qpt_scenarios(u_ab, [alpha], [beta], [gamma], [correlated], [cpf])
         expected = _choi_eigh_oracle(report.s_obs)
         # ill-conditioned triples give spectra of size ~100, so the bound
         # scales with the largest eigenvalue above 1
@@ -377,11 +372,12 @@ def test_choi_spectrum_equals_eigh_oracle():
 
 
 def test_scenario_choi_spectra():
-    report = run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=True)
+    report, report_u = run_qpt_scenarios(
+        U_ZZ, [0.5, 0.5], [0.5, 0.5], [0.6, 0.6], [True, False], [False, False]
+    )
     assert np.abs(
         report.choi_eigenvalues - np.array([2.2, 0.0, 0.0, -0.2])
     ).max() < 1e-12
-    report_u = run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=False)
     assert np.abs(
         report_u.choi_eigenvalues - np.array([1.5, 0.5, 0.0, 0.0])
     ).max() < 1e-12
@@ -390,7 +386,7 @@ def test_scenario_choi_spectra():
 def test_uncorrelated_map_matches_environment_kraus_sum():
     rng = np.random.default_rng(33)
     for u_ab in (U_ZZ, random_unitary(4, rng)):
-        report = run_qpt_scenario(u_ab, 0.5, 0.5, 0.6, correlated=False)
+        (report,) = run_qpt_scenarios(u_ab, [0.5], [0.5], [0.6], [False], [False])
         rho_b = (np.eye(2) + 0.5 * SIGMA_Z) / 2
         ops = environment_kraus_operators(u_ab, rho_b)
         assert np.abs(kraus_to_superop(ops) - report.s_obs).max() < 1e-10
@@ -400,7 +396,7 @@ def test_correlated_map_is_linear_on_consistent_mixtures():
     # the observed map acts correctly on mixtures whose joint state carries
     # the matching correlations
     inputs = prepare_correlated_inputs(0.5, 0.5, 0.6)
-    report = run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=True)
+    (report,) = run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [True], [False])
     mix_reduced = (inputs.reduced_inputs[1] + inputs.reduced_inputs[2]) / 2
     mix_joint = (inputs.joint_states[1] + inputs.joint_states[2]) / 2
     predicted = uncolumnize(report.s_obs @ columnize(mix_reduced))
@@ -409,7 +405,7 @@ def test_correlated_map_is_linear_on_consistent_mixtures():
 
 
 def test_cp_filter_scenario_kraus_is_unitary():
-    report = run_qpt_scenario(U_ZZ, 0.5, 0.5, 0.6, correlated=True, apply_cp_filter=True)
+    (report,) = run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [True], [True])
     from qincoh.liouville import choi_to_kraus, superop_to_choi
 
     (op,) = choi_to_kraus(superop_to_choi(report.s_obs))

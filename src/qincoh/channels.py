@@ -9,7 +9,6 @@ a discrete amplitude-deviation profile.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,19 +64,29 @@ def profile_to_csv(profile: RFProfile) -> str:
 
 
 def profile_from_csv(text: str) -> RFProfile:
-    reader = io.StringIO(text)
-    header = reader.readline().strip()
-    if header != PROFILE_CSV_HEADER:
-        raise ValueError(f"expected header {PROFILE_CSV_HEADER!r}, got {header!r}")
-    xs, ws = [], []
-    for line in reader:
+    """Inverse of :func:`profile_to_csv`.  Blank lines are skipped; a row
+    without exactly two fields, or with a field that is not a number, is
+    refused by its 1-based line number."""
+    header, *rows = text.split("\n")
+    if header.strip() != PROFILE_CSV_HEADER:
+        raise ValueError(f"expected header {PROFILE_CSV_HEADER!r}, got {header.strip()!r}")
+    columns = {name: [] for name in PROFILE_CSV_HEADER.split(",")}
+    for lineno, line in enumerate(rows, start=2):
         line = line.strip()
         if not line:
             continue
-        sx, sw = line.split(",")
-        xs.append(float(sx))
-        ws.append(float(sw))
-    return RFProfile(np.array(xs), np.array(ws))
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"profile CSV line {lineno}: expected {len(columns)} fields "
+                f"({PROFILE_CSV_HEADER}), got {len(fields)}"
+            )
+        for (name, values), field in zip(columns.items(), fields):
+            try:
+                values.append(float(field))
+            except ValueError:
+                raise ValueError(f"profile CSV line {lineno}: {name} {field!r} is not a number") from None
+    return RFProfile(np.array(columns["delta_omega"]), np.array(columns["weight"]))
 
 
 def make_synthetic_profile(
@@ -99,7 +108,8 @@ def make_synthetic_profile(
 
     ``n_points`` may be at most :data:`MAX_PROFILE_POINTS`, and a support
     whose length overflows, or a side width that underflows to zero, is
-    refused by name before any array is built.
+    refused by name before any array is built.  A width too small for
+    ``n_points`` distinct floats around ``center`` is refused by name too.
     """
     for name, x in (("center", center), ("width", width), ("skew", skew)):
         if not np.isfinite(x):
@@ -133,6 +143,11 @@ def make_synthetic_profile(
             f"{kind} profile support from center={center!r}, width={width!r} has non-finite length"
         )
     xs = np.linspace(lo, hi, n_points)
+    if np.any(np.diff(xs) <= 0.0):
+        raise ValueError(
+            f"{kind} profile of width={width!r} is too narrow to place {n_points} distinct "
+            f"points around center={center!r}"
+        )
     if kind == "uniform":
         ws = np.full(n_points, 1.0 / n_points)
     else:

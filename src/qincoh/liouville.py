@@ -6,7 +6,9 @@ triple product ``A @ rho @ B`` acts on the vectorized state as
 ``transpose(B) kron A``; in particular a unitary conjugation
 ``rho -> U rho U^dag`` becomes the superoperator ``conj(U) kron U``.
 
-Superoperators and Choi matrices are plain ``N^2 x N^2`` complex ndarrays.
+Superoperators and Choi matrices are plain ``N^2 x N^2`` complex ndarrays;
+:func:`superop_to_choi` and :func:`choi_spectrum` also take a
+``(..., N^2, N^2)`` stack of them.
 The Choi matrix of a superoperator ``S`` is
 
     C = sum_ij (E_ij kron I) S (I kron E_ij)
@@ -21,7 +23,14 @@ import math
 import numpy as np
 
 from .errors import NotCompletelyPositiveError
-from .validation import as_square_matrix, max_abs, require_hermitian, require_unitary
+from .validation import (
+    as_square_matrix,
+    as_square_stack,
+    max_abs,
+    require_hermitian,
+    require_hermitian_stack,
+    require_unitary,
+)
 
 
 def columnize(rho: np.ndarray) -> np.ndarray:
@@ -78,13 +87,13 @@ def eig_hermitian(
     return w[::-1], v[:, ::-1]
 
 
-def _superop_dim(mat: np.ndarray, name: str) -> tuple[np.ndarray, int]:
-    """The checked square matrix and its Hilbert dimension ``sqrt(side)``."""
-    mat = as_square_matrix(mat, name)
-    n = math.isqrt(mat.shape[0])
-    if n * n != mat.shape[0]:
-        raise ValueError(f"{name} side {mat.shape[0]} is not a perfect square")
-    return mat, n
+def _hilbert_dim(mat: np.ndarray, name: str) -> int:
+    """The Hilbert dimension ``sqrt(side)`` of a checked superoperator or
+    stack of them."""
+    n = math.isqrt(mat.shape[-1])
+    if n * n != mat.shape[-1]:
+        raise ValueError(f"{name} side {mat.shape[-1]} is not a perfect square")
+    return n
 
 
 def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -95,7 +104,8 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
     LAPACK failure is re-raised as a ``LinAlgError`` that names the matrix
     size.
     """
-    s, _ = _superop_dim(s, "s")
+    s = as_square_matrix(s, "s")
+    _hilbert_dim(s, "s")
     try:
         w = np.linalg.eigvals(s)
     except np.linalg.LinAlgError as exc:
@@ -107,9 +117,13 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
-    """Choi matrix of a superoperator (pure index permutation, involutive)."""
-    s, n = _superop_dim(s, "s")
-    return s.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    """Choi matrix of a superoperator, or of each of a ``(..., N^2, N^2)``
+    stack (pure index permutation, involutive)."""
+    s = as_square_stack(s, "s")
+    n = _hilbert_dim(s, "s")
+    lead = s.shape[:-2]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + a for a in (3, 1, 2, 0))
+    return s.reshape(*lead, n, n, n, n).transpose(axes).reshape(*lead, n * n, n * n)
 
 
 def choi_to_superop(c: np.ndarray) -> np.ndarray:
@@ -124,15 +138,21 @@ CHOI_HERMITIAN_TOL = 1e-10
 def choi_spectrum(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Choi matrix of ``s``, sorted descending: one check
     that it is Hermitian within :data:`CHOI_HERMITIAN_TOL` (that ``s``
-    preserves Hermiticity), then one ``eigvalsh``, with no eigenvectors."""
-    c = require_hermitian(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
-    return np.linalg.eigvalsh(c)[::-1]
+    preserves Hermiticity), then one ``eigvalsh``, with no eigenvectors.
+
+    ``s`` may be a ``(..., N^2, N^2)`` stack of superoperators; the stack
+    then gets one check, whose error names the first failing Choi matrix by
+    its index, and one batched ``eigvalsh``, and each row of the result
+    equals the spectrum of its map alone."""
+    c = require_hermitian_stack(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
+    return np.linalg.eigvalsh(c)[..., ::-1]
 
 
 def is_cp(s: np.ndarray, tol: float = CP_TOL) -> tuple[bool, float]:
-    """Test complete positivity; returns ``(flag, min Choi eigenvalue)``, the
-    flag True when the last of :func:`choi_spectrum` is >= -tol."""
-    min_eig = float(choi_spectrum(s)[-1])
+    """Test complete positivity of one map; returns ``(flag, min Choi
+    eigenvalue)``, the flag True when the last of :func:`choi_spectrum` is
+    >= -tol.  A stack of maps is refused by name."""
+    min_eig = float(choi_spectrum(as_square_matrix(s, "s"))[-1])
     return min_eig >= -tol, min_eig
 
 

@@ -13,8 +13,9 @@ A run of S scenarios (:func:`run_qpt_scenarios`) travels as one stack: the
 products, checked for positivity by one batched ``eigvalsh``, evolved by one
 batched product under one unitarity check of ``u_ab``, and inverted by one
 batched condition check, solve and forward residual, so a run makes one
-preparation and one evolution however many scenarios it holds.  Only the
-CP filter and the Choi spectrum run per scenario.
+preparation and one evolution however many scenarios it holds.  The CP
+filter runs on each flagged row; then every reported map's Choi spectrum is
+taken as one stack, under one Hermiticity check and one ``eigvalsh``.
 """
 from __future__ import annotations
 
@@ -243,8 +244,9 @@ def run_qpt_scenarios(
     kept equal).  With ``apply_cp_filter`` the map's negative Choi
     eigenvalues are removed before the diagnostics.  The checks run stage by
     stage over all scenarios (positivity, unitarity of ``u_ab``,
-    conditioning, then each Choi matrix), so the error is the first scenario
-    that fails the earliest failing stage.
+    conditioning, CP filtering of the flagged rows, then the Hermiticity of
+    every reported Choi matrix), so the error is the first scenario that
+    fails the earliest failing stage.
     """
     inputs = prepare_correlated_inputs(alpha, beta, gamma)
     reduced = inputs.reduced_inputs
@@ -264,24 +266,20 @@ def run_qpt_scenarios(
     outputs = evolve_and_reduce(u_ab, joints)
     s_obs, cond, residual = _solve_stack(_vector_columns(reduced), _vector_columns(outputs))
 
-    reports = []
-    for i in range(n):
-        s_i = s_obs[i]
-        removed_weight = None
-        forward_residual = None
-        if apply_cp_filter[i]:
-            s_i, removed_weight = cp_filter(s_i)
-        else:
-            forward_residual = float(residual[i])
-        eigenvalues = choi_spectrum(s_i)
-        cp_flag = bool(eigenvalues[-1] >= -cp_tol)
-        reports.append(QPTReport(
-            s_obs=s_i,
-            choi_eigenvalues=eigenvalues,
-            is_cp=cp_flag,
-            kraus_count=int(np.count_nonzero(eigenvalues > cp_tol)) if cp_flag else None,
-            removed_weight=removed_weight,
+    removed_weight = [None] * n
+    for i in np.flatnonzero(apply_cp_filter):
+        s_obs[i], removed_weight[i] = cp_filter(s_obs[i])
+    eigenvalues = choi_spectrum(s_obs)
+    cp_flags = eigenvalues[:, -1] >= -cp_tol
+    return [
+        QPTReport(
+            s_obs=s_obs[i],
+            choi_eigenvalues=eigenvalues[i],
+            is_cp=bool(cp_flags[i]),
+            kraus_count=int(np.count_nonzero(eigenvalues[i] > cp_tol)) if cp_flags[i] else None,
+            removed_weight=removed_weight[i],
             condition_number=float(cond[i]),
-            forward_residual=forward_residual,
-        ))
-    return reports
+            forward_residual=None if apply_cp_filter[i] else float(residual[i]),
+        )
+        for i in range(n)
+    ]

@@ -14,27 +14,53 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """``m`` as a complex array, once it is checked to be a non-empty square
-    2-d matrix with finite entries; ``name`` labels it in a rejection."""
+def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, once it is checked to be a ``(..., n, n)``
+    stack of non-empty square matrices with finite entries (a single matrix
+    is a stack with no leading axes); ``name`` labels it in a rejection."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one row")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite")
     return m
 
 
+def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """:func:`as_square_stack` for a single square 2-d matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square 2-d array, got shape {m.shape}")
+    return as_square_stack(m, name)
+
+
+def _hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """``(m + m^dag) / 2`` of each matrix of a checked stack, once every
+    ``max|m - m^dag|`` is at most ``tol``; the first matrix above it is named
+    by its index in the leading axes."""
+    m_dag = m.conj().swapaxes(-1, -2)
+    dev = np.abs(m - m_dag).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        where = np.unravel_index(bad[0], dev.shape)
+        index = "".join(f"[{i}]" for i in where)
+        raise ValueError(f"{name}{index} is not Hermitian within {tol:g} (deviation {dev[where]:.3e})")
+    return (m + m_dag) / 2
+
+
 def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     """The Hermitian part ``(m + m^dag) / 2`` of ``m``, once ``max|m - m^dag|``
     is checked to be at most ``tol``; callers use it in place of ``m``."""
-    m = as_square_matrix(m, name)
-    dev = max_abs(m - m.conj().T)
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    return (m + m.conj().T) / 2
+    return _hermitian_part(as_square_matrix(m, name), tol, name)
+
+
+def require_hermitian_stack(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+    """:func:`require_hermitian` for each matrix of a ``(..., n, n)`` stack:
+    one vectorized check of them all, whose error names the first matrix
+    that fails as ``name[i]`` (a single matrix as ``name``)."""
+    return _hermitian_part(as_square_stack(m, name), tol, name)
 
 
 def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:

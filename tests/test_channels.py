@@ -310,3 +310,27 @@ def test_profile_csv_round_trip():
     q = profile_from_csv(text)
     assert np.array_equal(p.delta_omega, q.delta_omega)
     assert np.array_equal(p.weight, q.weight)
+
+
+@pytest.mark.parametrize("kind, center, width, skew", [
+    ("gaussian", 1.0, 1e-17, 0.0),
+    ("uniform", 1e6, 1e-12, 0.0),
+    ("skewed", 1.0, 1e-16, 0.5),
+])
+def test_make_synthetic_profile_refuses_a_width_below_the_float_spacing_by_name(kind, center, width, skew):
+    # every point rounds onto its neighbour near center; the refusal names
+    # both parameters before RFProfile sees the repeated points
+    message = f"^{kind} profile of width={width!r} is too narrow .* around center={center!r}$"
+    with pytest.raises(ValueError, match=message):
+        make_synthetic_profile(kind, center=center, width=width, skew=skew)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.0,0.5,7", r"^profile CSV line 3: expected 2 fields \(delta_omega,weight\), got 3$"),
+    ("0.1", r"^profile CSV line 3: expected 2 fields \(delta_omega,weight\), got 1$"),
+    ("0.1,abc", r"^profile CSV line 3: weight 'abc' is not a number$"),
+])
+def test_profile_from_csv_names_the_line_and_fault_of_a_bad_row(row, message):
+    # line 1 is the header and line 2 a good row
+    with pytest.raises(ValueError, match=message):
+        profile_from_csv(f"delta_omega,weight\n-0.1,0.5\n{row}\n")

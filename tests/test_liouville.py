@@ -238,6 +238,37 @@ def test_is_cp_rejects_a_map_that_does_not_preserve_hermiticity():
                 check(s)
 
 
+def test_choi_spectrum_of_a_stack_equals_the_per_map_spectra():
+    rng = np.random.default_rng(28)
+    for n_qubits in (1, 2):
+        maps = [rud_superoperator(random_rud_ensemble(n_qubits, 1 + i % 4, rng)) for i in range(6)]
+        maps.append(cp_filter(maps[0] + 0.05 * np.eye(maps[0].shape[0]))[0])
+        stack = np.stack(maps)
+        spectra = choi_spectrum(stack)
+        assert spectra.shape == (7, 4**n_qubits)
+        for s, w, c in zip(maps, spectra, superop_to_choi(stack)):
+            assert np.array_equal(w, choi_spectrum(s))
+            assert np.array_equal(c, superop_to_choi(s))
+        # any number of leading axes
+        grid = choi_spectrum(stack[:6].reshape(2, 3, *stack.shape[1:]))
+        assert np.array_equal(grid.reshape(6, -1), spectra[:6])
+    assert np.array_equal(choi_to_superop(superop_to_choi(stack)), stack)
+
+
+def test_choi_spectrum_of_a_stack_names_the_first_non_hermitian_choi_matrix():
+    rng = np.random.default_rng(29)
+    bad = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    stack = np.stack([UNCORR_S, bad[0], bad[1], EQ4_S])
+    with pytest.raises(ValueError, match=r"^Choi matrix\[1\] is not Hermitian within 1e-10 "):
+        choi_spectrum(stack)
+    with pytest.raises(ValueError, match=r"^Choi matrix\[0\]\[1\] is not Hermitian within 1e-10 "):
+        choi_spectrum(stack.reshape(2, 2, 4, 4))
+    # is_cp judges one map: a stack is refused, not read row by row
+    for maps in (stack, np.ones((3, 1, 1))):
+        with pytest.raises(ValueError, match=r"^s must be a square 2-d array, got shape \("):
+            is_cp(maps)
+
+
 def test_choi_to_kraus_counts():
     assert len(choi_to_kraus(superop_to_choi(UNCORR_S))) == 2
     assert len(choi_to_kraus(superop_to_choi(np.eye(4)))) == 1

@@ -102,14 +102,14 @@ def test_disc_components_are_equivariant_under_permutation(discs):
 )
 def test_synthetic_profile_is_built_or_refused_by_name(kind, center, width, skew, n_points):
     # any finite parameters give a profile or a named refusal, never a numpy
-    # warning; a width below the spacing of floats near the centre collapses
-    # the support to repeated points
+    # warning; a width below the spacing of floats near the centre, which
+    # would collapse the support to repeated points, is refused by name
     skew = skew if kind == "skewed" else 0.0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             profile = make_synthetic_profile(kind, center, width, skew, n_points)
     except ValueError as exc:
-        assert re.search("non-finite length|underflows to zero|strictly increasing", str(exc)), exc
+        assert re.search("non-finite length|underflows to zero|width=.* is too narrow to place .* around center=", str(exc)), exc
         return
     assert len(profile) == n_points

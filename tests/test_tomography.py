@@ -339,6 +339,37 @@ def test_scenario_diagonalizes_the_reported_choi_matrix_once(monkeypatch):
         assert calls.count("eigvalsh") - n_prepare == 1
 
 
+def test_stacked_run_takes_every_choi_spectrum_in_one_eigvalsh(monkeypatch):
+    calls, active = [], []
+    prepare = prepare_correlated_inputs
+
+    def traced_prepare(*args, **kwargs):
+        active.append(True)
+        try:
+            return prepare(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr("qincoh.tomography.prepare_correlated_inputs", traced_prepare)
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(("psd_" if active else "") + _name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cpf = [True, False, True, False]
+    reports = run_qpt_scenarios(
+        U_ZZ, [0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [0.6, 0.6, 0.5, 0.5],
+        [True, True, False, True], cpf,
+    )
+    assert [r.removed_weight is not None for r in reports] == cpf
+    # one PSD check, one eigh inside each CP filter, then one Choi spectrum
+    # for the stack of all four reported maps
+    assert calls == ["psd_eigvalsh", "eigh", "eigh", "eigvalsh"]
+
+
 def _choi_eigh_oracle(s_obs):
     """The Choi spectrum as the scenario computed it before: eigenvectors and
     all, with the Choi matrix checked at 1e-8."""

@@ -396,7 +396,7 @@ def test_usage_errors_exit_64_apart_from_numerical_failures(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
     cli._parser.cache_clear()
     built = []
     init = cli._Parser.__init__

@@ -22,15 +22,10 @@ and the Pauli coefficients of ``h0`` are its only scale.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.  Exit codes: 0 success,
 1 config error, 2 numerical failure, 3 output error, 64 usage error.
-``main`` builds its argument parser once per process, on first use, and the
-demo fixtures are computed once per process too; this saves time only for
-callers that run ``main`` many times in one interpreter, not for a one-shot
-``qincoh`` command.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -519,11 +514,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The command-line parser, built on the first call and kept for the
-    process.  It holds no state between parses, and it writes usage, errors
-    and help to whatever ``sys.stdout``/``sys.stderr`` are at parse time."""
+def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="qincoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -533,11 +524,8 @@ def _parser() -> _Parser:
 
     p_val = sub.add_parser("validate", help="check a scenario config")
     p_val.add_argument("--config", required=True)
-    return parser
 
-
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

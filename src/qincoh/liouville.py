@@ -26,9 +26,9 @@ from .errors import NotCompletelyPositiveError
 from .validation import (
     as_square_matrix,
     as_square_stack,
+    hermitian_part,
     max_abs,
     require_hermitian,
-    require_hermitian_stack,
     require_unitary,
 )
 
@@ -144,7 +144,7 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
     then gets one check, whose error names the first failing Choi matrix by
     its index, and one batched ``eigvalsh``, and each row of the result
     equals the spectrum of its map alone."""
-    c = require_hermitian_stack(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
+    c = hermitian_part(superop_to_choi(s), CHOI_HERMITIAN_TOL, "Choi matrix")
     return np.linalg.eigvalsh(c)[..., ::-1]
 
 

@@ -13,7 +13,6 @@ what the recovery transform consumes.
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -375,9 +374,6 @@ THREE_QUBIT_OFF_DIAGONAL_RATIO = 1.5e-4
 FOUR_QUBIT_OFF_DIAGONAL_RATIO = 1.5e-4
 
 
-# The seeded generators are built once per process for each (qubits, ratio)
-# and kept read-only; the fixture functions hand out writable copies.
-@functools.lru_cache(maxsize=8)
 def _demo_generators(
     n_qubits: int,
     phase_scale: float,
@@ -402,8 +398,6 @@ def _demo_generators(
     k = w @ k_eig @ w.conj().T
     h0t = (h0t + h0t.conj().T) / 2
     k = (k + k.conj().T) / 2
-    h0t.setflags(write=False)
-    k.setflags(write=False)
     return h0t, k
 
 
@@ -416,16 +410,13 @@ def three_qubit_fixture(
     coordinates are distinct, yielding 57 Fourier samples after the DC
     anchor.  The perturbation is 0.3 times the nominal generator plus a
     small non-commuting coupling controlled by ``off_diagonal_ratio``
-    (0 gives the exactly commuting variant).  The matrices are computed once
-    per process; every call returns fresh writable copies of them.
+    (0 gives the exactly commuting variant).
     """
-    h0t, k = _demo_generators(3, THREE_QUBIT_PHASE_SCALE, off_diagonal_ratio)
-    return h0t.copy(), k.copy()
+    return _demo_generators(3, THREE_QUBIT_PHASE_SCALE, off_diagonal_ratio)
 
 
 def four_qubit_fixture(
     off_diagonal_ratio: float = FOUR_QUBIT_OFF_DIAGONAL_RATIO,
 ) -> tuple[np.ndarray, np.ndarray]:
     """4-qubit variant of :func:`three_qubit_fixture` (241 Fourier samples)."""
-    h0t, k = _demo_generators(4, FOUR_QUBIT_PHASE_SCALE, off_diagonal_ratio)
-    return h0t.copy(), k.copy()
+    return _demo_generators(4, FOUR_QUBIT_PHASE_SCALE, off_diagonal_ratio)

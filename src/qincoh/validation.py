@@ -29,17 +29,20 @@ def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """:func:`as_square_stack` for a single square 2-d matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {m.shape}")
+    """:func:`as_square_stack` for a single square 2-d matrix; the shape is
+    read before the one conversion there."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{name} must be a square 2-d array, got shape {shape}")
     return as_square_stack(m, name)
 
 
-def _hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """``(m + m^dag) / 2`` of each matrix of a checked stack, once every
-    ``max|m - m^dag|`` is at most ``tol``; the first matrix above it is named
-    by its index in the leading axes."""
+def hermitian_part(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+    """``(m + m^dag) / 2`` of each matrix of ``m``, a stack already checked
+    by :func:`as_square_stack`, once every ``max|m - m^dag|`` is at most
+    ``tol``.  One vectorized check covers the stack; the first matrix above
+    ``tol`` is named by its index in the leading axes, as ``name[i]`` (a
+    single matrix as ``name``)."""
     m_dag = m.conj().swapaxes(-1, -2)
     dev = np.abs(m - m_dag).max(axis=(-2, -1))
     bad = np.flatnonzero(dev > tol)
@@ -53,14 +56,7 @@ def _hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
 def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     """The Hermitian part ``(m + m^dag) / 2`` of ``m``, once ``max|m - m^dag|``
     is checked to be at most ``tol``; callers use it in place of ``m``."""
-    return _hermitian_part(as_square_matrix(m, name), tol, name)
-
-
-def require_hermitian_stack(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
-    """:func:`require_hermitian` for each matrix of a ``(..., n, n)`` stack:
-    one vectorized check of them all, whose error names the first matrix
-    that fails as ``name[i]`` (a single matrix as ``name``)."""
-    return _hermitian_part(as_square_stack(m, name), tol, name)
+    return hermitian_part(as_square_matrix(m, name), tol, name)
 
 
 def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:

@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import re
 import warnings
@@ -394,45 +392,6 @@ def test_usage_errors_exit_64_apart_from_numerical_failures(tmp_path, capsys):
         assert exc.value.code == 64, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
-    cli._parser.cache_clear()
-    built = []
-    init = cli._Parser.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counted_init)
-    for _ in range(2):
-        assert main(["validate", "--config", f"{CONFIG_DIR}/table1.json"]) == 0
-    # the top-level parser and its two subcommands, built by the first call only
-    assert built == ["qincoh", "qincoh run", "qincoh validate"]
-
-
-def test_reused_parser_writes_to_the_streams_of_each_call(tmp_path, capsys):
-    cli._parser.cache_clear()
-    # build the parser while other streams are installed
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["validate", "--config", f"{CONFIG_DIR}/table1.json"]) == 0
-    capsys.readouterr()
-    config = f"{CONFIG_DIR}/eq4_demo.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", config])
-    assert exc.value.code == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "qincoh run: error: the following arguments are required: --out" in captured.err
-    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
-    assert capsys.readouterr().out == f"wrote 2 files to {tmp_path / 'out'}\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--help"])
-    assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert sorted(set(re.findall(r"--[a-z]+", captured.out))) == ["--config", "--help", "--out"]
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

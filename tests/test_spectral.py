@@ -229,24 +229,6 @@ def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():
             assert np.abs(read(sb_rot) - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def test_fixtures_hand_out_fresh_writable_copies():
-    from qincoh import spectral
-
-    for fixture, n_qubits, scale, ratio in (
-        (three_qubit_fixture, 3, spectral.THREE_QUBIT_PHASE_SCALE, spectral.THREE_QUBIT_OFF_DIAGONAL_RATIO),
-        (four_qubit_fixture, 4, spectral.FOUR_QUBIT_PHASE_SCALE, spectral.FOUR_QUBIT_OFF_DIAGONAL_RATIO),
-    ):
-        # the uncached builder is the fresh computation the cache must match
-        fresh = spectral._demo_generators.__wrapped__(n_qubits, scale, ratio)
-        first = fixture()
-        for m in first:
-            m[...] = np.nan
-        second = fixture()
-        assert all(m.flags.writeable for m in second)
-        for got, want in zip(second, fresh):
-            assert got.tobytes() == want.tobytes()
-
-
 def test_pairing_runs_no_eigensolver_on_the_superoperator(monkeypatch):
     h0t, k, s = fixture_channel()
     calls = {"eig": 0, "eigvals": 0, "eigh": 0, "eigvalsh": 0}

@@ -38,7 +38,6 @@ from .nudft import (
     RecoveryResult,
     forward_nudft,
     inverse_nudft,
-    voronoi_weights,
 )
 from .spectral import (
     EigenBasis,

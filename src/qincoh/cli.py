@@ -14,11 +14,11 @@ anything is allocated), and builds the finished objects (matrices, the
 profile, the recovery grid), so ``validate`` rejects every config that
 ``run`` would reject as a config error.
 A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
-and ``rud_build``, ``method`` by ``recover_profile``), and the config file is
-its only input, so the manifest's config hash covers exactly what ran.  Each
-quantity has one field: the channel modes build their channel from exactly
-``h0``, ``k`` and ``profile``, so the profile's ``center`` is its only shift
-and the Pauli coefficients of ``h0`` are its only scale.
+and ``rud_build``), and the config file is its only input, so the manifest's
+config hash covers exactly what ran.  Each quantity has one field: the
+channel modes build their channel from exactly ``h0``, ``k`` and ``profile``,
+so the profile's ``center`` is its only shift and the Pauli coefficients of
+``h0`` are its only scale.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.  Exit codes: 0 success,
 1 config error, 2 numerical failure, 3 output error, 64 usage error.
@@ -48,7 +48,7 @@ from .channels import (
 )
 from .errors import ConfigError
 from .liouville import CP_TOL, columnize, is_cp, superop_eigenvalues
-from .nudft import METHODS, SYMMETRY_TOL, RecoveryGrid, inverse_nudft
+from .nudft import SYMMETRY_TOL, RecoveryGrid, inverse_nudft
 from .spectral import (
     MATCH_TOL,
     build_samples,
@@ -262,7 +262,6 @@ _MODES = {
         "k": (_pauli, None),
         **_CHANNEL,
         "grid": (_built(_GRID, lambda **g: RecoveryGrid(g["min"], g["max"], g["n_bins"])), _REQUIRED),
-        "method": (_one_of(*METHODS), "weighted_riemann"),
     },
 }
 
@@ -428,12 +427,11 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     pairing = pair_eigenvalues(s, h0, k)
     entries = pairing.entries
     samples = build_samples(pairing)
-    result = inverse_nudft(samples, grid, method=f["method"])
+    result = inverse_nudft(samples, grid)
     recovered = result.profile
     report = {
         "mode": "recover_profile",
         "fixture": f["fixture"],
-        "method": f["method"],
         "n_samples": len(samples),
         "window_span": samples.window_span(),
         "resolution_estimate": samples.resolution_estimate(),
@@ -453,7 +451,6 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "imag_residual": result.imag_residual,
             "clipped_mass": result.clipped_mass,
             "clipped_mass_tol": CLIPPED_MASS_TOL,
-            "condition_number": result.condition_number,
         },
         "true_profile_moments": _moments_json(profile),
         "recovered_moments": _moments_json(recovered),

@@ -151,8 +151,12 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
 def is_cp(s: np.ndarray, tol: float = CP_TOL) -> tuple[bool, float]:
     """Test complete positivity of one map; returns ``(flag, min Choi
     eigenvalue)``, the flag True when the last of :func:`choi_spectrum` is
-    >= -tol.  A stack of maps is refused by name."""
-    min_eig = float(choi_spectrum(as_square_matrix(s, "s"))[-1])
+    >= -tol.  A stack of maps is refused by its shape alone; the one
+    conversion and finiteness check is :func:`superop_to_choi`'s."""
+    shape = np.shape(s)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"s must be a square 2-d array, got shape {shape}")
+    min_eig = float(choi_spectrum(s)[-1])
     return min_eig >= -tol, min_eig
 
 

@@ -2,10 +2,9 @@
 
 The forward direction evaluates ``f(k) = sum_b p_b exp(-i k x_b)`` for a
 discrete profile; the inverse maps a sample set back onto a uniform
-deviation grid.  Two methods are provided: a Voronoi-gap-weighted Riemann
-sum of the inversion integral (default, parameter-light) and a
-least-squares fit with a fixed ridge.  Sample counts stay small (57 at 3
-qubits, 241 at 4 and 993 at 5), so direct summation is used throughout.
+deviation grid by one least-squares fit with a fixed ridge.  Sample counts
+stay small (57 at 3 qubits, 241 at 4 and 993 at 5), so the kernel is built
+densely and the fit is one direct solve.
 """
 from __future__ import annotations
 
@@ -17,16 +16,15 @@ import numpy as np
 from .channels import RFProfile
 from .spectral import SpectralSampleSet
 
-METHODS = ("weighted_riemann", "least_squares")
 # A sample set whose conjugate-symmetry residual exceeds this gets a warning.
 SYMMETRY_TOL = 1e-6
 # The least-squares ridge is this times the number of samples.  Every entry
-# of the design matrix has modulus 1, so the normal matrix D^H D + mu*I has
+# of the kernel K has modulus 1, so the normal matrix K K^H + mu*I has
 # eigenvalues in [mu, mu + n_samples * n_bins] and, up to rounding, a condition
 # number of at most 1 + n_bins / RIDGE_PER_SAMPLE.
 RIDGE_PER_SAMPLE = 1e-6
-# The most bins a recovery grid may have: the least-squares normal matrix is
-# n_bins**2 complex entries, 268 MB at this cap.
+# The most bins a recovery grid may have: the normal matrix is n_bins**2
+# complex entries, 268 MB at this cap.
 MAX_GRID_BINS = 4096
 
 
@@ -68,7 +66,6 @@ class RecoveryResult:
     profile: RFProfile
     imag_residual: float
     clipped_mass: float
-    condition_number: float | None
     symmetry_residual: float
 
 
@@ -76,24 +73,6 @@ def forward_nudft(profile: RFProfile, ks: np.ndarray) -> np.ndarray:
     """Fourier transform of a profile at arbitrary coordinates; f(0) = 1."""
     ks = np.asarray(ks, dtype=float)
     return np.exp(-1j * np.multiply.outer(ks, profile.delta_omega)) @ profile.weight
-
-
-def voronoi_weights(ks: np.ndarray) -> np.ndarray:
-    """Integration weights on a sorted 1-d sample axis.
-
-    Interior samples own half the distance to each neighbor; edge samples
-    only their single one-sided half-gap.
-    """
-    ks = np.asarray(ks, dtype=float)
-    if ks.size < 2:
-        raise ValueError("need at least two samples for gap weights")
-    if np.any(np.diff(ks) <= 0.0):
-        raise ValueError("sample coordinates must be strictly increasing")
-    w = np.empty_like(ks)
-    w[1:-1] = (ks[2:] - ks[:-2]) / 2
-    w[0] = (ks[1] - ks[0]) / 2
-    w[-1] = (ks[-1] - ks[-2]) / 2
-    return w
 
 
 def _clip_and_normalize(raw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -105,25 +84,21 @@ def _clip_and_normalize(raw: np.ndarray) -> tuple[np.ndarray, float]:
     return clipped / clipped.sum(), negative / positive
 
 
-def inverse_nudft(
-    samples: SpectralSampleSet,
-    grid: RecoveryGrid = DEFAULT_GRID,
-    method: str = "weighted_riemann",
-) -> RecoveryResult:
+def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid = DEFAULT_GRID) -> RecoveryResult:
     """Recover a deviation profile from unequally spaced Fourier samples.
 
-    A sample set whose conjugate-symmetry residual exceeds
-    :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over after
-    inversion is reported relative to the real part; negative weights are
-    clipped to zero and the clipped mass (relative to the retained positive
-    mass) is reported, then the profile is renormalized.  The least-squares
-    method also reports the condition number of its normal matrix, which
-    :data:`RIDGE_PER_SAMPLE` bounds.
+    The profile ``p`` on the grid points ``x`` minimizes
+    ``|K^H p - f|^2 + mu*|p|^2``, with the kernel ``K = exp(i * outer(x, k))``
+    and the ridge ``mu = RIDGE_PER_SAMPLE * n_samples``: one solve of
+    ``(K K^H + mu*I) p = K f``.  A sample set whose conjugate-symmetry
+    residual exceeds :data:`SYMMETRY_TOL` draws a warning.  The imaginary
+    part left over after inversion is reported relative to the real part;
+    negative weights are clipped to zero and the clipped mass (relative to
+    the retained positive mass) is reported, then the profile is
+    renormalized.
     """
     if len(samples) < 5:
         raise ValueError(f"need at least 5 samples, got {len(samples)}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     sym = samples.conjugate_symmetry_residual()
     if sym > SYMMETRY_TOL:
         warnings.warn(
@@ -133,15 +108,9 @@ def inverse_nudft(
         )
     xs = grid.points()
     kernel = np.exp(1j * np.multiply.outer(xs, samples.k))
-
-    condition_number = None
-    if method == "weighted_riemann":
-        raw = kernel @ (voronoi_weights(samples.k) * samples.f)
-    else:
-        design = kernel.conj().T
-        normal = design.conj().T @ design + RIDGE_PER_SAMPLE * len(samples) * np.eye(xs.size)
-        condition_number = float(np.linalg.cond(normal))
-        raw = np.linalg.solve(normal, design.conj().T @ samples.f)
+    normal = kernel @ kernel.conj().T
+    normal.flat[:: xs.size + 1] += RIDGE_PER_SAMPLE * len(samples)
+    raw = np.linalg.solve(normal, kernel @ samples.f)
 
     re, im = raw.real, raw.imag
     re_norm = float(np.linalg.norm(re))
@@ -151,6 +120,5 @@ def inverse_nudft(
         profile=RFProfile(xs, weight),
         imag_residual=imag_residual,
         clipped_mass=clipped_mass,
-        condition_number=condition_number,
         symmetry_residual=sym,
     )

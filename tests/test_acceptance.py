@@ -206,8 +206,8 @@ def test_c07_perturbation_order_check():
             ok, f"err {err_skew:.2e}, ratio {ratio:.2f}, commuting {err_commuting:.2e}")
 
 
-def test_c08_end_to_end_recovery():
-    h0t, k, s = skewed_channel()
+def _c08_recovery(num: int, desc: str, h0t: np.ndarray, k: np.ndarray, s: np.ndarray) -> None:
+    """C08's bounds on the recovery of SKEWED_PROFILE from the channel ``s``."""
     samples = build_samples(pair_eigenvalues(s, h0t, k))
     result = inverse_nudft(samples, RECOVERY_GRID)
     true_m = profile_metrics(SKEWED_PROFILE)
@@ -216,11 +216,16 @@ def test_c08_end_to_end_recovery():
     std_ok = abs(rec_m.std - true_m.std) / true_m.std < 0.30
     skew_ok = np.sign(rec_m.skewness) == np.sign(true_m.skewness)
     clip_ok = result.clipped_mass < 0.1
-    _report(8, "skewed-profile recovery: mean to 1 bin, std to 30%, skew sign, clip < 0.1",
+    _report(num, desc,
             mean_ok and std_ok and skew_ok and clip_ok,
             f"mean err {abs(rec_m.mean - true_m.mean) / RECOVERY_GRID.bin_width:.2f} bins, "
             f"std rel {abs(rec_m.std - true_m.std) / true_m.std:.2f}, "
             f"skew {rec_m.skewness:+.2f} vs {true_m.skewness:+.2f}, clip {result.clipped_mass:.3f}")
+
+
+def test_c08_end_to_end_recovery():
+    _c08_recovery(8, "skewed-profile recovery: mean to 1 bin, std to 30%, skew sign, clip < 0.1",
+                  *skewed_channel())
 
 
 def test_c09_offset_detection():
@@ -266,3 +271,9 @@ def test_c11_determinism(tmp_path):
     )
     _report(11, "same config gives byte-identical manifests and artifacts",
             manifest_a == manifest_b and files_ok)
+
+
+def test_c12_four_qubit_recovery():
+    h0t, k = four_qubit_fixture()
+    _c08_recovery(12, "4-qubit skewed-profile recovery within C08's bounds (241 samples)",
+                  h0t, k, rf_incoherent_channel(h0t, k, SKEWED_PROFILE))

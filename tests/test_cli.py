@@ -3,6 +3,7 @@ import json
 import re
 import warnings
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -208,16 +209,6 @@ def test_manifest_hashes_match_files(tmp_path):
         assert entry["role"]
 
 
-def test_method_override(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_bundled("recover3q.json", lambda c: c.update(method="least_squares"))))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    report = json.loads((out / "recovery_report.json").read_text())
-    assert report["method"] == "least_squares"
-    assert report["quality"]["condition_number"] is not None
-
-
 def _bundled(name: str, edit) -> dict:
     raw = json.loads((CONFIG_DIR / name).read_text())
     edit(raw)
@@ -254,6 +245,7 @@ MALFORMED = {
     "bool-t": ("rud2q.json", lambda c: c.update(t=True)),
     "bool-offset": ("recover3q.json", lambda c: c.update(offset=False)),
     "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
+    "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
     # a bool where a number or an integer belongs
     "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
     "bool-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=True)),
@@ -283,7 +275,6 @@ MALFORMED = {
     "mode-not-string": ("eq4_demo.json", lambda c: c.update(mode=["qpt_demo"])),
     "unknown-kind": ("recover3q.json", lambda c: c["profile"].update(kind="lorentzian")),
     "unknown-fixture": ("recover3q.json", lambda c: c.update(fixture="five_qubit")),
-    "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
     "bad-pauli-sum": ("rud2q.json", lambda c: c.update(k="0.1 * ZQ")),
     "pauli-coefficient-overflow": ("eq4_demo.json", lambda c: c.update(u_ab="1e999 * ZZ")),
     # refused before its 2**40-square matrix is allocated
@@ -297,7 +288,7 @@ MALFORMED = {
     # JSON NaN and Infinity
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
     "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
-    # a knob in a mode that does not read it
+    # a field in a mode that does not read it (no mode reads method)
     "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
     "method-in-rud-build": ("rud2q.json", lambda c: c.update(method="least_squares")),
     "cp-tol-in-recover-profile": ("recover3q.json", lambda c: c.update(cp_tol=1e-9)),
@@ -315,8 +306,10 @@ def test_malformed_config_fails_validate(case, tmp_path, capsys):
 
 
 # The profile's centre is its only shift and h0's coefficients its only
-# scale, so neither mode has an offset or a t field.
+# scale, so neither mode has an offset or a t field; the profile is inverted
+# one way, so recover_profile has no method field.
 REMOVED_FIELDS = {
+    "recover-method": ("recover3q.json", "method"),
     "recover-offset": ("recover3q.json", "offset"),
     "recover-t": ("recover3q.json", "t"),
     "rud-t": ("rud2q.json", "t"),
@@ -417,33 +410,62 @@ def test_unwritable_out_is_an_output_error(tmp_path, capsys):
     assert out.read_text() == "a regular file"
 
 
-def _readme_config_tables() -> dict[str, dict[str, str]]:
-    """README's "Config fields" table as ``{object: {field: default cell}}``."""
-    text = (CONFIG_DIR.parent / "README.md").read_text()
+def _config_tables(text: str) -> dict[str, dict[str, Any]]:
+    """The "Config fields" table of a README as ``{object: {field: default}}``.
+
+    A default cell reads ``required`` (``cli._REQUIRED``), ``none`` (None) or
+    a JSON literal in backticks, which may be followed by a note."""
     section = text.split("### Config fields", 1)[1].split("\n#", 1)[0]
-    tables: dict[str, dict[str, str]] = {}
+    tables: dict[str, dict[str, Any]] = {}
     obj = None
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if not line.startswith("|") or cells[0] in ("Object", "---"):
             continue
         obj = cells[0].strip("`") or obj
+        default = cells[3]
+        if default == "required":
+            default = cli._REQUIRED
+        elif default == "none":
+            default = None
+        else:
+            default = json.loads(re.match(r"`([^`]+)`", default).group(1))
         for key in re.findall(r"`([^`]+)`", cells[1]):
-            tables.setdefault(obj, {})[key] = cells[3]
+            tables.setdefault(obj, {})[key] = default
     return tables
 
 
 def test_readme_config_table_matches_cli_tables():
-    expected = {
+    tables = {
         "every mode": cli._COMMON, **cli._MODES,
         "scenario": cli._SCENARIO, "profile": cli._PROFILE, "grid": cli._GRID,
     }
-    documented = _readme_config_tables()
-    assert set(documented) == set(expected)
-    for obj, table in expected.items():
-        assert set(documented[obj]) == set(table), obj
+    documented = _config_tables((CONFIG_DIR.parent / "README.md").read_text())
+    assert documented.keys() == tables.keys()
+    for obj, table in tables.items():
+        assert documented[obj].keys() == table.keys(), obj
         for key, (_, default) in table.items():
-            assert (documented[obj][key] == "required") == (default is cli._REQUIRED), (obj, key)
+            doc = documented[obj][key]
+            assert doc == default and type(doc) is type(default), (obj, key, doc, default)
+
+
+def test_config_table_reader_sees_objects_fields_and_defaults():
+    text = (
+        "### Config fields\n\n"
+        "| Object | Field | Type | Default |\n"
+        "|---|---|---|---|\n"
+        "| `qpt_demo` | `u_ab` | 2-qubit Pauli sum | required |\n"
+        "| | `cp_tol` | number ≥ 0 | `1e-9` (`liouville.CP_TOL`) |\n"
+        "| `recover_profile` | `h0`, `k` | Pauli sum | none |\n"
+        "| | `kind` | `uniform` or `skewed` | `\"skewed\"` |\n"
+        "| scenario | `correlated` | boolean | `true` |\n"
+        "\n## Next section\n| `x` | `y` | z | `1` |\n"
+    )
+    assert _config_tables(text) == {
+        "qpt_demo": {"u_ab": cli._REQUIRED, "cp_tol": 1e-9},
+        "recover_profile": {"h0": None, "k": None, "kind": "skewed"},
+        "scenario": {"correlated": True},
+    }
 
 
 def test_parsing_builds_the_profile_grid_and_generators():

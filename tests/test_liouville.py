@@ -269,6 +269,22 @@ def test_choi_spectrum_of_a_stack_names_the_first_non_hermitian_choi_matrix():
             is_cp(maps)
 
 
+def test_is_cp_converts_and_checks_its_map_once(monkeypatch):
+    from qincoh import liouville, validation
+
+    calls = []
+
+    def counted(m, name="matrix"):
+        calls.append(name)
+        return convert(m, name)
+
+    convert = validation.as_square_stack
+    monkeypatch.setattr(validation, "as_square_stack", counted)
+    monkeypatch.setattr(liouville, "as_square_stack", counted)
+    assert is_cp(EQ4_S.tolist(), 1e-9) == (False, pytest.approx(-0.2))
+    assert calls == ["s"]
+
+
 def test_choi_to_kraus_counts():
     assert len(choi_to_kraus(superop_to_choi(UNCORR_S))) == 2
     assert len(choi_to_kraus(superop_to_choi(np.eye(4)))) == 1

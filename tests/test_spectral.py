@@ -646,9 +646,8 @@ def test_profile_metrics_gaussian_and_delta():
 
 
 def test_offset_leaves_recovered_skewness_unchanged():
-    # third moments are sensitive to far-field ripple mass, which the
-    # ridge-regularized method suppresses; the Riemann variant only keeps
-    # ripples balanced when the grid is symmetric about the peak
+    # third moments are sensitive to far-field ripple mass, which the ridge
+    # of the least-squares fit suppresses
     from qincoh.nudft import RecoveryGrid, inverse_nudft
 
     h0t, k, _ = fixture_channel()
@@ -658,9 +657,7 @@ def test_offset_leaves_recovered_skewness_unchanged():
     def recovered_metrics(offset):
         profile = RFProfile(base.delta_omega + offset, base.weight) if offset else base
         s = rf_incoherent_channel(h0t, k, profile)
-        res = inverse_nudft(
-            build_samples(pair_eigenvalues(s, h0t, k)), grid, method="least_squares"
-        )
+        res = inverse_nudft(build_samples(pair_eigenvalues(s, h0t, k)), grid)
         return profile_metrics(res.profile)
 
     plain = recovered_metrics(0.0)

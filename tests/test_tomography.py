@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from qincoh.liouville import (
     uncolumnize,
 )
 from qincoh.tomography import (
+    COND_LIMIT,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -277,6 +279,29 @@ def test_qpt_solve_rejects_singular_inputs():
     with pytest.raises(IllConditionedError) as exc:
         qpt_solve(vecs, vecs)
     assert exc.value.condition_number > 1e8
+
+
+def test_condition_check_refuses_what_the_choi_check_would():
+    # the solve's rounding, and with it the Choi matrix's deviation from
+    # Hermitian, grows with the input matrix's condition number (about
+    # 4/alpha); sweeping alpha down, every row passes both checks until
+    # COND_LIMIT refuses it by name, never as a non-Hermitian Choi matrix
+    outcomes = {"passed": 0, "refused": 0}
+    # (beta, gamma / alpha) pairs
+    shapes = ((0.3, 0.5), (0.9, 0.0))
+    rows = itertools.product(range(10), np.logspace(-2, -8, 25), shapes, (True, False), (False, True))
+    for seed, alpha, (beta, gamma_ratio), correlated, cpf in rows:
+        u_ab = random_unitary(4, np.random.default_rng(seed))
+        gamma = gamma_ratio * alpha
+        try:
+            (report,) = run_qpt_scenarios(u_ab, [alpha], [beta], [gamma], [correlated], [cpf])
+        except IllConditionedError as exc:
+            assert exc.condition_number > COND_LIMIT
+            outcomes["refused"] += 1
+        else:
+            assert report.condition_number <= COND_LIMIT
+            outcomes["passed"] += 1
+    assert outcomes["passed"] > 0 and outcomes["refused"] > 0, outcomes
 
 
 def _forward_residual_oracle(u_ab, alpha, beta, gamma, correlated, s_obs):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
-from .validation import as_square_matrix, require_hermitian
+from .validation import as_square_matrix, as_square_stack, require_hermitian, unitary_stack
 
 PROFILE_CSV_HEADER = "delta_omega,weight"
 # The most points make_synthetic_profile builds.  Each point is one channel
@@ -174,25 +174,6 @@ def expm_unitary(h: np.ndarray) -> np.ndarray:
     return _expm_hermitian(require_hermitian(h, GENERATOR_HERMITIAN_TOL, "h"))
 
 
-def _unitary_ensemble_superop(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Check a ``(K, N, N)`` stack is unitary within ``UNITARY_TOL`` with one
-    batched ``U^dag U``, then sum ``sum_k p_k conj(U_k) kron U_k`` in one GEMM.
-
-    A member with a non-finite entry has a NaN or infinite deviation and is
-    refused as not finite."""
-    gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
-    dev = np.abs(gram - np.eye(unitaries.shape[-1])).max(axis=(1, 2))
-    bad = np.flatnonzero(~(dev <= UNITARY_TOL))
-    if bad.size:
-        i = bad[0]
-        if not np.isfinite(unitaries[i]).all():
-            raise ValueError(f"ensemble[{i}] is not finite")
-        raise ValueError(
-            f"ensemble[{i}] is not unitary within {UNITARY_TOL:g} (deviation {dev[i]:.3e})"
-        )
-    return conjugation_sum(unitaries, weights)
-
-
 def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
     """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
 
@@ -210,7 +191,7 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
     if any(u.shape != mats[0].shape for u in mats):
         raise ValueError("ensemble members have mismatched dimensions")
-    return _unitary_ensemble_superop(weights, np.stack(mats))
+    return conjugation_sum(unitary_stack(np.stack(mats), UNITARY_TOL, "ensemble"), weights)
 
 
 def rf_incoherent_channel(
@@ -234,11 +215,9 @@ def rf_incoherent_channel(
         raise ValueError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
     # finite h0, k and t can still overflow; such a member is refused by name
     with np.errstate(over="ignore", invalid="ignore"):
-        generators = h0 * t + profile.delta_omega[:, None, None] * k
-    bad = np.flatnonzero(~np.isfinite(generators).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"ensemble[{bad[0]}] is not finite")
-    return _unitary_ensemble_superop(profile.weight, _expm_hermitian(generators))
+        generators = as_square_stack(h0 * t + profile.delta_omega[:, None, None] * k, "ensemble")
+    members = unitary_stack(_expm_hermitian(generators), UNITARY_TOL, "ensemble")
+    return conjugation_sum(members, profile.weight)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

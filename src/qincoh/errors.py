@@ -15,10 +15,8 @@ class NotCompletelyPositiveError(ValueError):
 class IllConditionedError(ValueError):
     """Raised when a linear system is too ill-conditioned to invert reliably."""
 
-    def __init__(self, condition_number: float, context: str = "input matrix"):
-        super().__init__(
-            f"{context}: condition number {condition_number:.3e} exceeds safe limit"
-        )
+    def __init__(self, message: str, condition_number: float):
+        super().__init__(message)
         self.condition_number = condition_number
 
 

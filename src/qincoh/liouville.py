@@ -27,7 +27,6 @@ from .validation import (
     as_square_matrix,
     as_square_stack,
     hermitian_part,
-    max_abs,
     require_hermitian,
     require_unitary,
 )
@@ -111,7 +110,7 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition did not converge for {s.shape[0]}x{s.shape[1]} "
-            f"matrix (max|entry| = {max_abs(s):.3e}): {exc}"
+            f"matrix (max|entry| = {np.abs(s).max():.3e}): {exc}"
         ) from exc
     return w[np.lexsort((-w.imag, -w.real))]
 

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
 from .liouville import GENERATOR_HERMITIAN_TOL
-from .validation import require_hermitian
+from .validation import as_square_matrix, require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
 DEGENERACY_TOL = 1e-6
@@ -264,10 +264,9 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     """
     basis = eigenbasis(h0t)
     n = basis.phis.size
+    s = as_square_matrix(s, "superoperator")
     if s.shape != (n * n, n * n):
         raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
-    if not np.isfinite(s).all():
-        raise ValueError("superoperator has non-finite entries")
     unperturbed, k_jm = _label_coordinates(basis, k)
     sb = eigenbasis_form(s, basis.vectors)
     seeds = sb.diagonal()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
 from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter, eig_hermitian
-from .validation import as_square_matrix, require_unitary
+from .validation import as_square_stack, first_failure, first_non_finite, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -106,36 +106,29 @@ def prepare_correlated_inputs(
     check, with no numpy warning.
     """
     params = np.array((alpha, beta, gamma), dtype=float)
-    finite = np.isfinite(params)
-    if not finite.all():
-        which, *where = np.argwhere(~finite)[0]
-        name = ("alpha", "beta", "gamma")[which]
-        raise ValueError(f"{name}{''.join(f'[{i}]' for i in where)} is not finite")
+    for name, x in zip(("alpha", "beta", "gamma"), params):
+        if found := first_failure(~np.isfinite(x)):
+            raise ValueError(f"{name}{found[1]} is not finite")
 
-    def state_error(position: np.ndarray, what: str) -> str:
+    def state_error(position: tuple[int, ...], what: str) -> str:
         *scenario, idx = position
-        a0, b0, g0 = (float(x[tuple(scenario)]) for x in params)
-        return f"joint input state {idx + 1} {what} for (alpha, beta, gamma) = ({a0}, {b0}, {g0})"
+        return f"joint input state {idx + 1} {what} {_parameters(params, tuple(scenario))}"
 
     a, b, g = params[..., None, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         joints = (_EYE4 + a * _SIGMA_KRON_I + b * _I_KRON_Z + g * _SIGMA_KRON_Z) / 4
-    if not np.isfinite(joints).all():
-        overflowed = np.argwhere(~np.isfinite(joints).all(axis=(-2, -1)))[0]
-        raise ValueError(state_error(overflowed, "is not finite"))
+    if found := first_non_finite(joints):
+        raise ValueError(state_error(found[0], "is not finite"))
     min_eigs = np.linalg.eigvalsh(joints)[..., 0]
-    bad = np.argwhere(min_eigs < -PSD_TOL)
-    if bad.size:
-        min_eig = float(min_eigs[tuple(bad[0])])
-        raise NonPhysicalStateError(state_error(bad[0], f"has negative eigenvalue {min_eig:.3e}"))
+    if found := first_failure(min_eigs < -PSD_TOL):
+        min_eig = min_eigs[found[0]]
+        raise NonPhysicalStateError(state_error(found[0], f"has negative eigenvalue {min_eig:.3e}"))
     return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
 
 
 def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
     """Trace out the (trailing) qubit environment of a matrix or a ``(..., n, n)`` stack."""
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    if rho_ab.ndim < 3 or rho_ab.shape[-1] != rho_ab.shape[-2]:
-        rho_ab = as_square_matrix(rho_ab, "rho_ab")
+    rho_ab = as_square_stack(rho_ab, "rho_ab")
     n = rho_ab.shape[-1]
     if n % ENV_DIM != 0:
         raise ValueError(f"dimension {n} is not divisible by environment dim {ENV_DIM}")
@@ -147,10 +140,11 @@ def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
 def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     """Joint unitary evolution followed by the environment partial trace.
 
-    ``rho_ab`` may be a ``(..., n, n)`` stack; it is evolved by one batched
-    product after one unitarity check of ``u_ab``.
+    ``rho_ab`` may be a ``(..., n, n)`` stack; it is checked to be finite,
+    then evolved by one batched product after one unitarity check of ``u_ab``.
     """
     u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
+    rho_ab = as_square_stack(rho_ab, "rho_ab")
     return partial_trace_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
@@ -191,28 +185,36 @@ def qpt_solve(
     in_mat = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in input_vectors])
     out_mat = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in output_vectors])
     if in_mat.shape[0] != in_mat.shape[1]:
-        raise ValueError(
-            f"need {in_mat.shape[0]} input states to invert, got {in_mat.shape[1]}"
-        )
+        raise ValueError(f"need {in_mat.shape[0]} input states to invert, got {in_mat.shape[1]}")
     if out_mat.shape != in_mat.shape:
         raise ValueError("inputs and outputs have mismatched shapes")
-    s_obs, cond, _ = _solve_stack(in_mat[None], out_mat[None])
+    s_obs, cond, _ = _solve_stack(in_mat[None], out_mat[None], None)
     return s_obs[0], float(cond[0])
+
+
+def _parameters(params: np.ndarray, scenario: tuple[int, ...]) -> str:
+    """Names one scenario of a ``(3, ...)`` array of alpha, beta, gamma."""
+    a, b, g = (float(x[scenario]) for x in params)
+    return f"for (alpha, beta, gamma) = ({a}, {b}, {g})"
 
 
 def _solve_stack(
     in_mats: np.ndarray,
     out_mats: np.ndarray,
+    params: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`qpt_solve` for a ``(S, n, n)`` stack of input and output
     matrices: every input matrix is checked against :data:`COND_LIMIT` (the
-    first that fails is the error), then one batched solve.  Returns the maps,
-    the condition numbers and the forward residuals ``max|S @ In - Out|``.
+    first that fails is the error, named by its row and its scenario of the
+    ``(3, S)`` ``params``, unless they are None), then one batched solve.
+    Returns the maps, the condition numbers and the residuals ``max|S @ In - Out|``.
     """
     cond = np.linalg.cond(in_mats)
-    bad = np.flatnonzero(~(cond <= COND_LIMIT))
-    if bad.size:
-        raise IllConditionedError(float(cond[bad[0]]), "tomography input matrix")
+    if found := first_failure(~(cond <= COND_LIMIT)):
+        where, index = found
+        row = "" if params is None else f"{index} {_parameters(params, where)}"
+        refusal = f"condition number {cond[where]:.3e} exceeds COND_LIMIT = {COND_LIMIT:.3e}"
+        raise IllConditionedError(f"tomography input matrix{row}: {refusal}", float(cond[where]))
     # the right-hand side is a stack of matrices, as the matrix stack is, so
     # numpy 1.x and 2.x read it alike
     s_obs = np.linalg.solve(in_mats.swapaxes(-1, -2), out_mats.swapaxes(-1, -2)).swapaxes(-1, -2)
@@ -269,7 +271,9 @@ def run_qpt_scenarios(
         correlated[:, None, None, None], inputs.joint_states, products.reshape(n, 4, 4, 4)
     )
     outputs = evolve_and_reduce(u_ab, joints)
-    s_obs, cond, residual = _solve_stack(_vector_columns(reduced), _vector_columns(outputs))
+    s_obs, cond, residual = _solve_stack(
+        _vector_columns(reduced), _vector_columns(outputs), np.array((alpha, beta, gamma), dtype=float)
+    )
 
     removed_weight = [None] * n
     for i in np.flatnonzero(apply_cp_filter):

@@ -1,30 +1,44 @@
 """Input validation helpers used across the package.
 
 Every check is tolerance-based and the tolerance is always an explicit
-argument; nothing here compares floats for exact equality.
+argument; nothing here compares floats for exact equality.  A check of a
+``(..., n, n)`` stack names the first failing matrix by its index in the
+leading axes, as ``name[i][j]`` (:func:`first_failure`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def max_abs(a: np.ndarray) -> float:
-    """Entrywise max-norm ``max |a_ij|`` (0.0 for empty input)."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:
+    """The position of the first set flag of ``bad``, one flag per matrix of
+    a stack, in C order, and its label ``[i][j]`` (``""`` for a 0-d
+    ``bad``); None when no flag is set."""
+    hits = np.argwhere(bad)
+    if len(hits) == 0:
+        return None
+    where = tuple(int(i) for i in hits[0])
+    return where, "".join(f"[{i}]" for i in where)
+
+
+def first_non_finite(m: np.ndarray) -> tuple[tuple[int, ...], str] | None:
+    """:func:`first_failure` over the matrices of the stack ``m`` that hold
+    a NaN or infinite entry."""
+    finite = np.isfinite(m)
+    return None if finite.all() else first_failure(~finite.all(axis=(-2, -1)))
 
 
 def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """``m`` as a complex array, once it is checked to be a ``(..., n, n)``
-    stack of non-empty square matrices with finite entries (a single matrix
-    is a stack with no leading axes); ``name`` labels it in a rejection."""
+    stack of non-empty square matrices with finite entries; ``name`` labels
+    it in a rejection."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one row")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} is not finite")
+    if found := first_non_finite(m):
+        raise ValueError(f"{name}{found[1]} is not finite")
     return m
 
 
@@ -37,20 +51,30 @@ def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return as_square_stack(m, name)
 
 
+def _refuse_deviation(dev: np.ndarray, tol: float, name: str, what: str) -> None:
+    """Refuse the first matrix whose deviation ``dev`` exceeds ``tol``; huge
+    finite entries can make it NaN, which ``dev > tol`` would pass."""
+    if found := first_failure(~(dev <= tol)):
+        where, index = found
+        raise ValueError(f"{name}{index} is not {what} within {tol:g} (deviation {dev[where]:.3e})")
+
+
 def hermitian_part(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     """``(m + m^dag) / 2`` of each matrix of ``m``, a stack already checked
     by :func:`as_square_stack`, once every ``max|m - m^dag|`` is at most
-    ``tol``.  One vectorized check covers the stack; the first matrix above
-    ``tol`` is named by its index in the leading axes, as ``name[i]`` (a
-    single matrix as ``name``)."""
+    ``tol``; one vectorized check covers the stack."""
     m_dag = m.conj().swapaxes(-1, -2)
-    dev = np.abs(m - m_dag).max(axis=(-2, -1))
-    bad = np.flatnonzero(dev > tol)
-    if bad.size:
-        where = np.unravel_index(bad[0], dev.shape)
-        index = "".join(f"[{i}]" for i in where)
-        raise ValueError(f"{name}{index} is not Hermitian within {tol:g} (deviation {dev[where]:.3e})")
+    _refuse_deviation(np.abs(m - m_dag).max(axis=(-2, -1)), tol, name, "Hermitian")
     return (m + m_dag) / 2
+
+
+def unitary_stack(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+    """``u``, a stack already checked by :func:`as_square_stack`, once every
+    ``max|u^dag u - I|`` is at most ``tol``; one batched product covers the
+    stack."""
+    gram = u.conj().swapaxes(-1, -2) @ u
+    _refuse_deviation(np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1)), tol, name, "unitary")
+    return u
 
 
 def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
@@ -60,9 +84,5 @@ def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.nda
 
 
 def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
-    u = as_square_matrix(u, name)
-    dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    # huge finite entries can make the product NaN, which ``dev > tol`` passes
-    if not dev <= tol:
-        raise ValueError(f"{name} is not unitary within {tol:g} (deviation {dev:.3e})")
-    return u
+    """:func:`unitary_stack` for a single square 2-d matrix."""
+    return unitary_stack(as_square_matrix(u, name), tol, name)

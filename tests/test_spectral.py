@@ -435,7 +435,7 @@ def test_pairing_rejects_non_finite_superoperator():
     for bad in (np.nan, np.inf):
         s_bad = s.copy()
         s_bad[3, 17] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^superoperator is not finite$"):
             pair_eigenvalues(s_bad, h0t, k)
 
 

@@ -22,7 +22,9 @@ def _private_imports(path: Path) -> list[str]:
 
 
 # The Hermiticity and unitarity checks; their tolerance is argument 1 or ``tol``.
-_TOLERANCE_CHECKS = {"require_hermitian", "hermitian_part", "require_unitary", "eig_hermitian"}
+_TOLERANCE_CHECKS = {
+    "require_hermitian", "hermitian_part", "require_unitary", "unitary_stack", "eig_hermitian",
+}
 
 
 def _literal_tolerances(path: Path) -> list[str]:

@@ -232,6 +232,19 @@ def test_partial_trace_rejects_odd_dimension():
         partial_trace_b(np.eye(3))
 
 
+def test_non_finite_matrix_in_a_stack_is_refused_by_index():
+    # no np.errstate: evolving an infinite entry would warn before it is named
+    for bad in (np.nan, np.inf):
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 2)
+        stack[1, 2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^rho_ab\[1\] is not finite$"):
+                partial_trace_b(stack)
+            with pytest.raises(ValueError, match=r"^rho_ab\[1\] is not finite$"):
+                evolve_and_reduce(U_ZZ, stack)
+
+
 def test_evolve_and_reduce_eq4_outputs():
     inputs = prepare_correlated_inputs(0.5, 0.5, 0.6)
     out2 = evolve_and_reduce(U_ZZ, inputs.joint_states[1])
@@ -276,9 +289,21 @@ def test_qpt_solve_round_trip_with_forward_oracle():
 def test_qpt_solve_rejects_singular_inputs():
     inputs = prepare_correlated_inputs(0.0, 0.5, 0.0)
     vecs = [columnize(r) for r in inputs.reduced_inputs]
-    with pytest.raises(IllConditionedError) as exc:
+    with pytest.raises(IllConditionedError, match=(
+        r"^tomography input matrix: condition number .* exceeds COND_LIMIT = 1\.000e\+05$"
+    )) as exc:
         qpt_solve(vecs, vecs)
     assert exc.value.condition_number > 1e8
+
+
+def test_ill_conditioned_scenario_is_named_by_row_and_parameters():
+    # the condition number of the four inputs is about 4/alpha
+    with pytest.raises(IllConditionedError, match=(
+        r"^tomography input matrix\[1\] for \(alpha, beta, gamma\) = \(1e-06, 0\.3, 0\.0\): "
+        r"condition number 4\.000e\+06 exceeds COND_LIMIT = 1\.000e\+05$"
+    )) as exc:
+        run_qpt_scenarios(U_ZZ, [0.5, 1e-6], [0.3, 0.3], [0.1, 0.0], [True, True], [False, False])
+    assert exc.value.condition_number > COND_LIMIT
 
 
 def test_condition_check_refuses_what_the_choi_check_would():

@@ -34,6 +34,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 import numpy as np
@@ -331,8 +332,72 @@ def _matrix_json(m: np.ndarray) -> dict:
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
+# The reprs of the non-finite floats, as json writes them.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The types a report holds; an instance of a subclass, such as numpy.float64,
+# is written as one of the type it subclasses.
+_JSON_TYPES = (str, int, float, list, tuple, dict)
+_JSON_EXACT = frozenset(_JSON_TYPES + (bool, type(None)))
+
+
+def _encode_json(obj: Any, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the JSON text of ``obj`` that the stdlib's
+    ``json.dumps`` gives with ``sort_keys=True`` and ``indent=2``, when
+    ``newline`` (a line break and the indent of ``obj``'s line) starts each
+    line; any type but those of :data:`_JSON_TYPES`, ``bool`` and ``None``,
+    and a dict key that is not a ``str``, is a TypeError naming it.
+
+    Before Python 3.13 ``json.dumps`` takes its pure-Python encoder whenever
+    an indent is set, which costs about twice this walk."""
+    kind = type(obj)
+    if kind not in _JSON_EXACT:
+        kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is float:
+        text = float.__repr__(obj)
+        out.append(_NON_FINITE.get(text, text))
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    else:
+        out.append("null")
+
+
 def _json_bytes(obj: Any) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    """The stdlib's sorted, indent-2 JSON text of ``obj`` and a final line
+    break, encoded, byte for byte (:func:`_encode_json`)."""
+    out: list[str] = []
+    _encode_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode()
 
 
 def _csv(header: str, *columns: np.ndarray) -> bytes:
@@ -347,10 +412,17 @@ def _moments_json(profile: RFProfile) -> dict:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a new private temporary file beside ``path``, by
+    ``os.write`` on its descriptor until every byte is written, then rename
+    it onto ``path``; on any failure the temporary file is removed."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -123,12 +123,12 @@ def prepare_correlated_inputs(
     if found := first_failure(min_eigs < -PSD_TOL):
         min_eig = min_eigs[found[0]]
         raise NonPhysicalStateError(state_error(found[0], f"has negative eigenvalue {min_eig:.3e}"))
-    return CorrelatedInputSet(joints, partial_trace_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
+    return CorrelatedInputSet(joints, _trace_out_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
 
 
-def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
-    """Trace out the (trailing) qubit environment of a matrix or a ``(..., n, n)`` stack."""
-    rho_ab = as_square_stack(rho_ab, "rho_ab")
+def _trace_out_b(rho_ab: np.ndarray) -> np.ndarray:
+    """:func:`partial_trace_b` of a stack whose entries are already known to
+    be finite; only the dimension is checked."""
     n = rho_ab.shape[-1]
     if n % ENV_DIM != 0:
         raise ValueError(f"dimension {n} is not divisible by environment dim {ENV_DIM}")
@@ -137,15 +137,21 @@ def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
     return np.einsum("...abcb->...ac", blocks)
 
 
+def partial_trace_b(rho_ab: np.ndarray) -> np.ndarray:
+    """Trace out the (trailing) qubit environment of a matrix or a ``(..., n, n)`` stack."""
+    return _trace_out_b(as_square_stack(rho_ab, "rho_ab"))
+
+
 def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     """Joint unitary evolution followed by the environment partial trace.
 
     ``rho_ab`` may be a ``(..., n, n)`` stack; it is checked to be finite,
-    then evolved by one batched product after one unitarity check of ``u_ab``.
+    then evolved by one batched product after one unitarity check of ``u_ab``,
+    and the evolved stack is reduced without a second check.
     """
     u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
     rho_ab = as_square_stack(rho_ab, "rho_ab")
-    return partial_trace_b(u_ab @ rho_ab @ u_ab.conj().T)
+    return _trace_out_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
 def environment_kraus_operators(u_ab: np.ndarray, rho_b: np.ndarray) -> list[np.ndarray]:

@@ -13,11 +13,10 @@ import numpy as np
 def first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:
     """The position of the first set flag of ``bad``, one flag per matrix of
     a stack, in C order, and its label ``[i][j]`` (``""`` for a 0-d
-    ``bad``); None when no flag is set."""
-    hits = np.argwhere(bad)
-    if len(hits) == 0:
+    ``bad``); None when no flag is set, which ``bad.any()`` alone tells."""
+    if not bad.any():
         return None
-    where = tuple(int(i) for i in hits[0])
+    where = tuple(int(i) for i in np.argwhere(bad)[0])
     return where, "".join(f"[{i}]" for i in where)
 
 

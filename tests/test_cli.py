@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 from typing import Any
@@ -207,6 +209,54 @@ def test_manifest_hashes_match_files(tmp_path):
         digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
         assert entry["role"]
+    # every file, the manifest too, keeps the private mode of its temporary file
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == ["manifest.json", "qpt_report.json"]
+    for path in paths:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+
+
+def test_every_json_artifact_equals_the_stdlib_encoding_of_its_content(tmp_path):
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        out = tmp_path / config.stem
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        documents = sorted(out.glob("*.json"))
+        assert out / "manifest.json" in documents
+        for path in documents:
+            data = path.read_bytes()
+            stdlib = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
+            assert data == stdlib.encode(), path
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    cfg = load_config(f"{CONFIG_DIR}/eq4_demo.json")
+
+    def failing_write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_scenario(cfg, str(tmp_path / "out"))
+    monkeypatch.undo()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_short_writes_are_completed(tmp_path, monkeypatch):
+    cfg = load_config(f"{CONFIG_DIR}/table1.json")
+    run_scenario(cfg, str(tmp_path / "whole"))
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, bytes(data[:1000])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    run_scenario(cfg, str(tmp_path / "short"))
+    monkeypatch.undo()
+    assert len(sizes) > 2 and max(sizes) == 1000
+    for path in sorted((tmp_path / "whole").iterdir()):
+        assert (tmp_path / "short" / path.name).read_bytes() == path.read_bytes()
+    assert len(list((tmp_path / "short").iterdir())) == 2
 
 
 def _bundled(name: str, edit) -> dict:

@@ -1,11 +1,13 @@
 """Property tests over seeded random-unitary channels of 1-3 qubits, over
-sets of Gershgorin discs and over synthetic profile parameters.
+sets of Gershgorin discs, over synthetic profile parameters and over the
+JSON documents that the artifact encoder writes.
 
 Each channel example draws a seed, a qubit count and a member count, and
 builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
 ``random_rud_ensemble``.  The examples are derandomized and kept few so the
 suite stays fast and reproducible.
 """
+import json
 import re
 import warnings
 
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from qincoh import cli  # noqa: E402
 from qincoh.channels import (  # noqa: E402
     make_synthetic_profile,
     random_rud_ensemble,
@@ -113,3 +116,47 @@ def test_synthetic_profile_is_built_or_refused_by_name(kind, center, width, skew
         assert re.search("non-finite length|underflows to zero|width=.* is too narrow to place .* around center=", str(exc)), exc
         return
     assert len(profile) == n_points
+
+
+# the leaves a report holds, with the edge cases of each drawn often
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, np.float64("nan")]),
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e/')),
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_JSON_DOCUMENTS)
+@example({"": [], "a": {}, "b": (), "nan": [float("nan"), float("inf"), float("-inf"), -0.0],
+          "ints": [10**40, -(10**40), True, False, None], "np": np.float64(0.1),
+          "text": 'é"\\\x01\u2028\U0001d11e'})
+def test_json_bytes_equal_the_stdlib_indent_2_encoding(doc):
+    assert cli._json_bytes(doc) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({1, 2}, "set"),
+    ([0.5, 1j], "complex"),
+    ({"a": {1: 2.0}}, "int"),
+    ({"a": [{None: 1}]}, "NoneType"),
+    (np.int64(3), "int64"),
+])
+def test_json_bytes_refuse_other_types_by_name(doc, name):
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        cli._json_bytes(doc)

@@ -31,12 +31,17 @@ def test_unitarity_check_refuses_a_nan_deviation():
 
 
 def test_first_failure_labels_the_leading_axes():
-    assert first_failure(np.zeros((2, 3), dtype=bool)) is None
     assert first_failure(np.array(False)) is None
+    assert first_failure(np.zeros(3, dtype=bool)) is None
+    assert first_failure(np.zeros((2, 3), dtype=bool)) is None
     assert first_failure(np.array(True)) == ((), "")
+    assert first_failure(np.array([False, True, True])) == ((1,), "[1]")
     bad = np.zeros((2, 3), dtype=bool)
     bad[1, 2] = bad[1, 0] = True
     assert first_failure(bad) == ((1, 0), "[1][0]")
+    # a numpy scalar flag, as a check of a single matrix gives
+    assert first_failure(np.float64(1.0) > 0.5) == ((), "")
+    assert first_failure(np.float64(0.0) > 0.5) is None
 
 
 # stacks of identities with one and with two leading axes, each spoiled at

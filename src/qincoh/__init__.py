@@ -5,9 +5,7 @@ from .channels import (
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
-    profile_from_csv,
     profile_to_csv,
-    random_rud_ensemble,
     random_unitary,
     rf_incoherent_channel,
     rud_superoperator,
@@ -17,23 +15,15 @@ from .errors import (
     DegenerateSpectrumError,
     IllConditionedError,
     NonPhysicalStateError,
-    NotCompletelyPositiveError,
     PairingError,
 )
 from .liouville import (
-    choi_to_kraus,
-    choi_to_superop,
     columnize,
     cp_filter,
-    eig_hermitian,
-    is_cp,
-    kraus_to_superop,
     superop_to_choi,
-    uncolumnize,
     unitary_superoperator,
 )
 from .nudft import (
-    DEFAULT_GRID,
     RecoveryGrid,
     RecoveryResult,
     forward_nudft,
@@ -55,11 +45,9 @@ from .spectral import (
 from .tomography import (
     CorrelatedInputSet,
     QPTReport,
-    environment_kraus_operators,
     evolve_and_reduce,
     partial_trace_b,
     prepare_correlated_inputs,
-    qpt_solve,
     run_qpt_scenarios,
 )
 

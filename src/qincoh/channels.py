@@ -63,32 +63,6 @@ def profile_to_csv(profile: RFProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_from_csv(text: str) -> RFProfile:
-    """Inverse of :func:`profile_to_csv`.  Blank lines are skipped; a row
-    without exactly two fields, or with a field that is not a number, is
-    refused by its 1-based line number."""
-    header, *rows = text.split("\n")
-    if header.strip() != PROFILE_CSV_HEADER:
-        raise ValueError(f"expected header {PROFILE_CSV_HEADER!r}, got {header.strip()!r}")
-    columns = {name: [] for name in PROFILE_CSV_HEADER.split(",")}
-    for lineno, line in enumerate(rows, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != len(columns):
-            raise ValueError(
-                f"profile CSV line {lineno}: expected {len(columns)} fields "
-                f"({PROFILE_CSV_HEADER}), got {len(fields)}"
-            )
-        for (name, values), field in zip(columns.items(), fields):
-            try:
-                values.append(float(field))
-            except ValueError:
-                raise ValueError(f"profile CSV line {lineno}: {name} {field!r} is not a number") from None
-    return RFProfile(np.array(columns["delta_omega"]), np.array(columns["weight"]))
-
-
 def make_synthetic_profile(
     kind: str,
     center: float = 0.0,
@@ -227,16 +201,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def random_rud_ensemble(
-    n_qubits: int,
-    n_members: int,
-    rng: np.random.Generator,
-) -> list[tuple[float, np.ndarray]]:
-    """Seeded random ensemble for property testing (weights strictly positive)."""
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
-    dim = 2**n_qubits
-    weights = rng.random(n_members) + 0.05
-    weights = weights / weights.sum()
-    return [(float(p), random_unitary(dim, rng)) for p in weights]

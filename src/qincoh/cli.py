@@ -13,12 +13,13 @@ letters, and the profile's points and the grid's bins are capped before
 anything is allocated), and builds the finished objects (matrices, the
 profile, the recovery grid), so ``validate`` rejects every config that
 ``run`` would reject as a config error.
-A field is accepted only by the modes that read it (``cp_tol`` by ``qpt_demo``
-and ``rud_build``), and the config file is its only input, so the manifest's
-config hash covers exactly what ran.  Each quantity has one field: the
-channel modes build their channel from exactly ``h0``, ``k`` and ``profile``,
-so the profile's ``center`` is its only shift and the Pauli coefficients of
-``h0`` are its only scale.
+A field is accepted only by the modes that read it, and the config file is
+the only input, so the manifest's config hash covers exactly what ran.  No
+tolerance is a field: the CP test of ``qpt_demo`` and ``rud_build`` reads
+``liouville.CP_TOL``, and the reports state it as ``cp_tol``.  Each quantity
+has one field: the channel modes build their channel from exactly ``h0``,
+``k`` and ``profile``, so the profile's ``center`` is its only shift and the
+Pauli coefficients of ``h0`` are its only scale.
 Outputs are written atomically and listed in a manifest with content hashes;
 identical config gives byte-identical artifacts.  Exit codes: 0 success,
 1 config error, 2 numerical failure, 3 output error, 64 usage error.
@@ -48,7 +49,7 @@ from .channels import (
     rf_incoherent_channel,
 )
 from .errors import ConfigError
-from .liouville import CP_TOL, columnize, is_cp, superop_eigenvalues
+from .liouville import CP_TOL, choi_spectrum, columnize, superop_eigenvalues
 from .nudft import SYMMETRY_TOL, RecoveryGrid, inverse_nudft
 from .spectral import (
     MATCH_TOL,
@@ -168,13 +169,6 @@ def _number(v: Any, name: str) -> float:
     return x
 
 
-def _nonnegative(v: Any, name: str) -> float:
-    x = _number(v, name)
-    if not x >= 0.0:
-        raise ConfigError(f"{name} must be a non-negative number, got {v!r}")
-    return x
-
-
 def _one_of(*choices: str) -> _Check:
     def check(v: Any, name: str) -> str:
         if v not in choices:
@@ -241,9 +235,6 @@ _GRID = {
     "n_bins": (_integer, _REQUIRED),
 }
 
-# The CP-test tolerance, read by the two modes that judge complete positivity.
-_CP_TOL_FIELD = {"cp_tol": (_nonnegative, CP_TOL)}
-
 # make_synthetic_profile is looked up at each call rather than bound here, so
 # a wrapper installed on this module's attribute sees the call.
 _CHANNEL = {
@@ -254,9 +245,8 @@ _MODES = {
     "qpt_demo": {
         "u_ab": (_two_qubit_pauli, _REQUIRED),
         "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
-        **_CP_TOL_FIELD,
     },
-    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL, **_CP_TOL_FIELD},
+    "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL},
     "recover_profile": {
         "fixture": (_one_of("three_qubit", "four_qubit"), None),
         "h0": (_pauli, None),
@@ -436,9 +426,7 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     alpha, beta, gamma, correlated, cp_filter = (
         [sc[key] for sc in scenarios] for key in ("alpha", "beta", "gamma", "correlated", "cp_filter")
     )
-    reports = run_qpt_scenarios(
-        expm_unitary(f["u_ab"]), alpha, beta, gamma, correlated, cp_filter, cp_tol=f["cp_tol"]
-    )
+    reports = run_qpt_scenarios(expm_unitary(f["u_ab"]), alpha, beta, gamma, correlated, cp_filter)
     rows = []
     for sc, report in zip(scenarios, reports):
         rows.append({
@@ -451,7 +439,7 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "s_obs": _matrix_json(report.s_obs),
             "choi_eigenvalues": [float(x) for x in report.choi_eigenvalues],
             "is_cp": report.is_cp,
-            "cp_tol": f["cp_tol"],
+            "cp_tol": CP_TOL,
             "kraus_count": report.kraus_count,
             "removed_weight": report.removed_weight,
             "condition_number": report.condition_number,
@@ -471,7 +459,7 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     ident = columnize(np.eye(dim) / dim)
     unitality = float(np.abs(s @ ident - ident).max())
     tp = float(np.abs(columnize(np.eye(dim)).conj() @ s - columnize(np.eye(dim)).conj()).max())
-    cp_flag, min_eig = is_cp(s, f["cp_tol"])
+    min_eig = float(choi_spectrum(s)[-1])
     report = {
         "mode": "rud_build",
         "dim": dim,
@@ -479,9 +467,9 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "n_members": len(profile),
         "unitality_residual": {"value": unitality, "tol": CHANNEL_RESIDUAL_TOL},
         "trace_preservation_residual": {"value": tp, "tol": CHANNEL_RESIDUAL_TOL},
-        "is_cp": cp_flag,
+        "is_cp": min_eig >= -CP_TOL,
         "min_choi_eigenvalue": min_eig,
-        "cp_tol": f["cp_tol"],
+        "cp_tol": CP_TOL,
         "max_eigenvalue_modulus": {"value": float(np.abs(evals).max()), "tol": EIGENVALUE_MODULUS_TOL},
     }
     return [

@@ -1,17 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotCompletelyPositiveError(ValueError):
-    """Raised when a Choi matrix has a significantly negative eigenvalue."""
-
-    def __init__(self, min_eigenvalue: float):
-        super().__init__(
-            "map is not completely positive: "
-            f"min Choi eigenvalue {min_eigenvalue:.6e}"
-        )
-        self.min_eigenvalue = min_eigenvalue
-
-
 class IllConditionedError(ValueError):
     """Raised when a linear system is too ill-conditioned to invert reliably."""
 

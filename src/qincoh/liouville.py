@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import NotCompletelyPositiveError
 from .validation import (
     as_square_matrix,
     as_square_stack,
@@ -40,28 +39,13 @@ def columnize(rho: np.ndarray) -> np.ndarray:
     return rho.flatten(order="F")
 
 
-def uncolumnize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`columnize`; the length must be a perfect square."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    n = math.isqrt(vec.size)
-    if n * n != vec.size:
-        raise ValueError(f"vector length {vec.size} is not a perfect square")
-    return vec.reshape((n, n), order="F")
-
-
 # unitary_superoperator accepts U with max|U^dag U - I| up to this.
 UNITARY_TOL = 1e-10
-# choi_to_kraus keeps the eigenvalues above this fraction of the largest.
-KRAUS_RANK_RTOL = 1e-10
 # A generator (h0, h0*t, k or a Hamiltonian h) is refused when max|H - H^dag|
 # exceeds this, by every function that takes one.
 GENERATOR_HERMITIAN_TOL = 1e-12
-# eig_hermitian refuses a matrix further than this from Hermitian, unless
-# its caller names a tolerance of its own.
-EIG_HERMITIAN_TOL = 1e-10
-# The default complete-positivity tolerance: a map is CP when its smallest
-# Choi eigenvalue is at least -CP_TOL (is_cp, the tomography reports and
-# the cp_tol config field).
+# The complete-positivity tolerance: a map is CP when its smallest Choi
+# eigenvalue is at least -CP_TOL (the tomography and channel reports).
 CP_TOL = 1e-9
 
 
@@ -69,21 +53,6 @@ def unitary_superoperator(u: np.ndarray) -> np.ndarray:
     """Superoperator ``conj(U) kron U`` of the conjugation ``rho -> U rho U^dag``."""
     u = require_unitary(u, UNITARY_TOL, "u")
     return np.kron(u.conj(), u)
-
-
-def eig_hermitian(
-    m: np.ndarray, tol: float = EIG_HERMITIAN_TOL, name: str = "m"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: one ``eigh`` of the Hermitian
-    part that :func:`~qincoh.validation.require_hermitian` returns.
-
-    Returns real eigenvalues sorted descending and orthonormal eigenvector
-    columns with no phase convention: every consumer is invariant under a
-    phase per column.  ``name`` labels the matrix in the rejection of a
-    non-Hermitian input.
-    """
-    w, v = np.linalg.eigh(require_hermitian(m, tol, name))
-    return w[::-1], v[:, ::-1]
 
 
 def _hilbert_dim(mat: np.ndarray, name: str) -> int:
@@ -117,17 +86,13 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
     """Choi matrix of a superoperator, or of each of a ``(..., N^2, N^2)``
-    stack (pure index permutation, involutive)."""
+    stack (pure index permutation, involutive: applied to a Choi matrix it
+    gives back the superoperator)."""
     s = as_square_stack(s, "s")
     n = _hilbert_dim(s, "s")
     lead = s.shape[:-2]
     axes = tuple(range(len(lead))) + tuple(len(lead) + a for a in (3, 1, 2, 0))
     return s.reshape(*lead, n, n, n, n).transpose(axes).reshape(*lead, n * n, n * n)
-
-
-def choi_to_superop(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`superop_to_choi` (the same permutation)."""
-    return superop_to_choi(c)
 
 
 # choi_spectrum refuses a Choi matrix further than this from Hermitian.
@@ -147,35 +112,6 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(c)[..., ::-1]
 
 
-def is_cp(s: np.ndarray, tol: float = CP_TOL) -> tuple[bool, float]:
-    """Test complete positivity of one map; returns ``(flag, min Choi
-    eigenvalue)``, the flag True when the last of :func:`choi_spectrum` is
-    >= -tol.  A stack of maps is refused by its shape alone; the one
-    conversion and finiteness check is :func:`superop_to_choi`'s."""
-    shape = np.shape(s)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"s must be a square 2-d array, got shape {shape}")
-    min_eig = float(choi_spectrum(s)[-1])
-    return min_eig >= -tol, min_eig
-
-
-def choi_to_kraus(c: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators from a positive-semidefinite Choi matrix.
-
-    Each eigenvalue above ``rank_tol = KRAUS_RANK_RTOL * (max eigenvalue)``
-    contributes ``sqrt(lam) * uncolumnize(v)``, so the operator count is the
-    numerical rank of the Choi matrix.  A negative eigenvalue below
-    ``-rank_tol`` raises :class:`NotCompletelyPositiveError`.
-    """
-    w, v = eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")
-    if w[0] <= 0.0:
-        raise ValueError("Choi matrix has no positive spectrum")
-    rank_tol = KRAUS_RANK_RTOL * w[0]
-    if w[-1] < -rank_tol:
-        raise NotCompletelyPositiveError(float(w[-1]))
-    return [np.sqrt(w[i]) * uncolumnize(v[:, i]) for i in range(w.size) if w[i] > rank_tol]
-
-
 def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_k w_k conj(A_k) kron A_k`` for a ``(K, N, N)`` stack, as one GEMM.
 
@@ -190,17 +126,6 @@ def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def kraus_to_superop(kraus_ops: list[np.ndarray]) -> np.ndarray:
-    """Assemble ``sum_i conj(A_i) kron A_i``."""
-    if not kraus_ops:
-        raise ValueError("empty Kraus operator list")
-    ops = [as_square_matrix(a, f"kraus_ops[{i}]") for i, a in enumerate(kraus_ops)]
-    dim = ops[0].shape[0]
-    if any(a.shape[0] != dim for a in ops):
-        raise ValueError("Kraus operators have mismatched dimensions")
-    return conjugation_sum(np.stack(ops), np.ones(len(ops)))
-
-
 def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:
     """Project to a CP map by zeroing negative Choi eigenvalues.
 
@@ -210,7 +135,10 @@ def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:
     """
     c = superop_to_choi(s)
     n = math.isqrt(c.shape[0])
-    w, v = eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")
+    w, v = np.linalg.eigh(require_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix"))
+    # descending, as choi_spectrum orders them; the sums below add in this
+    # order, which fixes their rounding
+    w, v = w[::-1], v[:, ::-1]
     removed_weight = float(np.abs(w[w < 0.0]).sum())
     kept = np.clip(w, 0.0, None)
     total = float(kept.sum())
@@ -218,4 +146,4 @@ def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("entire Choi spectrum is non-positive; cannot CP-filter")
     kept = kept * (n / total)
     c_filtered = (v * kept) @ v.conj().T
-    return choi_to_superop(c_filtered), removed_weight
+    return superop_to_choi(c_filtered), removed_weight

@@ -55,9 +55,6 @@ class RecoveryGrid:
         return (self.delta_omega_max - self.delta_omega_min) / (self.n_bins - 1)
 
 
-DEFAULT_GRID = RecoveryGrid(-0.15, 0.15, 61)
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Recovered profile plus the quality diagnostics of the inversion,
@@ -84,21 +81,30 @@ def _clip_and_normalize(raw: np.ndarray) -> tuple[np.ndarray, float]:
     return clipped / clipped.sum(), negative / positive
 
 
-def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid = DEFAULT_GRID) -> RecoveryResult:
+def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryResult:
     """Recover a deviation profile from unequally spaced Fourier samples.
 
     The profile ``p`` on the grid points ``x`` minimizes
     ``|K^H p - f|^2 + mu*|p|^2``, with the kernel ``K = exp(i * outer(x, k))``
     and the ridge ``mu = RIDGE_PER_SAMPLE * n_samples``: one solve of
-    ``(K K^H + mu*I) p = K f``.  A sample set whose conjugate-symmetry
-    residual exceeds :data:`SYMMETRY_TOL` draws a warning.  The imaginary
-    part left over after inversion is reported relative to the real part;
-    negative weights are clipped to zero and the clipped mass (relative to
-    the retained positive mass) is reported, then the profile is
-    renormalized.
+    ``(K K^H + mu*I) p = K f``.  A grid whose bin width times the largest
+    ``|k|`` reaches pi is refused before the fit: on it, the kernel column
+    of a sample at ``k > 0`` equals, up to a constant phase, that of one at
+    ``k - 2*pi/bin_width``, inside the sampled window, so the samples alias.
+    A sample set whose conjugate-symmetry residual exceeds
+    :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over
+    after inversion is reported relative to the real part; negative weights
+    are clipped to zero and the clipped mass (relative to the retained
+    positive mass) is reported, then the profile is renormalized.
     """
     if len(samples) < 5:
         raise ValueError(f"need at least 5 samples, got {len(samples)}")
+    k_max = float(np.abs(samples.k).max())
+    if not grid.bin_width * k_max < np.pi:
+        raise ValueError(
+            f"grid bin width {grid.bin_width:.6g} times max|k| {k_max:.6g} is "
+            f"{grid.bin_width * k_max:.6g}, not below pi: the samples alias on this grid"
+        )
     sym = samples.conjugate_symmetry_residual()
     if sym > SYMMETRY_TOL:
         warnings.warn(

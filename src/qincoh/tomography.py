@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter, eig_hermitian
+from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter
 from .validation import as_square_stack, first_failure, first_non_finite, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,15 +46,13 @@ _SIGMA_KRON_Z = np.stack([np.kron(s, SIGMA_Z) for s in (_ZERO2, SIGMA_X, SIGMA_Y
 ENV_DIM = 2
 # A joint input state with an eigenvalue below -PSD_TOL is not physical.
 PSD_TOL = 1e-10
-# qpt_solve rejects an input-state matrix with a larger condition number.
+# run_qpt_scenarios rejects an input-state matrix with a larger condition number.
 # The solve's rounding moves the map's Choi matrix off Hermitian by up to
 # about 7.6e-17 times the condition number (the worst of 48,856 random
 # physical rows under 1000 Haar-random u_ab), so an admitted map stays more
 # than ten times inside liouville.CHOI_HERMITIAN_TOL = 1e-10.  The condition
 # number of the four inputs is about 4/alpha.
 COND_LIMIT = 1e5
-# environment_kraus_operators skips environment eigenstates of weight up to this.
-KRAUS_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,12 @@ class QPTReport:
     """Diagnostics of one simulated tomography scenario.
 
     ``is_cp``, ``kraus_count`` and ``choi_eigenvalues`` all read one
-    :func:`~qincoh.liouville.choi_spectrum` of the reported map.
-    ``kraus_count`` is present exactly when the reported map is CP;
-    ``removed_weight`` is present exactly when CP-filtering was applied, and
-    ``forward_residual`` (``max|S_obs @ In - Out|`` over the tomography
-    inputs) exactly when it was not.
+    :func:`~qincoh.liouville.choi_spectrum` of the reported map: the map is
+    CP when the smallest eigenvalue is at least ``-CP_TOL``, and
+    ``kraus_count``, present exactly when it is, counts the eigenvalues
+    above ``CP_TOL``.  ``removed_weight`` is present exactly when
+    CP-filtering was applied, and ``forward_residual`` (``max|S_obs @ In -
+    Out|`` over the tomography inputs) exactly when it was not.
     """
 
     s_obs: np.ndarray
@@ -154,50 +153,6 @@ def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     return _trace_out_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
-def environment_kraus_operators(u_ab: np.ndarray, rho_b: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators of the uncorrelated reduced dynamics.
-
-    Built from the environment-block matrix elements ``<mu|U_AB|nu>`` with
-    ``|nu>`` the eigenvectors of rho_B, each scaled by sqrt of its weight.
-    """
-    u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
-    probs, basis = eig_hermitian(rho_b, name="rho_b")
-    db = basis.shape[0]
-    n = u_ab.shape[0]
-    if n % db != 0:
-        raise ValueError("u_ab dimension incompatible with rho_b")
-    da = n // db
-    u4 = u_ab.reshape(da, db, da, db)
-    ops = []
-    for nu in range(db):
-        if probs[nu] <= KRAUS_WEIGHT_TOL:
-            continue
-        block = np.einsum("ambn,n->amb", u4, basis[:, nu])
-        for mu in range(db):
-            ops.append(np.sqrt(probs[nu]) * block[:, mu, :])
-    return ops
-
-
-def qpt_solve(
-    input_vectors: list[np.ndarray],
-    output_vectors: list[np.ndarray],
-) -> tuple[np.ndarray, float]:
-    """Solve ``S @ In = Out`` for the observed map.
-
-    The columns of In/Out are the vectorized input/output states; the input
-    matrix must be square and its condition number at most :data:`COND_LIMIT`.
-    Returns the map and the condition number.
-    """
-    in_mat = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in input_vectors])
-    out_mat = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in output_vectors])
-    if in_mat.shape[0] != in_mat.shape[1]:
-        raise ValueError(f"need {in_mat.shape[0]} input states to invert, got {in_mat.shape[1]}")
-    if out_mat.shape != in_mat.shape:
-        raise ValueError("inputs and outputs have mismatched shapes")
-    s_obs, cond, _ = _solve_stack(in_mat[None], out_mat[None], None)
-    return s_obs[0], float(cond[0])
-
-
 def _parameters(params: np.ndarray, scenario: tuple[int, ...]) -> str:
     """Names one scenario of a ``(3, ...)`` array of alpha, beta, gamma."""
     a, b, g = (float(x[scenario]) for x in params)
@@ -207,18 +162,18 @@ def _parameters(params: np.ndarray, scenario: tuple[int, ...]) -> str:
 def _solve_stack(
     in_mats: np.ndarray,
     out_mats: np.ndarray,
-    params: np.ndarray | None,
+    params: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`qpt_solve` for a ``(S, n, n)`` stack of input and output
-    matrices: every input matrix is checked against :data:`COND_LIMIT` (the
-    first that fails is the error, named by its row and its scenario of the
-    ``(3, S)`` ``params``, unless they are None), then one batched solve.
+    """Solve ``S @ In = Out`` for each of a ``(S, n, n)`` stack of input and
+    output matrices: every input matrix is checked against
+    :data:`COND_LIMIT` (the first that fails is the error, named by its row
+    and its scenario of the ``(3, S)`` ``params``), then one batched solve.
     Returns the maps, the condition numbers and the residuals ``max|S @ In - Out|``.
     """
     cond = np.linalg.cond(in_mats)
     if found := first_failure(~(cond <= COND_LIMIT)):
         where, index = found
-        row = "" if params is None else f"{index} {_parameters(params, where)}"
+        row = f"{index} {_parameters(params, where)}"
         refusal = f"condition number {cond[where]:.3e} exceeds COND_LIMIT = {COND_LIMIT:.3e}"
         raise IllConditionedError(f"tomography input matrix{row}: {refusal}", float(cond[where]))
     # the right-hand side is a stack of matrices, as the matrix stack is, so
@@ -231,8 +186,8 @@ def _solve_stack(
 def _vector_columns(stack: np.ndarray) -> np.ndarray:
     """A ``(..., K, d, d)`` stack of K states to ``(..., d*d, K)`` matrices
     whose column k is ``columnize`` of state k, in C order as
-    ``np.column_stack`` builds them in :func:`qpt_solve`, so the residual
-    product makes the same BLAS call for a stack as for one map."""
+    ``np.column_stack`` builds one map's matrix, so the residual product
+    makes the same BLAS call for a stack as for one map."""
     vectors = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], -1)
     return np.ascontiguousarray(vectors.swapaxes(-1, -2))
 
@@ -244,14 +199,13 @@ def run_qpt_scenarios(
     gamma: Sequence[float],
     correlated: Sequence[bool],
     apply_cp_filter: Sequence[bool],
-    cp_tol: float = CP_TOL,
 ) -> list[QPTReport]:
     """Simulate S tomography scenarios under one joint unitary as one stack
     and collect the CP diagnostics of each.
 
-    Each argument but ``u_ab`` and ``cp_tol`` holds one value per scenario;
-    the reports come back in the same order, and each equals that of its own
-    one-row run.  A scenario that is not ``correlated`` has its
+    Each argument but ``u_ab`` holds one value per scenario; the reports
+    come back in the same order, and each equals that of its own one-row
+    run.  A scenario that is not ``correlated`` has its
     system-environment correlations removed before evolution, by replacing
     each joint state with the product of its marginals (all other parameters
     kept equal).  With ``apply_cp_filter`` the map's negative Choi
@@ -285,13 +239,13 @@ def run_qpt_scenarios(
     for i in np.flatnonzero(apply_cp_filter):
         s_obs[i], removed_weight[i] = cp_filter(s_obs[i])
     eigenvalues = choi_spectrum(s_obs)
-    cp_flags = eigenvalues[:, -1] >= -cp_tol
+    cp_flags = eigenvalues[:, -1] >= -CP_TOL
     return [
         QPTReport(
             s_obs=s_obs[i],
             choi_eigenvalues=eigenvalues[i],
             is_cp=bool(cp_flags[i]),
-            kraus_count=int(np.count_nonzero(eigenvalues[i] > cp_tol)) if cp_flags[i] else None,
+            kraus_count=int(np.count_nonzero(eigenvalues[i] > CP_TOL)) if cp_flags[i] else None,
             removed_weight=removed_weight[i],
             condition_number=float(cond[i]),
             forward_residual=None if apply_cp_filter[i] else float(residual[i]),

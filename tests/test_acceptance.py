@@ -7,27 +7,23 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
+from oracles import environment_kraus_operators, kraus_operators, kraus_sum, random_rud_ensemble
 from qincoh.channels import (
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
-    random_rud_ensemble,
+    random_unitary,
     rf_incoherent_channel,
     rud_superoperator,
 )
 from qincoh.cli import load_config, run_scenario
 from qincoh.liouville import (
-    choi_to_kraus,
-    choi_to_superop,
+    CP_TOL,
+    choi_spectrum,
     columnize,
     cp_filter,
-    eig_hermitian,
-    is_cp,
-    kraus_to_superop,
     superop_to_choi,
-    unitary_superoperator,
 )
 from qincoh.nudft import RecoveryGrid, inverse_nudft
 from qincoh.spectral import (
@@ -38,12 +34,7 @@ from qincoh.spectral import (
     profile_metrics,
     three_qubit_fixture,
 )
-from qincoh.tomography import (
-    SIGMA_Z,
-    prepare_correlated_inputs,
-    qpt_solve,
-    run_qpt_scenarios,
-)
+from qincoh.tomography import SIGMA_Z, run_qpt_scenarios
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 U_ZZ = expm_unitary(np.pi / 4 * np.kron(SIGMA_Z, SIGMA_Z))
@@ -68,20 +59,15 @@ def skewed_channel():
 
 
 def test_c01_eq4_reproduction():
-    inputs = prepare_correlated_inputs(0.5, 0.5, 0.6)
-    from qincoh.tomography import evolve_and_reduce
-
-    in_vecs = [columnize(r) for r in inputs.reduced_inputs]
-    out_vecs = [columnize(evolve_and_reduce(U_ZZ, j)) for j in inputs.joint_states]
-    s_obs, _ = qpt_solve(in_vecs, out_vecs)
-    dev = np.abs(s_obs - EQ4_S).max()
+    (report,) = run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [True], [False])
+    dev = np.abs(report.s_obs - EQ4_S).max()
     _report(1, "correlated tomography reproduces diag(1, 1.2i, -1.2i, 1)",
             dev < 1e-12, f"max deviation {dev:.2e}")
 
 
 def test_c02_choi_spectra():
-    w_corr, _ = eig_hermitian(superop_to_choi(EQ4_S))
-    w_unc, _ = eig_hermitian(superop_to_choi(UNCORR_S))
+    w_corr = choi_spectrum(EQ4_S)
+    w_unc = choi_spectrum(UNCORR_S)
     dev_corr = np.abs(w_corr - np.array([2.2, 0.0, 0.0, -0.2])).max()
     dev_unc = np.abs(w_unc - np.array([1.5, 0.5, 0.0, 0.0])).max()
     _report(2, "Choi spectra are {2.2, -0.2} and {1.5, 0.5} within 1e-12",
@@ -124,12 +110,12 @@ def test_c05_rud_channel_property_suite():
         ident = columnize(np.eye(dim) / dim)
         bra = columnize(np.eye(dim)).conj()
         w = np.linalg.eigvals(s)
-        cp_ok, min_eig = is_cp(s, 1e-9)
+        min_eig = choi_spectrum(s)[-1]
         conj_ok = all(np.abs(w - np.conj(lam)).min() < 1e-9 for lam in w)
         checks = (
             np.abs(s @ ident - ident).max() < 1e-11,
             np.abs(bra @ s - bra).max() < 1e-11,
-            cp_ok,
+            min_eig >= -CP_TOL,
             conj_ok,
             np.abs(w).max() <= 1 + 1e-10,
         )
@@ -242,18 +228,17 @@ def test_c09_offset_detection():
 
 def test_c10_round_trip_oracles():
     rng = np.random.default_rng(77)
-    s_true = rud_superoperator(random_rud_ensemble(1, 3, rng))
-    inputs = prepare_correlated_inputs(0.5, 0.5, 0.0)
-    in_vecs = [columnize(r) for r in inputs.reduced_inputs]
-    s_rec, _ = qpt_solve(in_vecs, [s_true @ v for v in in_vecs])
-    qpt_ok = np.abs(s_rec - s_true).max() < 1e-10
+    # uncorrelated tomography recovers the environment's Kraus map
+    u_ab = random_unitary(4, rng)
+    (report,) = run_qpt_scenarios(u_ab, [0.5], [0.5], [0.0], [False], [False])
+    ops = environment_kraus_operators(u_ab, (np.eye(2) + 0.5 * SIGMA_Z) / 2)
+    qpt_ok = np.abs(report.s_obs - kraus_sum(ops)).max() < 1e-10
 
-    reshuffle_ok = np.array_equal(choi_to_superop(superop_to_choi(EQ4_S)), EQ4_S)
+    reshuffle_ok = np.array_equal(superop_to_choi(superop_to_choi(EQ4_S)), EQ4_S)
     kraus_ok = True
     for i in range(10):
         s = rud_superoperator(random_rud_ensemble(1 + i % 2, 3, rng))
-        rebuilt = kraus_to_superop(choi_to_kraus(superop_to_choi(s)))
-        kraus_ok = kraus_ok and np.abs(rebuilt - s).max() < 1e-10
+        kraus_ok = kraus_ok and np.abs(kraus_sum(kraus_operators(s)) - s).max() < 1e-10
     _report(10, "tomography, reshuffle and Kraus round-trips are exact",
             qpt_ok and reshuffle_ok and kraus_ok)
 

@@ -10,10 +10,12 @@ from typing import Any
 import numpy as np
 import pytest
 
-from qincoh.channels import make_synthetic_profile, profile_from_csv, rf_incoherent_channel
+from oracles import parse_profile_csv
+from qincoh.channels import make_synthetic_profile, rf_incoherent_channel
 from qincoh import cli
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
+from qincoh.liouville import CP_TOL, choi_spectrum
 from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
 from qincoh.spectral import (
     MATCH_TOL,
@@ -109,7 +111,7 @@ def test_table1_run_prepares_evolves_and_checks_positivity_once(tmp_path, monkey
     from qincoh import tomography
 
     calls, active = [], []
-    for name in ("prepare_correlated_inputs", "evolve_and_reduce", "qpt_solve"):
+    for name in ("prepare_correlated_inputs", "evolve_and_reduce"):
         def counted(*args, _fn=getattr(tomography, name), _name=name, **kwargs):
             calls.append(_name)
             active.append(_name)
@@ -130,8 +132,6 @@ def test_table1_run_prepares_evolves_and_checks_positivity_once(tmp_path, monkey
     assert calls.count("prepare_correlated_inputs") == 1
     assert calls.count("evolve_and_reduce") == 1
     assert calls.count("psd_eigvalsh") == 1
-    # the stack never passes through qpt_solve, whose callers expect one map
-    assert calls.count("qpt_solve") == 0
     # one Choi spectrum for the stack of all rows
     assert calls.count("eigvalsh") == 1
 
@@ -155,7 +155,7 @@ def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     assert report["pairing"]["match_tol"] == MATCH_TOL
     assert report["conjugate_symmetry_residual"]["tol"] == SYMMETRY_TOL
-    recovered = profile_from_csv((tmp_path / "recovered_profile.csv").read_text())
+    recovered = parse_profile_csv((tmp_path / "recovered_profile.csv").read_text())
     assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
 
 
@@ -166,7 +166,7 @@ def test_recovery_report_states_the_moments_of_the_profile_it_wrote(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "recovery_report.json").read_text())
-    truth = profile_metrics(profile_from_csv((out / "true_profile.csv").read_text()))
+    truth = profile_metrics(parse_profile_csv((out / "true_profile.csv").read_text()))
     assert report["true_profile_moments"] == truth._asdict()
     assert truth.mean > 0.05
     recovered_mean = report["recovered_moments"]["mean"]
@@ -286,18 +286,19 @@ MALFORMED = {
     # refused before the profile or the grid is allocated
     "profile-huge-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=10**11)),
     "grid-huge-n-bins": ("recover3q.json", lambda c: c["grid"].update(n_bins=10**11)),
-    "negative-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=-1)),
     # a fixture fixes h0 and k
     "h0-with-fixture": ("recover3q.json", lambda c: c.update(h0="1.0 * ZZZ")),
     "no-fixture-no-generators": ("recover3q.json", lambda c: c.pop("fixture")),
-    # fields the channel modes no longer have, whatever their value
+    # fields the modes no longer have, whatever their value
+    "negative-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=-1)),
+    "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
+    "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
     "t-with-fixture": ("recover3q.json", lambda c: c.update(t=2.0)),
     "bool-t": ("rud2q.json", lambda c: c.update(t=True)),
     "bool-offset": ("recover3q.json", lambda c: c.update(offset=False)),
     "infinite-offset": ("recover3q.json", lambda c: c.update(offset=float("inf"))),
     "unknown-method": ("recover3q.json", lambda c: c.update(method="fft")),
     # a bool where a number or an integer belongs
-    "bool-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=True)),
     "bool-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=True)),
     "bool-width": ("recover3q.json", lambda c: c["profile"].update(width=True)),
     "bool-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=True)),
@@ -337,7 +338,6 @@ MALFORMED = {
         c.pop("fixture"), c.update(h0="0.5 * ZI", k="0.1 * Z"))),
     # JSON NaN and Infinity
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
-    "infinite-cp-tol": ("eq4_demo.json", lambda c: c.update(cp_tol=float("inf"))),
     # a field in a mode that does not read it (no mode reads method)
     "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
     "method-in-rud-build": ("rud2q.json", lambda c: c.update(method="least_squares")),
@@ -357,12 +357,15 @@ def test_malformed_config_fails_validate(case, tmp_path, capsys):
 
 # The profile's centre is its only shift and h0's coefficients its only
 # scale, so neither mode has an offset or a t field; the profile is inverted
-# one way, so recover_profile has no method field.
+# one way, so recover_profile has no method field; the CP test reads the
+# constant liouville.CP_TOL, so neither CP-testing mode has a cp_tol field.
 REMOVED_FIELDS = {
     "recover-method": ("recover3q.json", "method"),
     "recover-offset": ("recover3q.json", "offset"),
     "recover-t": ("recover3q.json", "t"),
     "rud-t": ("rud2q.json", "t"),
+    "qpt-cp-tol": ("eq4_demo.json", "cp_tol"),
+    "rud-cp-tol": ("rud2q.json", "cp_tol"),
 }
 
 
@@ -396,21 +399,19 @@ def test_overflowing_joint_state_is_a_named_numerical_failure(tmp_path, capsys):
 
 
 def test_negative_cp_tol_is_rejected_from_file_and_flag(tmp_path, capsys):
+    # no CP tolerance is set by a user, in the file (test_removed_field_is_unknown
+    # has a positive value) or by a flag
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=-1e-9))))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in err] == ["config error"]
-    assert "cp_tol" in err[0]
+    assert err == ["config error: unknown field(s) ['cp_tol'] in config"]
     assert not out.exists()
-    # the file is the only input: there is no flag to set the tolerance
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", f"{CONFIG_DIR}/eq4_demo.json", "--out", str(out), "--tol", "0"])
     assert exc.value.code == 64
     assert not out.exists()
-    path.write_text(json.dumps(_bundled("eq4_demo.json", lambda c: c.update(cp_tol=0))))
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_run_help_lists_only_config_and_out(capsys):
@@ -448,6 +449,21 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert main(["validate", "--config", str(config)]) == 0
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert "need at least 5 samples, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_aliasing_grid_is_a_named_numerical_failure(tmp_path, capsys):
+    # recover3q's samples reach max|k| = 79.2, so 11 bins over +-0.25
+    # (bin width 0.05) alias them
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bundled("recover3q.json", lambda c: c["grid"].update(n_bins=11))))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numerical failure: grid bin width 0.05 times max|k| 79.2 is 3.96, "
+        "not below pi: the samples alias on this grid"
+    )
     assert not out.exists()
 
 
@@ -545,6 +561,12 @@ def test_rud2q_run(tmp_path):
     assert rows[0] == "re,im" and len(rows) == 17
     report = json.loads((tmp_path / "channel_report.json").read_text())
     assert report["is_cp"] is True
+    # the one CP rule of the package, applied to the written superoperator
+    matrix = json.loads((tmp_path / "superoperator.json").read_text())
+    spectrum = choi_spectrum(np.array(matrix["real"]) + 1j * np.array(matrix["imag"]))
+    assert report["min_choi_eigenvalue"] == spectrum[-1]
+    assert report["is_cp"] == bool(spectrum[-1] >= -CP_TOL)
+    assert report["cp_tol"] == CP_TOL
     checked = {key: v for key, v in report.items() if isinstance(v, dict)}
     assert set(checked) == {
         "unitality_residual", "trace_preservation_residual", "max_eigenvalue_modulus",

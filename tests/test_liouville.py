@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from qincoh.channels import random_rud_ensemble, random_unitary, rud_superoperator
-from qincoh.errors import NotCompletelyPositiveError
+from oracles import kraus_operators, kraus_sum, random_rud_ensemble
+from qincoh.channels import random_unitary, rud_superoperator
 from qincoh.liouville import (
     CHOI_HERMITIAN_TOL,
+    CP_TOL,
     choi_spectrum,
-    choi_to_kraus,
-    choi_to_superop,
     columnize,
     cp_filter,
-    eig_hermitian,
-    is_cp,
-    kraus_to_superop,
     superop_eigenvalues,
     superop_to_choi,
-    uncolumnize,
     unitary_superoperator,
 )
 
@@ -38,15 +33,6 @@ def choi_by_elementary_sum(s):
             e_ij[i, j] = 1.0
             c += np.kron(e_ij, eye) @ s @ np.kron(eye, e_ij)
     return c
-
-
-def kron_loop(weights, ops):
-    """Oracle: the per-member kron accumulation the one-GEMM sum replaced."""
-    dim = ops[0].shape[0]
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for p, a in zip(weights, ops):
-        s += p * np.kron(a.conj(), a)
-    return s
 
 
 def greedy_multiset_distance(a, b):
@@ -78,24 +64,13 @@ def test_columnize_order_is_column_major():
             assert v[i + 3 * j] == m[i, j]
 
 
-def test_uncolumnize_examples():
-    assert np.array_equal(uncolumnize([0.5, 0, 0, 0.5]), np.eye(2) / 2)
-    assert np.array_equal(uncolumnize([0.5, 0.25, 0.25, 0.5]), (np.eye(2) + 0.5 * SX) / 2)
-    assert np.array_equal(uncolumnize([0.75, 0, 0, 0.25]), np.diag([0.75, 0.25]))
-
-
 def test_columnize_round_trip_is_exact():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 4):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        assert np.array_equal(uncolumnize(columnize(m)), m)
+        assert np.array_equal(columnize(m).reshape(dim, dim, order="F"), m)
         v = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-        assert np.array_equal(columnize(uncolumnize(v)), v)
-
-
-def test_uncolumnize_rejects_non_square_length():
-    with pytest.raises(ValueError, match="perfect square"):
-        uncolumnize(np.zeros(5))
+        assert np.array_equal(columnize(v.reshape(dim, dim, order="F")), v)
 
 
 def test_vectorization_identity():
@@ -147,44 +122,16 @@ def test_non_finite_maps_are_refused_by_name():
         s = np.eye(4, dtype=complex)
         s[1, 2] = bad
         with pytest.raises(ValueError, match="^s is not finite$"):
-            is_cp(s)
-
-
-def test_eig_hermitian_choi_spectra():
-    w, _ = eig_hermitian(superop_to_choi(EQ4_S))
-    assert np.abs(w - np.array([2.2, 0.0, 0.0, -0.2])).max() < 1e-12
-    w, _ = eig_hermitian(superop_to_choi(UNCORR_S))
-    assert np.abs(w - np.array([1.5, 0.5, 0.0, 0.0])).max() < 1e-12
-
-
-def test_eig_hermitian_identity():
-    w, _ = eig_hermitian(np.eye(4))
-    assert np.abs(w - 1.0).max() < 1e-14
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(15)
-    for dim in (2, 5, 9):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = m + m.conj().T
-        w, v = eig_hermitian(m)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-10 * np.abs(m).max()
-        assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            choi_spectrum(s)
 
 
 def test_identity_channel_choi_is_maximally_entangled_projector():
     c = superop_to_choi(np.eye(4, dtype=complex))
-    w, v = eig_hermitian(c)
-    assert np.abs(w - np.array([2.0, 0.0, 0.0, 0.0])).max() < 1e-12
+    w, v = np.linalg.eigh(c)
+    assert np.abs(w - np.array([0.0, 0.0, 0.0, 2.0])).max() < 1e-12
     assert abs(np.trace(c) - 2.0) < 1e-12
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert np.abs(np.abs(v[:, 0].conj() @ bell) - 1.0) < 1e-12
+    assert np.abs(np.abs(v[:, -1].conj() @ bell) - 1.0) < 1e-12
 
 
 def test_superop_to_choi_matches_elementary_sum_exactly():
@@ -195,20 +142,19 @@ def test_superop_to_choi_matches_elementary_sum_exactly():
 
 def test_choi_reshuffle_is_involution_bit_exact():
     rng = np.random.default_rng(17)
-    assert np.array_equal(choi_to_superop(superop_to_choi(EQ4_S)), EQ4_S)
+    assert np.array_equal(superop_to_choi(superop_to_choi(EQ4_S)), EQ4_S)
     for _ in range(10):
         s = unitary_superoperator(random_unitary(2, rng))
-        assert np.array_equal(choi_to_superop(superop_to_choi(s)), s)
-    assert np.array_equal(choi_to_superop(superop_to_choi(np.eye(4))), np.eye(4))
+        assert np.array_equal(superop_to_choi(superop_to_choi(s)), s)
+    assert np.array_equal(superop_to_choi(superop_to_choi(np.eye(4))), np.eye(4))
 
 
 def test_is_cp_examples():
-    flag, min_eig = is_cp(EQ4_S, 1e-9)
-    assert not flag and abs(min_eig + 0.2) < 1e-12
-    flag, min_eig = is_cp(UNCORR_S, 1e-9)
-    assert flag and abs(min_eig) < 1e-12
-    flag, min_eig = is_cp(np.eye(4), 1e-9)
-    assert flag and abs(min_eig) < 1e-12
+    # the reports' CP verdict: the smallest Choi eigenvalue is at least -CP_TOL
+    for s, cp, expected in ((EQ4_S, False, -0.2), (UNCORR_S, True, 0.0), (np.eye(4), True, 0.0)):
+        min_eig = choi_spectrum(s)[-1]
+        assert (min_eig >= -CP_TOL) == cp
+        assert abs(min_eig - expected) < 1e-12
 
 
 def test_choi_spectrum_is_the_descending_choi_eigvalsh():
@@ -219,21 +165,20 @@ def test_choi_spectrum_is_the_descending_choi_eigvalsh():
         c = superop_to_choi(s)
         w = choi_spectrum(s)
         assert np.array_equal(w, np.linalg.eigvalsh((c + c.conj().T) / 2)[::-1])
-        assert is_cp(s, 1e-9)[1] == w[-1]
     assert np.abs(choi_spectrum(EQ4_S) - np.array([2.2, 0.0, 0.0, -0.2])).max() < 1e-12
 
 
 def test_is_cp_rejects_a_map_that_does_not_preserve_hermiticity():
     rng = np.random.default_rng(27)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    # positive definite, so choi_to_kraus and cp_filter accept it too
+    # positive definite, so cp_filter accepts it too
     choi = h @ h.conj().T
     skew = 1j * np.eye(4)
     bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for check in (is_cp, cp_filter, lambda s: choi_to_kraus(superop_to_choi(s))):
+    for check in (choi_spectrum, cp_filter):
         # adding i*x*I moves max|C - C^dag| to 2x: 0.8 and 1.2 times the tolerance
-        check(choi_to_superop(choi + 0.4 * CHOI_HERMITIAN_TOL * skew))
-        for s in (choi_to_superop(choi + 0.6 * CHOI_HERMITIAN_TOL * skew), bad):
+        check(superop_to_choi(choi + 0.4 * CHOI_HERMITIAN_TOL * skew))
+        for s in (superop_to_choi(choi + 0.6 * CHOI_HERMITIAN_TOL * skew), bad):
             with pytest.raises(ValueError, match="^Choi matrix is not Hermitian within 1e-10 "):
                 check(s)
 
@@ -252,7 +197,7 @@ def test_choi_spectrum_of_a_stack_equals_the_per_map_spectra():
         # any number of leading axes
         grid = choi_spectrum(stack[:6].reshape(2, 3, *stack.shape[1:]))
         assert np.array_equal(grid.reshape(6, -1), spectra[:6])
-    assert np.array_equal(choi_to_superop(superop_to_choi(stack)), stack)
+    assert np.array_equal(superop_to_choi(superop_to_choi(stack)), stack)
 
 
 def test_choi_spectrum_of_a_stack_names_the_first_non_hermitian_choi_matrix():
@@ -263,10 +208,6 @@ def test_choi_spectrum_of_a_stack_names_the_first_non_hermitian_choi_matrix():
         choi_spectrum(stack)
     with pytest.raises(ValueError, match=r"^Choi matrix\[0\]\[1\] is not Hermitian within 1e-10 "):
         choi_spectrum(stack.reshape(2, 2, 4, 4))
-    # is_cp judges one map: a stack is refused, not read row by row
-    for maps in (stack, np.ones((3, 1, 1))):
-        with pytest.raises(ValueError, match=r"^s must be a square 2-d array, got shape \("):
-            is_cp(maps)
 
 
 def test_is_cp_converts_and_checks_its_map_once(monkeypatch):
@@ -281,48 +222,18 @@ def test_is_cp_converts_and_checks_its_map_once(monkeypatch):
     convert = validation.as_square_stack
     monkeypatch.setattr(validation, "as_square_stack", counted)
     monkeypatch.setattr(liouville, "as_square_stack", counted)
-    assert is_cp(EQ4_S.tolist(), 1e-9) == (False, pytest.approx(-0.2))
+    # the reports' CP verdict reads one Choi spectrum
+    assert choi_spectrum(EQ4_S.tolist())[-1] == pytest.approx(-0.2)
     assert calls == ["s"]
 
 
-def test_choi_to_kraus_counts():
-    assert len(choi_to_kraus(superop_to_choi(UNCORR_S))) == 2
-    assert len(choi_to_kraus(superop_to_choi(np.eye(4)))) == 1
-
-
-def test_choi_to_kraus_identity_channel():
-    (op,) = choi_to_kraus(superop_to_choi(np.eye(4)))
-    assert np.abs(np.abs(op) - np.eye(2)).max() < 1e-12
-
-
-def test_choi_to_kraus_rejects_ncp():
-    with pytest.raises(NotCompletelyPositiveError) as exc:
-        choi_to_kraus(superop_to_choi(EQ4_S))
-    assert abs(exc.value.min_eigenvalue + 0.2) < 1e-12
-
-
 def test_kraus_completeness_for_trace_preserving_maps():
-    ops = choi_to_kraus(superop_to_choi(UNCORR_S))
+    # the Choi convention: a trace-preserving map's Kraus operators,
+    # read off its Choi eigenvectors, satisfy sum A^dag A = I
+    ops = kraus_operators(UNCORR_S)
+    assert len(ops) == 2
     total = sum(a.conj().T @ a for a in ops)
     assert np.abs(total - np.eye(2)).max() < 1e-10
-
-
-def test_kraus_to_superop_identity():
-    assert np.array_equal(kraus_to_superop([np.eye(2, dtype=complex)]), np.eye(4))
-
-
-def test_kraus_to_superop_uncorrelated_example():
-    u_plus = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-    ops = [np.sqrt(0.75) * u_plus, np.sqrt(0.25) * u_plus.conj()]
-    assert np.abs(kraus_to_superop(ops) - UNCORR_S).max() < 1e-14
-
-
-def test_kraus_round_trip_on_seeded_channels():
-    rng = np.random.default_rng(18)
-    for i in range(10):
-        s = rud_superoperator(random_rud_ensemble(1 + i % 2, 3, rng))
-        ops = choi_to_kraus(superop_to_choi(s))
-        assert np.abs(kraus_to_superop(ops) - s).max() < 1e-10
 
 
 def test_one_gemm_sums_match_kron_loop():
@@ -333,9 +244,7 @@ def test_one_gemm_sums_match_kron_loop():
         weights = [p for p, _ in ensemble]
         unitaries = [u for _, u in ensemble]
         s = rud_superoperator(ensemble)
-        assert np.abs(s - kron_loop(weights, unitaries)).max() < 1e-14
-        kraus = choi_to_kraus(superop_to_choi(s))
-        assert np.abs(kraus_to_superop(kraus) - kron_loop([1.0] * len(kraus), kraus)).max() < 1e-14
+        assert np.abs(s - kraus_sum(unitaries, weights)).max() < 1e-14
 
 
 def test_superop_eigenvalues_match_eig_multiset():
@@ -362,13 +271,12 @@ def test_superop_eigenvalues_rejects_non_square_side():
 def test_cp_filter_eq4_example():
     filtered, removed = cp_filter(EQ4_S)
     assert abs(removed - 0.2) < 1e-12
-    w, _ = eig_hermitian(superop_to_choi(filtered))
+    w = choi_spectrum(filtered)
     assert np.abs(w - np.array([2.0, 0.0, 0.0, 0.0])).max() < 1e-12
-    ops = choi_to_kraus(superop_to_choi(filtered))
-    assert len(ops) == 1
-    assert np.abs(ops[0].conj().T @ ops[0] - np.eye(2)).max() < 1e-10
-    flag, _ = is_cp(filtered, 1e-10)
-    assert flag
+    # rank one: a single Kraus operator, which is unitary
+    (op,) = kraus_operators(filtered)
+    assert np.abs(op.conj().T @ op - np.eye(2)).max() < 1e-10
+    assert np.abs(kraus_sum([op]) - filtered).max() < 1e-10
     assert abs(np.trace(superop_to_choi(filtered)) - 2.0) < 1e-10
 
 
@@ -391,10 +299,9 @@ def test_cp_filter_output_is_cp_with_unit_choi_trace():
             (dim * dim, dim * dim)
         )
         choi = h + h.conj().T
-        filtered, removed = cp_filter(choi_to_superop(choi))
+        filtered, removed = cp_filter(superop_to_choi(choi))
         assert removed >= 0.0
-        flag, _ = is_cp(filtered, 1e-10)
-        assert flag
+        assert choi_spectrum(filtered)[-1] >= -1e-10
         assert abs(np.trace(superop_to_choi(filtered)) - dim) < 1e-10
 
 

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from qincoh.channels import RFProfile, make_synthetic_profile
+from qincoh.channels import RFProfile, make_synthetic_profile, rf_incoherent_channel
 from qincoh.nudft import (
-    DEFAULT_GRID,
     MAX_GRID_BINS,
     RecoveryGrid,
     forward_nudft,
     inverse_nudft,
 )
-from qincoh.spectral import SpectralSampleSet, profile_metrics
+from qincoh.spectral import (
+    SpectralSampleSet,
+    build_samples,
+    pair_eigenvalues,
+    profile_metrics,
+    three_qubit_fixture,
+)
+
+# a grid that the test sample sets below do not alias on
+GRID = RecoveryGrid(-0.15, 0.15, 61)
 
 
 def jittered_samples(profile, k_max, seed=42, n_half=28, jitter=0.3):
@@ -83,7 +91,8 @@ def test_round_trip_total_variation():
     xs = grid.points()
     ws = np.exp(-0.5 * ((xs + 0.05) / 0.1) ** 2)
     true = RFProfile(xs, ws / ws.sum())
-    samples = jittered_samples(true, 70.0, n_half=28, jitter=1.0)
+    # max|k| is at most 61, so bin width times max|k| stays below pi
+    samples = jittered_samples(true, 60.0, n_half=28, jitter=1.0)
     res = inverse_nudft(samples, grid)
     assert 0.5 * np.abs(res.profile.weight - true.weight).sum() < 0.15
     assert abs(profile_metrics(res.profile).mean - profile_metrics(true).mean) < grid.bin_width
@@ -108,14 +117,43 @@ def test_recovered_profile_is_always_valid():
 def test_inverse_requires_five_samples():
     s = SpectralSampleSet(np.array([-1.0, 0.0, 1.0]), np.array([1, 1, 1], dtype=complex))
     with pytest.raises(ValueError, match="at least 5"):
-        inverse_nudft(s, DEFAULT_GRID)
+        inverse_nudft(s, GRID)
 
 
 def test_inverse_warns_on_asymmetric_samples():
     ks = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     f = np.array([0.5, 0.8, 1.0, 0.8 + 0.2j, 0.5], dtype=complex)
     with pytest.warns(UserWarning, match="asymmetric"):
-        inverse_nudft(SpectralSampleSet(ks, f), DEFAULT_GRID)
+        inverse_nudft(SpectralSampleSet(ks, f), GRID)
+
+
+def test_inverse_refuses_an_aliasing_grid_before_the_fit(monkeypatch):
+    # the bundled recover3q samples reach max|k| = 79.2: on 101 bins over
+    # +-0.25 the product with the bin width is 0.396, on 11 bins it is 3.96
+    h0t, k = three_qubit_fixture()
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
+    samples = build_samples(pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k))
+    assert inverse_nudft(samples, RecoveryGrid(-0.25, 0.25, 101)).clipped_mass < 0.1
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the fit ran on an aliasing grid")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    with pytest.raises(ValueError, match=(
+        r"^grid bin width 0\.05 times max\|k\| 79\.2 is 3\.96, not below pi: "
+        r"the samples alias on this grid$"
+    )):
+        inverse_nudft(samples, RecoveryGrid(-0.25, 0.25, 11))
+
+
+def test_inverse_refuses_a_grid_from_pi_on():
+    # bin width 0.1: a max|k| just below pi / 0.1 is fitted, just above it is refused
+    grid = RecoveryGrid(-0.5, 0.5, 11)
+    ks = np.linspace(-1.0, 1.0, 5) * (np.pi / grid.bin_width)
+    f = np.ones(5, dtype=complex)
+    inverse_nudft(SpectralSampleSet(ks * (1 - 1e-9), f), grid)
+    with pytest.raises(ValueError, match="not below pi"):
+        inverse_nudft(SpectralSampleSet(ks * (1 + 1e-9), f), grid)
 
 
 @pytest.mark.filterwarnings("error")

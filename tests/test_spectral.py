@@ -14,7 +14,6 @@ from qincoh.channels import (
 from qincoh.errors import DegenerateSpectrumError, PairingError
 from qincoh.liouville import (
     GENERATOR_HERMITIAN_TOL,
-    choi_to_superop,
     superop_to_choi,
     unitary_superoperator,
 )
@@ -292,7 +291,7 @@ def _noisy_map(s, sigma, rng):
     """S with Hermitian Gaussian noise of size sigma per entry of its Choi
     matrix: still Hermiticity-preserving, no longer a random-unitary map."""
     g = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-    return choi_to_superop(superop_to_choi(s) + sigma * (g + g.conj().T) / 2)
+    return superop_to_choi(superop_to_choi(s) + sigma * (g + g.conj().T) / 2)
 
 
 def _discs(s, h0t):

@@ -2,7 +2,9 @@
 import ast
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "qincoh"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "qincoh"
+PERFBENCH_DIR = ROOT / "perfbench"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -22,9 +24,7 @@ def _private_imports(path: Path) -> list[str]:
 
 
 # The Hermiticity and unitarity checks; their tolerance is argument 1 or ``tol``.
-_TOLERANCE_CHECKS = {
-    "require_hermitian", "hermitian_part", "require_unitary", "unitary_stack", "eig_hermitian",
-}
+_TOLERANCE_CHECKS = {"require_hermitian", "hermitian_part", "require_unitary", "unitary_stack"}
 
 
 def _literal_tolerances(path: Path) -> list[str]:
@@ -73,7 +73,7 @@ def test_no_private_helper_is_imported_across_modules():
 def test_private_import_detector_sees_relative_and_absolute_forms(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        "from .liouville import _fix_phases, eig_hermitian\n"
+        "from .liouville import _fix_phases, choi_spectrum\n"
         "from qincoh.spectral import _SIDON_LEVELS\n"
         "from . import __version__, cli\n"
         "from numpy import _globals\n"
@@ -94,9 +94,9 @@ def test_literal_tolerance_detector_sees_positional_and_keyword_forms(tmp_path):
     probe.write_text(
         'require_hermitian(h, 1e-12, "h")\n'
         "validation.require_unitary(u, tol=1e-10)\n"
-        'eig_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix")\n'
+        'hermitian_part(c, CHOI_HERMITIAN_TOL, "Choi matrix")\n'
         "require_hermitian(m, tol, name)\n"
-        'eig_hermitian(rho_b, name="rho_b")\n'
+        'unitary_stack(u, name="u")\n'
     )
     assert [line.split(": ", 1)[1] for line in _literal_tolerances(probe)] == [
         "require_hermitian tol=1e-12",
@@ -126,3 +126,74 @@ def test_literal_tolerance_default_detector_sees_each_parameter_kind(tmp_path):
         "cp_tol=1e-09",
         "k_tol=0",
     ]
+
+
+# Public names that no pipeline calls: the physics definitions that the
+# tests compare the pipeline against.
+DEFINITIONS = {
+    "rud_superoperator",  # sum_k p_k conj(U_k) kron U_k of an explicit ensemble
+    "unitary_superoperator",  # conj(U) kron U of one unitary
+    "forward_nudft",  # a profile's Fourier transform at given coordinates
+    "partial_trace_b",  # the environment trace of a joint state
+}
+
+
+def _exported_names(path: Path) -> set[str]:
+    """The names that ``from .module import name`` lines of a file bind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _called_names(paths: list[Path]) -> set[str]:
+    """The names each file binds at its top level or imports by name, and
+    then reads; a local, a dataclass field, an attribute (``report.is_cp``)
+    or a string of the same name does not count."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(t.id for t in targets if isinstance(t, ast.Name))
+        reads = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found |= bound & reads
+    return found
+
+
+def test_every_export_has_a_caller_in_the_package_or_the_benchmark():
+    exported = _exported_names(PACKAGE_DIR / "__init__.py")
+    callers = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    called = _called_names(callers + sorted(PERFBENCH_DIR.glob("*.py")))
+    assert sorted(exported - called - DEFINITIONS) == []
+    # the exceptions stay exported, and each is still called by no pipeline
+    assert sorted(DEFINITIONS - exported) == []
+    assert sorted(DEFINITIONS & called) == []
+
+
+def test_caller_detector_counts_reads_of_bound_names_only(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .liouville import choi_spectrum, cp_filter\n"
+        "LIMIT = 3\n"
+        "def run_it(s):\n"
+        "    is_cp = s.is_cp\n"
+        "    return cp_filter(s), liouville.superop_to_choi, 'choi_spectrum', is_cp, LIMIT\n"
+        "class Report:\n"
+        "    is_cp: bool\n"
+    )
+    assert _exported_names(probe) == {"choi_spectrum", "cp_filter"}
+    assert _called_names([probe]) == {"cp_filter", "LIMIT"}

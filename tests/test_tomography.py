@@ -4,27 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from qincoh.channels import expm_unitary, random_rud_ensemble, random_unitary, rud_superoperator
+from oracles import environment_kraus_operators, kraus_operators, kraus_sum, solve_map
+from qincoh.channels import expm_unitary, random_unitary
 from qincoh.errors import IllConditionedError, NonPhysicalStateError
-from qincoh.liouville import (
-    choi_spectrum,
-    columnize,
-    cp_filter,
-    eig_hermitian,
-    kraus_to_superop,
-    superop_to_choi,
-    uncolumnize,
-)
+from qincoh.liouville import CP_TOL, choi_spectrum, columnize, cp_filter, superop_to_choi
 from qincoh.tomography import (
     COND_LIMIT,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    environment_kraus_operators,
     evolve_and_reduce,
     partial_trace_b,
     prepare_correlated_inputs,
-    qpt_solve,
     run_qpt_scenarios,
 )
 
@@ -129,7 +120,7 @@ def _scenario_oracle(u_ab, alpha, beta, gamma, correlated, apply_cp_filter):
         joints = [np.kron(rho_a, rho_b) for rho_a in reduced]
     in_vecs = [columnize(rho_a) for rho_a in reduced]
     out_vecs = [columnize(_reduce_oracle(u_ab @ rho @ u_ab.conj().T)) for rho in joints]
-    s_obs, cond = qpt_solve(in_vecs, out_vecs)
+    s_obs, cond = solve_map(in_vecs, out_vecs)
     if apply_cp_filter:
         s_obs, removed_weight = cp_filter(s_obs)
         return s_obs, cond, removed_weight, None
@@ -251,6 +242,8 @@ def test_evolve_and_reduce_eq4_outputs():
     assert np.abs(out2 - (np.eye(2) + 0.6 * SIGMA_Y) / 2).max() < 1e-12
     out4 = evolve_and_reduce(U_ZZ, inputs.joint_states[3])
     assert np.abs(out4 - (np.eye(2) + 0.5 * SIGMA_Z) / 2).max() < 1e-12
+    out_mat = np.column_stack([columnize(evolve_and_reduce(U_ZZ, j)) for j in inputs.joint_states])
+    assert np.abs(out_mat - EQ4_OUTPUT_COLUMNS).max() < 1e-12
 
 
 def test_swap_gate_hides_correlations():
@@ -262,38 +255,6 @@ def test_swap_gate_hides_correlations():
     rho_b = (np.eye(2) + 0.5 * SIGMA_Z) / 2
     for joint in inputs.joint_states:
         assert np.abs(evolve_and_reduce(swap, joint) - rho_b).max() < 1e-12
-
-
-def test_qpt_solve_eq4():
-    s, cond = qpt_solve(list(EQ4_INPUT_COLUMNS.T), list(EQ4_OUTPUT_COLUMNS.T))
-    assert np.abs(s - np.diag([1.0, 1.2j, -1.2j, 1.0])).max() < 1e-12
-    assert cond < 1e3
-
-
-def test_qpt_solve_identity():
-    vecs = list(EQ4_INPUT_COLUMNS.T)
-    s, _ = qpt_solve(vecs, vecs)
-    assert np.abs(s - np.eye(4)).max() < 1e-12
-
-
-def test_qpt_solve_round_trip_with_forward_oracle():
-    rng = np.random.default_rng(32)
-    s_true = rud_superoperator(random_rud_ensemble(1, 3, rng))
-    inputs = prepare_correlated_inputs(0.5, 0.5, 0.0)
-    in_vecs = [columnize(r) for r in inputs.reduced_inputs]
-    out_vecs = [s_true @ v for v in in_vecs]
-    s_rec, _ = qpt_solve(in_vecs, out_vecs)
-    assert np.abs(s_rec - s_true).max() < 1e-10
-
-
-def test_qpt_solve_rejects_singular_inputs():
-    inputs = prepare_correlated_inputs(0.0, 0.5, 0.0)
-    vecs = [columnize(r) for r in inputs.reduced_inputs]
-    with pytest.raises(IllConditionedError, match=(
-        r"^tomography input matrix: condition number .* exceeds COND_LIMIT = 1\.000e\+05$"
-    )) as exc:
-        qpt_solve(vecs, vecs)
-    assert exc.value.condition_number > 1e8
 
 
 def test_ill_conditioned_scenario_is_named_by_row_and_parameters():
@@ -421,9 +382,10 @@ def test_stacked_run_takes_every_choi_spectrum_in_one_eigvalsh(monkeypatch):
 
 
 def _choi_eigh_oracle(s_obs):
-    """The Choi spectrum as the scenario computed it before: eigenvectors and
-    all, with the Choi matrix checked at 1e-8."""
-    return eig_hermitian(superop_to_choi(s_obs), tol=1e-8, name="choi")[0]
+    """The Choi spectrum, descending, from a full ``eigh`` (eigenvectors and
+    all) of the Hermitian part of the Choi matrix."""
+    c = superop_to_choi(s_obs)
+    return np.linalg.eigh((c + c.conj().T) / 2)[0][::-1]
 
 
 TABLE1_ROWS = [
@@ -470,7 +432,7 @@ def test_uncorrelated_map_matches_environment_kraus_sum():
         (report,) = run_qpt_scenarios(u_ab, [0.5], [0.5], [0.6], [False], [False])
         rho_b = (np.eye(2) + 0.5 * SIGMA_Z) / 2
         ops = environment_kraus_operators(u_ab, rho_b)
-        assert np.abs(kraus_to_superop(ops) - report.s_obs).max() < 1e-10
+        assert np.abs(kraus_sum(ops) - report.s_obs).max() < 1e-10
 
 
 def test_correlated_map_is_linear_on_consistent_mixtures():
@@ -480,58 +442,58 @@ def test_correlated_map_is_linear_on_consistent_mixtures():
     (report,) = run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [True], [False])
     mix_reduced = (inputs.reduced_inputs[1] + inputs.reduced_inputs[2]) / 2
     mix_joint = (inputs.joint_states[1] + inputs.joint_states[2]) / 2
-    predicted = uncolumnize(report.s_obs @ columnize(mix_reduced))
+    predicted = (report.s_obs @ columnize(mix_reduced)).reshape(2, 2, order="F")
     actual = evolve_and_reduce(U_ZZ, mix_joint)
     assert np.abs(predicted - actual).max() < 1e-10
 
 
 def test_cp_filter_scenario_kraus_is_unitary():
     (report,) = run_qpt_scenarios(U_ZZ, [0.5], [0.5], [0.6], [True], [True])
-    from qincoh.liouville import choi_to_kraus, superop_to_choi
-
-    (op,) = choi_to_kraus(superop_to_choi(report.s_obs))
+    assert report.kraus_count == 1
+    (op,) = kraus_operators(report.s_obs)
     assert np.abs(op.conj().T @ op - np.eye(2)).max() < 1e-10
+    assert np.abs(kraus_sum([op]) - report.s_obs).max() < 1e-10
     assert abs(report.removed_weight - 0.2) < 1e-12
 
 
-def _public_steps_oracle(u_ab, alpha, beta, gamma, correlated, apply_cp_filter, cp_tol):
-    """One scenario from the public single-map steps: prepare, evolve each
-    state, qpt_solve, cp_filter, choi_spectrum."""
+def _public_steps_oracle(u_ab, alpha, beta, gamma, correlated, apply_cp_filter):
+    """One scenario from single-map steps: prepare, evolve each state, one
+    np.linalg.solve, cp_filter, choi_spectrum."""
     inputs = prepare_correlated_inputs(alpha, beta, gamma)
     joints = inputs.joint_states
     if not correlated:
         joints = [np.kron(r, inputs.environment_state) for r in inputs.reduced_inputs]
     in_vecs = [columnize(r) for r in inputs.reduced_inputs]
     out_vecs = [columnize(evolve_and_reduce(u_ab, rho)) for rho in joints]
-    s_obs, cond = qpt_solve(in_vecs, out_vecs)
+    s_obs, cond = solve_map(in_vecs, out_vecs)
     removed_weight = residual = None
     if apply_cp_filter:
         s_obs, removed_weight = cp_filter(s_obs)
     else:
         residual = float(np.abs(s_obs @ np.column_stack(in_vecs) - np.column_stack(out_vecs)).max())
     eigenvalues = choi_spectrum(s_obs)
-    is_cp = bool(eigenvalues[-1] >= -cp_tol)
-    kraus_count = int(np.count_nonzero(eigenvalues > cp_tol)) if is_cp else None
+    is_cp = bool(eigenvalues[-1] >= -CP_TOL)
+    kraus_count = int(np.count_nonzero(eigenvalues > CP_TOL)) if is_cp else None
     return s_obs, eigenvalues, is_cp, kraus_count, removed_weight, cond, residual
 
 
 @pytest.mark.parametrize("batch", ["table1", "seeded"])
 def test_stacked_run_equals_per_row_oracle(batch):
     if batch == "table1":
-        u_ab, cp_tol = U_ZZ, 1e-9
+        u_ab = U_ZZ
         rows = [(*triple, correlated, cpf) for triple, correlated, cpf in TABLE1_ROWS]
     else:
         rng = np.random.default_rng(40)
-        u_ab, cp_tol = random_unitary(4, rng), 1e-7
+        u_ab = random_unitary(4, rng)
         flags = rng.random((24, 2)) < 0.5
         rows = [(*t, c, f) for t, (c, f) in zip(_physical_triples(41, 24), flags)]
         # every combination of the two flags occurs
         assert len({(c, f) for c, f in flags}) == 4
-    reports = run_qpt_scenarios(u_ab, *map(list, zip(*rows)), cp_tol=cp_tol)
+    reports = run_qpt_scenarios(u_ab, *map(list, zip(*rows)))
     assert len(reports) == len(rows)
     for report, row in zip(reports, rows):
         s_obs, eigenvalues, is_cp, kraus_count, removed_weight, cond, residual = (
-            _public_steps_oracle(u_ab, *row, cp_tol)
+            _public_steps_oracle(u_ab, *row)
         )
         assert np.array_equal(report.s_obs, s_obs)
         assert np.array_equal(report.choi_eigenvalues, eigenvalues)

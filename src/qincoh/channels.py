@@ -152,8 +152,10 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
 
     Weights must be non-negative and sum to 1 within 1e-12, and every member
-    unitary within ``UNITARY_TOL``.  The sum is one matrix product, so the
-    same ensemble gives the same bytes for a given BLAS and thread count.
+    unitary within ``UNITARY_TOL``.  The sum is built by
+    :func:`liouville.conjugation_sum` from half its ``N x N`` blocks, so it
+    preserves Hermiticity exactly, and the same ensemble gives the same
+    bytes for a given BLAS and thread count.
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")

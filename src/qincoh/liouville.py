@@ -113,17 +113,31 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
 
 
 def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_k w_k conj(A_k) kron A_k`` for a ``(K, N, N)`` stack, as one GEMM.
+    """``sum_k w_k conj(A_k) kron A_k`` for a ``(K, N, N)`` stack and real
+    weights, written straight into the superoperator's ``[(a,c), (b,d)]``
+    layout.
 
-    The sum is a product of ``(N^2, K)`` and ``(K, N^2)`` matrices in the
-    index order ``[(a,b), (c,d)]``, swapped to the superoperator's
-    ``[(a,c), (b,d)]``.  The same inputs give the same bytes for a given BLAS
-    and thread count.
+    Its ``N x N`` block ``(a, c)`` is ``sum_k w_k conj(A_k[a])^T A_k[c]``,
+    and block ``(c, a)`` is the conjugate transpose of block ``(a, c)``.
+    So only the blocks ``c >= a`` are computed, one matrix product per row
+    ``a``; the rest are mirrored and each diagonal block is averaged with its
+    conjugate transpose.  The result preserves Hermiticity exactly: its
+    Choi matrix equals its own conjugate transpose bit for bit.  The same
+    inputs give the same bytes for a given BLAS and thread count.
     """
-    k, n, _ = ops.shape
-    flat = ops.reshape(k, n * n)
-    m = (weights[:, None] * flat.conj()).T @ flat
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    _, n, _ = ops.shape
+    left = ops.conj()
+    left *= weights[:, None, None]
+    left = left.transpose(1, 2, 0)  # [a, b, k]
+    right = ops.transpose(1, 0, 2)  # [c, k, d]
+    s = np.empty((n, n, n, n), dtype=complex)  # [a, c, b, d]
+    for a in range(n):
+        np.matmul(left[a], right[a:], out=s[a, a:])
+        np.conjugate(s[a, a + 1:].transpose(0, 2, 1), out=s[a + 1:, a])
+        diag = s[a, a]
+        diag += diag.conj().T
+        diag *= 0.5
+    return s.reshape(n * n, n * n)
 
 
 def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:

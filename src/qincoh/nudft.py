@@ -2,9 +2,10 @@
 
 The forward direction evaluates ``f(k) = sum_b p_b exp(-i k x_b)`` for a
 discrete profile; the inverse maps a sample set back onto a uniform
-deviation grid by one least-squares fit with a fixed ridge.  Sample counts
-stay small (57 at 3 qubits, 241 at 4 and 993 at 5), so the kernel is built
-densely and the fit is one direct solve.
+deviation grid by one least-squares fit with a fixed ridge.  On the
+uniform grid the fit's normal matrix is Hermitian Toeplitz, so it is built
+from one table of powers of ``exp(i * bin_width * k)``, never from the
+dense kernel, and the fit is one direct solve of ``n_bins`` unknowns.
 """
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ SYMMETRY_TOL = 1e-6
 # eigenvalues in [mu, mu + n_samples * n_bins] and, up to rounding, a condition
 # number of at most 1 + n_bins / RIDGE_PER_SAMPLE.
 RIDGE_PER_SAMPLE = 1e-6
-# The most bins a recovery grid may have: the normal matrix is n_bins**2
-# complex entries, 268 MB at this cap.
+# The most bins a recovery grid may have: the fit holds an n_bins**2 complex
+# normal matrix, 268 MB at this cap, and an n_bins x n_samples complex power
+# table, 264 MB at this cap, since 6 qubits give at most 4033 samples.
 MAX_GRID_BINS = 4096
 
 
@@ -53,6 +55,15 @@ class RecoveryGrid:
     @property
     def bin_width(self) -> float:
         return (self.delta_omega_max - self.delta_omega_min) / (self.n_bins - 1)
+
+    def powers(self, ks: np.ndarray) -> np.ndarray:
+        """The ``(n_bins, len(ks))`` table ``exp(i * a * bin_width * k_j)``
+        over the grid indices ``a``: row ``a`` is the running product of
+        ``a`` factors ``exp(i * bin_width * k)``."""
+        table = np.empty((self.n_bins, ks.size), dtype=complex)
+        table[0] = 1.0
+        table[1:] = np.exp(1j * self.bin_width * ks)
+        return np.cumprod(table, axis=0, out=table)
 
 
 @dataclass(frozen=True)
@@ -87,10 +98,16 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
     The profile ``p`` on the grid points ``x`` minimizes
     ``|K^H p - f|^2 + mu*|p|^2``, with the kernel ``K = exp(i * outer(x, k))``
     and the ridge ``mu = RIDGE_PER_SAMPLE * n_samples``: one solve of
-    ``(K K^H + mu*I) p = K f``.  A grid whose bin width times the largest
-    ``|k|`` reaches pi is refused before the fit: on it, the kernel column
-    of a sample at ``k > 0`` equals, up to a constant phase, that of one at
-    ``k - 2*pi/bin_width``, inside the sampled window, so the samples alias.
+    ``(K K^H + mu*I) p = K f``.  With ``x_a = x_0 + a*h`` and the power
+    table ``P[a, j] = exp(i*a*h*k_j)`` (:meth:`RecoveryGrid.powers`), the
+    normal matrix is the Hermitian Toeplitz ``g(a - b)`` with
+    ``g(d) = sum_j P[d, j]`` and ``g(-d) = conj(g(d))``, and ``K f`` is
+    ``P @ (exp(i*x_0*k) * f)``; ``K`` itself is never formed.
+
+    A grid whose bin width times the largest ``|k|`` reaches pi is refused
+    before the fit: on it, the kernel column of a sample at ``k > 0``
+    equals, up to a constant phase, that of one at ``k - 2*pi/bin_width``,
+    inside the sampled window, so the samples alias.
     A sample set whose conjugate-symmetry residual exceeds
     :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over
     after inversion is reported relative to the real part; negative weights
@@ -112,11 +129,17 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
             "the recovered profile may not be real",
             stacklevel=2,
         )
+    m = grid.n_bins
+    table = grid.powers(samples.k)
+    g = table.sum(axis=1)
+    # entry i of g_desc is g(m-1-i), so row a of the normal matrix, g(a - b)
+    # over b, is the window of g_desc that starts at m-1-a
+    g_desc = np.concatenate([g[::-1], g[1:].conj()])
+    normal = np.lib.stride_tricks.sliding_window_view(g_desc, m)[::-1].copy()
+    normal.flat[:: m + 1] += RIDGE_PER_SAMPLE * len(samples)
+    rhs = table @ (np.exp(1j * grid.delta_omega_min * samples.k) * samples.f)
+    raw = np.linalg.solve(normal, rhs)
     xs = grid.points()
-    kernel = np.exp(1j * np.multiply.outer(xs, samples.k))
-    normal = kernel @ kernel.conj().T
-    normal.flat[:: xs.size + 1] += RIDGE_PER_SAMPLE * len(samples)
-    raw = np.linalg.solve(normal, kernel @ samples.f)
 
     re, im = raw.real, raw.imag
     re_norm = float(np.linalg.norm(re))

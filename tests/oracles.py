@@ -23,6 +23,17 @@ def kraus_sum(ops, weights=None):
     return s
 
 
+def dense_ridge_fit(xs, ks, f, ridge):
+    """Profile weights of the ridge fit ``min |K^H p - f|^2 + ridge*|p|^2``
+    with the dense kernel ``K = exp(i * outer(xs, ks))``: one
+    ``np.linalg.solve`` of ``(K K^H + ridge*I) p = K f``, then the real
+    part clipped at zero and normalized to sum 1."""
+    kernel = np.exp(1j * np.multiply.outer(xs, ks))
+    normal = kernel @ kernel.conj().T + ridge * np.eye(len(xs))
+    weight = np.clip(np.linalg.solve(normal, kernel @ f).real, 0.0, None)
+    return weight / weight.sum()
+
+
 def kraus_operators(s):
     """Kraus operators of a CP map: each eigenvector of its Choi matrix
     whose eigenvalue ``lam`` exceeds 1e-12, column-unstacked and scaled by

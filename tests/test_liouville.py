@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qincoh.liouville import (
     CP_TOL,
     choi_spectrum,
     columnize,
+    conjugation_sum,
     cp_filter,
     superop_eigenvalues,
     superop_to_choi,
@@ -236,15 +239,38 @@ def test_kraus_completeness_for_trace_preserving_maps():
     assert np.abs(total - np.eye(2)).max() < 1e-10
 
 
-def test_one_gemm_sums_match_kron_loop():
+def test_conjugation_sum_is_exactly_hermiticity_preserving_and_matches_kron_loop():
+    # block (c, a) of S is the conjugate transpose of block (a, c), bit for
+    # bit, so its Choi matrix is exactly Hermitian
     rng = np.random.default_rng(24)
-    for i in range(12):
-        n_qubits = 1 + i % 3
-        ensemble = random_rud_ensemble(n_qubits, 2 + i % 5, rng)
-        weights = [p for p, _ in ensemble]
-        unitaries = [u for _, u in ensemble]
-        s = rud_superoperator(ensemble)
-        assert np.abs(s - kraus_sum(unitaries, weights)).max() < 1e-14
+    for n_qubits in range(4):
+        n = 2**n_qubits
+        for n_members in range(1, 7):
+            ensemble = random_rud_ensemble(n_qubits, n_members, rng)
+            weights = [p for p, _ in ensemble]
+            unitaries = [u for _, u in ensemble]
+            s = rud_superoperator(ensemble)
+            s4 = s.reshape(n, n, n, n)
+            assert np.array_equal(s4, s4.transpose(1, 0, 3, 2).conj())
+            choi = superop_to_choi(s)
+            assert np.array_equal(choi, choi.conj().T)
+            assert np.abs(s - kraus_sum(unitaries, weights)).max() <= 1e-14
+
+
+def test_conjugation_sum_peak_memory_is_one_superoperator_and_a_half():
+    # the output is N^4 complex entries; no second N^2 x N^2 array is made
+    n, n_members = 16, 41
+    rng = np.random.default_rng(26)
+    ops = np.stack([random_unitary(n, rng) for _ in range(n_members)])
+    weights = rng.random(n_members)
+    weights /= weights.sum()
+    tracemalloc.start()
+    try:
+        conjugation_sum(ops, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n**4 * 16, peak / (n**4 * 16)
 
 
 def test_superop_eigenvalues_match_eig_multiset():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import dense_ridge_fit
 from qincoh.channels import RFProfile, make_synthetic_profile, rf_incoherent_channel
 from qincoh.nudft import (
     MAX_GRID_BINS,
+    RIDGE_PER_SAMPLE,
     RecoveryGrid,
     forward_nudft,
     inverse_nudft,
@@ -11,6 +13,7 @@ from qincoh.nudft import (
 from qincoh.spectral import (
     SpectralSampleSet,
     build_samples,
+    four_qubit_fixture,
     pair_eigenvalues,
     profile_metrics,
     three_qubit_fixture,
@@ -112,6 +115,42 @@ def test_recovered_profile_is_always_valid():
     prof = res.profile
     assert np.all(prof.weight >= 0.0)
     assert abs(prof.weight.sum() - 1.0) < 1e-12
+
+
+def assert_matches_dense_fit(samples, grid):
+    res = inverse_nudft(samples, grid)
+    ridge = RIDGE_PER_SAMPLE * len(samples)
+    expected = dense_ridge_fit(grid.points(), samples.k, samples.f, ridge)
+    assert np.abs(res.profile.weight - expected).max() <= 1e-8
+
+
+@pytest.mark.parametrize("fixture", [three_qubit_fixture, four_qubit_fixture])
+def test_toeplitz_fit_matches_the_dense_kernel_fit(fixture):
+    h0t, k = fixture()
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
+    samples = build_samples(pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k))
+    assert_matches_dense_fit(samples, RecoveryGrid(-0.25, 0.25, 101))
+
+
+def test_toeplitz_fit_matches_the_dense_kernel_fit_on_asymmetric_samples():
+    # coordinates without their mirror images make g(d) complex, so the
+    # normal matrix's lower triangle must be the conjugate of its upper one
+    true = make_synthetic_profile("skewed", width=0.1, skew=0.4, n_points=41)
+    rng = np.random.default_rng(8)
+    ks = np.concatenate([[0.0], rng.uniform(-20.0, 30.0, 60)])
+    noise = 0.01 * (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+    samples = SpectralSampleSet(ks, forward_nudft(true, ks) + noise)
+    with pytest.warns(UserWarning, match="asymmetric"):
+        assert_matches_dense_fit(samples, RecoveryGrid(-0.6, 0.6, 49))
+
+
+def test_power_table_stays_within_1e_11_of_exp_at_the_bin_cap():
+    grid = RecoveryGrid(-1.0, 1.0, MAX_GRID_BINS)
+    h = grid.bin_width
+    # h * max|k| just under pi, the largest product the fit admits
+    ks = np.linspace(-1.0, 1.0, 257) * (np.pi * (1 - 1e-9) / h)
+    exact = np.exp(1j * np.multiply.outer(np.arange(MAX_GRID_BINS) * h, ks))
+    assert np.abs(grid.powers(ks) - exact).max() <= 1e-11
 
 
 def test_inverse_requires_five_samples():

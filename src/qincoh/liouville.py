@@ -64,9 +64,17 @@ def _hilbert_dim(mat: np.ndarray, name: str) -> int:
     return n
 
 
+# superop_eigenvalues treats real parts within this of their neighbour in
+# descending order as tied, so rounding never decides the order of a pair.
+EIGENVALUE_TIE_TOL = 1e-10
+
+
 def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a superoperator, with multiplicity, ordered by (real
-    part desc, imag part desc).
+    """Eigenvalues of a superoperator, with multiplicity, ordered by real
+    part descending; each run of real parts whose neighbours lie within
+    :data:`EIGENVALUE_TIE_TOL` is a tie, ordered by imaginary part
+    descending.  So the conjugate pairs of a Hermiticity-preserving map,
+    whose real parts agree to rounding, keep their order under rounding.
 
     One ``eigvals`` of ``S`` as given; no eigenvectors are computed.  A
     LAPACK failure is re-raised as a ``LinAlgError`` that names the matrix
@@ -81,7 +89,9 @@ def superop_eigenvalues(s: np.ndarray) -> np.ndarray:
             f"eigendecomposition did not converge for {s.shape[0]}x{s.shape[1]} "
             f"matrix (max|entry| = {np.abs(s).max():.3e}): {exc}"
         ) from exc
-    return w[np.lexsort((-w.imag, -w.real))]
+    w = w[np.argsort(-w.real, kind="stable")]
+    run = np.cumsum(np.diff(-w.real, prepend=-np.inf) > EIGENVALUE_TIE_TOL)
+    return w[np.lexsort((-w.imag, run))]
 
 
 def superop_to_choi(s: np.ndarray) -> np.ndarray:
@@ -95,7 +105,10 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     return s.reshape(*lead, n, n, n, n).transpose(axes).reshape(*lead, n * n, n * n)
 
 
-# choi_spectrum refuses a Choi matrix further than this from Hermitian.
+# A map is refused as not Hermiticity-preserving when its Choi matrix is
+# further than this from Hermitian: by choi_spectrum and cp_filter, and by
+# spectral.pair_eigenvalues, which reads the same deviation off S directly,
+# max|S[(a,b),(c,d)] - conj S[(b,a),(d,c)]| = max|C - C^dag|.
 CHOI_HERMITIAN_TOL = 1e-10
 
 

@@ -10,6 +10,13 @@ with ``phi_j`` the eigenphases of the nominal generator and
 phase therefore samples the Fourier transform of the deviation profile at
 the (generally unequally spaced) coordinates ``K_jm``; those samples are
 what the recovery transform consumes.
+
+Pairing reads the map in the unperturbed label basis and requires a map
+that preserves Hermiticity, as every physical map does: row ``(m, j)`` of
+that form is then the conjugate of row ``(j, m)``, so only the labels
+``j <= m`` are transformed.  A map that does not preserve Hermiticity
+within ``liouville.CHOI_HERMITIAN_TOL`` is refused by name, with its
+deviation, before any transform.
 """
 from __future__ import annotations
 
@@ -21,8 +28,8 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import GENERATOR_HERMITIAN_TOL
-from .validation import as_square_matrix, require_hermitian
+from .liouville import CHOI_HERMITIAN_TOL, GENERATOR_HERMITIAN_TOL
+from .validation import require_hermiticity_preserving, require_hermitian, row_block_ranges
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
 DEGENERACY_TOL = 1e-6
@@ -151,24 +158,47 @@ def predict_eigenvalues(
 
 
 def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``S_B = B^dag S B`` in the unperturbed label basis.
+    """``S_B = B^dag S B`` in the unperturbed label basis, for a
+    Hermiticity-preserving ``S``.
 
     ``B`` has columns ``b_jm = conj(|phi_m>) kron |phi_j>``, with ``|phi_j>``
     the columns of ``vectors``; rows and columns of ``S_B`` are indexed
-    ``j*N + m``.  Each of the four eigenvector indices is contracted with
-    the ``(N, N, N, N)`` view of S as one matrix product: O(N^5), where the
-    dense ``B^dag S B`` would be O(N^6).  For a unitary ``vectors`` the
-    result is similar to S.
+    ``j*N + m``.  Each eigenvector index is contracted with the
+    ``(N, N, N, N)`` view of S as a matrix product, with no ``N^2 x N^2``
+    basis matrix.  As S preserves Hermiticity, ``S[(a,b),(c,d)] = conj
+    S[(b,a),(d,c)]``, so row ``(m, j)`` of ``S_B`` is the conjugate of row
+    ``(j, m)`` with each column pair ``(j', m')`` swapped.  So only the
+    rows ``m >= j`` are transformed: the row indices first (``b -> j``,
+    then ``a -> m`` for ``m >= j``), then the column indices of those
+    ``N(N+1)/2`` rows, about ``2.5 N^5`` complex multiply-adds where all
+    rows would take ``4 N^5``.  The labels ``j`` are taken a range of
+    :func:`~qincoh.validation.row_block_ranges` at a time (one label at
+    5 qubits, all of them at 3), and each range also transforms the rows
+    ``m < j`` of its own square ``j0 <= j, m < j1``, a few extra rows that
+    spare numpy calls at small ``N``.  The rows ``m >= j1`` below a range
+    are its mirror, and each square is averaged with its mirror, so the
+    result equals its own mirror bit for bit.  For a unitary ``vectors``
+    it is similar to S.  Callers check the precondition
+    (:func:`pair_eigenvalues`); for another S the result is not ``S_B``.
     """
     n = vectors.shape[0]
     v, vc = vectors, vectors.conj()
     # t[a, b, c, d] = S[a*n + b, c*n + d] and B[(a, b), (j, m)] = vc[a, m] v[b, j];
-    # the batched products read transposed operands in place, with no copy
-    t = (s.reshape(n**3, n) @ v).reshape(n * n, n, n)  # d -> j': [ab, c, j']
-    t = np.swapaxes(t, 1, 2) @ vc  # c -> m': [ab, j', m']
-    t = vc.T @ t.reshape(n, n, n * n)  # b -> j: [a, j, j'm']
-    t = v.T @ np.swapaxes(t, 0, 1)  # a -> m: [j, m, j'm']
-    return t.reshape(n * n, n * n)
+    # the products read transposed and strided operands in place
+    rows = vc.T @ s.reshape(n, n, n * n)  # b -> j: [a, j, cd]
+    sb = np.empty((n, n, n, n), dtype=complex)  # [j, m, j', m']
+    for j0, j1 in row_block_ranges(n):
+        # the rows (j, m) of the labels j0 <= j < j1, for m >= j0
+        t = v[:, j0:].T @ rows[:, j0:j1].reshape(n, -1)  # a -> m: [m, (j, c, d)]
+        t = (t.reshape(-1, n) @ v).reshape(n - j0, j1 - j0, n, n)  # d -> j': [m, j, c, j']
+        np.matmul(t.transpose(0, 1, 3, 2), vc, out=sb[j0:j1, j0:].transpose(1, 0, 2, 3))  # c -> m'
+        # the rows (m >= j1, j) are the mirror; the rows of the range's own
+        # square, j and m both in [j0, j1), are averaged with their mirror
+        np.conjugate(sb[j0:j1, j1:].transpose(1, 0, 3, 2), out=sb[j1:, j0:j1])
+        square = sb[j0:j1, j0:j1]
+        square += square.conj().transpose(1, 0, 3, 2)
+        square *= 0.5
+    return sb.reshape(n * n, n * n)
 
 
 def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -251,6 +281,14 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     """Label the eigenvalues of a measured superoperator by (j, m), with a
     Gershgorin certificate and no eigensolver on S.
 
+    S must preserve Hermiticity: one check
+    (:func:`~qincoh.validation.require_hermiticity_preserving`, within
+    :data:`~qincoh.liouville.CHOI_HERMITIAN_TOL`, the tolerance of the Choi
+    Hermiticity check) refuses a map that does not, naming its deviation,
+    and refuses a NaN or infinite entry as ``superoperator is not finite``.
+    That is the one validation of S, and it licenses the half-label
+    transform of :func:`eigenbasis_form`.
+
     In the unperturbed label basis (:func:`eigenbasis_form`) label ``a =
     (j, m)`` owns the disc with centre ``S_B[a, a]`` (its seed) and radius
     the off-diagonal absolute sum of row ``a``.  Overlapping discs form
@@ -264,9 +302,9 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     """
     basis = eigenbasis(h0t)
     n = basis.phis.size
-    s = as_square_matrix(s, "superoperator")
-    if s.shape != (n * n, n * n):
-        raise ValueError(f"superoperator shape {s.shape} does not match dim {n}")
+    if np.shape(s) != (n * n, n * n):
+        raise ValueError(f"superoperator shape {np.shape(s)} does not match dim {n}")
+    s = require_hermiticity_preserving(s, CHOI_HERMITIAN_TOL, "superoperator")
     unperturbed, k_jm = _label_coordinates(basis, k)
     sb = eigenbasis_form(s, basis.vectors)
     seeds = sb.diagonal()

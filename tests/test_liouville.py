@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import kraus_operators, kraus_sum, random_rud_ensemble
-from qincoh.channels import random_unitary, rud_superoperator
+from qincoh.channels import make_synthetic_profile, random_unitary, rf_incoherent_channel, rud_superoperator
+from qincoh.cli import parse_pauli_sum
 from qincoh.liouville import (
     CHOI_HERMITIAN_TOL,
     CP_TOL,
+    EIGENVALUE_TIE_TOL,
     choi_spectrum,
     columnize,
     conjugation_sum,
@@ -285,8 +287,44 @@ def test_superop_eigenvalues_match_eig_multiset():
     for s in preserving + general:
         w = superop_eigenvalues(s)
         assert greedy_multiset_distance(w, np.linalg.eig(s)[0]) < 1e-12
-        assert np.array_equal(np.lexsort((-w.imag, -w.real)), np.arange(w.size))
+        assert np.array_equal(w, tie_ordered(w))
     assert np.abs(superop_eigenvalues(EQ4_S) - np.array([1.0, 1.0, 1.2j, -1.2j])).max() < 1e-15
+
+
+def tie_ordered(w):
+    """Reference order: real part descending, with each run of real parts
+    whose neighbours lie within EIGENVALUE_TIE_TOL ordered by imaginary part
+    descending, as a loop over the runs."""
+    rest = sorted(w.tolist(), key=lambda z: -z.real)
+    runs = [[rest[0]]]
+    for z in rest[1:]:
+        if runs[-1][-1].real - z.real <= EIGENVALUE_TIE_TOL:
+            runs[-1].append(z)
+        else:
+            runs.append([z])
+    return np.array([z for run in runs for z in sorted(run, key=lambda z: -z.imag)])
+
+
+def test_superop_eigenvalues_order_survives_rounding_of_a_preserving_map():
+    # the bundled rud2q channel: its conjugate pairs have real parts equal to
+    # rounding, so an exact (real, imag) sort orders them by rounding noise
+    s = rf_incoherent_channel(
+        parse_pauli_sum("0.5 * ZI + 0.3 * IZ + 0.2 * XX"),
+        parse_pauli_sum("0.1 * ZI + 0.05 * IZ"),
+        make_synthetic_profile("gaussian", width=0.05, n_points=11),
+    )
+    w = superop_eigenvalues(s)
+    assert np.array_equal(w, tie_ordered(w))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+        # a 1e-15 perturbation that keeps the Choi matrix Hermitian
+        perturbed = superop_to_choi(superop_to_choi(s) + 1e-15 * (g + g.conj().T) / 2)
+        assert np.abs(superop_eigenvalues(perturbed) - w).max() < 1e-13
+        raw = np.linalg.eigvals(perturbed)
+        exact = raw[np.lexsort((-raw.imag, -raw.real))]
+        # the exact sort swaps rows of a conjugate pair
+        assert np.abs(exact - w).max() > 1.0
 
 
 def test_superop_eigenvalues_rejects_non_square_side():

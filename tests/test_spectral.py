@@ -13,6 +13,7 @@ from qincoh.channels import (
 )
 from qincoh.errors import DegenerateSpectrumError, PairingError
 from qincoh.liouville import (
+    CHOI_HERMITIAN_TOL,
     GENERATOR_HERMITIAN_TOL,
     superop_to_choi,
     unitary_superoperator,
@@ -157,15 +158,35 @@ def _dense_eigenbasis_form(sup, v):
     return dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
+def _random_preserving_map(n, rng):
+    """A seeded Hermiticity-preserving map: the superoperator whose Choi
+    matrix is a random Hermitian matrix."""
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return superop_to_choi((g + g.conj().T) / 2)
+
+
 def test_eigenbasis_form_matches_dense_change_of_basis():
     h0t, _, s = fixture_channel()
+    v = eigenbasis(h0t).vectors
+    assert np.abs(eigenbasis_form(s, v) - _dense_eigenbasis_form(s, v)).max() < 1e-13
     rng = np.random.default_rng(27)
-    s_random = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    h_random = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h_random = h_random + h_random.conj().T
-    for h, sup in ((h0t, s), (h_random, s_random)):
-        v = eigenbasis(h).vectors
+    # 10 and 16 take the labels in several ranges, 10 with a short last one
+    for n in (1, 2, 3, 4, 8, 10, 16):
+        sup, v = _random_preserving_map(n, rng), random_unitary(n, rng)
         assert np.abs(eigenbasis_form(sup, v) - _dense_eigenbasis_form(sup, v)).max() < 1e-13
+
+
+def test_eigenbasis_form_equals_its_conjugate_mirror_bit_for_bit():
+    # rows (m, j) are the mirror of rows (j, m), and each (j, j) row block
+    # is made exactly Hermitian, so the label form has the symmetry exactly
+    h0t, _, s = fixture_channel()
+    rng = np.random.default_rng(29)
+    cases = [(s, eigenbasis(h0t).vectors)]
+    cases += [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
+    for sup, v in cases:
+        n = v.shape[0]
+        sb4 = eigenbasis_form(sup, v).reshape(n, n, n, n)
+        assert np.array_equal(sb4, sb4.transpose(1, 0, 3, 2).conj())
 
 
 def second_order_loop(sb, component):
@@ -423,19 +444,51 @@ def test_repeated_phase_differences_share_a_component_and_merge():
 
 
 def test_pairing_fails_loudly_when_spectrum_is_unrelated():
+    # an unrelated map that does preserve Hermiticity, so it reaches the discs
     h0 = 0.7 * SX
-    s_far = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    s_far = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     with pytest.raises(PairingError):
         pair_eigenvalues(s_far, h0, 0.3 * h0)
 
 
+NOT_PRESERVING = r"^superoperator does not preserve Hermiticity within 1e-10 \(deviation "
+
+
+def test_pairing_refuses_a_map_that_does_not_preserve_hermiticity_by_name():
+    rng = np.random.default_rng(27)
+    s_random = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    h_random = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h_random = h_random + h_random.conj().T
+    with pytest.raises(ValueError, match=NOT_PRESERVING + r"\d\.\d{3}e\+00\)$"):
+        pair_eigenvalues(s_random, h_random, 0.3 * h_random)
+    h0 = 0.7 * SX
+    with pytest.raises(ValueError, match=NOT_PRESERVING + r"2\.000e\+00\)$"):
+        pair_eigenvalues(np.diag([1.0, 1.0, -1.0, -1.0]), h0, 0.3 * h0)
+    # one entry moved off its mirror by twice the tolerance, then by half
+    h0t, k, s = fixture_channel()
+    s_moved = s.copy()
+    s_moved[3, 17] += 2 * CHOI_HERMITIAN_TOL
+    with pytest.raises(ValueError, match=NOT_PRESERVING + r"2\.000e-10\)$"):
+        pair_eigenvalues(s_moved, h0t, k)
+    s_moved[3, 17] = s[3, 17] + 0.5 * CHOI_HERMITIAN_TOL
+    assert len(pair_eigenvalues(s_moved, h0t, k).warnings) == 0
+
+
 def test_pairing_rejects_non_finite_superoperator():
     h0t, k, s = fixture_channel()
-    for bad in (np.nan, np.inf):
-        s_bad = s.copy()
-        s_bad[3, 17] = bad
-        with pytest.raises(ValueError, match="^superoperator is not finite$"):
-            pair_eigenvalues(s_bad, h0t, k)
+    # an entry and its mirror, and an entry that is its own mirror
+    for where in ((3, 17), (0, 0)):
+        for bad in (np.nan, np.inf, -np.inf):
+            s_bad = s.copy()
+            s_bad[where] = bad
+            with pytest.raises(ValueError, match="^superoperator is not finite$"):
+                pair_eigenvalues(s_bad, h0t, k)
+    # a NaN read in a later row block than a larger finite deviation
+    s_bad = s.copy()
+    s_bad[0, 1] += 1.0
+    s_bad[60, 5] = np.nan
+    with pytest.raises(ValueError, match="^superoperator is not finite$"):
+        pair_eigenvalues(s_bad, h0t, k)
 
 
 def test_build_samples_on_fixture():

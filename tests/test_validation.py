@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from qincoh.validation import (
+    ROW_BLOCK_ENTRIES,
     as_square_stack,
     first_failure,
     hermitian_part,
     require_hermitian,
+    require_hermiticity_preserving,
     require_unitary,
+    row_block_ranges,
     unitary_stack,
 )
 
@@ -87,3 +90,80 @@ def test_unitary_stack_names_the_first_non_unitary_matrix():
         u = _identities(lead)
         assert unitary_stack(u, 1e-10, "u") is u
 
+
+
+def _preserving_map(n, seed):
+    """A Hermiticity-preserving map: ``S[(a,b),(c,d)] = conj S[(b,a),(d,c)]``
+    holds exactly, as the mean of a random matrix and its mirror."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
+    return ((g + g.transpose(1, 0, 3, 2).conj()) / 2).reshape(n * n, n * n)
+
+
+def test_row_block_ranges_cover_the_row_blocks_in_order():
+    for n in range(1, 40):
+        ranges = row_block_ranges(n)
+        step = max(1, ROW_BLOCK_ENTRIES // n**3)
+        assert [a for a0, a1 in ranges for a in range(a0, a1)] == list(range(n))
+        assert all(a1 - a0 == step for a0, a1 in ranges[:-1]) and 0 < ranges[-1][1] - ranges[-1][0] <= step
+
+
+def test_hermiticity_preservation_is_checked_against_the_tolerance():
+    s = _preserving_map(3, 1)
+    assert np.array_equal(require_hermiticity_preserving(s, 1e-10), s)
+    # S[(0,1),(2,0)] against its mirror S[(1,0),(0,2)], moved by 2x and 0.5x
+    for move, refused in ((2e-10, True), (0.5e-10, False), (2e-10j, True)):
+        moved = s.copy()
+        moved[1, 6] += move
+        if refused:
+            with pytest.raises(ValueError, match=(
+                r"^s does not preserve Hermiticity within 1e-10 \(deviation 2\.000e-10\)$"
+            )):
+                require_hermiticity_preserving(moved, 1e-10, "s")
+        else:
+            require_hermiticity_preserving(moved, 1e-10, "s")
+    # an entry that is its own mirror, S[(1,1),(2,2)], may only be real
+    moved = s.copy()
+    moved[4, 8] += 1e-10j
+    with pytest.raises(ValueError, match=r"\(deviation 2\.000e-10\)$"):
+        require_hermiticity_preserving(moved, 1e-10, "s")
+
+
+def test_hermiticity_preservation_names_non_finite_entries_first():
+    s = _preserving_map(4, 2)
+    for where in ((1, 6), (5, 10), (15, 15)):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            spoiled = s.copy()
+            spoiled[where] = bad
+            with pytest.raises(ValueError, match="^s is not finite$"):
+                require_hermiticity_preserving(spoiled, 1e-10, "s")
+    # a NaN read in the last row block, after row block 0 has a finite
+    # deviation of 1: in one range of row blocks (n = 4), and in the last of
+    # sixteen (n = 16), where a running max over the ranges would drop it
+    for n in (4, 16):
+        assert len(row_block_ranges(n)) == (1 if n == 4 else 16)
+        spoiled = _preserving_map(n, 3)
+        spoiled[0, 1] += 1.0
+        spoiled[n * n - 1, 2] = np.nan
+        with pytest.raises(ValueError, match="^s is not finite$"):
+            require_hermiticity_preserving(spoiled, 1e-10, "s")
+
+
+def test_hermiticity_preservation_overflow_is_a_deviation_not_a_warning():
+    # finite entries whose difference overflows to inf: no numpy warning,
+    # and the map is refused for its deviation, not as non-finite
+    s = _preserving_map(2, 3)
+    s[1, 2], s[2, 1] = 1e308, -1e308
+    with pytest.raises(ValueError, match=r"^s does not preserve Hermiticity within 1e-10 \(deviation inf\)$"):
+        require_hermiticity_preserving(s, 1e-10, "s")
+
+
+def test_hermiticity_preservation_refuses_other_shapes_by_name():
+    for shape, message in (
+        ((4,), r"^s must be a square 2-d array, got shape \(4,\)$"),
+        ((4, 9), r"^s must be a square 2-d array, got shape \(4, 9\)$"),
+        ((3, 3), r"^s side 3 is not a positive perfect square$"),
+        ((0, 0), r"^s side 0 is not a positive perfect square$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            require_hermiticity_preserving(np.zeros(shape), 1e-10, "s")

@@ -5,7 +5,6 @@ from .channels import (
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
-    profile_to_csv,
     random_unitary,
     rf_incoherent_channel,
     rud_superoperator,

@@ -17,7 +17,6 @@ import numpy as np
 from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
 from .validation import as_square_matrix, as_square_stack, require_hermitian, unitary_stack
 
-PROFILE_CSV_HEADER = "delta_omega,weight"
 # The most points make_synthetic_profile builds.  Each point is one channel
 # member, so at 6 qubits (64 x 64 generators) the member stack of
 # rf_incoherent_channel stays at or below 4096 * 64**2 * 16 bytes = 268 MB.
@@ -54,13 +53,6 @@ class RFProfile:
 
     def __len__(self) -> int:
         return self.delta_omega.size
-
-
-def profile_to_csv(profile: RFProfile) -> str:
-    lines = [PROFILE_CSV_HEADER]
-    for x, w in zip(profile.delta_omega, profile.weight):
-        lines.append(f"{float(x)!r},{float(w)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def make_synthetic_profile(

@@ -41,13 +41,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .channels import (
-    RFProfile,
-    expm_unitary,
-    make_synthetic_profile,
-    profile_to_csv,
-    rf_incoherent_channel,
-)
+from .channels import RFProfile, expm_unitary, make_synthetic_profile, rf_incoherent_channel
 from .errors import ConfigError
 from .liouville import CP_TOL, choi_spectrum, columnize, superop_eigenvalues
 from .nudft import SYMMETRY_TOL, RecoveryGrid, inverse_nudft
@@ -59,7 +53,7 @@ from .spectral import (
     profile_metrics,
     three_qubit_fixture,
 )
-from .tomography import run_qpt_scenarios
+from .tomography import SIGMA_X, SIGMA_Y, SIGMA_Z, run_qpt_scenarios
 
 # The tolerances that reports state next to a tested value.
 # qpt_demo: the forward residual of an unfiltered tomographic map.
@@ -72,13 +66,10 @@ EIGENVALUE_MODULUS_TOL = 1e-10
 CLIPPED_MASS_TOL = 0.1
 # The most letters a Pauli string may have: its matrix is 2**letters square.
 MAX_QUBITS = 6
+# The header of every profile CSV; its rows are (delta_omega, weight).
+PROFILE_CSV_HEADER = "delta_omega,weight"
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_1Q = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -476,7 +467,7 @@ def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         ("channel_report.json", _json_bytes(report), "report"),
         ("eigenvalues.csv", _csv("re,im", evals.real, evals.imag), "spectrum"),
         ("superoperator.json", _json_bytes(_matrix_json(s)), "superoperator"),
-        ("profile.csv", profile_to_csv(profile).encode(), "profile_truth"),
+        ("profile.csv", _csv(PROFILE_CSV_HEADER, profile.delta_omega, profile.weight), "profile_truth"),
     ]
 
 
@@ -525,8 +516,9 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         ("recovery_report.json", _json_bytes(report), "report"),
         ("samples.csv", _csv("k,f_real,f_imag", samples.k, samples.f.real, samples.f.imag),
          "spectral_samples"),
-        ("true_profile.csv", profile_to_csv(profile).encode(), "profile_truth"),
-        ("recovered_profile.csv", profile_to_csv(recovered).encode(), "profile_recovered"),
+        ("true_profile.csv", _csv(PROFILE_CSV_HEADER, profile.delta_omega, profile.weight), "profile_truth"),
+        ("recovered_profile.csv", _csv(PROFILE_CSV_HEADER, recovered.delta_omega, recovered.weight),
+         "profile_recovered"),
     ]
 
 

@@ -11,12 +11,12 @@ phase therefore samples the Fourier transform of the deviation profile at
 the (generally unequally spaced) coordinates ``K_jm``; those samples are
 what the recovery transform consumes.
 
-Pairing reads the map in the unperturbed label basis and requires a map
-that preserves Hermiticity, as every physical map does: row ``(m, j)`` of
-that form is then the conjugate of row ``(j, m)``, so only the labels
-``j <= m`` are transformed.  A map that does not preserve Hermiticity
-within ``liouville.CHOI_HERMITIAN_TOL`` is refused by name, with its
-deviation, before any transform.
+Pairing reads the map in the unperturbed label basis
+(``liouville.eigenbasis_form``) and requires a map that preserves
+Hermiticity, as every physical map does; ``liouville`` refuses one that
+does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
+any transform.  This module keeps the discs, the second-order sum and the
+samples.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ import numpy as np
 
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import CHOI_HERMITIAN_TOL, GENERATOR_HERMITIAN_TOL
-from .validation import require_hermiticity_preserving, require_hermitian, row_block_ranges
+from .liouville import GENERATOR_HERMITIAN_TOL, eigenbasis_form, require_hermiticity_preserving
+from .validation import require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
 DEGENERACY_TOL = 1e-6
@@ -157,50 +157,6 @@ def predict_eigenvalues(
     return unperturbed * attenuation
 
 
-def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``S_B = B^dag S B`` in the unperturbed label basis, for a
-    Hermiticity-preserving ``S``.
-
-    ``B`` has columns ``b_jm = conj(|phi_m>) kron |phi_j>``, with ``|phi_j>``
-    the columns of ``vectors``; rows and columns of ``S_B`` are indexed
-    ``j*N + m``.  Each eigenvector index is contracted with the
-    ``(N, N, N, N)`` view of S as a matrix product, with no ``N^2 x N^2``
-    basis matrix.  As S preserves Hermiticity, ``S[(a,b),(c,d)] = conj
-    S[(b,a),(d,c)]``, so row ``(m, j)`` of ``S_B`` is the conjugate of row
-    ``(j, m)`` with each column pair ``(j', m')`` swapped.  So only the
-    rows ``m >= j`` are transformed: the row indices first (``b -> j``,
-    then ``a -> m`` for ``m >= j``), then the column indices of those
-    ``N(N+1)/2`` rows, about ``2.5 N^5`` complex multiply-adds where all
-    rows would take ``4 N^5``.  The labels ``j`` are taken a range of
-    :func:`~qincoh.validation.row_block_ranges` at a time (one label at
-    5 qubits, all of them at 3), and each range also transforms the rows
-    ``m < j`` of its own square ``j0 <= j, m < j1``, a few extra rows that
-    spare numpy calls at small ``N``.  The rows ``m >= j1`` below a range
-    are its mirror, and each square is averaged with its mirror, so the
-    result equals its own mirror bit for bit.  For a unitary ``vectors``
-    it is similar to S.  Callers check the precondition
-    (:func:`pair_eigenvalues`); for another S the result is not ``S_B``.
-    """
-    n = vectors.shape[0]
-    v, vc = vectors, vectors.conj()
-    # t[a, b, c, d] = S[a*n + b, c*n + d] and B[(a, b), (j, m)] = vc[a, m] v[b, j];
-    # the products read transposed and strided operands in place
-    rows = vc.T @ s.reshape(n, n, n * n)  # b -> j: [a, j, cd]
-    sb = np.empty((n, n, n, n), dtype=complex)  # [j, m, j', m']
-    for j0, j1 in row_block_ranges(n):
-        # the rows (j, m) of the labels j0 <= j < j1, for m >= j0
-        t = v[:, j0:].T @ rows[:, j0:j1].reshape(n, -1)  # a -> m: [m, (j, c, d)]
-        t = (t.reshape(-1, n) @ v).reshape(n - j0, j1 - j0, n, n)  # d -> j': [m, j, c, j']
-        np.matmul(t.transpose(0, 1, 3, 2), vc, out=sb[j0:j1, j0:].transpose(1, 0, 2, 3))  # c -> m'
-        # the rows (m >= j1, j) are the mirror; the rows of the range's own
-        # square, j and m both in [j0, j1), are averaged with their mirror
-        np.conjugate(sb[j0:j1, j1:].transpose(1, 0, 3, 2), out=sb[j1:, j0:j1])
-        square = sb[j0:j1, j0:j1]
-        square += square.conj().transpose(1, 0, 3, 2)
-        square *= 0.5
-    return sb.reshape(n * n, n * n)
-
-
 def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Connected components of overlapping closed discs, as one index per disc.
 
@@ -282,29 +238,29 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     Gershgorin certificate and no eigensolver on S.
 
     S must preserve Hermiticity: one check
-    (:func:`~qincoh.validation.require_hermiticity_preserving`, within
+    (:func:`~qincoh.liouville.require_hermiticity_preserving`, within
     :data:`~qincoh.liouville.CHOI_HERMITIAN_TOL`, the tolerance of the Choi
     Hermiticity check) refuses a map that does not, naming its deviation,
     and refuses a NaN or infinite entry as ``superoperator is not finite``.
     That is the one validation of S, and it licenses the half-label
-    transform of :func:`eigenbasis_form`.
+    transform of :func:`~qincoh.liouville.eigenbasis_form`.
 
-    In the unperturbed label basis (:func:`eigenbasis_form`) label ``a =
-    (j, m)`` owns the disc with centre ``S_B[a, a]`` (its seed) and radius
-    the off-diagonal absolute sum of row ``a``.  Overlapping discs form
-    components (the ``j = m`` discs, all near 1, typically form one); by
-    Gershgorin's theorem a component of ``c`` discs holds exactly ``c``
-    eigenvalues.  Each label's value is its seed plus the second-order
-    coupling to the labels outside its component.  Its ``radius`` is the disc radius for a lone
-    disc, otherwise the extent of the component about its seed.  Labels
-    whose radius exceeds :data:`MATCH_TOL` are collected as warnings; if
-    every label warns, pairing is considered broken.
+    In the unperturbed label basis (:func:`~qincoh.liouville.eigenbasis_form`)
+    label ``a = (j, m)`` owns the disc with centre ``S_B[a, a]`` (its seed)
+    and radius the off-diagonal absolute sum of row ``a``.  Overlapping
+    discs form components (the ``j = m`` discs, all near 1, typically form
+    one); by Gershgorin's theorem a component of ``c`` discs holds exactly
+    ``c`` eigenvalues.  Each label's value is its seed plus the second-order
+    coupling to the labels outside its component.  Its ``radius`` is the
+    disc radius for a lone disc, otherwise the extent of the component about
+    its seed.  Labels whose radius exceeds :data:`MATCH_TOL` are collected
+    as warnings; if every label warns, pairing is considered broken.
     """
     basis = eigenbasis(h0t)
     n = basis.phis.size
     if np.shape(s) != (n * n, n * n):
         raise ValueError(f"superoperator shape {np.shape(s)} does not match dim {n}")
-    s = require_hermiticity_preserving(s, CHOI_HERMITIAN_TOL, "superoperator")
+    s = require_hermiticity_preserving(s, "superoperator")
     unperturbed, k_jm = _label_coordinates(basis, k)
     sb = eigenbasis_form(s, basis.vectors)
     seeds = sb.diagonal()
@@ -438,22 +394,18 @@ def _demo_generators(
     return h0t, k
 
 
-def three_qubit_fixture(
-    off_diagonal_ratio: float = THREE_QUBIT_OFF_DIAGONAL_RATIO,
-) -> tuple[np.ndarray, np.ndarray]:
+def three_qubit_fixture() -> tuple[np.ndarray, np.ndarray]:
     """Nominal generator and perturbation model of the 3-qubit demo channel.
 
     The eigenphase levels form a Sidon set so all 56 off-diagonal k
     coordinates are distinct, yielding 57 Fourier samples after the DC
-    anchor.  The perturbation is 0.3 times the nominal generator plus a
-    small non-commuting coupling controlled by ``off_diagonal_ratio``
-    (0 gives the exactly commuting variant).
+    anchor.  The perturbation is :data:`DIAGONAL_COUPLING` times the nominal
+    generator plus a small non-commuting coupling of ratio
+    :data:`THREE_QUBIT_OFF_DIAGONAL_RATIO`.
     """
-    return _demo_generators(3, THREE_QUBIT_PHASE_SCALE, off_diagonal_ratio)
+    return _demo_generators(3, THREE_QUBIT_PHASE_SCALE, THREE_QUBIT_OFF_DIAGONAL_RATIO)
 
 
-def four_qubit_fixture(
-    off_diagonal_ratio: float = FOUR_QUBIT_OFF_DIAGONAL_RATIO,
-) -> tuple[np.ndarray, np.ndarray]:
+def four_qubit_fixture() -> tuple[np.ndarray, np.ndarray]:
     """4-qubit variant of :func:`three_qubit_fixture` (241 Fourier samples)."""
-    return _demo_generators(4, FOUR_QUBIT_PHASE_SCALE, off_diagonal_ratio)
+    return _demo_generators(4, FOUR_QUBIT_PHASE_SCALE, FOUR_QUBIT_OFF_DIAGONAL_RATIO)

@@ -1,13 +1,13 @@
 """Input validation helpers used across the package.
 
-Every check is tolerance-based and the tolerance is always an explicit
-argument; nothing here compares floats for exact equality.  A check of a
-``(..., n, n)`` stack names the first failing matrix by its index in the
-leading axes, as ``name[i][j]`` (:func:`first_failure`).
+The checks here know matrices and stacks of them, and no superoperator
+layout (``liouville`` owns that).  Every check is tolerance-based and the
+tolerance is always an explicit argument; nothing here compares floats for
+exact equality.  A check of a ``(..., n, n)`` stack names the first failing
+matrix by its index in the leading axes, as ``name[i][j]``
+(:func:`first_failure`).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _square_side(m: np.ndarray, name: str) -> int:
+def square_side(m: np.ndarray, name: str) -> int:
     """The side of ``m``, read from its shape with no conversion, once that
     shape is checked to be a square 2-d one."""
     shape = np.shape(m)
@@ -55,7 +55,7 @@ def _square_side(m: np.ndarray, name: str) -> int:
 def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """:func:`as_square_stack` for a single square 2-d matrix; the shape is
     read before the one conversion there."""
-    _square_side(m, name)
+    square_side(m, name)
     return as_square_stack(m, name)
 
 
@@ -95,54 +95,3 @@ def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarr
     """:func:`unitary_stack` for a single square 2-d matrix."""
     return unitary_stack(as_square_matrix(u, name), tol, name)
 
-
-# Loops over the row blocks ``a`` of a superoperator's ``(n, n, n, n)`` view
-# take consecutive row blocks together, up to this many entries of S: at
-# small n the whole matrix in one step, so the numpy call overhead is paid
-# once, and at large n one row block at a time, whose work stays in cache.
-ROW_BLOCK_ENTRIES = 2**12
-
-
-def row_block_ranges(n: int) -> list[tuple[int, int]]:
-    """The ranges ``[a0, a1)`` that cover the row blocks ``0 <= a < n`` of a
-    superoperator of side ``n^2`` in order, each of
-    ``max(1, ROW_BLOCK_ENTRIES // n^3)`` row blocks but the last."""
-    step = max(1, ROW_BLOCK_ENTRIES // n**3)
-    return [(a0, min(a0 + step, n)) for a0 in range(0, n, step)]
-
-
-def require_hermiticity_preserving(s: np.ndarray, tol: float, name: str = "superoperator") -> np.ndarray:
-    """``s`` as a complex array, once it is checked to be a square matrix of
-    side ``n^2`` whose map preserves Hermiticity within ``tol``.
-
-    The deviation ``max|S[(a,b),(c,d)] - conj S[(b,a),(d,c)]|`` equals
-    ``max|C - C^dag|`` of the map's Choi matrix ``C``.  It is taken over the
-    row blocks ``a`` of each of :func:`row_block_ranges` at a time, against
-    the blocks ``b >= a0`` of the range, which reads every entry.  It
-    replaces a separate finiteness scan: a NaN or infinite entry makes the
-    deviation NaN or infinite, and a failed check then names ``name is not
-    finite`` before it names the deviation.
-    """
-    side = _square_side(s, name)
-    n = math.isqrt(side)
-    if n < 1 or n * n != side:
-        raise ValueError(f"{name} side {side} is not a positive perfect square")
-    s = np.asarray(s, dtype=complex)
-    s4 = s.reshape(n, n, n, n)
-    ranges = row_block_ranges(n)
-    step = ranges[0][1]
-    diff, mag, dev = np.empty((step, n, n, n), dtype=complex), np.empty((step, n, n, n)), np.empty(len(ranges))
-    # the per-range maxima stay in an array, so one NaN range is not lost
-    # as it would be in a running max; non-finite entries are named below
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i, (a0, a1) in enumerate(ranges):
-            block = diff[:a1 - a0, a0:]
-            np.conjugate(s4[a0:, a0:a1].transpose(1, 0, 3, 2), out=block)
-            np.subtract(s4[a0:a1, a0:], block, out=block)
-            dev[i] = np.maximum.reduce(np.abs(block, out=mag[:a1 - a0, a0:]), axis=None)
-    worst = dev.max()
-    if not worst <= tol:
-        if first_non_finite(s):
-            raise ValueError(f"{name} is not finite")
-        raise ValueError(f"{name} does not preserve Hermiticity within {tol:g} (deviation {worst:.3e})")
-    return s

@@ -54,7 +54,7 @@ def solve_map(input_vectors, output_vectors):
 
 
 def parse_profile_csv(text):
-    """The profile written by ``channels.profile_to_csv``: a
+    """A profile CSV as the CLI writes it: a
     ``delta_omega,weight`` header, then one ``float()`` pair per line."""
     header, *rows = text.strip().split("\n")
     assert header == "delta_omega,weight", header

@@ -27,6 +27,7 @@ from qincoh.liouville import (
 )
 from qincoh.nudft import RecoveryGrid, inverse_nudft
 from qincoh.spectral import (
+    DIAGONAL_COUPLING,
     build_samples,
     four_qubit_fixture,
     pair_eigenvalues,
@@ -178,7 +179,8 @@ def test_c07_perturbation_order_check():
     err_full, err_half = max_err(k), max_err(k / 2)
     ratio = err_full / err_half
 
-    h0c, kc = three_qubit_fixture(off_diagonal_ratio=0.0)
+    # the commuting variant: the perturbation is a multiple of h0t
+    h0c, kc = h0t, DIAGONAL_COUPLING * h0t
     s_c = rf_incoherent_channel(h0c, kc, SKEWED_PROFILE)
     pairing_c = pair_eigenvalues(s_c, h0c, kc)
     pred_c = predict_eigenvalues(h0c, kc, SKEWED_PROFILE)

@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import parse_profile_csv, random_rud_ensemble
+from oracles import random_rud_ensemble
 from qincoh.channels import (
     MAX_PROFILE_POINTS,
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
-    profile_to_csv,
     random_unitary,
     rf_incoherent_channel,
     rud_superoperator,
@@ -300,15 +299,6 @@ def test_profile_requires_increasing_support_and_normalization():
         RFProfile(np.array([0.0, 0.1]), np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="non-negative"):
         RFProfile(np.array([0.0, 0.1]), np.array([1.2, -0.2]))
-
-
-def test_profile_csv_round_trip():
-    p = make_synthetic_profile("gaussian", center=0.01, width=0.03, n_points=21)
-    text = profile_to_csv(p)
-    assert text.splitlines()[0] == "delta_omega,weight"
-    q = parse_profile_csv(text)
-    assert np.array_equal(p.delta_omega, q.delta_omega)
-    assert np.array_equal(p.weight, q.weight)
 
 
 @pytest.mark.parametrize("kind, center, width, skew", [

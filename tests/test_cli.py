@@ -150,6 +150,19 @@ def test_recover3q_artifacts(tmp_path):
     assert len(recovered) == 102
 
 
+def test_profile_csv_round_trip(tmp_path):
+    # the profile CSVs of rud_build and recover_profile parse back to the
+    # configured profile, bit for bit
+    for config, name in (("rud2q.json", "profile.csv"), ("recover3q.json", "true_profile.csv")):
+        out = tmp_path / config
+        assert main(["run", "--config", f"{CONFIG_DIR}/{config}", "--out", str(out)]) == 0
+        text = (out / name).read_text()
+        assert text.splitlines()[0] == "delta_omega,weight"
+        written, configured = parse_profile_csv(text), load_config(f"{CONFIG_DIR}/{config}").fields["profile"]
+        assert np.array_equal(written.delta_omega, configured.delta_omega)
+        assert np.array_equal(written.weight, configured.weight)
+
+
 def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())

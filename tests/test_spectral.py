@@ -15,11 +15,13 @@ from qincoh.errors import DegenerateSpectrumError, PairingError
 from qincoh.liouville import (
     CHOI_HERMITIAN_TOL,
     GENERATOR_HERMITIAN_TOL,
+    eigenbasis_form,
     superop_to_choi,
     unitary_superoperator,
 )
 from qincoh.nudft import RecoveryGrid, inverse_nudft
 from qincoh.spectral import (
+    DIAGONAL_COUPLING,
     F_DISAGREEMENT_TOL,
     K_DEDUP_TOL,
     MATCH_TOL,
@@ -31,7 +33,6 @@ from qincoh.spectral import (
     _second_order_values,
     build_samples,
     eigenbasis,
-    eigenbasis_form,
     four_qubit_fixture,
     pair_eigenvalues,
     predict_eigenvalues,
@@ -288,7 +289,8 @@ def _greedy_pairing_oracle(s, h0t):
 def test_pairing_agrees_with_greedy_oracle():
     profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
     h3, k3 = three_qubit_fixture()
-    hc, kc = three_qubit_fixture(off_diagonal_ratio=0.0)
+    # the commuting variant: the perturbation is a multiple of h0t
+    hc, kc = h3, DIAGONAL_COUPLING * h3
     h4, k4 = four_qubit_fixture()
     channels = (
         (rf_incoherent_channel(h3, k3, SKEWED_PROFILE), h3, k3),
@@ -387,9 +389,15 @@ def test_pairing_reads_as_the_benchmark_harness_reads_it():
     h0t, k, s = fixture_channel()
     pairing = pair_eigenvalues(s, h0t, k)
     assert len(pairing.entries) == 64
+    entries = pairing.entries
+    # each record's attribute is its column's entry, bit for bit
+    for name in PAIRING_DTYPE.names:
+        assert [getattr(e, name) for e in entries] == getattr(entries, name).tolist()
     predicted = predict_eigenvalues(h0t, k, SKEWED_PROFILE)
-    residual = max(abs(e.lambda_measured - predicted[e.j, e.m]) for e in pairing.entries)
-    assert residual == np.abs(pairing.entries.lambda_measured - predicted.ravel()).max()
+    # the same scalar abs on both sides: numpy's array abs may differ from it
+    # in the last bit
+    residual = max(abs(e.lambda_measured - predicted[e.j, e.m]) for e in entries)
+    assert residual == max(abs(x) for x in entries.lambda_measured - predicted.ravel())
     assert max(e.distance for e in pairing.entries) == pairing.entries.distance.max()
     assert pairing.warnings == () and not pairing.warnings
     noisy = pair_eigenvalues(_noisy_map(s, 1e-3, np.random.default_rng(72)), h0t, k)
@@ -639,7 +647,9 @@ def _samples_and_warnings(build, pairing):
 
 def test_build_samples_equals_merge_loop_on_fixtures():
     profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
-    fixtures = (three_qubit_fixture(), three_qubit_fixture(off_diagonal_ratio=0.0), four_qubit_fixture())
+    h3, k3 = three_qubit_fixture()
+    # the fixture, its commuting variant and the 4-qubit fixture
+    fixtures = ((h3, k3), (h3, DIAGONAL_COUPLING * h3), four_qubit_fixture())
     for h0t, k in fixtures:
         pairing = pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k)
         samples, caught = _samples_and_warnings(build_samples, pairing)

@@ -197,3 +197,75 @@ def test_caller_detector_counts_reads_of_bound_names_only(tmp_path):
     )
     assert _exported_names(probe) == {"choi_spectrum", "cp_filter"}
     assert _called_names([probe]) == {"cp_filter", "LIMIT"}
+
+
+def _four_axis_views(path: Path) -> list[str]:
+    """Calls of ``reshape`` or ``transpose`` with four or more axes, given
+    as separate arguments or as one tuple or list."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in ("reshape", "transpose"):
+            continue
+        axes = node.args
+        if getattr(getattr(node.func, "value", None), "id", None) in ("np", "numpy"):
+            axes = axes[1:]  # np.reshape(a, shape): the array comes first
+        if len(axes) == 1 and isinstance(axes[0], (ast.Tuple, ast.List)):
+            axes = axes[0].elts
+        if len(axes) >= 4:
+            found.append(f"{path.name}:{node.lineno}: {name} of {len(axes)} axes")
+    return found
+
+
+# The transpose of a superoperator's (n, n, n, n) view whose conjugate is
+# its mirror, x[a,b,c,d] = conj x[b,a,d,c].
+MIRROR_AXES = (1, 0, 3, 2)
+
+
+def _mirror_permutations(path: Path) -> list[str]:
+    """The places where a file writes :data:`MIRROR_AXES`: as a tuple or
+    list, or as the separate arguments of a call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            items = node.elts
+        elif isinstance(node, ast.Call):
+            items = node.args
+        else:
+            continue
+        if tuple(getattr(item, "value", None) for item in items) == MIRROR_AXES:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_liouville_alone_views_a_superoperator_in_four_axes_and_writes_the_mirror_once():
+    # spectral and validation hold no four-axis view; the mirror's axes are
+    # written once, in liouville
+    assert [line for name in ("spectral.py", "validation.py")
+            for line in _four_axis_views(PACKAGE_DIR / name)] == []
+    found = [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _mirror_permutations(path)]
+    assert len(found) == 1 and found[0].startswith("liouville.py:")
+
+
+def test_four_axis_and_mirror_detectors_see_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "a = s.reshape(n, n, n, n)\n"
+        "b = np.transpose(s, (1, 0, 3, 2))\n"
+        "c = x.transpose(1, 0, 3, 2).conj()\n"
+        "d = s.reshape(*lead, n, n, n, n)\n"
+        "e = s.reshape(n, n, n * n)\n"
+        "f = np.reshape(s, [n, -1])\n"
+        "AXES = [1, 0, 3, 2]\n"
+        "g = x.transpose(0, 2, 1, 3)\n"
+    )
+    assert sorted(_four_axis_views(probe)) == [
+        "probe.py:1: reshape of 4 axes",
+        "probe.py:2: transpose of 4 axes",
+        "probe.py:3: transpose of 4 axes",
+        "probe.py:4: reshape of 5 axes",
+        "probe.py:8: transpose of 4 axes",
+    ]
+    assert sorted(_mirror_permutations(probe)) == ["probe.py:2", "probe.py:3", "probe.py:7"]

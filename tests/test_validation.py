@@ -3,15 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from qincoh.liouville import ROW_BLOCK_ENTRIES, require_hermiticity_preserving, row_block_ranges
 from qincoh.validation import (
-    ROW_BLOCK_ENTRIES,
     as_square_stack,
     first_failure,
     hermitian_part,
     require_hermitian,
-    require_hermiticity_preserving,
     require_unitary,
-    row_block_ranges,
     unitary_stack,
 )
 
@@ -91,6 +89,9 @@ def test_unitary_stack_names_the_first_non_unitary_matrix():
         assert unitary_stack(u, 1e-10, "u") is u
 
 
+# liouville's Hermiticity-preservation check and its row ranges: the check
+# of a superoperator, kept beside the matrix checks it complements
+
 
 def _preserving_map(n, seed):
     """A Hermiticity-preserving map: ``S[(a,b),(c,d)] = conj S[(b,a),(d,c)]``
@@ -110,7 +111,7 @@ def test_row_block_ranges_cover_the_row_blocks_in_order():
 
 def test_hermiticity_preservation_is_checked_against_the_tolerance():
     s = _preserving_map(3, 1)
-    assert np.array_equal(require_hermiticity_preserving(s, 1e-10), s)
+    assert np.array_equal(require_hermiticity_preserving(s), s)
     # S[(0,1),(2,0)] against its mirror S[(1,0),(0,2)], moved by 2x and 0.5x
     for move, refused in ((2e-10, True), (0.5e-10, False), (2e-10j, True)):
         moved = s.copy()
@@ -119,14 +120,14 @@ def test_hermiticity_preservation_is_checked_against_the_tolerance():
             with pytest.raises(ValueError, match=(
                 r"^s does not preserve Hermiticity within 1e-10 \(deviation 2\.000e-10\)$"
             )):
-                require_hermiticity_preserving(moved, 1e-10, "s")
+                require_hermiticity_preserving(moved, "s")
         else:
-            require_hermiticity_preserving(moved, 1e-10, "s")
+            require_hermiticity_preserving(moved, "s")
     # an entry that is its own mirror, S[(1,1),(2,2)], may only be real
     moved = s.copy()
     moved[4, 8] += 1e-10j
     with pytest.raises(ValueError, match=r"\(deviation 2\.000e-10\)$"):
-        require_hermiticity_preserving(moved, 1e-10, "s")
+        require_hermiticity_preserving(moved, "s")
 
 
 def test_hermiticity_preservation_names_non_finite_entries_first():
@@ -136,7 +137,7 @@ def test_hermiticity_preservation_names_non_finite_entries_first():
             spoiled = s.copy()
             spoiled[where] = bad
             with pytest.raises(ValueError, match="^s is not finite$"):
-                require_hermiticity_preserving(spoiled, 1e-10, "s")
+                require_hermiticity_preserving(spoiled, "s")
     # a NaN read in the last row block, after row block 0 has a finite
     # deviation of 1: in one range of row blocks (n = 4), and in the last of
     # sixteen (n = 16), where a running max over the ranges would drop it
@@ -146,7 +147,7 @@ def test_hermiticity_preservation_names_non_finite_entries_first():
         spoiled[0, 1] += 1.0
         spoiled[n * n - 1, 2] = np.nan
         with pytest.raises(ValueError, match="^s is not finite$"):
-            require_hermiticity_preserving(spoiled, 1e-10, "s")
+            require_hermiticity_preserving(spoiled, "s")
 
 
 def test_hermiticity_preservation_overflow_is_a_deviation_not_a_warning():
@@ -155,7 +156,7 @@ def test_hermiticity_preservation_overflow_is_a_deviation_not_a_warning():
     s = _preserving_map(2, 3)
     s[1, 2], s[2, 1] = 1e308, -1e308
     with pytest.raises(ValueError, match=r"^s does not preserve Hermiticity within 1e-10 \(deviation inf\)$"):
-        require_hermiticity_preserving(s, 1e-10, "s")
+        require_hermiticity_preserving(s, "s")
 
 
 def test_hermiticity_preservation_refuses_other_shapes_by_name():
@@ -166,4 +167,4 @@ def test_hermiticity_preservation_refuses_other_shapes_by_name():
         ((0, 0), r"^s side 0 is not a positive perfect square$"),
     ):
         with pytest.raises(ValueError, match=message):
-            require_hermiticity_preserving(np.zeros(shape), 1e-10, "s")
+            require_hermiticity_preserving(np.zeros(shape), "s")

@@ -29,12 +29,10 @@ from .nudft import (
     inverse_nudft,
 )
 from .spectral import (
-    EigenBasis,
     EigenPairing,
     ProfileMoments,
     SpectralSampleSet,
     build_samples,
-    eigenbasis,
     four_qubit_fixture,
     pair_eigenvalues,
     predict_eigenvalues,

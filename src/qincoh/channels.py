@@ -21,6 +21,16 @@ from .validation import as_square_matrix, as_square_stack, require_hermitian, un
 # member, so at 6 qubits (64 x 64 generators) the member stack of
 # rf_incoherent_channel stays at or below 4096 * 64**2 * 16 bytes = 268 MB.
 MAX_PROFILE_POINTS = 4096
+# Profile and ensemble weights must sum to 1 within this.
+WEIGHT_SUM_TOL = 1e-12
+
+
+def _require_distribution(weights: np.ndarray, name: str) -> None:
+    """Refuse negative weights, or a sum off 1 by more than :data:`WEIGHT_SUM_TOL` or NaN."""
+    if np.any(weights < 0.0):
+        raise ValueError(f"{name} weights must be non-negative")
+    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} weights sum to {weights.sum()!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -28,7 +38,7 @@ class RFProfile:
     """Discrete probability distribution over the normalized amplitude deviation.
 
     Both arrays must be finite, ``delta_omega`` strictly increasing, weights
-    non-negative and normalized to 1 within 1e-12.
+    non-negative and normalized to 1 within :data:`WEIGHT_SUM_TOL`.
     """
 
     delta_omega: np.ndarray
@@ -44,10 +54,7 @@ class RFProfile:
                 raise ValueError(f"profile {name} is not finite")
         if dw.size > 1 and np.any(np.diff(dw) <= 0.0):
             raise ValueError("delta_omega values must be strictly increasing")
-        if np.any(w < 0.0):
-            raise ValueError("profile weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"profile weights sum to {w.sum()!r}, expected 1 within 1e-12")
+        _require_distribution(w, "profile")
         object.__setattr__(self, "delta_omega", dw)
         object.__setattr__(self, "weight", w)
 
@@ -143,8 +150,8 @@ def expm_unitary(h: np.ndarray) -> np.ndarray:
 def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
     """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
 
-    Weights must be non-negative and sum to 1 within 1e-12, and every member
-    unitary within ``UNITARY_TOL``.  The sum is built by
+    Weights must be non-negative and sum to 1 within ``WEIGHT_SUM_TOL``, and
+    every member unitary within ``UNITARY_TOL``.  The sum is built by
     :func:`liouville.conjugation_sum` from half its ``N x N`` blocks, so it
     preserves Hermiticity exactly, and the same ensemble gives the same
     bytes for a given BLAS and thread count.
@@ -152,10 +159,7 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")
     weights = np.array([float(p) for p, _ in ensemble])
-    if np.any(weights < 0.0):
-        raise ValueError("ensemble weights must be non-negative")
-    if not abs(float(weights.sum()) - 1.0) <= 1e-12:
-        raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1 within 1e-12")
+    _require_distribution(weights, "ensemble")
     mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
     if any(u.shape != mats[0].shape for u in mats):
         raise ValueError("ensemble members have mismatched dimensions")

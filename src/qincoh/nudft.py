@@ -1,7 +1,8 @@
 """Inverse Fourier transform of samples at unequally spaced frequencies.
 
-The forward direction evaluates ``f(k) = sum_b p_b exp(-i k x_b)`` for a
-discrete profile; the inverse maps a sample set back onto a uniform
+The forward direction is a discrete profile's characteristic function
+``f(k) = sum_b p_b exp(-i k x_b)``, which the first-order prediction of
+``spectral`` calls too; the inverse maps a sample set back onto a uniform
 deviation grid by one least-squares fit with a fixed ridge.  On the
 uniform grid the fit's normal matrix is Hermitian Toeplitz, so it is built
 from one table of powers of ``exp(i * bin_width * k)``, never from the
@@ -11,11 +12,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import RFProfile
-from .spectral import SpectralSampleSet
+
+if TYPE_CHECKING:  # spectral imports forward_nudft from this module
+    from .spectral import SpectralSampleSet
 
 # A sample set whose conjugate-symmetry residual exceeds this gets a warning.
 SYMMETRY_TOL = 1e-6

@@ -9,7 +9,9 @@ with ``phi_j`` the eigenphases of the nominal generator and
 ``K_jm = <phi_j|K|phi_j> - <phi_m|K|phi_m>``.  Dividing out the unperturbed
 phase therefore samples the Fourier transform of the deviation profile at
 the (generally unequally spaced) coordinates ``K_jm``; those samples are
-what the recovery transform consumes.
+what the recovery transform consumes.  One private function gives the
+prediction and the pairing the nominal eigenvectors, the unperturbed phases
+and ``K_jm``; the sum over the profile is ``nudft.forward_nudft``.
 
 Pairing reads the map in the unperturbed label basis
 (``liouville.eigenbasis_form``) and requires a map that preserves
@@ -29,6 +31,7 @@ import numpy as np
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
 from .liouville import GENERATOR_HERMITIAN_TOL, eigenbasis_form, require_hermiticity_preserving
+from .nudft import forward_nudft
 from .validation import require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
@@ -41,14 +44,9 @@ MATCH_TOL = 0.2
 K_DEDUP_TOL = 1e-9
 # Merged samples that spread by more than this signal a model violation.
 F_DISAGREEMENT_TOL = 0.05
-
-
-@dataclass(frozen=True)
-class EigenBasis:
-    """Eigenphases (ascending) and eigenvector columns of a nominal generator."""
-
-    phis: np.ndarray
-    vectors: np.ndarray
+# The most candidate pairs the disc sweep may form: 268 MB of pair arrays at
+# 64 bytes a pair.  The fixtures form about one per label (4240 at 6 qubits).
+MAX_DISC_PAIRS = 2**22
 
 
 # The record of one label ``a = j*N + m`` in :attr:`EigenPairing.entries`: its
@@ -120,9 +118,12 @@ class ProfileMoments(NamedTuple):
     skewness: float
 
 
-def eigenbasis(h0t: np.ndarray) -> EigenBasis:
-    """Diagonalize the nominal generator (one ascending ``eigh``); reject
-    near-degenerate spectra."""
+def _label_basis(h0t: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nominal eigenvectors (columns, by ascending eigenphase ``phi``,
+    from one ``eigh``), the unperturbed phases ``exp(-i(phi_j - phi_m))``
+    and the coordinates ``k_jm = kd_j - kd_m``, with ``kd`` the diagonal of
+    k in that eigenbasis; the last two are (N, N) arrays indexed [j, m].
+    A near-degenerate nominal spectrum is refused."""
     phis, vectors = np.linalg.eigh(require_hermitian(h0t, GENERATOR_HERMITIAN_TOL, "h0t"))
     if phis.size > 1:
         min_gap = float(np.min(np.diff(phis)))
@@ -131,30 +132,19 @@ def eigenbasis(h0t: np.ndarray) -> EigenBasis:
                 f"nominal spectrum has gap {min_gap:.3e} <= {DEGENERACY_TOL:g}; "
                 "first-order pairing is invalid"
             )
-    return EigenBasis(phis, vectors)
-
-
-def _label_coordinates(basis: EigenBasis, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unperturbed phases ``exp(-i(phi_j - phi_m))`` and coordinates ``k_jm =
-    kd_j - kd_m``, with ``kd`` the diagonal of k in the eigenbasis; both
-    (N, N) arrays indexed [j, m]."""
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
-    n = basis.phis.size
-    if k.shape != (n, n):
-        raise ValueError(f"k has shape {k.shape}, but h0t has shape {(n, n)}")
-    kd = np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
-    return np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :])), kd[:, None] - kd[None, :]
+    if k.shape != vectors.shape:
+        raise ValueError(f"k has shape {k.shape}, but h0t has shape {vectors.shape}")
+    kd = np.einsum("ij,ij->j", vectors.conj(), k @ vectors).real
+    return vectors, np.exp(-1j * (phis[:, None] - phis[None, :])), kd[:, None] - kd[None, :]
 
 
-def predict_eigenvalues(
-    h0t: np.ndarray,
-    k: np.ndarray,
-    profile: RFProfile,
-) -> np.ndarray:
-    """First-order channel eigenvalues, as an (N, N) array indexed [j, m]."""
-    unperturbed, k_jm = _label_coordinates(eigenbasis(h0t), k)
-    attenuation = np.exp(-1j * np.multiply.outer(k_jm, profile.delta_omega)) @ profile.weight
-    return unperturbed * attenuation
+def predict_eigenvalues(h0t: np.ndarray, k: np.ndarray, profile: RFProfile) -> np.ndarray:
+    """First-order channel eigenvalues, as an (N, N) array indexed [j, m]:
+    the unperturbed phases times the profile's characteristic function
+    (:func:`~qincoh.nudft.forward_nudft`) at ``k_jm``."""
+    _, unperturbed, k_jm = _label_basis(h0t, k)
+    return unperturbed * forward_nudft(profile, k_jm)
 
 
 def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -162,14 +152,18 @@ def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
     Candidate pairs come from a sweep over the discs' real extents sorted by
     their left edge: a disc can only meet the discs whose left edge lies
-    within its own extent.  Components are found by propagating the
-    smallest index across the overlaps.
+    within its own extent.  More than :data:`MAX_DISC_PAIRS` candidates
+    are refused before any pair array exists.  Components are found by
+    propagating the smallest index across the overlaps.
     """
     size = centres.size
     left, right = centres.real - radii, centres.real + radii
     order = np.argsort(left, kind="stable")
     stop = np.searchsorted(left[order], right[order], side="right")
     counts = stop - np.arange(size) - 1
+    n_pairs = int(counts.sum())
+    if n_pairs > MAX_DISC_PAIRS:
+        raise PairingError(f"{n_pairs} candidate disc pairs exceed MAX_DISC_PAIRS = {MAX_DISC_PAIRS}")
     first = np.repeat(np.arange(size), counts)
     # the window of sorted disc i is i+1, ..., stop[i]-1
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -256,13 +250,12 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     its seed.  Labels whose radius exceeds :data:`MATCH_TOL` are collected
     as warnings; if every label warns, pairing is considered broken.
     """
-    basis = eigenbasis(h0t)
-    n = basis.phis.size
+    vectors, unperturbed, k_jm = _label_basis(h0t, k)
+    n = vectors.shape[0]
     if np.shape(s) != (n * n, n * n):
         raise ValueError(f"superoperator shape {np.shape(s)} does not match dim {n}")
     s = require_hermiticity_preserving(s, "superoperator")
-    unperturbed, k_jm = _label_coordinates(basis, k)
-    sb = eigenbasis_form(s, basis.vectors)
+    sb = eigenbasis_form(s, vectors)
     seeds = sb.diagonal()
     off_diagonal = np.abs(sb)
     np.fill_diagonal(off_diagonal, 0.0)

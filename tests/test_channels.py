@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oracles import random_rud_ensemble
 from qincoh.channels import (
     MAX_PROFILE_POINTS,
+    WEIGHT_SUM_TOL,
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
@@ -87,6 +89,22 @@ def test_rud_refuses_non_finite_weights_by_name():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^ensemble weights sum to"):
             rud_superoperator([(bad, SZ), (0.5, np.eye(2, dtype=complex))])
+
+
+def test_profile_and_ensemble_weights_share_one_rule():
+    builds = {
+        "profile": lambda ws: RFProfile(np.array([0.0, 0.1]), np.array(ws)),
+        "ensemble": lambda ws: rud_superoperator([(ws[0], SZ), (ws[1], np.eye(2, dtype=complex))]),
+    }
+    assert WEIGHT_SUM_TOL == 1e-12
+    over = [0.5, 0.5 + 2e-12]
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=f"^{name} weights must be non-negative$"):
+            build([1.5, -0.5])
+        refused = f"{name} weights sum to {np.array(over).sum()!r}, expected 1 within 1e-12"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            build(over)
+        build([0.5, 0.5 + 5e-13])
 
 
 def test_rf_channel_refuses_non_finite_generators_and_members_by_name():

@@ -1,9 +1,13 @@
 import functools
+import importlib.util
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qincoh import spectral
 from qincoh.channels import (
     expm_unitary,
     make_synthetic_profile,
@@ -25,20 +29,23 @@ from qincoh.spectral import (
     F_DISAGREEMENT_TOL,
     K_DEDUP_TOL,
     MATCH_TOL,
+    MAX_DISC_PAIRS,
     PAIRING_DTYPE,
     EigenPairing,
     SpectralSampleSet,
     _TILE,
     _disc_components,
+    _label_basis,
     _second_order_values,
     build_samples,
-    eigenbasis,
     four_qubit_fixture,
     pair_eigenvalues,
     predict_eigenvalues,
     profile_metrics,
     three_qubit_fixture,
 )
+
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -53,22 +60,30 @@ def fixture_channel():
     return h0t, k, s
 
 
+def _vectors(h0t):
+    """The nominal eigenvectors: the label basis with no perturbation."""
+    return _label_basis(h0t, np.zeros_like(h0t))[0]
+
+
 def test_eigenbasis_sorted_and_reconstructs():
     h0t, _ = three_qubit_fixture()
-    basis = eigenbasis(h0t)
-    assert np.all(np.diff(basis.phis) > 0)
-    rebuilt = (basis.vectors * basis.phis) @ basis.vectors.conj().T
+    vectors, unperturbed, k_jm = _label_basis(h0t, np.zeros_like(h0t))
+    phis = np.einsum("ij,ij->j", vectors.conj(), h0t @ vectors).real
+    assert np.all(np.diff(phis) > 0)
+    rebuilt = (vectors * phis) @ vectors.conj().T
     assert np.abs(rebuilt - h0t).max() < 1e-10
+    assert np.abs(unperturbed - np.exp(-1j * (phis[:, None] - phis[None, :]))).max() < 1e-10
+    assert np.array_equal(k_jm, np.zeros((8, 8)))
 
 
 def test_eigenbasis_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
-        eigenbasis(np.diag([1.0, 1.0, 2.0]))
+        _label_basis(np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3)))
 
 
 def test_eigenbasis_names_non_hermitian_h0t():
     with pytest.raises(ValueError, match="h0t is not Hermitian"):
-        eigenbasis(np.array([[1.0, 0.5], [0.0, 2.0]]))
+        _label_basis(np.array([[1.0, 0.5], [0.0, 2.0]]), np.zeros((2, 2)))
 
 
 def test_one_hermiticity_verdict_per_generator():
@@ -82,9 +97,8 @@ def test_one_hermiticity_verdict_per_generator():
             lambda: rf_incoherent_channel(bad_h0t, bad_k, SKEWED_PROFILE),
             lambda: predict_eigenvalues(bad_h0t, bad_k, SKEWED_PROFILE),
             lambda: pair_eigenvalues(s, bad_h0t, bad_k),
+            lambda: _label_basis(bad_h0t, bad_k),
         ]
-        if bad_k is k:
-            calls.append(lambda: eigenbasis(bad_h0t))
         for call in calls:
             with pytest.raises(ValueError, match=refused):
                 call()
@@ -95,8 +109,8 @@ def test_predict_without_perturbation_is_unperturbed():
     profile = make_synthetic_profile("uniform", width=0.1, n_points=11)
     lam = predict_eigenvalues(h0, np.zeros((2, 2)), profile)
     assert np.abs(np.abs(lam) - 1.0).max() < 1e-12
-    basis = eigenbasis(h0)
-    expected = np.exp(-1j * (basis.phis[:, None] - basis.phis[None, :]))
+    phis = np.linalg.eigvalsh(h0)
+    expected = np.exp(-1j * (phis[:, None] - phis[None, :]))
     assert np.abs(lam - expected).max() < 1e-12
 
 
@@ -144,8 +158,8 @@ def test_pairing_on_fixture_channel():
     measured = sorted((e.lambda_measured.real, e.lambda_measured.imag) for e in pairing.entries)
     assert len(set(measured)) == 64
     # k coordinate is the diagonal contrast of the model perturbation
-    basis = eigenbasis(h0t)
-    kd = np.einsum("ij,ij->j", basis.vectors.conj(), k @ basis.vectors).real
+    v = _vectors(h0t)
+    kd = np.einsum("ij,ij->j", v.conj(), k @ v).real
     for e in pairing.entries[:10]:
         assert abs(e.k_jm - (kd[e.j] - kd[e.m])) < 1e-12
 
@@ -168,7 +182,7 @@ def _random_preserving_map(n, rng):
 
 def test_eigenbasis_form_matches_dense_change_of_basis():
     h0t, _, s = fixture_channel()
-    v = eigenbasis(h0t).vectors
+    v = _vectors(h0t)
     assert np.abs(eigenbasis_form(s, v) - _dense_eigenbasis_form(s, v)).max() < 1e-13
     rng = np.random.default_rng(27)
     # 10 and 16 take the labels in several ranges, 10 with a short last one
@@ -182,7 +196,7 @@ def test_eigenbasis_form_equals_its_conjugate_mirror_bit_for_bit():
     # is made exactly Hermitian, so the label form has the symmetry exactly
     h0t, _, s = fixture_channel()
     rng = np.random.default_rng(29)
-    cases = [(s, eigenbasis(h0t).vectors)]
+    cases = [(s, _vectors(h0t))]
     cases += [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
     for sup, v in cases:
         n = v.shape[0]
@@ -241,7 +255,7 @@ def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():
     # must leave the diagonal of S_B, |S_B| and S_B[a,b] S_B[b,a] unchanged
     h0t, _, s = fixture_channel()
     rng = np.random.default_rng(28)
-    v = eigenbasis(h0t).vectors
+    v = _vectors(h0t)
     rotated = v * np.exp(2j * np.pi * rng.random(v.shape[1]))
     for sup in (s, _noisy_map(s, 1e-4, rng)):
         sb, sb_rot = eigenbasis_form(sup, v), eigenbasis_form(sup, rotated)
@@ -271,7 +285,7 @@ def _greedy_pairing_oracle(s, h0t):
     """Reference: every eigenvalue from a dense complex solve, matched in
     (j*N + m) order to the nearest unused one from the label's seed
     ``<b_jm|S|b_jm>`` (the pairing this module used before the discs)."""
-    v = eigenbasis(h0t).vectors
+    v = _vectors(h0t)
     n = v.shape[0]
     evals = np.linalg.eigvals(s)
     seeds = np.diagonal(_dense_eigenbasis_form(s, v))
@@ -318,7 +332,7 @@ def _noisy_map(s, sigma, rng):
 
 
 def _discs(s, h0t):
-    sb = eigenbasis_form(s, eigenbasis(h0t).vectors)
+    sb = eigenbasis_form(s, _vectors(h0t))
     return sb.diagonal(), np.abs(sb - np.diag(sb.diagonal())).sum(axis=1)
 
 
@@ -381,6 +395,50 @@ def test_each_disc_component_holds_as_many_eigenvalues_as_discs():
             # beyond the one component of the eight j = m discs
             n_joined += np.unique(component).size < centres.size - 7
     assert n_joined > 0
+
+
+def test_disc_sweep_refuses_too_many_candidate_pairs_before_forming_them():
+    # 4096 discs that all overlap: 8386560 candidate pairs, which would
+    # take 512 MiB of pair arrays
+    centres, radii = np.zeros(4096, dtype=complex), np.ones(4096)
+    refused = f"^8386560 candidate disc pairs exceed MAX_DISC_PAIRS = {MAX_DISC_PAIRS}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PairingError, match=refused):
+            _disc_components(centres, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _perfbench_sidon_fixture(n_qubits, seed):
+    """The benchmark's generated Sidon fixture, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_fixtures", PERFBENCH_DIR / "fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sidon_fixture(n_qubits, np.random.default_rng(seed))
+
+
+def test_fixtures_pair_with_at_most_one_candidate_pair_per_label(monkeypatch):
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+    fixtures = [three_qubit_fixture(), four_qubit_fixture()]
+    fixtures += [_perfbench_sidon_fixture(5, seed) for seed in (0, 13)]
+    for h0t, k in fixtures:
+        n = h0t.shape[0]
+        s = rf_incoherent_channel(h0t, k, profile)
+        expected = pair_eigenvalues(s, h0t, k)
+        # a cap of one pair per label still pairs each fixture, bit for bit
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "MAX_DISC_PAIRS", n * n)
+            pairing = pair_eigenvalues(s, h0t, k)
+        assert pairing.entries.tobytes() == expected.entries.tobytes()
+        assert pairing.warnings == expected.warnings == ()
+        centres, radii = _discs(s, h0t)
+        component = _disc_components(centres, radii)
+        assert np.array_equal(component, _dense_components(centres, radii))
+        # the j = m discs form one component and every other disc stands alone
+        assert np.unique(component).size == n * n - n + 1
 
 
 def test_pairing_reads_as_the_benchmark_harness_reads_it():

@@ -133,7 +133,6 @@ def test_literal_tolerance_default_detector_sees_each_parameter_kind(tmp_path):
 DEFINITIONS = {
     "rud_superoperator",  # sum_k p_k conj(U_k) kron U_k of an explicit ensemble
     "unitary_superoperator",  # conj(U) kron U of one unitary
-    "forward_nudft",  # a profile's Fourier transform at given coordinates
     "partial_trace_b",  # the environment trace of a joint state
 }
 
@@ -269,3 +268,36 @@ def test_four_axis_and_mirror_detectors_see_each_form(tmp_path):
         "probe.py:8: transpose of 4 axes",
     ]
     assert sorted(_mirror_permutations(probe)) == ["probe.py:2", "probe.py:3", "probe.py:7"]
+
+
+def _outer_products(path: Path) -> list[str]:
+    """Calls of ``multiply.outer`` (``np.multiply.outer`` or a bare
+    ``multiply.outer``), the profile sum's kernel."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) != "outer":
+            continue
+        ufunc = node.func.value
+        if getattr(ufunc, "attr", getattr(ufunc, "id", None)) == "multiply":
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_the_profile_sum_is_written_once_in_nudft():
+    # the characteristic function sum_x p_x exp(-i k x) has one owner,
+    # nudft.forward_nudft, which spectral's prediction calls
+    found = [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _outer_products(path)]
+    assert len(found) == 1 and found[0].startswith("nudft.py:")
+
+
+def test_outer_product_detector_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "a = np.exp(-1j * np.multiply.outer(k_jm, profile.delta_omega)) @ profile.weight\n"
+        "b = numpy.multiply.outer(x, y)\n"
+        "c = multiply.outer(x, y)\n"
+        "d = np.outer(x, y)\n"
+        "e = np.add.outer(x, y)\n"
+        "f = np.multiply(x, y)\n"
+    )
+    assert sorted(_outer_products(probe)) == ["probe.py:1", "probe.py:2", "probe.py:3"]

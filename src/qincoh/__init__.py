@@ -25,13 +25,13 @@ from .liouville import (
 from .nudft import (
     RecoveryGrid,
     RecoveryResult,
+    SpectralSampleSet,
     forward_nudft,
     inverse_nudft,
 )
 from .spectral import (
     EigenPairing,
     ProfileMoments,
-    SpectralSampleSet,
     build_samples,
     four_qubit_fixture,
     pair_eigenvalues,

@@ -484,8 +484,8 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "mode": "recover_profile",
         "fixture": f["fixture"],
         "n_samples": len(samples),
-        "window_span": samples.window_span(),
-        "resolution_estimate": samples.resolution_estimate(),
+        "window_span": float(samples.k.max() - samples.k.min()),
+        "resolution_estimate": float(np.pi / np.abs(samples.k).max()),
         "pairing": {
             "n_entries": len(entries),
             "n_degenerate": int(entries.degenerate.sum()),

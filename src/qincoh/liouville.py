@@ -33,7 +33,6 @@ from .validation import (
     as_square_stack,
     first_non_finite,
     hermitian_part,
-    require_hermitian,
     require_unitary,
     square_side,
 )
@@ -270,9 +269,9 @@ def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:
     dimension N.  Returns the filtered superoperator and the removed weight
     (sum of |negative eigenvalues|).
     """
+    n = math.isqrt(square_side(s, "s"))  # one map: a stack is refused by name
     c = superop_to_choi(s)
-    n = math.isqrt(c.shape[0])
-    w, v = np.linalg.eigh(require_hermitian(c, CHOI_HERMITIAN_TOL, "Choi matrix"))
+    w, v = np.linalg.eigh(hermitian_part(c, CHOI_HERMITIAN_TOL, "Choi matrix"))
     # descending, as choi_spectrum orders them; the sums below add in this
     # order, which fixes their rounding
     w, v = w[::-1], v[:, ::-1]

@@ -1,26 +1,28 @@
-"""Inverse Fourier transform of samples at unequally spaced frequencies.
+"""Fourier samples at unequally spaced frequencies, and their inversion.
 
-The forward direction is a discrete profile's characteristic function
-``f(k) = sum_b p_b exp(-i k x_b)``, which the first-order prediction of
-``spectral`` calls too; the inverse maps a sample set back onto a uniform
-deviation grid by one least-squares fit with a fixed ridge.  On the
-uniform grid the fit's normal matrix is Hermitian Toeplitz, so it is built
-from one table of powers of ``exp(i * bin_width * k)``, never from the
-dense kernel, and the fit is one direct solve of ``n_bins`` unknowns.
+A :class:`SpectralSampleSet` holds the samples and checks them; its merge
+rules live in :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds
+raw points.  The forward direction is a discrete profile's characteristic
+function ``f(k) = sum_b p_b exp(-i k x_b)``, which ``spectral``'s prediction
+calls too; the inverse maps a sample set onto a uniform deviation grid by one
+ridge-regularized least-squares fit, whose Hermitian Toeplitz normal matrix
+is built from one table of powers of ``exp(i * bin_width * k)``, never from
+the dense kernel: one direct solve of ``n_bins`` unknowns.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import RFProfile
 
-if TYPE_CHECKING:  # spectral imports forward_nudft from this module
-    from .spectral import SpectralSampleSet
-
+# Sample k coordinates closer than this estimate the same Fourier point; a
+# |k| within it is indistinguishable from the DC anchor.
+K_DEDUP_TOL = 1e-9
+# Merged samples that spread by more than this signal a model violation.
+F_DISAGREEMENT_TOL = 0.05
 # A sample set whose conjugate-symmetry residual exceeds this gets a warning.
 SYMMETRY_TOL = 1e-6
 # The least-squares ridge is this times the number of samples.  Every entry
@@ -68,6 +70,79 @@ class RecoveryGrid:
         table[0] = 1.0
         table[1:] = np.exp(1j * self.bin_width * ks)
         return np.cumprod(table, axis=0, out=table)
+
+
+@dataclass(frozen=True)
+class SpectralSampleSet:
+    """Samples ``(k, f(k))`` of the profile's Fourier transform, sorted by k."""
+
+    k: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        k, f = np.asarray(self.k, dtype=float), np.asarray(self.f, dtype=complex)
+        if k.ndim != 1 or f.shape != k.shape:
+            raise ValueError(f"sample set needs matching 1-d k and f arrays, got shapes {k.shape} and {f.shape}")
+        for name, x in (("k", k), ("f", f)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"sample set {name} is not finite")
+            object.__setattr__(self, name, x)
+
+    @classmethod
+    def from_points(cls, k: np.ndarray, f: np.ndarray) -> SpectralSampleSet:
+        """The sample set of raw points: a point within :data:`K_DEDUP_TOL` of
+        ``k = 0`` is dropped, runs of sorted k whose neighbours lie within it
+        are averaged, and (0, 1) is inserted as the DC anchor.  A drop, or a
+        merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
+        warns the caller of :func:`~qincoh.spectral.build_samples`."""
+        near_dc = np.abs(k) <= K_DEDUP_TOL
+        if near_dc.any():
+            warnings.warn(
+                f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point",
+                stacklevel=3,
+            )
+            k, f = k[~near_dc], f[~near_dc]
+        order = np.argsort(k)
+        k, f = k[order], f[order]
+        starts = np.flatnonzero(np.diff(k, prepend=-np.inf) > K_DEDUP_TOL)
+        sizes = np.diff(starts, append=k.size)
+        k_mean = np.add.reduceat(k, starts) / sizes
+        f_mean = np.add.reduceat(f, starts) / sizes
+        spread = np.maximum.reduceat(np.abs(f - np.repeat(f_mean, sizes)), starts)
+        # a single sample has spread 0, so only merged groups can warn
+        for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
+            warnings.warn(
+                f"samples sharing k={k[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
+                "the perturbation model may be violated",
+                stacklevel=3,
+            )
+        dc = np.searchsorted(k_mean, 0.0)
+        return cls(np.insert(k_mean, dc, 0.0), np.insert(f_mean, dc, 1.0))
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def conjugate_symmetry_residual(self) -> float:
+        """Worst mismatch between each sample and the conjugate at -k.
+
+        The partner of sample i is the sample whose k is nearest to -k[i],
+        the lowest index among equally near ones.
+        """
+        k, n = self.k, self.k.size
+        order = np.argsort(k, kind="stable")
+        k_sorted = k[order]
+        pos = np.searchsorted(k_sorted, -k)
+        # nearest at or above -k[i], and the first of the run of equal k just below
+        above = order[np.minimum(pos, n - 1)]
+        below = order[np.searchsorted(k_sorted, k_sorted[np.maximum(pos - 1, 0)])]
+        d_above = np.where(pos < n, np.abs(k[above] + k), np.inf)
+        d_below = np.where(pos > 0, np.abs(k[below] + k), np.inf)
+        take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
+        partner = np.where(take_above, above, below)
+        return float(max(
+            np.max(np.abs(k[partner] + k), initial=0.0),
+            np.max(np.abs(self.f[partner] - np.conj(self.f)), initial=0.0),
+        ))
 
 
 @dataclass(frozen=True)
@@ -143,14 +218,11 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
     normal.flat[:: m + 1] += RIDGE_PER_SAMPLE * len(samples)
     rhs = table @ (np.exp(1j * grid.delta_omega_min * samples.k) * samples.f)
     raw = np.linalg.solve(normal, rhs)
-    xs = grid.points()
-
-    re, im = raw.real, raw.imag
-    re_norm = float(np.linalg.norm(re))
-    imag_residual = float(np.linalg.norm(im)) / re_norm if re_norm > 0.0 else np.inf
-    weight, clipped_mass = _clip_and_normalize(re)
+    re_norm = float(np.linalg.norm(raw.real))
+    imag_residual = float(np.linalg.norm(raw.imag)) / re_norm if re_norm > 0.0 else np.inf
+    weight, clipped_mass = _clip_and_normalize(raw.real)
     return RecoveryResult(
-        profile=RFProfile(xs, weight),
+        profile=RFProfile(grid.points(), weight),
         imag_residual=imag_residual,
         clipped_mass=clipped_mass,
         symmetry_residual=sym,

@@ -17,12 +17,11 @@ Pairing reads the map in the unperturbed label basis
 (``liouville.eigenbasis_form``) and requires a map that preserves
 Hermiticity, as every physical map does; ``liouville`` refuses one that
 does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
-any transform.  This module keeps the discs, the second-order sum and the
-samples.
+any transform.  This module keeps the discs and the second-order sum, and
+turns a pairing into the raw points of ``nudft.SpectralSampleSet``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ import numpy as np
 from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
 from .liouville import GENERATOR_HERMITIAN_TOL, eigenbasis_form, require_hermiticity_preserving
-from .nudft import forward_nudft
+from .nudft import K_DEDUP_TOL, SpectralSampleSet, forward_nudft
 from .validation import require_hermitian
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
@@ -39,13 +38,9 @@ DEGENERACY_TOL = 1e-6
 # A label whose certified radius exceeds this is a pairing warning; a pairing
 # with only such labels is broken.
 MATCH_TOL = 0.2
-# Sample k coordinates closer than this estimate the same Fourier point; a
-# |k| within it is indistinguishable from the DC anchor.
-K_DEDUP_TOL = 1e-9
-# Merged samples that spread by more than this signal a model violation.
-F_DISAGREEMENT_TOL = 0.05
-# The most candidate pairs the disc sweep may form: 268 MB of pair arrays at
-# 64 bytes a pair.  The fixtures form about one per label (4240 at 6 qubits).
+# The most candidate disc pairs the sweep may form (268 MB at 64 bytes a pair)
+# and the most centre gaps the component extents form at once (134 MB at 32
+# bytes a gap).  The fixtures form about one pair per label (4240 at 6 qubits).
 MAX_DISC_PAIRS = 2**22
 
 
@@ -70,46 +65,6 @@ class EigenPairing:
 
     entries: np.recarray
     warnings: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True)
-class SpectralSampleSet:
-    """Samples ``(k, f(k))`` of the profile's Fourier transform, sorted by k."""
-
-    k: np.ndarray
-    f: np.ndarray
-
-    def __len__(self) -> int:
-        return self.k.size
-
-    def window_span(self) -> float:
-        return float(self.k.max() - self.k.min())
-
-    def resolution_estimate(self) -> float:
-        """Rayleigh-style resolution in the deviation domain, pi / max|k|."""
-        return float(np.pi / np.abs(self.k).max())
-
-    def conjugate_symmetry_residual(self) -> float:
-        """Worst mismatch between each sample and the conjugate at -k.
-
-        The partner of sample i is the sample whose k is nearest to -k[i],
-        the lowest index among equally near ones.
-        """
-        k, n = self.k, self.k.size
-        order = np.argsort(k, kind="stable")
-        k_sorted = k[order]
-        pos = np.searchsorted(k_sorted, -k)
-        # nearest at or above -k[i], and the first of the run of equal k just below
-        above = order[np.minimum(pos, n - 1)]
-        below = order[np.searchsorted(k_sorted, k_sorted[np.maximum(pos - 1, 0)])]
-        d_above = np.where(pos < n, np.abs(k[above] + k), np.inf)
-        d_below = np.where(pos > 0, np.abs(k[below] + k), np.inf)
-        take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
-        partner = np.where(take_above, above, below)
-        return float(max(
-            np.max(np.abs(k[partner] + k), initial=0.0),
-            np.max(np.abs(self.f[partner] - np.conj(self.f)), initial=0.0),
-        ))
 
 
 class ProfileMoments(NamedTuple):
@@ -183,12 +138,15 @@ def _disc_components(centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def _component_extents(centres: np.ndarray, radii: np.ndarray, component: np.ndarray) -> np.ndarray:
     """Per disc, the radius about its centre that covers its whole component:
-    the disc's own radius when it stands alone."""
+    the disc's own radius when it stands alone.  A component of ``c`` discs
+    is taken ``MAX_DISC_PAIRS // c`` rows of ``c`` gaps at a time."""
     extent = radii.copy()
     for label in np.flatnonzero(np.bincount(component) > 1):
         group = np.flatnonzero(component == label)
-        gap = np.abs(centres[group, None] - centres[None, group])
-        extent[group] = np.max(gap + radii[group], axis=1)
+        step = max(1, MAX_DISC_PAIRS // group.size)
+        for rows in np.split(group, range(step, group.size, step)):
+            gap = np.abs(centres[rows, None] - centres[None, group])
+            extent[rows] = np.max(gap + radii[group], axis=1)
     return extent
 
 
@@ -278,16 +236,10 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
 
 
 def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
-    """Fourier samples from a pairing: drop degenerate labels, divide out the
-    unperturbed phase, merge duplicate k coordinates, add the DC anchor.
-
-    Degenerate (j = m) entries carry no profile information beyond
-    normalization and are dropped; a single sample (0, 1) is inserted so the
-    recovered distribution has no DC offset.  Runs of sorted k coordinates
-    whose neighbours lie within :data:`K_DEDUP_TOL` estimate the same Fourier
-    point and are averaged; a spread beyond :data:`F_DISAGREEMENT_TOL`
-    signals a model violation and emits a warning.
-    """
+    """Fourier samples from a pairing, merged by
+    :meth:`~qincoh.nudft.SpectralSampleSet.from_points`: the points
+    ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the
+    non-degenerate labels, refused when every ``k_jm`` vanishes."""
     live = pairing.entries[~pairing.entries.degenerate]
     if not live.size:
         raise ValueError("pairing contains only degenerate entries")
@@ -300,30 +252,7 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
             "all diagonal perturbation differences vanish; the model "
             "perturbation provides no spectral contrast"
         )
-    near_dc = np.abs(ks) <= K_DEDUP_TOL
-    if near_dc.any():
-        warnings.warn(
-            f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point",
-            stacklevel=2,
-        )
-        ks, fs = ks[~near_dc], fs[~near_dc]
-
-    order = np.argsort(ks)
-    ks, fs = ks[order], fs[order]
-    starts = np.flatnonzero(np.diff(ks, prepend=-np.inf) > K_DEDUP_TOL)
-    sizes = np.diff(starts, append=ks.size)
-    k_mean = np.add.reduceat(ks, starts) / sizes
-    f_mean = np.add.reduceat(fs, starts) / sizes
-    spread = np.maximum.reduceat(np.abs(fs - np.repeat(f_mean, sizes)), starts)
-    # a single sample has spread 0, so only merged groups can warn
-    for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
-        warnings.warn(
-            f"samples sharing k={ks[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
-            "the perturbation model may be violated",
-            stacklevel=2,
-        )
-    dc = np.searchsorted(k_mean, 0.0)
-    return SpectralSampleSet(np.insert(k_mean, dc, 0.0), np.insert(f_mean, dc, 1.0))
+    return SpectralSampleSet.from_points(ks, fs)
 
 
 def profile_metrics(profile: RFProfile) -> ProfileMoments:

@@ -16,10 +16,9 @@ from qincoh import cli
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.liouville import CP_TOL, choi_spectrum
-from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid
+from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid, SpectralSampleSet
 from qincoh.spectral import (
     MATCH_TOL,
-    SpectralSampleSet,
     pair_eigenvalues,
     profile_metrics,
     three_qubit_fixture,

@@ -7,11 +7,11 @@ from qincoh.nudft import (
     MAX_GRID_BINS,
     RIDGE_PER_SAMPLE,
     RecoveryGrid,
+    SpectralSampleSet,
     forward_nudft,
     inverse_nudft,
 )
 from qincoh.spectral import (
-    SpectralSampleSet,
     build_samples,
     four_qubit_fixture,
     pair_eigenvalues,
@@ -157,6 +157,23 @@ def test_inverse_requires_five_samples():
     s = SpectralSampleSet(np.array([-1.0, 0.0, 1.0]), np.array([1, 1, 1], dtype=complex))
     with pytest.raises(ValueError, match="at least 5"):
         inverse_nudft(s, GRID)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
+    ks = np.linspace(-2.0, 2.0, 5)
+    f = np.ones(5, dtype=complex)
+    samples = SpectralSampleSet(list(ks), [1, 1, 1, 1, 1])
+    assert samples.k.dtype == float and samples.f.dtype == complex
+    assert np.array_equal(samples.k, ks) and np.array_equal(samples.f, f)
+    for bad_k, bad_f, name in ((np.where(ks == 0.0, np.nan, ks), f, "k"),
+                               (ks, np.where(ks == 0.0, np.nan, f), "f"),
+                               (ks, np.where(ks == 0.0, np.inf, f), "f")):
+        with pytest.raises(ValueError, match=f"^sample set {name} is not finite$"):
+            SpectralSampleSet(bad_k, bad_f)
+    for bad_k, bad_f in ((ks, f[:-1]), (ks[None, :], f[None, :])):
+        with pytest.raises(ValueError, match="^sample set needs matching 1-d k and f arrays, got shapes"):
+            SpectralSampleSet(bad_k, bad_f)
 
 
 def test_inverse_warns_on_asymmetric_samples():

@@ -23,17 +23,15 @@ from qincoh.liouville import (
     superop_to_choi,
     unitary_superoperator,
 )
-from qincoh.nudft import RecoveryGrid, inverse_nudft
+from qincoh.nudft import F_DISAGREEMENT_TOL, K_DEDUP_TOL, RecoveryGrid, SpectralSampleSet, inverse_nudft
 from qincoh.spectral import (
     DIAGONAL_COUPLING,
-    F_DISAGREEMENT_TOL,
-    K_DEDUP_TOL,
     MATCH_TOL,
     MAX_DISC_PAIRS,
     PAIRING_DTYPE,
     EigenPairing,
-    SpectralSampleSet,
     _TILE,
+    _component_extents,
     _disc_components,
     _label_basis,
     _second_order_values,
@@ -412,6 +410,24 @@ def test_disc_sweep_refuses_too_many_candidate_pairs_before_forming_them():
     assert peak < 2**20
 
 
+def test_component_extents_form_at_most_max_disc_pairs_gaps_at_once(monkeypatch):
+    # a chain of 2048 discs, each meeting its neighbours, is one component;
+    # unchunked, its 2048 x 2048 gaps would take 96 MiB
+    centres, radii = np.arange(2048) + 0j, np.full(2048, 0.6)
+    component = _disc_components(centres, radii)
+    assert np.unique(component).size == 1
+    expected = _component_extents(centres, radii, component)
+    monkeypatch.setattr(spectral, "MAX_DISC_PAIRS", 2**16)
+    tracemalloc.start()
+    try:
+        extents = _component_extents(centres, radii, component)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(extents, expected)
+    assert peak < 2**22
+
+
 def _perfbench_sidon_fixture(n_qubits, seed):
     """The benchmark's generated Sidon fixture, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_fixtures", PERFBENCH_DIR / "fixtures.py")
@@ -768,7 +784,7 @@ def test_profile_metrics_gaussian_and_delta():
 def test_offset_leaves_recovered_skewness_unchanged():
     # third moments are sensitive to far-field ripple mass, which the ridge
     # of the least-squares fit suppresses
-    from qincoh.nudft import RecoveryGrid, inverse_nudft
+    from qincoh.nudft import F_DISAGREEMENT_TOL, K_DEDUP_TOL, RecoveryGrid, SpectralSampleSet, inverse_nudft
 
     h0t, k, _ = fixture_channel()
     grid = RecoveryGrid(-0.35, 0.35, 141)

@@ -23,6 +23,79 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _internal_imports(path: Path) -> set[str]:
+    """The package modules a file imports by ``from .module import ...`` or
+    ``from qincoh.module import ...``, at any depth; ``from . import name``
+    names the package itself and is not counted."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        parts = node.module.split(".")
+        if node.level == 1:
+            found.add(parts[0])
+        elif node.level == 0 and parts[0] == "qincoh" and len(parts) > 1:
+            found.add(parts[1])
+    return found
+
+
+def _import_graph(package: Path) -> dict[str, set[str]]:
+    """Each module of a package but ``__init__`` and the modules it imports."""
+    return {p.stem: _internal_imports(p) for p in sorted(package.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _modules_on_or_above_cycles(graph: dict[str, set[str]]) -> list[str]:
+    """The modules left once those importing no module left are removed, over
+    and over: none exactly when the import graph is acyclic."""
+    left = graph
+    while done := {m for m, deps in left.items() if not deps & left.keys()}:
+        left = {m: deps for m, deps in left.items() if m not in done}
+    return sorted(left)
+
+
+def _type_checking_guards(path: Path) -> list[str]:
+    """The ``if TYPE_CHECKING:`` (or ``if typing.TYPE_CHECKING:``) blocks of a file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.If):
+            continue
+        if getattr(node.test, "id", getattr(node.test, "attr", None)) == "TYPE_CHECKING":
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_the_import_graph_is_acyclic_with_no_type_checking_guard():
+    graph = _import_graph(PACKAGE_DIR)
+    # spectral reads the sample set from nudft, and never the reverse
+    assert "nudft" in graph["spectral"] and "spectral" not in graph["nudft"]
+    assert _modules_on_or_above_cycles(graph) == []
+    assert [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _type_checking_guards(path)] == []
+
+
+def test_import_graph_detectors_see_a_guarded_back_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    (tmp_path / "a.py").write_text("from .b import g\nfrom . import __version__\nfrom numpy import linalg\n")
+    (tmp_path / "b.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from .c import k\n"
+        "if TYPE_CHECKING:\n"
+        "    from .a import f\n"
+    )
+    (tmp_path / "c.py").write_text(
+        "import typing\n"
+        "def k():\n"
+        "    from qincoh.errors import PairingError\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    pass\n"
+    )
+    graph = _import_graph(tmp_path)
+    assert graph == {"a": {"b"}, "b": {"a", "c"}, "c": {"errors"}}
+    assert _modules_on_or_above_cycles(graph) == ["a", "b"]
+    assert _modules_on_or_above_cycles({"a": {"b"}, "b": {"c"}, "c": {"errors"}}) == []
+    guards = [line for path in sorted(tmp_path.glob("*.py")) for line in _type_checking_guards(path)]
+    assert guards == ["b.py:3", "c.py:4"]
+
+
 # The Hermiticity and unitarity checks; their tolerance is argument 1 or ``tol``.
 _TOLERANCE_CHECKS = {"require_hermitian", "hermitian_part", "require_unitary", "unitary_stack"}
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
-from .validation import as_square_matrix, as_square_stack, require_hermitian, unitary_stack
+from .validation import as_square_matrix, as_square_stack, point_arrays, require_hermitian, unitary_stack
 
 # The most points make_synthetic_profile builds.  Each point is one channel
 # member, so at 6 qubits (64 x 64 generators) the member stack of
@@ -37,23 +37,16 @@ def _require_distribution(weights: np.ndarray, name: str) -> None:
 class RFProfile:
     """Discrete probability distribution over the normalized amplitude deviation.
 
-    Both arrays must be finite, ``delta_omega`` strictly increasing, weights
-    non-negative and normalized to 1 within :data:`WEIGHT_SUM_TOL`.
+    Both arrays must be real and finite, ``delta_omega`` strictly increasing
+    (:func:`~qincoh.validation.point_arrays`), weights non-negative and
+    normalized to 1 within :data:`WEIGHT_SUM_TOL`.
     """
 
     delta_omega: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        dw = np.asarray(self.delta_omega, dtype=float)
-        w = np.asarray(self.weight, dtype=float)
-        if dw.ndim != 1 or w.shape != dw.shape or dw.size < 1:
-            raise ValueError("profile needs matching 1-d delta_omega and weight arrays")
-        for name, x in (("delta_omega", dw), ("weight", w)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"profile {name} is not finite")
-        if dw.size > 1 and np.any(np.diff(dw) <= 0.0):
-            raise ValueError("delta_omega values must be strictly increasing")
+        dw, w = point_arrays(self.delta_omega, self.weight, float, "profile", ("delta_omega", "weight"))
         _require_distribution(w, "profile")
         object.__setattr__(self, "delta_omega", dw)
         object.__setattr__(self, "weight", w)

@@ -1,9 +1,11 @@
 """Fourier samples at unequally spaced frequencies, and their inversion.
 
-A :class:`SpectralSampleSet` holds the samples and checks them; its merge
-rules live in :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds
-raw points.  The forward direction is a discrete profile's characteristic
-function ``f(k) = sum_b p_b exp(-i k x_b)``, which ``spectral``'s prediction
+A :class:`SpectralSampleSet` holds the samples strictly increasing in k, so
+its symmetry residual pairs each sample with its mirror; its merge rules live
+in :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds raw points.
+Warnings here name the first caller outside ``nudft`` and ``spectral``.  The
+forward direction is a discrete profile's characteristic function
+``f(k) = sum_b p_b exp(-i k x_b)`` at real k, which ``spectral``'s prediction
 calls too; the inverse maps a sample set onto a uniform deviation grid by one
 ridge-regularized least-squares fit, whose Hermitian Toeplitz normal matrix
 is built from one table of powers of ``exp(i * bin_width * k)``, never from
@@ -11,12 +13,14 @@ the dense kernel: one direct solve of ``n_bins`` unknowns.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import RFProfile
+from .validation import point_arrays
 
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -34,6 +38,14 @@ RIDGE_PER_SAMPLE = 1e-6
 # normal matrix, 268 MB at this cap, and an n_bins x n_samples complex power
 # table, 264 MB at this cap, since 6 qubits give at most 4033 samples.
 MAX_GRID_BINS = 4096
+
+
+def _warn(message: str) -> None:
+    """Warn ``message`` from the first caller outside ``nudft`` and ``spectral``."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") in (__name__, "qincoh.spectral"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -74,19 +86,15 @@ class RecoveryGrid:
 
 @dataclass(frozen=True)
 class SpectralSampleSet:
-    """Samples ``(k, f(k))`` of the profile's Fourier transform, sorted by k."""
+    """Samples ``(k, f(k))`` of the profile's Fourier transform, strictly increasing in real k."""
 
     k: np.ndarray
     f: np.ndarray
 
     def __post_init__(self):
-        k, f = np.asarray(self.k, dtype=float), np.asarray(self.f, dtype=complex)
-        if k.ndim != 1 or f.shape != k.shape:
-            raise ValueError(f"sample set needs matching 1-d k and f arrays, got shapes {k.shape} and {f.shape}")
-        for name, x in (("k", k), ("f", f)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"sample set {name} is not finite")
-            object.__setattr__(self, name, x)
+        k, f = point_arrays(self.k, self.f, complex, "sample set", ("k", "f"))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def from_points(cls, k: np.ndarray, f: np.ndarray) -> SpectralSampleSet:
@@ -94,13 +102,10 @@ class SpectralSampleSet:
         ``k = 0`` is dropped, runs of sorted k whose neighbours lie within it
         are averaged, and (0, 1) is inserted as the DC anchor.  A drop, or a
         merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
-        warns the caller of :func:`~qincoh.spectral.build_samples`."""
+        warns the first caller outside ``nudft`` and ``spectral``."""
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
-            warnings.warn(
-                f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point",
-                stacklevel=3,
-            )
+            _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
             k, f = k[~near_dc], f[~near_dc]
         order = np.argsort(k)
         k, f = k[order], f[order]
@@ -111,11 +116,8 @@ class SpectralSampleSet:
         spread = np.maximum.reduceat(np.abs(f - np.repeat(f_mean, sizes)), starts)
         # a single sample has spread 0, so only merged groups can warn
         for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
-            warnings.warn(
-                f"samples sharing k={k[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
-                "the perturbation model may be violated",
-                stacklevel=3,
-            )
+            _warn(f"samples sharing k={k[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
+                  "the perturbation model may be violated")
         dc = np.searchsorted(k_mean, 0.0)
         return cls(np.insert(k_mean, dc, 0.0), np.insert(f_mean, dc, 1.0))
 
@@ -123,26 +125,11 @@ class SpectralSampleSet:
         return self.k.size
 
     def conjugate_symmetry_residual(self) -> float:
-        """Worst mismatch between each sample and the conjugate at -k.
-
-        The partner of sample i is the sample whose k is nearest to -k[i],
-        the lowest index among equally near ones.
-        """
-        k, n = self.k, self.k.size
-        order = np.argsort(k, kind="stable")
-        k_sorted = k[order]
-        pos = np.searchsorted(k_sorted, -k)
-        # nearest at or above -k[i], and the first of the run of equal k just below
-        above = order[np.minimum(pos, n - 1)]
-        below = order[np.searchsorted(k_sorted, k_sorted[np.maximum(pos - 1, 0)])]
-        d_above = np.where(pos < n, np.abs(k[above] + k), np.inf)
-        d_below = np.where(pos > 0, np.abs(k[below] + k), np.inf)
-        take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
-        partner = np.where(take_above, above, below)
-        return float(max(
-            np.max(np.abs(k[partner] + k), initial=0.0),
-            np.max(np.abs(self.f[partner] - np.conj(self.f)), initial=0.0),
-        ))
+        """Worst mismatch between each sample and the conjugate of its
+        mirror: k is strictly increasing, so sample i pairs with sample
+        n-1-i, the nearest to -k[i] on a symmetric or nearly symmetric set."""
+        k, f = self.k, self.f
+        return float(max(np.abs(k + k[::-1]).max(), np.abs(f - np.conj(f[::-1])).max()))
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,9 @@ class RecoveryResult:
 
 
 def forward_nudft(profile: RFProfile, ks: np.ndarray) -> np.ndarray:
-    """Fourier transform of a profile at arbitrary coordinates; f(0) = 1."""
+    """Fourier transform of a profile at real coordinates of any shape; f(0) = 1."""
+    if np.iscomplexobj(ks):
+        raise ValueError("forward_nudft coordinates ks are complex, expected real")
     ks = np.asarray(ks, dtype=float)
     return np.exp(-1j * np.multiply.outer(ks, profile.delta_omega)) @ profile.weight
 
@@ -203,11 +192,7 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
         )
     sym = samples.conjugate_symmetry_residual()
     if sym > SYMMETRY_TOL:
-        warnings.warn(
-            f"sample set is conjugate-asymmetric by {sym:.3e}; "
-            "the recovered profile may not be real",
-            stacklevel=2,
-        )
+        _warn(f"sample set is conjugate-asymmetric by {sym:.3e}; the recovered profile may not be real")
     m = grid.n_bins
     table = grid.powers(samples.k)
     g = table.sum(axis=1)

@@ -1,15 +1,36 @@
 """Input validation helpers used across the package.
 
-The checks here know matrices and stacks of them, and no superoperator
-layout (``liouville`` owns that).  Every check is tolerance-based and the
-tolerance is always an explicit argument; nothing here compares floats for
-exact equality.  A check of a ``(..., n, n)`` stack names the first failing
-matrix by its index in the leading axes, as ``name[i][j]``
+The checks here know matrices and stacks of them, and the 1-d point arrays
+of a profile or a sample set (:func:`point_arrays`), and no superoperator
+layout (``liouville`` owns that).  Every matrix check is tolerance-based and
+the tolerance is always an explicit argument; nothing here compares floats
+for exact equality.  A check of a ``(..., n, n)`` stack names the first
+failing matrix by its index in the leading axes, as ``name[i][j]``
 (:func:`first_failure`).
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
+    once checked in this order: 1-d of one non-zero length, not complex where
+    float, finite, and ``x`` strictly increasing; a refusal names ``what`` and the array."""
+    xs, ys = np.asarray(x), np.asarray(y)
+    if xs.ndim != 1 or ys.shape != xs.shape or xs.size < 1:
+        raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
+                         f"got shapes {xs.shape} and {ys.shape}")
+    for name, a, dtype in zip(names, (xs, ys), (float, y_dtype)):
+        if dtype is float and np.iscomplexobj(a):
+            raise ValueError(f"{what} {name} is complex, expected real")
+    xs, ys = xs.astype(float, copy=False), ys.astype(y_dtype, copy=False)
+    for name, a in zip(names, (xs, ys)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} {name} is not finite")
+    if np.any(xs[1:] <= xs[:-1]):
+        raise ValueError(f"{what} {names[0]} is not strictly increasing")
+    return xs, ys
 
 
 def first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str] | None:

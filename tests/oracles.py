@@ -34,6 +34,21 @@ def dense_ridge_fit(xs, ks, f, ridge):
     return weight / weight.sum()
 
 
+def symmetry_residual_loop(samples):
+    """The conjugate-symmetry residual by a full scan: the worst mismatch
+    between each sample and the conjugate of its nearest partner, the
+    sample whose k is nearest to -k, the lowest index among equally near."""
+    worst = 0.0
+    for i in range(samples.k.size):
+        partner = int(np.argmin(np.abs(samples.k + samples.k[i])))
+        worst = max(
+            worst,
+            abs(samples.k[partner] + samples.k[i]),
+            abs(samples.f[partner] - np.conj(samples.f[i])),
+        )
+    return worst
+
+
 def kraus_operators(s):
     """Kraus operators of a CP map: each eigenvector of its Choi matrix
     whose eigenvalue ``lam`` exceeds 1e-12, column-unstacked and scaled by

@@ -310,6 +310,20 @@ def test_profile_refuses_non_finite_arrays_by_name():
             RFProfile(np.array([0.0, bad]), np.array([0.5, 0.5]))
 
 
+def test_profile_refuses_complex_and_mismatched_arrays_by_name():
+    for dw, w, name in ((np.array([0.0, 1 + 1j]), [0.5, 0.5], "delta_omega"),
+                        ([0.0, 1 + 1j], [0.5, 0.5], "delta_omega"),
+                        ([0.0, 1.0], np.array([0.5, 0.5 + 0j]), "weight"),
+                        ([0.0, 1.0], [0.5, 0.5j], "weight")):
+        with pytest.raises(ValueError, match=f"^profile {name} is complex, expected real$"):
+            RFProfile(dw, w)
+    for dw, w in ((np.array([0.0, 1.0]), np.array([1.0])), (np.array([]), np.array([]))):
+        with pytest.raises(ValueError, match=(
+            rf"^profile needs matching 1-d delta_omega and weight arrays, got shapes \({dw.size},\) and \({w.size},\)$"
+        )):
+            RFProfile(dw, w)
+
+
 def test_profile_requires_increasing_support_and_normalization():
     with pytest.raises(ValueError, match="increasing"):
         RFProfile(np.array([0.1, 0.0]), np.array([0.5, 0.5]))

@@ -58,11 +58,11 @@ def test_bundled_configs_validate():
 
 def test_unknown_fields_are_rejected():
     for extra in ("extra", "seed"):
-        raw = json.load(open(f"{CONFIG_DIR}/eq4_demo.json"))
+        raw = json.loads((CONFIG_DIR / "eq4_demo.json").read_text())
         raw[extra] = 1
         with pytest.raises(ConfigError, match="unknown"):
             parse_config(raw)
-    raw = json.load(open(f"{CONFIG_DIR}/recover3q.json"))
+    raw = json.loads((CONFIG_DIR / "recover3q.json").read_text())
     raw["grid"]["padding"] = 2
     with pytest.raises(ConfigError, match="unknown"):
         parse_config(raw)

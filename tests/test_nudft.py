@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ def test_forward_of_delta_is_pure_phase():
     f = forward_nudft(p, ks)
     assert np.abs(np.abs(f) - 1.0).max() < 1e-12
     assert np.abs(f - np.exp(-1j * ks * 0.07)).max() < 1e-12
+
+
+def test_forward_refuses_complex_coordinates_by_name():
+    p = make_synthetic_profile("skewed", width=0.05, skew=0.3, n_points=21)
+    for ks in (np.array([1 + 5j, 2.0]), [1.0, 2j], np.zeros((2, 2), dtype=complex)):
+        with pytest.raises(ValueError, match="^forward_nudft coordinates ks are complex, expected real$"):
+            forward_nudft(p, ks)
+    # a real (N, N) array keeps its shape, as the eigenvalue prediction needs
+    ks = np.arange(6.0).reshape(2, 3)
+    assert forward_nudft(p, ks).shape == (2, 3)
+    assert np.array_equal(forward_nudft(p, ks), np.exp(-1j * np.multiply.outer(ks, p.delta_omega)) @ p.weight)
 
 
 def test_forward_of_symmetric_profile_is_real():
@@ -139,7 +152,8 @@ def test_toeplitz_fit_matches_the_dense_kernel_fit_on_asymmetric_samples():
     rng = np.random.default_rng(8)
     ks = np.concatenate([[0.0], rng.uniform(-20.0, 30.0, 60)])
     noise = 0.01 * (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
-    samples = SpectralSampleSet(ks, forward_nudft(true, ks) + noise)
+    order = np.argsort(ks)
+    samples = SpectralSampleSet(ks[order], (forward_nudft(true, ks) + noise)[order])
     with pytest.warns(UserWarning, match="asymmetric"):
         assert_matches_dense_fit(samples, RecoveryGrid(-0.6, 0.6, 49))
 
@@ -174,6 +188,30 @@ def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
     for bad_k, bad_f in ((ks, f[:-1]), (ks[None, :], f[None, :])):
         with pytest.raises(ValueError, match="^sample set needs matching 1-d k and f arrays, got shapes"):
             SpectralSampleSet(bad_k, bad_f)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_set_refuses_complex_and_not_strictly_increasing_k_by_name():
+    for bad_k in (np.array([-1.0, 0.0 + 1j, 1.0]), [-1.0, 1j, 1.0]):
+        with pytest.raises(ValueError, match="^sample set k is complex, expected real$"):
+            SpectralSampleSet(bad_k, np.ones(3, dtype=complex))
+    for bad_k in ([-1.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -0.0, 1.0]):
+        with pytest.raises(ValueError, match="^sample set k is not strictly increasing$"):
+            SpectralSampleSet(np.array(bad_k), np.ones(3, dtype=complex))
+    with pytest.raises(ValueError, match=r"^sample set needs matching 1-d k and f arrays, got shapes \(0,\) and \(0,\)$"):
+        SpectralSampleSet(np.array([]), np.array([], dtype=complex))
+
+
+def test_nudft_warnings_are_attributed_to_the_direct_caller():
+    ks = np.array([-2.0, -1.0, 1e-12, 1.0, 1.0, 2.0])
+    f = np.array([0.5, 0.8, 1.0, 0.8, 0.2, 0.5], dtype=complex)
+    asymmetric = SpectralSampleSet(np.linspace(-2.0, 2.0, 5), np.array([0.5, 0.8, 1.0, 0.8 + 0.2j, 0.5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SpectralSampleSet.from_points(ks, f)
+        inverse_nudft(asymmetric, GRID)
+    assert [str(w.message).split()[0] for w in caught] == ["dropping", "samples", "sample"]
+    assert all(w.filename == __file__ for w in caught), [w.filename for w in caught]
 
 
 def test_inverse_warns_on_asymmetric_samples():

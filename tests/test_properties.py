@@ -1,6 +1,7 @@
 """Property tests over seeded random-unitary channels of 1-3 qubits, over
-sets of Gershgorin discs, over synthetic profile parameters and over the
-JSON documents that the artifact encoder writes.
+sets of Gershgorin discs, over synthetic profile parameters, over sample sets
+near a mirror-symmetric one and over the JSON documents that the artifact
+encoder writes.
 
 Each channel example draws a seed, a qubit count and a member count, and
 builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
@@ -18,9 +19,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qincoh import cli  # noqa: E402
-from oracles import kraus_operators, kraus_sum, random_rud_ensemble  # noqa: E402
+from oracles import kraus_operators, kraus_sum, random_rud_ensemble, symmetry_residual_loop  # noqa: E402
 from qincoh.channels import make_synthetic_profile, rud_superoperator  # noqa: E402
 from qincoh.liouville import CP_TOL, choi_spectrum, cp_filter, superop_to_choi  # noqa: E402
+from qincoh.nudft import SpectralSampleSet  # noqa: E402
 from qincoh.spectral import _component_extents, _disc_components  # noqa: E402
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -107,6 +109,33 @@ def test_synthetic_profile_is_built_or_refused_by_name(kind, center, width, skew
         assert re.search("non-finite length|underflows to zero|width=.* is too narrow to place .* around center=", str(exc)), exc
         return
     assert len(profile) == n_points
+
+
+@st.composite
+def mirrored_sample_sets(draw):
+    # k symmetric about 0, with or without the DC point, on integer multiples
+    # of a drawn scale; f conjugate-symmetric; and a seed for perturbations
+    scale = draw(st.floats(1e-3, 1e3))
+    pos = scale * np.cumsum(draw(st.lists(st.integers(1, 100), min_size=1, max_size=20)))
+    ks = np.concatenate([-pos[::-1], [0.0] if draw(st.booleans()) else [], pos])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=pos.size) + 1j * rng.normal(size=pos.size)
+    f = np.concatenate([np.conj(g[::-1]), rng.normal(size=ks.size - 2 * pos.size), g])
+    return ks, f, rng
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mirrored_sample_sets())
+def test_symmetry_residual_is_zero_on_mirrored_sets_and_the_nearest_partner_loop_near_them(drawn):
+    ks, f, rng = drawn
+    assert SpectralSampleSet(ks, f).conjugate_symmetry_residual() == 0.0
+    # moves below a quarter of the smallest spacing keep k sorted and leave
+    # each sample's mirror its unique nearest partner
+    ks = ks + rng.uniform(-0.24, 0.24, ks.size) * np.diff(ks).min()
+    f = f + rng.normal(scale=rng.choice([1e-9, 1.0]), size=(ks.size, 2)) @ [1.0, 1j]
+    samples = SpectralSampleSet(ks, f)
+    expected = symmetry_residual_loop(samples)
+    assert abs(samples.conjugate_symmetry_residual() - expected) <= 1e-15 * expected
 
 
 # the leaves a report holds, with the edge cases of each drawn often

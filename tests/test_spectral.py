@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import symmetry_residual_loop
 from qincoh import spectral
 from qincoh.channels import (
     expm_unitary,
@@ -584,37 +585,21 @@ def test_build_samples_on_fixture():
     assert samples.f[dc[0]] == 1.0 + 0.0j
 
 
-def _symmetry_residual_loop(samples):
-    """Reference: the nearest partner of each sample by a full scan."""
-    worst = 0.0
-    for i in range(samples.k.size):
-        partner = int(np.argmin(np.abs(samples.k + samples.k[i])))
-        worst = max(
-            worst,
-            abs(samples.k[partner] + samples.k[i]),
-            abs(samples.f[partner] - np.conj(samples.f[i])),
-        )
-    return worst
-
-
 def test_conjugate_symmetry_residual_matches_loop_on_asymmetric_sets():
+    # each k moves off a symmetric set by less than a quarter of its smallest
+    # spacing (0.5), so the nearest partner of every sample is its mirror
     rng = np.random.default_rng(42)
     for trial in range(300):
-        n = int(rng.integers(1, 40))
-        if trial % 3 == 0:
-            # integer coordinates: repeated k and partners tied on both sides
-            ks = rng.integers(-6, 7, n).astype(float)
-        else:
-            ks = rng.normal(scale=5.0, size=n)
-        if trial % 2 == 0:
-            ks = np.sort(ks)
-        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pos = np.cumsum(rng.uniform(0.5, 2.0, int(rng.integers(1, 20))))
+        ks = np.concatenate([-pos[::-1], [0.0] if trial % 2 else [], pos])
+        ks += rng.uniform(-0.12, 0.12, ks.size)
+        f = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
         samples = SpectralSampleSet(ks, f)
-        expected = _symmetry_residual_loop(samples)
+        expected = symmetry_residual_loop(samples)
         assert abs(samples.conjugate_symmetry_residual() - expected) <= 1e-15 * expected
     h0t, k, s = fixture_channel()
     samples = build_samples(pair_eigenvalues(s, h0t, k))
-    assert samples.conjugate_symmetry_residual() == _symmetry_residual_loop(samples)
+    assert samples.conjugate_symmetry_residual() == symmetry_residual_loop(samples)
 
 
 def test_build_samples_flat_spectrum_for_unperturbed_channel():
@@ -666,6 +651,22 @@ def test_build_samples_merges_duplicate_coordinates():
     assert len(samples) == 3
     merged = samples.f[samples.k == 2.0]
     assert abs(merged[0] - (0.89 + 0.1j)) < 1e-12
+
+
+def test_build_samples_attributes_its_drop_warning_to_the_caller():
+    entries = (
+        _entry(0, 0, 1.0, 1.0, 0.0),
+        _entry(0, 1, 1.0, 1.0, 1e-12),
+        _entry(1, 0, 1.0, 1.0, -1e-12),
+        _entry(0, 2, 0.9 + 0.1j, 1.0, 2.0),
+        _entry(2, 0, 0.9 - 0.1j, 1.0, -2.0),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = build_samples(_pairing(entries))
+    assert [str(w.message) for w in caught] == ["dropping 2 sample(s) indistinguishable from the DC point"]
+    assert caught[0].filename == __file__
+    assert np.array_equal(samples.k, [-2.0, 0.0, 2.0])
 
 
 def test_build_samples_warns_on_model_disagreement():

@@ -18,9 +18,10 @@ permutation ``C[(a,b),(c,d)] = S[(d,b),(c,a)]``, which is its own inverse.
 
 This module owns a superoperator's ``(N, N, N, N)`` view.  A map preserves
 Hermiticity when the view equals its mirror ``x[a,b,c,d] = conj x[b,a,d,c]``
-(``C = C^dag``); one private helper writes the mirror for
-:func:`conjugation_sum` and :func:`eigenbasis_form`, and
-:func:`require_hermiticity_preserving` checks it on the same axes.
+(``C = C^dag``): one private helper writes the mirror for
+:func:`conjugation_sum`, :func:`require_hermiticity_preserving` checks it on
+the same axes, and :func:`eigenbasis_form` forms only the label-basis rows
+that the mirror does not give.
 """
 from __future__ import annotations
 
@@ -137,16 +138,20 @@ def choi_spectrum(s: np.ndarray) -> np.ndarray:
 _MIRROR = (1, 0, 3, 2)
 
 
+def _average_with_mirror(square: np.ndarray) -> None:
+    """Average a square ``a0 <= a, b < a1`` of an ``(n, n, n, n)`` view with
+    its own mirror in place, so it equals that mirror bit for bit."""
+    square += square.conj().transpose(_MIRROR)
+    square *= 0.5
+
+
 def _mirror_rows(x: np.ndarray, a0: int, a1: int) -> None:
     """Finish the rows ``(a, b)`` of the ``(n, n, n, n)`` view ``x`` whose
     ``b`` lies in ``[a0, a1)``, given its rows ``a0 <= a < a1, b >= a0``:
     the rows ``a >= a1`` are the mirror of the given rows ``b >= a1``, and
-    the square ``a0 <= a, b < a1`` is averaged with its own mirror, so it
-    equals that mirror bit for bit."""
+    the square ``a0 <= a, b < a1`` is averaged with its own mirror."""
     np.conjugate(x[a0:a1, a1:].transpose(_MIRROR), out=x[a1:, a0:a1])
-    square = x[a0:a1, a0:a1]
-    square += square.conj().transpose(_MIRROR)
-    square *= 0.5
+    _average_with_mirror(x[a0:a1, a0:a1])
 
 
 # Loops over the row blocks ``a`` of a superoperator's ``(n, n, n, n)`` view
@@ -225,41 +230,44 @@ def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``S_B = B^dag S B`` in the unperturbed label basis, for a
-    Hermiticity-preserving ``S``.
+    """The rows ``(j, m)``, ``m >= j``, of ``S_B = B^dag S B`` in the
+    unperturbed label basis, for a Hermiticity-preserving ``S``, j-major
+    (as ``np.triu_indices(N)`` lists them), with columns ``j*N + m``.
 
     ``B`` has columns ``b_jm = conj(|phi_m>) kron |phi_j>``, with ``|phi_j>``
-    the columns of ``vectors``; rows and columns of ``S_B`` are indexed
-    ``j*N + m``.  Each eigenvector index is contracted with the
-    ``(N, N, N, N)`` view of S as a matrix product, with no ``N^2 x N^2``
-    basis matrix.  As S equals its mirror, so does the ``(N, N, N, N)`` view
-    of ``S_B``: row ``(m, j)`` is the conjugate of row ``(j, m)`` with each
-    column pair ``(j', m')`` swapped.  So only the rows ``m >= j`` are
-    transformed: the row indices first (``b -> j``, then ``a -> m`` for
-    ``m >= j``), then the column indices of those ``N(N+1)/2`` rows, about
-    ``2.5 N^5`` complex multiply-adds where all rows would take ``4 N^5``.
-    The labels ``j`` are taken a range of :func:`row_block_ranges` at a
-    time (one label at 5 qubits, all of them at 3), and each range also
-    transforms the rows ``m < j`` of its own square ``j0 <= j, m < j1``, a
-    few extra rows that spare numpy calls at small ``N``; then
-    :func:`_mirror_rows` completes the range, so the result equals its own
-    mirror bit for bit.  For a unitary ``vectors`` it is similar to S.
-    Callers check the precondition (:func:`require_hermiticity_preserving`);
-    for another S the result is not ``S_B``.
+    the columns of ``vectors``.  As S equals its mirror, so does ``S_B``:
+    row ``(m, j)`` is the conjugate of row ``(j, m)`` with each column pair
+    swapped, and is not formed.  Each eigenvector index is contracted with
+    the ``(N, N, N, N)`` view of S as a matrix product: the row indices
+    first (``b -> j``, then ``a -> m >= j``), then the column indices of the
+    ``N(N+1)/2`` rows, about ``2.5 N^5`` complex multiply-adds where all
+    rows take ``4 N^5``.  The labels ``j`` are taken a range of
+    :func:`row_block_ranges` at a time (one label at 5 qubits, all at 3); a
+    range also transforms the rows ``m < j`` of its square ``j0 <= j, m <
+    j1``, a few rows that spare numpy calls at small ``N``, and averages the
+    square with its mirror before it keeps the rows ``m >= j``; so each row
+    ``(j, j)``, its own mirror, equals that mirror bit for bit.
+    Callers check the precondition (:func:`require_hermiticity_preserving`).
     """
     n = vectors.shape[0]
     v, vc = vectors, vectors.conj()
+    start = [j * n - j * (j - 1) // 2 for j in range(n + 1)]  # the first row of each label j
     # t[a, b, c, d] = S[a*n + b, c*n + d] and B[(a, b), (j, m)] = vc[a, m] v[b, j];
     # the products read transposed and strided operands in place
     rows = vc.T @ s.reshape(n, n, n * n)  # b -> j: [a, j, cd]
-    sb = np.empty((n, n, n, n), dtype=complex)  # [j, m, j', m']
+    half = np.empty((start[n], n, n), dtype=complex)  # [(j, m >= j), j', m']
     for j0, j1 in row_block_ranges(n):
         # the rows (j, m) of the labels j0 <= j < j1, for m >= j0
         t = v[:, j0:].T @ rows[:, j0:j1].reshape(n, -1)  # a -> m: [m, (j, c, d)]
         t = (t.reshape(-1, n) @ v).reshape(n - j0, j1 - j0, n, n)  # d -> j': [m, j, c, j']
-        np.matmul(t.transpose(0, 1, 3, 2), vc, out=sb[j0:j1, j0:].transpose(1, 0, 2, 3))  # c -> m'
-        _mirror_rows(sb, j0, j1)
-    return sb.reshape(n * n, n * n)
+        # one label j gives exactly its half rows; several also the rows m < j
+        out = half[start[j0]:start[j1], None] if j1 - j0 == 1 else None
+        block = np.matmul(t.transpose(0, 1, 3, 2), vc, out=out)  # c -> m': [m, j, j', m']
+        _average_with_mirror(block[:j1 - j0])
+        if j1 - j0 > 1:  # keep the rows m >= j, j-major
+            kept = [(m - j0) * (j1 - j0) + j - j0 for j in range(j0, j1) for m in range(j, n)]
+            np.take(block.reshape(-1, n, n), kept, axis=0, out=half[start[j0]:start[j1]])
+    return half.reshape(-1, n * n)
 
 
 def cp_filter(s: np.ndarray) -> tuple[np.ndarray, float]:

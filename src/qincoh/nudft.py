@@ -13,6 +13,7 @@ the dense kernel: one direct solve of ``n_bins`` unknowns.
 """
 from __future__ import annotations
 
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -57,6 +58,9 @@ class RecoveryGrid:
     n_bins: int
 
     def __post_init__(self):
+        for name in ("delta_omega_min", "delta_omega_max"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"grid {name} must be a real number, got {getattr(self, name)!r}")
         if not self.delta_omega_min < self.delta_omega_max:
             raise ValueError("grid requires delta_omega_min < delta_omega_max")
         # Python floats overflow to inf without the warning numpy gives

@@ -17,8 +17,11 @@ Pairing reads the map in the unperturbed label basis
 (``liouville.eigenbasis_form``) and requires a map that preserves
 Hermiticity, as every physical map does; ``liouville`` refuses one that
 does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
-any transform.  This module keeps the discs and the second-order sum, and
-turns a pairing into the raw points of ``nudft.SpectralSampleSet``.
+any transform.  For such a map label ``(m, j)`` holds the conjugate of the
+eigenvalue at ``(j, m)``, so the pairing reads only the ``N(N+1)/2`` rows
+``m >= j`` and conjugates.  This module keeps the discs and the
+second-order sum, and turns a pairing into the raw points of
+``nudft.SpectralSampleSet``.
 """
 from __future__ import annotations
 
@@ -154,34 +157,45 @@ def _component_extents(centres: np.ndarray, radii: np.ndarray, component: np.nda
 _TILE = 128
 
 
-def _second_order_values(sb: np.ndarray, component: np.ndarray) -> np.ndarray:
+def _second_order_values(half: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                         component: np.ndarray) -> np.ndarray:
     """``d_a + sum_b S_B[a,b] S_B[b,a] / (d_a - d_b)`` over the labels ``b``
-    outside the component of ``a``; ``d`` is the diagonal of ``S_B``.
+    outside the component of ``a``, for the labels ``a`` of ``upper``, the
+    rows ``R = half`` of a mirror-symmetric ``S_B`` with diagonal ``d``;
+    ``lower`` holds their mirrors (``upper[c] == lower[c]`` for a label that
+    is its own mirror).
 
-    Discs of different components are disjoint, so no denominator is 0.
-    Each quotient is taken as ``x * conj(g) / |g|^2``, one real division.
-    The quotients ``Q[a,b]``, with ``g = d_a - d_b``, are antisymmetric bit
-    for bit: the complex product ``S_B[a,b] S_B[b,a]`` commutes, ``g``
-    changes sign and ``|g|^2`` does not.  So only the square tiles on and
-    above the diagonal are formed, each from two tiles of ``S_B``: tile
-    ``(r, c)`` adds its row sums to the labels of ``r`` and, off the
-    diagonal, subtracts its column sums from the labels of ``c``.
+    The ``b = upper[c]`` give ``Q1[a,c] = R[a,b] R[c,upper[a]] / (d_a -
+    d_c)``, the ``b = lower[c] != upper[c]`` give ``Q2[a,c] = R[a,b]
+    conj(R[c,lower[a]]) / (d_a - conj d_c)``.  Discs of different components
+    are disjoint, so no denominator is 0.  Each quotient is taken as
+    ``x * conj(g) / |g|^2``, so ``Q1[c,a] = -Q1[a,c]`` and ``Q2[c,a] = -conj
+    Q2[a,c]`` bit for bit, and only the square tiles on and above the
+    diagonal of each are formed: tile ``(r, c)`` adds its row sums to the
+    labels of ``r`` and, off the diagonal, its negated (in ``Q2``,
+    conjugated) column sums to those of ``c``.  That is about ``N^4/4``
+    quotients for ``N^2`` labels, where the full ``S_B`` takes ``N^4/2``.
     """
-    d = sb.diagonal()
-    values = d.copy()
-    for lo in range(0, d.size, _TILE):
-        rows = slice(lo, lo + _TILE)
-        for co in range(lo, d.size, _TILE):
-            cols = slice(co, co + _TILE)
-            gap = d[rows, None] - d[None, cols]
-            outside = component[rows, None] != component[None, cols]
-            scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape), where=outside)
-            terms = sb[rows, cols] * sb[cols, rows].T
-            terms *= gap.conj()
-            terms *= scale
-            values[rows] += terms.sum(axis=1)
-            if co != lo:
-                values[cols] -= terms.sum(axis=0)
+    d = half[np.arange(upper.size), upper]
+    values, dc, own, paired = d.copy(), d.conj(), component[upper], (upper != lower).astype(float)
+    # Q1, then Q2: b, the flip of a transpose, the weights of the sums, conj d at b
+    for b, flip, weight, ec in ((upper, np.positive, np.ones(d.size), dc), (lower, np.conjugate, paired, d)):
+        outer = component[b]
+        for lo in range(0, d.size, _TILE):
+            rows = slice(lo, lo + _TILE)
+            for co in range(lo, d.size, _TILE):
+                cols = slice(co, co + _TILE)
+                gap = dc[rows, None] - ec[None, cols]  # conj(g)
+                scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape),
+                                  where=own[rows, None] != outer[None, cols])
+                # R[rows, b[cols]] times the flipped transpose of R[cols, b[rows]]
+                terms, y = np.take(half[rows], b[cols], axis=1), np.take(half[cols], b[rows], axis=1)
+                terms *= flip(y, out=y).T
+                terms *= gap
+                terms *= scale
+                values[rows] += terms @ weight[cols]
+                if co != lo:
+                    values[cols] -= flip(weight[rows] @ terms)
     return values
 
 
@@ -195,7 +209,8 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     Hermiticity check) refuses a map that does not, naming its deviation,
     and refuses a NaN or infinite entry as ``superoperator is not finite``.
     That is the one validation of S, and it licenses the half-label
-    transform of :func:`~qincoh.liouville.eigenbasis_form`.
+    pairing: only the rows ``m >= j`` of S_B are read, and label ``(m, j)``
+    takes the conjugate seed and value of ``(j, m)``, and the same radius.
 
     In the unperturbed label basis (:func:`~qincoh.liouville.eigenbasis_form`)
     label ``a = (j, m)`` owns the disc with centre ``S_B[a, a]`` (its seed)
@@ -213,15 +228,24 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     if np.shape(s) != (n * n, n * n):
         raise ValueError(f"superoperator shape {np.shape(s)} does not match dim {n}")
     s = require_hermiticity_preserving(s, "superoperator")
-    sb = eigenbasis_form(s, vectors)
-    seeds = sb.diagonal()
-    off_diagonal = np.abs(sb)
-    np.fill_diagonal(off_diagonal, 0.0)
-    disc_radii = off_diagonal.sum(axis=1)
+    half = eigenbasis_form(s, vectors)
+    # the labels of the rows of half, j-major, and their mirrors
+    j, m = np.divmod(np.arange(n * n), n)
+    upper = np.flatnonzero(m >= j)
+    lower = m[upper] * n + j[upper]
+
+    def mirrored(x):  # per label: x at upper, and its conjugate at lower
+        full = np.empty(n * n, dtype=x.dtype)
+        full[lower], full[upper] = np.conjugate(x), x  # in this order: a label may be both
+        return full
+
+    own = np.arange(upper.size), upper
+    off_diagonal = np.abs(half)
+    off_diagonal[own] = 0.0
+    seeds, disc_radii = mirrored(half[own]), mirrored(off_diagonal.sum(axis=1))
     component = _disc_components(seeds, disc_radii)
     radii = _component_extents(seeds, disc_radii, component)
-    values = _second_order_values(sb, component)
-    j, m = np.divmod(np.arange(n * n), n)
+    values = mirrored(_second_order_values(half, upper, lower, component))
     entries = np.rec.fromarrays(
         (j, m, values, unperturbed.ravel(), k_jm.ravel(), np.abs(values - seeds), radii, j == m),
         dtype=PAIRING_DTYPE,

@@ -15,13 +15,16 @@ import numpy as np
 
 def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
-    once checked in this order: 1-d of one non-zero length, not complex where
-    float, finite, and ``x`` strictly increasing; a refusal names ``what`` and the array."""
-    xs, ys = np.asarray(x), np.asarray(y)
+    once checked in this order: 1-d of one non-zero length, numeric (an
+    object array by the type of its values), not complex where float,
+    finite, and ``x`` strictly increasing; a refusal names ``what`` and the array."""
+    xs, ys = (np.array(a.tolist()) if a.dtype == object else a for a in map(np.asarray, (x, y)))
     if xs.ndim != 1 or ys.shape != xs.shape or xs.size < 1:
         raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
                          f"got shapes {xs.shape} and {ys.shape}")
     for name, a, dtype in zip(names, (xs, ys), (float, y_dtype)):
+        if a.dtype.kind not in "biufc":
+            raise ValueError(f"{what} {name} is not numeric (dtype {a.dtype})")
         if dtype is float and np.iscomplexobj(a):
             raise ValueError(f"{what} {name} is complex, expected real")
     xs, ys = xs.astype(float, copy=False), ys.astype(y_dtype, copy=False)

@@ -49,6 +49,34 @@ def symmetry_residual_loop(samples):
     return worst
 
 
+def dense_eigenbasis_form(sup, v):
+    """``B^dag S B`` with the dense basis ``B = conj(V) kron V``, whose
+    column ``m*N + j`` is ``b_jm``, reordered to ``j*N + m``: every row."""
+    n = v.shape[0]
+    big_basis = np.kron(v.conj(), v)
+    dense = big_basis.conj().T @ sup @ big_basis
+    return dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
+def second_order_loop(sb, component):
+    """Per label ``a``: ``d_a + sum_b S_B[a,b] S_B[b,a] / (d_a - d_b)`` over
+    the ``b`` outside the component of ``a``, as a double loop over the full
+    ``S_B``, and the magnitude ``|d_a| + sum_b |term|`` that bounds its
+    rounding."""
+    rows, d, comp = sb.tolist(), sb.diagonal().tolist(), component.tolist()
+    values, magnitudes = [], []
+    for a, row in enumerate(rows):
+        total, magnitude = d[a], abs(d[a])
+        for b, x in enumerate(row):
+            if comp[b] != comp[a]:
+                term = x * rows[b][a] / (d[a] - d[b])
+                total += term
+                magnitude += abs(term)
+        values.append(total)
+        magnitudes.append(magnitude)
+    return np.array(values), np.array(magnitudes)
+
+
 def kraus_operators(s):
     """Kraus operators of a CP map: each eigenvector of its Choi matrix
     whose eigenvalue ``lam`` exceeds 1e-12, column-unstacked and scaled by
@@ -78,9 +106,9 @@ def parse_profile_csv(text):
     return RFProfile(delta_omega, weight)
 
 
-def random_rud_ensemble(n_qubits, n_members, rng):
-    """Seeded random-unitary ensemble: Haar members, weights strictly positive."""
-    dim = 2**n_qubits
+def random_rud_ensemble(dim, n_members, rng):
+    """Seeded random-unitary ensemble: Haar members of side ``dim``, weights
+    strictly positive."""
     weights = rng.random(n_members) + 0.05
     weights = weights / weights.sum()
     return [(float(p), random_unitary(dim, rng)) for p in weights]

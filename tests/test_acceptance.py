@@ -107,7 +107,7 @@ def test_c05_rud_channel_property_suite():
     for i in range(20):
         n_qubits = 1 + i % 3
         dim = 2**n_qubits
-        s = rud_superoperator(random_rud_ensemble(n_qubits, 2 + i % 5, rng))
+        s = rud_superoperator(random_rud_ensemble(2**n_qubits, 2 + i % 5, rng))
         ident = columnize(np.eye(dim) / dim)
         bra = columnize(np.eye(dim)).conj()
         w = np.linalg.eigvals(s)
@@ -239,7 +239,7 @@ def test_c10_round_trip_oracles():
     reshuffle_ok = np.array_equal(superop_to_choi(superop_to_choi(EQ4_S)), EQ4_S)
     kraus_ok = True
     for i in range(10):
-        s = rud_superoperator(random_rud_ensemble(1 + i % 2, 3, rng))
+        s = rud_superoperator(random_rud_ensemble(2 ** (1 + i % 2), 3, rng))
         kraus_ok = kraus_ok and np.abs(kraus_sum(kraus_operators(s)) - s).max() < 1e-10
     _report(10, "tomography, reshuffle and Kraus round-trips are exact",
             qpt_ok and reshuffle_ok and kraus_ok)

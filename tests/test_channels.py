@@ -142,7 +142,7 @@ def test_rud_channel_properties_seeded():
     rng = np.random.default_rng(23)
     for i in range(10):
         n_qubits = 1 + i % 3
-        s = rud_superoperator(random_rud_ensemble(n_qubits, 2 + i % 4, rng))
+        s = rud_superoperator(random_rud_ensemble(2**n_qubits, 2 + i % 4, rng))
         dim = 2**n_qubits
         min_eig = choi_spectrum(s)[-1]
         assert min_eig >= -CP_TOL, f"ensemble {i}: min Choi eigenvalue {min_eig}"
@@ -321,6 +321,24 @@ def test_profile_refuses_complex_and_mismatched_arrays_by_name():
         with pytest.raises(ValueError, match=(
             rf"^profile needs matching 1-d delta_omega and weight arrays, got shapes \({dw.size},\) and \({w.size},\)$"
         )):
+            RFProfile(dw, w)
+
+
+def test_profile_refuses_a_complex_value_in_an_object_array_by_name():
+    # numpy gives an object array no complex dtype; its values decide
+    for dw, w, name in ((np.array([0.0, 1j], dtype=object), [0.5, 0.5], "delta_omega"),
+                        ([0.0, 1.0], np.array([0.5, 0.5 + 0j], dtype=object), "weight")):
+        with pytest.raises(ValueError, match=f"^profile {name} is complex, expected real$"):
+            RFProfile(dw, w)
+    # an object array of real numbers is read as one
+    assert RFProfile(np.array([0.0, 1.0], dtype=object), [0.5, 0.5]).delta_omega.dtype == float
+
+
+def test_profile_refuses_a_string_array_by_name():
+    for dw, w, name, dtype in ((np.array(["0.0", "1.0"]), [0.5, 0.5], "delta_omega", "<U3"),
+                               ([0.0, 1.0], [0.5, "0.5"], "weight", "<U32"),
+                               ([0.0, 1.0], np.array([0.5, None], dtype=object), "weight", "object")):
+        with pytest.raises(ValueError, match=f"^profile {name} is not numeric \\(dtype {dtype}\\)$"):
             RFProfile(dw, w)
 
 

@@ -165,7 +165,7 @@ def test_is_cp_examples():
 def test_choi_spectrum_is_the_descending_choi_eigvalsh():
     rng = np.random.default_rng(26)
     for s in [EQ4_S, UNCORR_S, np.eye(4)] + [
-        rud_superoperator(random_rud_ensemble(1 + i % 3, 2 + i % 4, rng)) for i in range(6)
+        rud_superoperator(random_rud_ensemble(2 ** (1 + i % 3), 2 + i % 4, rng)) for i in range(6)
     ]:
         c = superop_to_choi(s)
         w = choi_spectrum(s)
@@ -191,7 +191,7 @@ def test_is_cp_rejects_a_map_that_does_not_preserve_hermiticity():
 def test_choi_spectrum_of_a_stack_equals_the_per_map_spectra():
     rng = np.random.default_rng(28)
     for n_qubits in (1, 2):
-        maps = [rud_superoperator(random_rud_ensemble(n_qubits, 1 + i % 4, rng)) for i in range(6)]
+        maps = [rud_superoperator(random_rud_ensemble(2**n_qubits, 1 + i % 4, rng)) for i in range(6)]
         maps.append(cp_filter(maps[0] + 0.05 * np.eye(maps[0].shape[0]))[0])
         stack = np.stack(maps)
         spectra = choi_spectrum(stack)
@@ -248,7 +248,7 @@ def test_conjugation_sum_is_exactly_hermiticity_preserving_and_matches_kron_loop
     for n_qubits in range(4):
         n = 2**n_qubits
         for n_members in range(1, 7):
-            ensemble = random_rud_ensemble(n_qubits, n_members, rng)
+            ensemble = random_rud_ensemble(2**n_qubits, n_members, rng)
             weights = [p for p, _ in ensemble]
             unitaries = [u for _, u in ensemble]
             s = rud_superoperator(ensemble)
@@ -278,7 +278,7 @@ def test_conjugation_sum_peak_memory_is_one_superoperator_and_a_half():
 def test_superop_eigenvalues_match_eig_multiset():
     rng = np.random.default_rng(25)
     preserving = [EQ4_S, UNCORR_S] + [
-        rud_superoperator(random_rud_ensemble(1 + i % 3, 2 + i % 4, rng)) for i in range(9)
+        rud_superoperator(random_rud_ensemble(2 ** (1 + i % 3), 2 + i % 4, rng)) for i in range(9)
     ]
     general = [
         np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex),

@@ -258,6 +258,14 @@ def test_grid_refuses_a_non_finite_span_without_a_warning():
     assert np.isfinite(RecoveryGrid(-8e307, 8e307, 101).points()).all()
 
 
+def test_grid_refuses_complex_and_non_real_bounds_by_name():
+    for lo, hi, name in ((-0.1 + 0j, 0.1, "delta_omega_min"), (-0.1, np.complex128(0.1), "delta_omega_max"),
+                         ("-0.1", 0.1, "delta_omega_min"), (-0.1, None, "delta_omega_max")):
+        with pytest.raises(ValueError, match=f"^grid {name} must be a real number, got "):
+            RecoveryGrid(lo, hi, 11)
+    assert RecoveryGrid(np.float64(-1.0), 1, 11).bin_width == 0.2
+
+
 def test_grid_refuses_more_than_max_bins_before_allocating(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a grid array was allocated")

@@ -1,5 +1,6 @@
 """Property tests over seeded random-unitary channels of 1-3 qubits, over
-sets of Gershgorin discs, over synthetic profile parameters, over sample sets
+their pairings in a random label basis at 2-5 levels, over sets of
+Gershgorin discs, over synthetic profile parameters, over sample sets
 near a mirror-symmetric one and over the JSON documents that the artifact
 encoder writes.
 
@@ -19,11 +20,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qincoh import cli  # noqa: E402
-from oracles import kraus_operators, kraus_sum, random_rud_ensemble, symmetry_residual_loop  # noqa: E402
-from qincoh.channels import make_synthetic_profile, rud_superoperator  # noqa: E402
+from oracles import (  # noqa: E402
+    dense_eigenbasis_form,
+    kraus_operators,
+    kraus_sum,
+    random_rud_ensemble,
+    second_order_loop,
+    symmetry_residual_loop,
+)
+from qincoh.channels import expm_unitary, make_synthetic_profile, random_unitary, rud_superoperator  # noqa: E402
 from qincoh.liouville import CP_TOL, choi_spectrum, cp_filter, superop_to_choi  # noqa: E402
 from qincoh.nudft import SpectralSampleSet  # noqa: E402
-from qincoh.spectral import _component_extents, _disc_components  # noqa: E402
+from qincoh.spectral import _component_extents, _disc_components, _label_basis, pair_eigenvalues  # noqa: E402
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -32,7 +40,7 @@ PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=N
 def rud_channels(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_qubits = draw(st.integers(1, 3))
-    return rud_superoperator(random_rud_ensemble(n_qubits, draw(st.integers(1, 4)), rng))
+    return rud_superoperator(random_rud_ensemble(2**n_qubits, draw(st.integers(1, 4)), rng))
 
 
 @PROPERTY
@@ -63,6 +71,45 @@ def test_cp_filter_is_idempotent(s, seed, strength):
 def test_kraus_round_trip(s):
     # the eigenvectors of superop_to_choi's matrix, column-unstacked, are Kraus operators
     assert np.abs(kraus_sum(kraus_operators(s)) - s).max() <= 1e-12
+
+
+@st.composite
+def nominal_channels(draw):
+    # a random label basis at 2-5 levels, and a random-unitary channel near
+    # its nominal conjugation: that unitary with weight 1 - eps, and a
+    # random ensemble with the rest, so its discs are small and its pairing
+    # has labels to certify and a second-order sum to take
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 5))
+    w = random_unitary(dim, rng)
+    h0t = w @ np.diag(rng.uniform(-np.pi, np.pi, dim)) @ w.conj().T
+    k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h0t, k = (h0t + h0t.conj().T) / 2, (k + k.conj().T) / 2
+    eps = draw(st.floats(1e-4, 0.05))
+    members = random_rud_ensemble(dim, draw(st.integers(1, 4)), rng)
+    ensemble = [(1.0 - eps, expm_unitary(h0t))] + [(eps * p, u) for p, u in members]
+    return rud_superoperator(ensemble), h0t, k
+
+
+@PROPERTY
+@given(nominal_channels())
+def test_pairing_mirrors_each_label_and_matches_the_full_matrix_reference(channel):
+    s, h0t, k = channel
+    entries = pair_eigenvalues(s, h0t, k).entries
+    n = h0t.shape[0]
+    mirror = entries.m * n + entries.j
+    assert np.array_equal(entries.lambda_measured[mirror], entries.lambda_measured.conj())
+    assert np.array_equal(entries.radius[mirror], entries.radius)
+    assert np.array_equal(entries.distance[mirror], entries.distance)
+    # every row of S_B by the dense change of basis, and the double loop
+    sb = dense_eigenbasis_form(s, _label_basis(h0t, k)[0])
+    seeds = sb.diagonal()
+    radii = np.abs(sb - np.diag(seeds)).sum(axis=1)
+    component = _disc_components(seeds, radii)
+    values, _ = second_order_loop(sb, component)
+    assert np.abs(entries.lambda_measured - values).max() <= 1e-12
+    assert np.abs(entries.distance - np.abs(values - seeds)).max() <= 1e-12
+    assert np.abs(entries.radius - _component_extents(seeds, radii, component)).max() <= 1e-12
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import symmetry_residual_loop
+from oracles import dense_eigenbasis_form, second_order_loop, symmetry_residual_loop
 from qincoh import spectral
 from qincoh.channels import (
     expm_unitary,
@@ -163,15 +164,6 @@ def test_pairing_on_fixture_channel():
         assert abs(e.k_jm - (kd[e.j] - kd[e.m])) < 1e-12
 
 
-def _dense_eigenbasis_form(sup, v):
-    """Oracle: ``B^dag S B`` with the dense basis ``B = conj(V) kron V``, whose
-    column ``m*N + j`` is ``b_jm``, reordered to ``j*N + m``."""
-    n = v.shape[0]
-    big_basis = np.kron(v.conj(), v)
-    dense = big_basis.conj().T @ sup @ big_basis
-    return dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
-
-
 def _random_preserving_map(n, rng):
     """A seeded Hermiticity-preserving map: the superoperator whose Choi
     matrix is a random Hermitian matrix."""
@@ -179,65 +171,90 @@ def _random_preserving_map(n, rng):
     return superop_to_choi((g + g.conj().T) / 2)
 
 
-def test_eigenbasis_form_matches_dense_change_of_basis():
+def _label_form(sup, v):
+    """The full ``S_B``: the rows ``m >= j`` of :func:`eigenbasis_form`, and
+    each row ``(m, j)`` the conjugate of row ``(j, m)`` with its column
+    pairs swapped."""
+    n = v.shape[0]
+    j, m = np.triu_indices(n)
+    half = eigenbasis_form(sup, v).reshape(-1, n, n)
+    sb4 = np.empty((n, n, n, n), dtype=complex)
+    sb4[m, j] = half.conj().transpose(0, 2, 1)
+    sb4[j, m] = half
+    return sb4.reshape(n * n, n * n)
+
+
+def _transform_cases():
+    """Maps with their label bases: the 3q fixture, whose labels are taken
+    in one range, the 4q fixture, one label per range, and seeded maps; at
+    10 and 16 levels in several ranges, 10 with a short last one."""
     h0t, _, s = fixture_channel()
-    v = _vectors(h0t)
-    assert np.abs(eigenbasis_form(s, v) - _dense_eigenbasis_form(s, v)).max() < 1e-13
+    h4, k4 = four_qubit_fixture()
+    cases = [(s, _vectors(h0t)), (rf_incoherent_channel(h4, k4, SKEWED_PROFILE), _vectors(h4))]
     rng = np.random.default_rng(27)
-    # 10 and 16 take the labels in several ranges, 10 with a short last one
-    for n in (1, 2, 3, 4, 8, 10, 16):
-        sup, v = _random_preserving_map(n, rng), random_unitary(n, rng)
-        assert np.abs(eigenbasis_form(sup, v) - _dense_eigenbasis_form(sup, v)).max() < 1e-13
+    return cases + [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
 
 
-def test_eigenbasis_form_equals_its_conjugate_mirror_bit_for_bit():
-    # rows (m, j) are the mirror of rows (j, m), and each (j, j) row block
-    # is made exactly Hermitian, so the label form has the symmetry exactly
-    h0t, _, s = fixture_channel()
-    rng = np.random.default_rng(29)
-    cases = [(s, _vectors(h0t))]
-    cases += [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
-    for sup, v in cases:
+def test_eigenbasis_form_rows_m_ge_j_match_dense_change_of_basis():
+    for sup, v in _transform_cases():
         n = v.shape[0]
-        sb4 = eigenbasis_form(sup, v).reshape(n, n, n, n)
-        assert np.array_equal(sb4, sb4.transpose(1, 0, 3, 2).conj())
+        j, m = np.triu_indices(n)
+        half = eigenbasis_form(sup, v)
+        assert half.shape == (j.size, n * n)
+        assert np.abs(half - dense_eigenbasis_form(sup, v)[j * n + m]).max() < 1e-13
 
 
-def second_order_loop(sb, component):
-    """Per label ``a``: ``d_a + sum_b S_B[a,b] S_B[b,a] / (d_a - d_b)`` over
-    the ``b`` outside the component of ``a``, as a double loop, and the
-    magnitude ``|d_a| + sum_b |term|`` that bounds its rounding."""
-    rows, d, comp = sb.tolist(), sb.diagonal().tolist(), component.tolist()
-    values, magnitudes = [], []
-    for a, row in enumerate(rows):
-        total, magnitude = d[a], abs(d[a])
-        for b, x in enumerate(row):
-            if comp[b] != comp[a]:
-                term = x * rows[b][a] / (d[a] - d[b])
-                total += term
-                magnitude += abs(term)
-        values.append(total)
-        magnitudes.append(magnitude)
-    return np.array(values), np.array(magnitudes)
+def test_eigenbasis_form_rows_j_eq_m_equal_their_own_mirror_bit_for_bit():
+    # row (j, j) is its own mirror: as an (N, N) matrix over the column pair
+    # (j', m'), it equals its conjugate transpose, so its seed is real
+    for sup, v in _transform_cases():
+        n = v.shape[0]
+        j, m = np.triu_indices(n)
+        own = eigenbasis_form(sup, v).reshape(-1, n, n)[j == m]
+        assert np.array_equal(own, own.conj().transpose(0, 2, 1))
+        assert not own[:, range(n), range(n)].imag.any()
+
+
+def _mirror_symmetric_label_form(size, rng):
+    """A random ``S_B`` over ``size`` labels with ``S_B[p[a], p[b]] = conj
+    S_B[a, b]`` for a random involution ``p`` that fixes about
+    ``sqrt(size)`` labels, as the mirror fixes the labels (j, j); then the
+    labels ``upper``, every fixed one and one of each pair, and ``p``."""
+    fixed = math.isqrt(size)
+    fixed += (size - fixed) % 2
+    order = rng.permutation(size)
+    first, second = order[fixed::2], order[fixed + 1::2]
+    p = np.arange(size)
+    p[first], p[second] = second, first
+    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    sb = (g + g[np.ix_(p, p)].conj()) / 2
+    return sb, np.sort(np.concatenate([order[:fixed], first])), p
 
 
 @pytest.mark.parametrize("size", [1, 64, _TILE - 1, _TILE, _TILE + 1, 300])
-def test_second_order_values_match_double_loop(size):
+def test_second_order_values_match_double_loop(size, monkeypatch):
     rng = np.random.default_rng(size)
-    sb = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    sb, upper, p = _mirror_symmetric_label_form(size, rng)
+    half, lower = sb[upper], p[upper]
     singletons = np.arange(size)
-    # members on both sides of the first tile boundary, and the last label
-    straddling = singletons.copy()
+    # members on both sides of the first tile boundary, and the last label,
+    # in one component with their mirrors, as the labels (j, j) are
+    joined = singletons.copy()
     members = [i for i in (0, _TILE - 1, _TILE, size - 1) if i < size]
-    straddling[members] = members[0]
+    group = np.union1d(members, p[members])
+    joined[group] = group.min()
     # recursive summation of n terms, each quotient rounded a few times
     rtol = (size + 4) * np.finfo(float).eps
-    for component in (singletons, straddling):
+    for component in (singletons, joined):
         want, magnitude = second_order_loop(sb, component)
-        got = _second_order_values(sb, component)
-        assert np.all(np.abs(got - want) <= rtol * magnitude)
+        # tiles with one label past the last boundary, exactly on it, and as built
+        for tile in (max(1, upper.size - 1), upper.size, _TILE):
+            monkeypatch.setattr(spectral, "_TILE", tile)
+            got = _second_order_values(half, upper, lower, component)
+            assert np.all(np.abs(got - want[upper]) <= rtol * magnitude[upper])
     # one component holding every label leaves every seed as it is
-    assert np.array_equal(_second_order_values(sb, np.zeros(size, dtype=int)), sb.diagonal())
+    everything = np.zeros(size, dtype=int)
+    assert np.array_equal(_second_order_values(half, upper, lower, everything), sb.diagonal()[upper])
 
 
 def test_k_of_another_shape_is_refused_by_name():
@@ -257,7 +274,7 @@ def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():
     v = _vectors(h0t)
     rotated = v * np.exp(2j * np.pi * rng.random(v.shape[1]))
     for sup in (s, _noisy_map(s, 1e-4, rng)):
-        sb, sb_rot = eigenbasis_form(sup, v), eigenbasis_form(sup, rotated)
+        sb, sb_rot = _label_form(sup, v), _label_form(sup, rotated)
         for read in (np.diagonal, np.abs, lambda m: m * m.T):
             reference = read(sb)
             assert np.abs(read(sb_rot) - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -287,7 +304,7 @@ def _greedy_pairing_oracle(s, h0t):
     v = _vectors(h0t)
     n = v.shape[0]
     evals = np.linalg.eigvals(s)
-    seeds = np.diagonal(_dense_eigenbasis_form(s, v))
+    seeds = np.diagonal(dense_eigenbasis_form(s, v))
     used = np.zeros(n * n, dtype=bool)
     picked = np.empty(n * n, dtype=complex)
     for a, seed in enumerate(seeds):
@@ -331,8 +348,12 @@ def _noisy_map(s, sigma, rng):
 
 
 def _discs(s, h0t):
-    sb = eigenbasis_form(s, _vectors(h0t))
-    return sb.diagonal(), np.abs(sb - np.diag(sb.diagonal())).sum(axis=1)
+    """The label discs' centres and radii; disc (m, j) is the reflection of
+    disc (j, m), and takes its radius, summed over row (j, m)."""
+    n = h0t.shape[0]
+    sb = _label_form(s, _vectors(h0t))
+    radii = np.abs(sb - np.diag(sb.diagonal())).sum(axis=1).reshape(n, n)
+    return sb.diagonal(), (np.triu(radii) + np.triu(radii, 1).T).ravel()
 
 
 def _dense_components(centres, radii):

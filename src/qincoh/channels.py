@@ -9,6 +9,7 @@ a discrete amplitude-deviation profile.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,10 +73,11 @@ def make_synthetic_profile(
     the sign of ``skew``.  The smooth shape keeps the Fourier transform
     compact, which sparse spectral sampling needs.
 
-    ``n_points`` may be at most :data:`MAX_PROFILE_POINTS`, and a support
-    whose length overflows, or a side width that underflows to zero, is
-    refused by name before any array is built.  A width too small for
-    ``n_points`` distinct floats around ``center`` is refused by name too.
+    ``n_points`` must be an integer (not a bool) of at most
+    :data:`MAX_PROFILE_POINTS`, and a support whose length overflows, or a
+    side width that underflows to zero, is refused by name before any array
+    is built.  A width too small for ``n_points`` distinct floats around
+    ``center`` is refused by name too.
     """
     for name, x in (("center", center), ("width", width), ("skew", skew)):
         if not np.isfinite(x):
@@ -83,6 +85,8 @@ def make_synthetic_profile(
     # Python floats overflow to inf without a warning, so the support is
     # checked in them before numpy computes on it
     center, width, skew = float(center), float(width), float(skew)
+    if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if not 3 <= n_points <= MAX_PROFILE_POINTS:
         raise ValueError(
             f"n_points must lie in [3, MAX_PROFILE_POINTS = {MAX_PROFILE_POINTS}], got {n_points}"

@@ -383,7 +383,7 @@ def _json_bytes(obj: Any) -> bytes:
 
 def _csv(header: str, *columns: np.ndarray) -> bytes:
     """A header line, then one line of exact float reprs per row of ``columns``."""
-    lines = [header] + [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
+    lines = [header] + [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -21,7 +21,9 @@ Hermiticity when the view equals its mirror ``x[a,b,c,d] = conj x[b,a,d,c]``
 (``C = C^dag``): one private helper writes the mirror for
 :func:`conjugation_sum`, :func:`require_hermiticity_preserving` checks it on
 the same axes, and :func:`eigenbasis_form` forms only the label-basis rows
-that the mirror does not give.
+that the mirror does not give.  All three take one step shape at every map
+size: one row block ``a`` (the build and the check) or one label ``j`` (the
+transform) at a time.
 """
 from __future__ import annotations
 
@@ -139,34 +141,19 @@ _MIRROR = (1, 0, 3, 2)
 
 
 def _average_with_mirror(square: np.ndarray) -> None:
-    """Average a square ``a0 <= a, b < a1`` of an ``(n, n, n, n)`` view with
-    its own mirror in place, so it equals that mirror bit for bit."""
+    """Average a square ``(a, a)``, a ``(1, 1, n, n)`` slice of an
+    ``(n, n, n, n)`` view, with its own mirror in place, so it equals that
+    mirror bit for bit."""
     square += square.conj().transpose(_MIRROR)
     square *= 0.5
 
 
-def _mirror_rows(x: np.ndarray, a0: int, a1: int) -> None:
-    """Finish the rows ``(a, b)`` of the ``(n, n, n, n)`` view ``x`` whose
-    ``b`` lies in ``[a0, a1)``, given its rows ``a0 <= a < a1, b >= a0``:
-    the rows ``a >= a1`` are the mirror of the given rows ``b >= a1``, and
-    the square ``a0 <= a, b < a1`` is averaged with its own mirror."""
-    np.conjugate(x[a0:a1, a1:].transpose(_MIRROR), out=x[a1:, a0:a1])
-    _average_with_mirror(x[a0:a1, a0:a1])
-
-
-# Loops over the row blocks ``a`` of a superoperator's ``(n, n, n, n)`` view
-# take consecutive row blocks together, up to this many entries of S: at
-# small n the whole matrix in one step, so the numpy call overhead is paid
-# once, and at large n one row block at a time, whose work stays in cache.
-ROW_BLOCK_ENTRIES = 2**12
-
-
-def row_block_ranges(n: int) -> list[tuple[int, int]]:
-    """The ranges ``[a0, a1)`` that cover the row blocks ``0 <= a < n`` of a
-    superoperator of side ``n^2`` in order, each of
-    ``max(1, ROW_BLOCK_ENTRIES // n^3)`` row blocks but the last."""
-    step = max(1, ROW_BLOCK_ENTRIES // n**3)
-    return [(a0, min(a0 + step, n)) for a0 in range(0, n, step)]
+def _mirror_row(x: np.ndarray, a: int) -> None:
+    """Finish the rows ``(b, a)`` of the ``(n, n, n, n)`` view ``x``, given
+    its rows ``(a, b >= a)``: the rows ``b > a`` are the mirror of the given
+    rows, and the square ``(a, a)`` is averaged with its own mirror."""
+    np.conjugate(x[a:a + 1, a + 1:].transpose(_MIRROR), out=x[a + 1:, a:a + 1])
+    _average_with_mirror(x[a:a + 1, a:a + 1])
 
 
 def require_hermiticity_preserving(s: np.ndarray, name: str = "superoperator") -> np.ndarray:
@@ -176,26 +163,23 @@ def require_hermiticity_preserving(s: np.ndarray, name: str = "superoperator") -
 
     The deviation ``max|S[(a,b),(c,d)] - conj S[(b,a),(d,c)]|`` of S from
     its mirror equals ``max|C - C^dag|`` of the map's Choi matrix ``C``.  It
-    is taken over the row blocks ``a`` of each of :func:`row_block_ranges`
-    at a time, against the blocks ``b >= a0`` of the range, which reads
-    every entry.  It replaces a separate finiteness scan: a NaN or infinite
-    entry makes the deviation NaN or infinite, and a failed check then names
-    ``name is not finite`` before it names the deviation.
+    is taken one row block ``a`` at a time, against the blocks ``b >= a``,
+    which reads every entry.  It replaces a separate finiteness scan: a NaN
+    or infinite entry makes the deviation NaN or infinite, and a failed
+    check then names ``name is not finite`` before it names the deviation.
     """
     n = _hilbert_dim(square_side(s, name), name)
     s = np.asarray(s, dtype=complex)
     s4 = s.reshape(n, n, n, n)
-    ranges = row_block_ranges(n)
-    step = ranges[0][1]
-    diff, mag, dev = np.empty((step, n, n, n), dtype=complex), np.empty((step, n, n, n)), np.empty(len(ranges))
-    # the per-range maxima stay in an array, so one NaN range is not lost
-    # as it would be in a running max; non-finite entries are named below
+    diff, mag, dev = np.empty((1, n, n, n), dtype=complex), np.empty((1, n, n, n)), np.empty(n)
+    # the per-row-block maxima stay in an array, so one NaN row block is not
+    # lost as it would be in a running max; non-finite entries are named below
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, (a0, a1) in enumerate(ranges):
-            block = diff[:a1 - a0, a0:]
-            np.conjugate(s4[a0:, a0:a1].transpose(_MIRROR), out=block)
-            np.subtract(s4[a0:a1, a0:], block, out=block)
-            dev[i] = np.maximum.reduce(np.abs(block, out=mag[:a1 - a0, a0:]), axis=None)
+        for a in range(n):
+            row = diff[:, a:]
+            np.conjugate(s4[a:, a:a + 1].transpose(_MIRROR), out=row)
+            np.subtract(s4[a:a + 1, a:], row, out=row)
+            dev[a] = np.maximum.reduce(np.abs(row, out=mag[:, a:]), axis=None)
     worst = dev.max()
     if not worst <= CHOI_HERMITIAN_TOL:
         if first_non_finite(s):
@@ -212,7 +196,7 @@ def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Its ``N x N`` block ``(a, c)`` is ``sum_k w_k conj(A_k[a])^T A_k[c]``,
     and block ``(c, a)`` is the conjugate transpose of block ``(a, c)``.
     So only the blocks ``c >= a`` are computed, one matrix product per row
-    ``a``, and :func:`_mirror_rows` completes each row.  The result
+    ``a``, and :func:`_mirror_row` completes each row.  The result
     preserves Hermiticity exactly: its Choi matrix equals its own conjugate
     transpose bit for bit.  The same inputs give the same bytes for a given
     BLAS and thread count.
@@ -225,7 +209,7 @@ def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     s = np.empty((n, n, n, n), dtype=complex)  # [a, c, b, d]
     for a in range(n):
         np.matmul(left[a], right[a:], out=s[a, a:])
-        _mirror_rows(s, a, a + 1)
+        _mirror_row(s, a)
     return s.reshape(n * n, n * n)
 
 
@@ -241,12 +225,9 @@ def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     the ``(N, N, N, N)`` view of S as a matrix product: the row indices
     first (``b -> j``, then ``a -> m >= j``), then the column indices of the
     ``N(N+1)/2`` rows, about ``2.5 N^5`` complex multiply-adds where all
-    rows take ``4 N^5``.  The labels ``j`` are taken a range of
-    :func:`row_block_ranges` at a time (one label at 5 qubits, all at 3); a
-    range also transforms the rows ``m < j`` of its square ``j0 <= j, m <
-    j1``, a few rows that spare numpy calls at small ``N``, and averages the
-    square with its mirror before it keeps the rows ``m >= j``; so each row
-    ``(j, j)``, its own mirror, equals that mirror bit for bit.
+    rows take ``4 N^5``.  One label ``j`` is taken at a time, and its rows
+    are written straight into the result; its row ``(j, j)``, its own
+    mirror, is averaged with that mirror, so it equals it bit for bit.
     Callers check the precondition (:func:`require_hermiticity_preserving`).
     """
     n = vectors.shape[0]
@@ -256,17 +237,11 @@ def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     # the products read transposed and strided operands in place
     rows = vc.T @ s.reshape(n, n, n * n)  # b -> j: [a, j, cd]
     half = np.empty((start[n], n, n), dtype=complex)  # [(j, m >= j), j', m']
-    for j0, j1 in row_block_ranges(n):
-        # the rows (j, m) of the labels j0 <= j < j1, for m >= j0
-        t = v[:, j0:].T @ rows[:, j0:j1].reshape(n, -1)  # a -> m: [m, (j, c, d)]
-        t = (t.reshape(-1, n) @ v).reshape(n - j0, j1 - j0, n, n)  # d -> j': [m, j, c, j']
-        # one label j gives exactly its half rows; several also the rows m < j
-        out = half[start[j0]:start[j1], None] if j1 - j0 == 1 else None
-        block = np.matmul(t.transpose(0, 1, 3, 2), vc, out=out)  # c -> m': [m, j, j', m']
-        _average_with_mirror(block[:j1 - j0])
-        if j1 - j0 > 1:  # keep the rows m >= j, j-major
-            kept = [(m - j0) * (j1 - j0) + j - j0 for j in range(j0, j1) for m in range(j, n)]
-            np.take(block.reshape(-1, n, n), kept, axis=0, out=half[start[j0]:start[j1]])
+    for j in range(n):
+        t = v[:, j:].T @ rows[:, j]  # a -> m >= j: [m, cd]
+        t = (t.reshape(-1, n) @ v).reshape(n - j, 1, n, n)  # d -> j': [m, j, c, j']
+        block = np.matmul(t.transpose(0, 1, 3, 2), vc, out=half[start[j]:start[j + 1], None])  # c -> m': [m, j, j', m']
+        _average_with_mirror(block[:1])
     return half.reshape(-1, n * n)
 
 

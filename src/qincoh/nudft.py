@@ -66,6 +66,8 @@ class RecoveryGrid:
         # Python floats overflow to inf without the warning numpy gives
         if not np.isfinite(float(self.delta_omega_max) - float(self.delta_omega_min)):
             raise ValueError("grid span delta_omega_max - delta_omega_min is not finite")
+        if not isinstance(self.n_bins, numbers.Integral) or isinstance(self.n_bins, bool):
+            raise ValueError(f"grid n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 8:
             raise ValueError("grid needs at least 8 bins")
         if self.n_bins > MAX_GRID_BINS:
@@ -106,7 +108,11 @@ class SpectralSampleSet:
         ``k = 0`` is dropped, runs of sorted k whose neighbours lie within it
         are averaged, and (0, 1) is inserted as the DC anchor.  A drop, or a
         merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
-        warns the first caller outside ``nudft`` and ``spectral``."""
+        warns the first caller outside ``nudft`` and ``spectral``.  Arrays
+        that are not 1-d of one length are refused by name first."""
+        k, f = np.asarray(k), np.asarray(f)
+        if k.ndim != 1 or f.shape != k.shape:
+            raise ValueError(f"sample set needs matching 1-d k and f arrays, got shapes {k.shape} and {f.shape}")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
             _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")

@@ -256,6 +256,14 @@ def test_make_synthetic_profile_rejects_bad_params():
         make_synthetic_profile("lorentzian")
 
 
+def test_make_synthetic_profile_refuses_a_non_integer_size_by_name():
+    for n_points in (41.0, np.float64(41.0), 40.5, True, "41", None):
+        with pytest.raises(ValueError, match=f"^n_points must be an integer, got {re.escape(repr(n_points))}$"):
+            make_synthetic_profile("gaussian", n_points=n_points)
+    for n_points in (np.int64(41), np.int32(41)):
+        assert len(make_synthetic_profile("gaussian", n_points=n_points)) == 41
+
+
 def test_make_synthetic_profile_refuses_non_finite_params_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

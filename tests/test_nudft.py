@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -202,6 +203,26 @@ def test_sample_set_refuses_complex_and_not_strictly_increasing_k_by_name():
         SpectralSampleSet(np.array([]), np.array([], dtype=complex))
 
 
+def test_from_points_refuses_mismatched_lengths_by_name():
+    with pytest.raises(ValueError, match=(
+        r"^sample set needs matching 1-d k and f arrays, got shapes \(3,\) and \(2,\)$"
+    )):
+        SpectralSampleSet.from_points(np.array([-1.0, 1.0, 2.0]), np.ones(2, dtype=complex))
+
+
+def test_from_points_refuses_2d_arrays_by_name():
+    with pytest.raises(ValueError, match=(
+        r"^sample set needs matching 1-d k and f arrays, got shapes \(1, 2\) and \(1, 2\)$"
+    )):
+        SpectralSampleSet.from_points(np.array([[-1.0, 1.0]]), np.ones((1, 2), dtype=complex))
+
+
+def test_from_points_reads_lists_as_arrays():
+    samples = SpectralSampleSet.from_points([1.0, -1.0], [0.5 + 0.1j, 0.5 - 0.1j])
+    assert np.array_equal(samples.k, [-1.0, 0.0, 1.0])
+    assert np.array_equal(samples.f, [0.5 - 0.1j, 1.0, 0.5 + 0.1j])
+
+
 def test_nudft_warnings_are_attributed_to_the_direct_caller():
     ks = np.array([-2.0, -1.0, 1e-12, 1.0, 1.0, 2.0])
     f = np.array([0.5, 0.8, 1.0, 0.8, 0.2, 0.5], dtype=complex)
@@ -275,6 +296,15 @@ def test_grid_refuses_more_than_max_bins_before_allocating(monkeypatch):
     for n_bins in (MAX_GRID_BINS + 1, 10**11):
         with pytest.raises(ValueError, match=f"^grid has {n_bins} bins, more than MAX_GRID_BINS = 4096$"):
             RecoveryGrid(-1.0, 1.0, n_bins)
+
+
+def test_grid_refuses_a_non_integer_bin_count_by_name():
+    for n_bins in (50.5, 51.0, np.float64(51.0), True, "51", None):
+        with pytest.raises(ValueError, match=f"^grid n_bins must be an integer, got {re.escape(repr(n_bins))}$"):
+            RecoveryGrid(-0.1, 0.1, n_bins)
+    for n_bins in (51, np.int64(51), np.uint16(51)):
+        grid = RecoveryGrid(-0.1, 0.1, n_bins)
+        assert grid.points().size == 51 and grid.powers(np.ones(2)).shape == (51, 2)
 
 
 def test_grid_validation():

@@ -185,9 +185,9 @@ def _label_form(sup, v):
 
 
 def _transform_cases():
-    """Maps with their label bases: the 3q fixture, whose labels are taken
-    in one range, the 4q fixture, one label per range, and seeded maps; at
-    10 and 16 levels in several ranges, 10 with a short last one."""
+    """Maps with their label bases, each transformed one label at a time:
+    the 3q fixture (N = 8), the 4q fixture (N = 16), and seeded maps at
+    N = 1, 2, 3, 4, 8, 10 and 16."""
     h0t, _, s = fixture_channel()
     h4, k4 = four_qubit_fixture()
     cases = [(s, _vectors(h0t)), (rf_incoherent_channel(h4, k4, SKEWED_PROFILE), _vectors(h4))]

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qincoh.liouville import ROW_BLOCK_ENTRIES, require_hermiticity_preserving, row_block_ranges
+from qincoh.liouville import require_hermiticity_preserving
 from qincoh.validation import (
     as_square_stack,
     first_failure,
@@ -89,8 +89,8 @@ def test_unitary_stack_names_the_first_non_unitary_matrix():
         assert unitary_stack(u, 1e-10, "u") is u
 
 
-# liouville's Hermiticity-preservation check and its row ranges: the check
-# of a superoperator, kept beside the matrix checks it complements
+# liouville's Hermiticity-preservation check: the check of a superoperator,
+# kept beside the matrix checks it complements
 
 
 def _preserving_map(n, seed):
@@ -101,12 +101,20 @@ def _preserving_map(n, seed):
     return ((g + g.transpose(1, 0, 3, 2).conj()) / 2).reshape(n * n, n * n)
 
 
-def test_row_block_ranges_cover_the_row_blocks_in_order():
-    for n in range(1, 40):
-        ranges = row_block_ranges(n)
-        step = max(1, ROW_BLOCK_ENTRIES // n**3)
-        assert [a for a0, a1 in ranges for a in range(a0, a1)] == list(range(n))
-        assert all(a1 - a0 == step for a0, a1 in ranges[:-1]) and 0 < ranges[-1][1] - ranges[-1][0] <= step
+def test_hermiticity_preservation_reads_every_row_block():
+    # the check steps one row block a at a time, against the blocks b >= a:
+    # an entry spoiled in any row block a, in its first block b = 0 (read
+    # from row block 0's step) or its last (read from its own), is refused
+    for n in (4, 8):
+        s = _preserving_map(n, 4)
+        for a in range(n):
+            for b in (0, n - 1):
+                spoiled = s.copy()
+                spoiled[a * n + b, (n - 1 - a) * n + a] += 0.25
+                with pytest.raises(ValueError, match=(
+                    r"^s does not preserve Hermiticity within 1e-10 \(deviation 2\.500e-01\)$"
+                )):
+                    require_hermiticity_preserving(spoiled, "s")
 
 
 def test_hermiticity_preservation_is_checked_against_the_tolerance():
@@ -139,10 +147,9 @@ def test_hermiticity_preservation_names_non_finite_entries_first():
             with pytest.raises(ValueError, match="^s is not finite$"):
                 require_hermiticity_preserving(spoiled, "s")
     # a NaN read in the last row block, after row block 0 has a finite
-    # deviation of 1: in one range of row blocks (n = 4), and in the last of
-    # sixteen (n = 16), where a running max over the ranges would drop it
+    # deviation of 1, at n = 4 and in the last of sixteen row blocks, where
+    # a running max over the row blocks would drop it
     for n in (4, 16):
-        assert len(row_block_ranges(n)) == (1 if n == 4 else 16)
         spoiled = _preserving_map(n, 3)
         spoiled[0, 1] += 1.0
         spoiled[n * n - 1, 2] = np.nan

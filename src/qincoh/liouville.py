@@ -36,6 +36,7 @@ from .validation import (
     as_square_stack,
     first_non_finite,
     hermitian_part,
+    numeric,
     require_unitary,
     square_side,
 )
@@ -43,7 +44,7 @@ from .validation import (
 
 def columnize(rho: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into a single vector (|rho>)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = numeric(rho, complex, "rho")
     if rho.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {rho.shape}")
     return rho.flatten(order="F")
@@ -169,8 +170,7 @@ def require_hermiticity_preserving(s: np.ndarray, name: str = "superoperator") -
     check then names ``name is not finite`` before it names the deviation.
     """
     n = _hilbert_dim(square_side(s, name), name)
-    s = np.asarray(s, dtype=complex)
-    s4 = s.reshape(n, n, n, n)
+    s4 = numeric(s, complex, name).reshape(n, n, n, n)
     diff, mag, dev = np.empty((1, n, n, n), dtype=complex), np.empty((1, n, n, n)), np.empty(n)
     # the per-row-block maxima stay in an array, so one NaN row block is not
     # lost as it would be in a running max; non-finite entries are named below
@@ -182,10 +182,10 @@ def require_hermiticity_preserving(s: np.ndarray, name: str = "superoperator") -
             dev[a] = np.maximum.reduce(np.abs(row, out=mag[:, a:]), axis=None)
     worst = dev.max()
     if not worst <= CHOI_HERMITIAN_TOL:
-        if first_non_finite(s):
+        if first_non_finite(s4):
             raise ValueError(f"{name} is not finite")
         raise ValueError(f"{name} does not preserve Hermiticity within {CHOI_HERMITIAN_TOL:g} (deviation {worst:.3e})")
-    return s
+    return s4.reshape(n * n, n * n)
 
 
 def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:

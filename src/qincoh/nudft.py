@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RFProfile
-from .validation import point_arrays
+from .validation import numeric, point_arrays
 
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -110,7 +110,7 @@ class SpectralSampleSet:
         merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
         warns the first caller outside ``nudft`` and ``spectral``.  Arrays
         that are not 1-d of one length are refused by name first."""
-        k, f = np.asarray(k), np.asarray(f)
+        k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
         if k.ndim != 1 or f.shape != k.shape:
             raise ValueError(f"sample set needs matching 1-d k and f arrays, got shapes {k.shape} and {f.shape}")
         near_dc = np.abs(k) <= K_DEDUP_TOL
@@ -155,9 +155,7 @@ class RecoveryResult:
 
 def forward_nudft(profile: RFProfile, ks: np.ndarray) -> np.ndarray:
     """Fourier transform of a profile at real coordinates of any shape; f(0) = 1."""
-    if np.iscomplexobj(ks):
-        raise ValueError("forward_nudft coordinates ks are complex, expected real")
-    ks = np.asarray(ks, dtype=float)
+    ks = numeric(ks, float, "forward_nudft coordinates ks")
     return np.exp(-1j * np.multiply.outer(ks, profile.delta_omega)) @ profile.weight
 
 

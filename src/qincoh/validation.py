@@ -13,21 +13,28 @@ from __future__ import annotations
 import numpy as np
 
 
+def numeric(a, dtype: type, name: str) -> np.ndarray:
+    """``a``, an array from outside, as a ``dtype`` (float or complex) array,
+    once it is checked to be numeric (an object array by its values) and not
+    complex where float; a refusal names ``name``."""
+    a = np.asarray(a)
+    values = np.array(a.tolist()) if a.dtype == object else a
+    # an object array of sequences reads back with more axes; it is no number
+    if values.dtype.kind not in "biufc" or values.shape != a.shape:
+        raise ValueError(f"{name} is not numeric (dtype {a.dtype})")
+    if dtype is float and values.dtype.kind == "c":
+        raise ValueError(f"{name} is complex, expected real")
+    return values.astype(dtype, copy=False)
+
+
 def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
-    once checked in this order: 1-d of one non-zero length, numeric (an
-    object array by the type of its values), not complex where float,
+    once checked in this order: 1-d of one non-zero length, :func:`numeric`,
     finite, and ``x`` strictly increasing; a refusal names ``what`` and the array."""
-    xs, ys = (np.array(a.tolist()) if a.dtype == object else a for a in map(np.asarray, (x, y)))
-    if xs.ndim != 1 or ys.shape != xs.shape or xs.size < 1:
+    if np.ndim(x) != 1 or np.shape(y) != np.shape(x) or np.size(x) < 1:
         raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
-                         f"got shapes {xs.shape} and {ys.shape}")
-    for name, a, dtype in zip(names, (xs, ys), (float, y_dtype)):
-        if a.dtype.kind not in "biufc":
-            raise ValueError(f"{what} {name} is not numeric (dtype {a.dtype})")
-        if dtype is float and np.iscomplexobj(a):
-            raise ValueError(f"{what} {name} is complex, expected real")
-    xs, ys = xs.astype(float, copy=False), ys.astype(y_dtype, copy=False)
+                         f"got shapes {np.shape(x)} and {np.shape(y)}")
+    xs, ys = (numeric(a, dtype, f"{what} {name}") for a, dtype, name in zip((x, y), (float, y_dtype), names))
     for name, a in zip(names, (xs, ys)):
         if not np.isfinite(a).all():
             raise ValueError(f"{what} {name} is not finite")
@@ -57,7 +64,7 @@ def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """``m`` as a complex array, once it is checked to be a ``(..., n, n)``
     stack of non-empty square matrices with finite entries; ``name`` labels
     it in a rejection."""
-    m = np.asarray(m, dtype=complex)
+    m = numeric(m, complex, name)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] < 1:

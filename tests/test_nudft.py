@@ -51,7 +51,7 @@ def test_forward_of_delta_is_pure_phase():
 def test_forward_refuses_complex_coordinates_by_name():
     p = make_synthetic_profile("skewed", width=0.05, skew=0.3, n_points=21)
     for ks in (np.array([1 + 5j, 2.0]), [1.0, 2j], np.zeros((2, 2), dtype=complex)):
-        with pytest.raises(ValueError, match="^forward_nudft coordinates ks are complex, expected real$"):
+        with pytest.raises(ValueError, match="^forward_nudft coordinates ks is complex, expected real$"):
             forward_nudft(p, ks)
     # a real (N, N) array keeps its shape, as the eigenvalue prediction needs
     ks = np.arange(6.0).reshape(2, 3)

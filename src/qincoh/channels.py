@@ -9,14 +9,21 @@ a discrete amplitude-deviation profile.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .liouville import GENERATOR_HERMITIAN_TOL, UNITARY_TOL, conjugation_sum
-from .validation import as_square_matrix, as_square_stack, point_arrays, require_hermitian, unitary_stack
+from .validation import (
+    as_square_matrix,
+    as_square_stack,
+    integer,
+    point_arrays,
+    real_scalar,
+    require_hermitian,
+    unitary_stack,
+)
 
 # The most points make_synthetic_profile builds.  Each point is one channel
 # member, so at 6 qubits (64 x 64 generators) the member stack of
@@ -73,20 +80,21 @@ def make_synthetic_profile(
     the sign of ``skew``.  The smooth shape keeps the Fourier transform
     compact, which sparse spectral sampling needs.
 
-    ``n_points`` must be an integer (not a bool) of at most
-    :data:`MAX_PROFILE_POINTS`, and a support whose length overflows, or a
-    side width that underflows to zero, is refused by name before any array
-    is built.  A width too small for ``n_points`` distinct floats around
+    ``center``, ``width`` and ``skew`` must be finite real numbers and
+    ``n_points`` an integer of at most :data:`MAX_PROFILE_POINTS`, none of
+    them a bool (:func:`~qincoh.validation.real_scalar`,
+    :func:`~qincoh.validation.integer`).  A support whose length overflows,
+    or a side width that underflows to zero, is refused by name before any
+    array is built.  A width too small for ``n_points`` distinct floats around
     ``center`` is refused by name too.
     """
     for name, x in (("center", center), ("width", width), ("skew", skew)):
-        if not np.isfinite(x):
+        if not np.isfinite(real_scalar(x, name)):
             raise ValueError(f"{name} must be finite, got {x!r}")
     # Python floats overflow to inf without a warning, so the support is
     # checked in them before numpy computes on it
     center, width, skew = float(center), float(width), float(skew)
-    if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    n_points = integer(n_points, "n_points")
     if not 3 <= n_points <= MAX_PROFILE_POINTS:
         raise ValueError(
             f"n_points must lie in [3, MAX_PROFILE_POINTS = {MAX_PROFILE_POINTS}], got {n_points}"
@@ -155,7 +163,7 @@ def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarra
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")
-    weights = np.array([float(p) for p, _ in ensemble])
+    weights = np.array([real_scalar(p, f"ensemble[{i}] weight") for i, (p, _) in enumerate(ensemble)])
     _require_distribution(weights, "ensemble")
     mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
     if any(u.shape != mats[0].shape for u in mats):
@@ -174,12 +182,14 @@ def rf_incoherent_channel(
     Each profile point ``dw`` contributes the unitary
     ``exp(-i (h0*t + dw*k))`` with its probability weight; note that ``k``
     carries the full dimensionless product (duration absorbed), so ``t``
-    scales the nominal generator only.  The member generators are real
-    combinations of the validated ``h0`` and ``k``, so they are Hermitian
-    without a check of their own and are diagonalized as one stack.
+    scales the nominal generator only, and must be a real number.  The
+    member generators are real combinations of the validated ``h0`` and
+    ``k``, so they are Hermitian without a check of their own and are
+    diagonalized as one stack.
     """
     h0 = require_hermitian(h0, GENERATOR_HERMITIAN_TOL, "h0")
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
+    t = real_scalar(t, "t")
     if h0.shape != k.shape:
         raise ValueError(f"h0 and k have mismatched shapes {h0.shape} vs {k.shape}")
     # finite h0, k and t can still overflow; such a member is refused by name
@@ -191,6 +201,7 @@ def rf_incoherent_channel(
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary (QR of a complex Ginibre matrix, phase-corrected)."""
+    dim = integer(dim, "dim")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

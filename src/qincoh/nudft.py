@@ -13,7 +13,6 @@ the dense kernel: one direct solve of ``n_bins`` unknowns.
 """
 from __future__ import annotations
 
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RFProfile
-from .validation import numeric, point_arrays
+from .validation import integer, numeric, point_arrays, real_scalar
 
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -58,16 +57,13 @@ class RecoveryGrid:
     n_bins: int
 
     def __post_init__(self):
-        for name in ("delta_omega_min", "delta_omega_max"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"grid {name} must be a real number, got {getattr(self, name)!r}")
-        if not self.delta_omega_min < self.delta_omega_max:
+        lo, hi = (real_scalar(getattr(self, name), f"grid {name}") for name in ("delta_omega_min", "delta_omega_max"))
+        if not lo < hi:
             raise ValueError("grid requires delta_omega_min < delta_omega_max")
         # Python floats overflow to inf without the warning numpy gives
-        if not np.isfinite(float(self.delta_omega_max) - float(self.delta_omega_min)):
+        if not np.isfinite(hi - lo):
             raise ValueError("grid span delta_omega_max - delta_omega_min is not finite")
-        if not isinstance(self.n_bins, numbers.Integral) or isinstance(self.n_bins, bool):
-            raise ValueError(f"grid n_bins must be an integer, got {self.n_bins!r}")
+        integer(self.n_bins, "grid n_bins")
         if self.n_bins < 8:
             raise ValueError("grid needs at least 8 bins")
         if self.n_bins > MAX_GRID_BINS:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
 from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter
-from .validation import as_square_stack, first_failure, first_non_finite, require_unitary
+from .validation import as_square_stack, first_failure, first_non_finite, numeric, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,15 +99,13 @@ def prepare_correlated_inputs(
     ``alpha``, ``beta`` and ``gamma`` may also be arrays of one shape, such as
     ``(S,)`` for S scenarios; every field of the result then carries that
     shape in front, and the error names the first non-physical state of the
-    first scenario that has one.  Non-finite parameters are refused by name
-    before the states are built, and a state that overflows to a non-finite
-    entry (finite parameters can) is refused by name before the positivity
-    check, with no numpy warning.
+    first scenario that has one.  Parameters that are not real
+    (:func:`~qincoh.validation.numeric`), of different shapes, or not finite
+    are refused by name before the states are built, and a state that
+    overflows to a non-finite entry (finite parameters can) is refused by
+    name before the positivity check, with no numpy warning.
     """
-    params = np.array((alpha, beta, gamma), dtype=float)
-    for name, x in zip(("alpha", "beta", "gamma"), params):
-        if found := first_failure(~np.isfinite(x)):
-            raise ValueError(f"{name}{found[1]} is not finite")
+    params = _parameter_stack(alpha, beta, gamma)
 
     def state_error(position: tuple[int, ...], what: str) -> str:
         *scenario, idx = position
@@ -123,6 +121,18 @@ def prepare_correlated_inputs(
         min_eig = min_eigs[found[0]]
         raise NonPhysicalStateError(state_error(found[0], f"has negative eigenvalue {min_eig:.3e}"))
     return CorrelatedInputSet(joints, _trace_out_b(joints), (_EYE2 + b[..., 0] * SIGMA_Z) / 2)
+
+
+def _parameter_stack(alpha, beta, gamma) -> np.ndarray:
+    """``alpha``, ``beta`` and ``gamma`` as one ``(3, ...)`` float array,
+    once each is checked to be real and finite, and all three of one shape."""
+    params = [numeric(x, float, name) for name, x in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma))]
+    if len({x.shape for x in params}) > 1:
+        raise ValueError(f"alpha, beta and gamma have different shapes {', '.join(str(x.shape) for x in params)}")
+    for name, x in zip(("alpha", "beta", "gamma"), params):
+        if found := first_failure(~np.isfinite(x)):
+            raise ValueError(f"{name}{found[1]} is not finite")
+    return np.stack(params)
 
 
 def _trace_out_b(rho_ab: np.ndarray) -> np.ndarray:
@@ -209,19 +219,21 @@ def run_qpt_scenarios(
     system-environment correlations removed before evolution, by replacing
     each joint state with the product of its marginals (all other parameters
     kept equal).  With ``apply_cp_filter`` the map's negative Choi
-    eigenvalues are removed before the diagnostics.  The checks run stage by
+    eigenvalues are removed before the diagnostics.  Both flags must be
+    booleans: any other array is refused by name.  The checks run stage by
     stage over all scenarios (positivity, unitarity of ``u_ab``,
     conditioning, CP filtering of the flagged rows, then the Hermiticity of
     every reported Choi matrix), so the error is the first scenario that
     fails the earliest failing stage.
     """
-    inputs = prepare_correlated_inputs(alpha, beta, gamma)
+    params = _parameter_stack(alpha, beta, gamma)
+    inputs = prepare_correlated_inputs(*params)
     reduced = inputs.reduced_inputs
     if reduced.ndim != 4:
         raise ValueError(f"expected one parameter per scenario, got shape {reduced.shape[:-3]}")
     n = reduced.shape[0]
-    correlated = np.asarray(correlated, dtype=bool)
-    apply_cp_filter = np.asarray(apply_cp_filter, dtype=bool)
+    correlated = numeric(correlated, bool, "correlated")
+    apply_cp_filter = numeric(apply_cp_filter, bool, "apply_cp_filter")
     if correlated.shape != (n,) or apply_cp_filter.shape != (n,):
         raise ValueError(f"expected {n} correlated and apply_cp_filter flags")
     # kron(rho_a, rho_b) for every rho_a, as one outer product per scenario
@@ -231,9 +243,7 @@ def run_qpt_scenarios(
         correlated[:, None, None, None], inputs.joint_states, products.reshape(n, 4, 4, 4)
     )
     outputs = evolve_and_reduce(u_ab, joints)
-    s_obs, cond, residual = _solve_stack(
-        _vector_columns(reduced), _vector_columns(outputs), np.array((alpha, beta, gamma), dtype=float)
-    )
+    s_obs, cond, residual = _solve_stack(_vector_columns(reduced), _vector_columns(outputs), params)
 
     removed_weight = [None] * n
     for i in np.flatnonzero(apply_cp_filter):

@@ -1,8 +1,12 @@
 """Input validation helpers used across the package.
 
-The checks here know matrices and stacks of them, and the 1-d point arrays
-of a profile or a sample set (:func:`point_arrays`), and no superoperator
-layout (``liouville`` owns that).  Every matrix check is tolerance-based and
+Every array from outside is read once, by :func:`numeric`, which refuses a
+non-numeric array, or one of a kind that does not cast to the expected
+dtype, by name, and every scalar from outside by :func:`real_scalar` or
+:func:`integer`, neither of which takes a bool.  The checks here know
+matrices and stacks of them, and the 1-d point arrays of a profile or a
+sample set (:func:`point_arrays`), and no superoperator layout
+(``liouville`` owns that).  Every matrix check is tolerance-based and
 the tolerance is always an explicit argument; nothing here compares floats
 for exact equality.  A check of a ``(..., n, n)`` stack names the first
 failing matrix by its index in the leading axes, as ``name[i][j]``
@@ -10,21 +14,51 @@ failing matrix by its index in the leading axes, as ``name[i][j]``
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
+# What an array of each numeric dtype kind holds, as a refusal names it, and
+# the kinds that each expected dtype admits, the last being its own.
+_KINDS = {"b": "boolean", "i": "integer", "u": "integer", "f": "real", "c": "complex"}
+_ADMITS = {bool: "b", float: "biuf", complex: "biufc"}
+
+
 def numeric(a, dtype: type, name: str) -> np.ndarray:
-    """``a``, an array from outside, as a ``dtype`` (float or complex) array,
-    once it is checked to be numeric (an object array by its values) and not
-    complex where float; a refusal names ``name``."""
+    """``a``, an array from outside, as a ``dtype`` (bool, float or complex)
+    array, once it is checked to be numeric (an object array by its values)
+    and of a kind that ``dtype`` admits: no complex where real, and nothing
+    but booleans where boolean; a refusal names ``name``."""
     a = np.asarray(a)
-    values = np.array(a.tolist()) if a.dtype == object else a
-    # an object array of sequences reads back with more axes; it is no number
-    if values.dtype.kind not in "biufc" or values.shape != a.shape:
+    if a.dtype == object:
+        values = np.array(a.tolist())
+        # an object array of sequences reads back with more axes; it stays
+        # an object array, which is no number
+        a = values if values.shape == a.shape else a
+    kind = a.dtype.kind
+    if kind not in _KINDS:
         raise ValueError(f"{name} is not numeric (dtype {a.dtype})")
-    if dtype is float and values.dtype.kind == "c":
-        raise ValueError(f"{name} is complex, expected real")
-    return values.astype(dtype, copy=False)
+    if kind not in _ADMITS[dtype]:
+        raise ValueError(f"{name} is {_KINDS[kind]}, expected {_KINDS[_ADMITS[dtype][-1]]}")
+    return a.astype(dtype, copy=False)
+
+
+def real_scalar(x, name: str) -> float:
+    """``x`` as a float, once it is checked to be a real number and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} overflows a float, got {x!r}") from None
+
+
+def integer(x, name: str) -> int:
+    """``x`` as an int, once it is checked to be an integer and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:

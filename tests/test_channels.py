@@ -370,3 +370,41 @@ def test_make_synthetic_profile_refuses_a_width_below_the_float_spacing_by_name(
     message = f"^{kind} profile of width={width!r} is too narrow .* around center={center!r}$"
     with pytest.raises(ValueError, match=message):
         make_synthetic_profile(kind, center=center, width=width, skew=skew)
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_parameters_must_be_real_numbers_not_bools():
+    for name, bad in (("skew", "0.2"), ("center", True), ("width", np.bool_(True)), ("center", 0.1j), ("width", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            make_synthetic_profile("skewed", **{"width": 0.1, name: bad})
+    with pytest.raises(ValueError, match=f"^center overflows a float, got {10**400}$"):
+        make_synthetic_profile("gaussian", center=10**400)
+    # integers and numpy reals are real numbers
+    given = make_synthetic_profile("skewed", center=np.float64(0.5), width=1, skew=np.float64(0.2))
+    plain = make_synthetic_profile("skewed", center=0.5, width=1.0, skew=0.2)
+    assert np.array_equal(given.delta_omega, plain.delta_omega) and np.array_equal(given.weight, plain.weight)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rf_channel_refuses_a_duration_that_is_not_a_real_number():
+    # exp(-i (h0*t + dw*k)) of a complex t is no unitary's generator; eigh
+    # would read its lower triangle as Hermitian and build a wrong channel
+    h0t, k = three_qubit_fixture()
+    profile = make_synthetic_profile("gaussian", n_points=5)
+    for bad in (1j, 1 + 0j, "1.0", True, None):
+        with pytest.raises(ValueError, match=f"^t must be a real number, got {re.escape(repr(bad))}$"):
+            rf_incoherent_channel(h0t, k, profile, t=bad)
+    assert np.array_equal(rf_incoherent_channel(h0t, k, profile, t=np.float64(2.0)),
+                          rf_incoherent_channel(h0t, k, profile, t=2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_ensemble_weights_and_dimension_are_scalars_by_name():
+    for bad in ("0.5", True, 0.5 + 0j):
+        refusal = f"ensemble[1] weight must be a real number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            rud_superoperator([(0.5, SZ), (bad, np.eye(2, dtype=complex))])
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {re.escape(repr(bad))}$"):
+            random_unitary(bad, np.random.default_rng(0))
+    assert random_unitary(np.int64(2), np.random.default_rng(0)).shape == (2, 2)

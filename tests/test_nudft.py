@@ -312,3 +312,14 @@ def test_grid_validation():
         RecoveryGrid(0.2, -0.2, 61)
     with pytest.raises(ValueError, match="bins"):
         RecoveryGrid(-0.1, 0.1, 4)
+
+
+def test_grid_refuses_bool_bounds_by_name():
+    # the config reader refuses a JSON boolean as a number; the grid does too
+    for lo, hi, name, bad in ((False, True, "delta_omega_min", False),
+                              (-0.1, np.bool_(True), "delta_omega_max", np.bool_(True))):
+        with pytest.raises(ValueError, match=f"^grid {name} must be a real number, got {re.escape(repr(bad))}$"):
+            RecoveryGrid(lo, hi, 10)
+    with pytest.raises(ValueError, match=f"^grid delta_omega_max overflows a float, got {10**400}$"):
+        RecoveryGrid(0, 10**400, 10)
+

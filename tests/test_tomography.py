@@ -570,3 +570,42 @@ def test_prepare_refuses_non_finite_parameters_by_name(monkeypatch):
             run_qpt_scenarios(
                 U_ZZ, [0.5] * 3, [0.5] * 3, [0.6, 0.5, np.inf], [True] * 3, [False] * 3
             )
+
+
+@pytest.mark.filterwarnings("error")
+def test_prepare_refuses_complex_and_non_numeric_parameters_by_name():
+    for params, refusal in (((0.1 + 0j, 0.1, 0.1), "alpha is complex, expected real"),
+                            ((0.1, [0.1, 0.2j], 0.1), "beta is complex, expected real"),
+                            ((0.1, 0.1, "0.1"), r"gamma is not numeric \(dtype <U3\)"),
+                            ((0.1, 0.1, None), r"gamma is not numeric \(dtype object\)")):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            prepare_correlated_inputs(*params)
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            run_qpt_scenarios(U_ZZ, *([p] for p in params), [True], [False])
+
+
+@pytest.mark.filterwarnings("error")
+def test_prepare_refuses_parameters_of_different_shapes_by_name():
+    for params, shapes in ((([0.5, 0.2], [0.5], 0.6), r"\(2,\), \(1,\), \(\)"),
+                           ((0.5, [[0.1, 0.2]], [0.6, 0.1]), r"\(\), \(1, 2\), \(2,\)")):
+        with pytest.raises(ValueError, match=f"^alpha, beta and gamma have different shapes {shapes}$"):
+            prepare_correlated_inputs(*params)
+        with pytest.raises(ValueError, match=f"^alpha, beta and gamma have different shapes {shapes}$"):
+            run_qpt_scenarios(U_ZZ, *params, [True, True], [False, False])
+
+
+@pytest.mark.filterwarnings("error")
+def test_scenario_flags_must_be_booleans():
+    # a string or a number is no flag; np.asarray(..., dtype=bool) read each as True
+    params = ([0.5, 0.3], [0.5, 0.1], [0.6, 0.0])
+    for flags, refusal in ((["no", "yes"], r"is not numeric \(dtype <U3\)"),
+                           ([0.3, 0.0], "is real, expected boolean"),
+                           ([1, 0], "is integer, expected boolean"),
+                           (np.array([True, None], dtype=object), r"is not numeric \(dtype object\)")):
+        with pytest.raises(ValueError, match=f"^correlated {refusal}$"):
+            run_qpt_scenarios(U_ZZ, *params, flags, [False, False])
+        with pytest.raises(ValueError, match=f"^apply_cp_filter {refusal}$"):
+            run_qpt_scenarios(U_ZZ, *params, [True, False], flags)
+    # booleans of any container are read as given
+    reports = run_qpt_scenarios(U_ZZ, *params, np.array([True, False]), (np.bool_(False), True))
+    assert [r.removed_weight is None for r in reports] == [True, False]

@@ -1,13 +1,29 @@
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from qincoh.liouville import require_hermiticity_preserving
+from qincoh.channels import RFProfile, expm_unitary, make_synthetic_profile, rf_incoherent_channel, rud_superoperator
+from qincoh.liouville import (
+    choi_spectrum,
+    columnize,
+    cp_filter,
+    require_hermiticity_preserving,
+    superop_eigenvalues,
+    superop_to_choi,
+    unitary_superoperator,
+)
+from qincoh.nudft import SpectralSampleSet, forward_nudft
+from qincoh.spectral import pair_eigenvalues, three_qubit_fixture
+from qincoh.tomography import evolve_and_reduce, partial_trace_b, prepare_correlated_inputs
 from qincoh.validation import (
     as_square_stack,
     first_failure,
     hermitian_part,
+    integer,
+    numeric,
+    real_scalar,
     require_hermitian,
     require_unitary,
     unitary_stack,
@@ -29,6 +45,124 @@ def test_unitarity_check_refuses_a_nan_deviation():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="^u is not unitary within 1e-10 "):
         require_unitary(u, 1e-10, "u")
+
+
+# Every public entry that takes an array from outside, with one argument
+# spoiled: (entry, the call of the spoiled argument, a valid value of it,
+# the name a refusal gives it, whether it is real).
+PROFILE = make_synthetic_profile("gaussian", n_points=11)
+KS, FS = np.array([-2.0, -1.0, 1.0, 2.0, 3.0]), np.ones(5, dtype=complex)
+H2, M4 = 0.3 * np.diag([1.0, -1.0 + 0j]), np.eye(4, dtype=complex)
+H0T, K3 = three_qubit_fixture()
+ARRAY_ARGUMENTS = [
+    ("forward_nudft", lambda x: forward_nudft(PROFILE, x), KS, "forward_nudft coordinates ks", True),
+    ("from_points k", lambda x: SpectralSampleSet.from_points(x, FS), KS, "sample set k", True),
+    ("from_points f", lambda x: SpectralSampleSet.from_points(KS, x), FS, "sample set f", False),
+    ("RFProfile delta_omega", lambda x: RFProfile(x, [0.5, 0.5]), [0.0, 1.0], "profile delta_omega", True),
+    ("RFProfile weight", lambda x: RFProfile([0.0, 1.0], x), [0.5, 0.5], "profile weight", True),
+    ("SpectralSampleSet k", lambda x: SpectralSampleSet(x, FS), KS, "sample set k", True),
+    ("SpectralSampleSet f", lambda x: SpectralSampleSet(KS, x), FS, "sample set f", False),
+    ("expm_unitary", expm_unitary, H2, "h", False),
+    ("rf_incoherent_channel h0", lambda x: rf_incoherent_channel(x, H2, PROFILE), H2, "h0", False),
+    ("rf_incoherent_channel k", lambda x: rf_incoherent_channel(H2, x, PROFILE), H2, "k", False),
+    ("pair_eigenvalues s", lambda x: pair_eigenvalues(x, H0T, K3), np.eye(64, dtype=complex), "superoperator", False),
+    ("pair_eigenvalues h0t", lambda x: pair_eigenvalues(np.eye(64), x, K3), H0T, "h0t", False),
+    ("superop_eigenvalues", superop_eigenvalues, M4, "s", False),
+    ("superop_to_choi", superop_to_choi, M4, "s", False),
+    ("choi_spectrum", choi_spectrum, M4, "s", False),
+    ("cp_filter", cp_filter, M4, "s", False),
+    ("unitary_superoperator", unitary_superoperator, M4, "u", False),
+    ("columnize", columnize, M4, "rho", False),
+    ("rud_superoperator", lambda x: rud_superoperator([(1.0, x)]), M4, "ensemble[0]", False),
+    ("partial_trace_b", partial_trace_b, M4, "rho_ab", False),
+    ("evolve_and_reduce u_ab", lambda x: evolve_and_reduce(x, M4), M4, "u_ab", False),
+    ("evolve_and_reduce rho_ab", lambda x: evolve_and_reduce(M4, x), M4, "rho_ab", False),
+    ("prepare_correlated_inputs alpha", lambda x: prepare_correlated_inputs(x, 0.1, 0.1), 0.3, "alpha", True),
+]
+
+
+def _holding(value):
+    """A spoiler: the valid array as an object array whose last entry is ``value``."""
+    def spoil(x):
+        held = np.array(x, dtype=object)
+        held.reshape(-1)[-1] = value
+        return held
+    return spoil
+
+
+SPOILERS = {
+    "string": (lambda x: np.full(np.shape(x), "a"), r"is not numeric \(dtype <U1\)"),
+    "object complex": (_holding(1j), "is complex, expected real"),
+    "object None": (_holding(None), r"is not numeric \(dtype object\)"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spoiler", SPOILERS)
+@pytest.mark.parametrize("entry, call, valid, name, real", ARRAY_ARGUMENTS, ids=[a[0] for a in ARRAY_ARGUMENTS])
+def test_public_entries_refuse_non_numeric_arrays_by_name(entry, call, valid, name, real, spoiler):
+    spoil, refusal = SPOILERS[spoiler]
+    if spoiler == "object complex" and not real:
+        # where complex is expected, an object array of complex values is
+        # read by its values: the result is the one of the valid array
+        assert pickle.dumps(call(np.array(valid, dtype=object))) == pickle.dumps(call(valid))
+        return
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} {refusal}$"):
+        call(spoil(valid))
+
+
+CONVERSIONS = [
+    (np.array([True, False]), (bool, float, complex)),
+    (np.array([[1, -2], [3, 4]], dtype=np.int32), (float, complex)),
+    ([1, 2**40], (float, complex)),
+    (np.array([0.5, -1.5, 1e300]), (float, complex)),
+    (np.float32(0.1), (float, complex)),
+    (np.array([0.5, -1.5], dtype=object), (float, complex)),
+    (np.array([[1 + 2j, 3j]]), (complex,)),
+    (np.array([1 + 2j, 0.5], dtype=object), (complex,)),
+]
+
+
+@pytest.mark.parametrize("x, dtypes", CONVERSIONS)
+def test_numeric_converts_valid_input_as_asarray_does(x, dtypes):
+    for dtype in dtypes:
+        got, want = numeric(x, dtype, "x"), np.asarray(x, dtype=dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    # an array of the expected dtype is not copied
+    for a, dtype in ((np.eye(3, dtype=complex), complex), (np.eye(3, dtype=complex)[:, ::2], complex),
+                     (np.arange(3.0), float), (np.ones(2, dtype=bool), bool)):
+        assert numeric(a, dtype, "a") is a
+
+
+def test_numeric_refuses_what_does_not_cast_within_its_kind_by_name():
+    for x, dtype, refusal in (([1.0], bool, "x is real, expected boolean"),
+                              (np.array([1, 0]), bool, "x is integer, expected boolean"),
+                              ([0.5, 1j], float, "x is complex, expected real"),
+                              (np.array(["1.0"]), complex, r"x is not numeric \(dtype <U3\)"),
+                              (np.array([1], dtype="datetime64[s]"), float,
+                               r"x is not numeric \(dtype datetime64\[s\]\)")):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            numeric(x, dtype, "x")
+    # an object array of sequences has more axes than it shows: no number
+    pairs = np.empty(2, dtype=object)
+    pairs[0], pairs[1] = [0.0, 1.0], [2.0, 3.0]
+    with pytest.raises(ValueError, match=r"^x is not numeric \(dtype object\)$"):
+        numeric(pairs, float, "x")
+    with pytest.raises(ValueError, match=r"^profile delta_omega is not numeric \(dtype object\)$"):
+        RFProfile(pairs, [0.5, 0.5])
+
+
+def test_scalar_checks_refuse_bools_and_non_numbers_by_name():
+    for x in (True, np.bool_(False), "1.0", 1j, None, np.array([1.0])):
+        with pytest.raises(ValueError, match=f"^x must be a real number, got {re.escape(repr(x))}$"):
+            real_scalar(x, "x")
+    for x in (True, 1.0, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match=f"^x must be an integer, got {re.escape(repr(x))}$"):
+            integer(x, "x")
+    with pytest.raises(ValueError, match="^x overflows a float, got 10{400}$".replace("10{400}", str(10**400))):
+        real_scalar(10**400, "x")
+    assert real_scalar(np.int64(3), "x") == 3.0 and type(real_scalar(np.float32(0.5), "x")) is float
+    assert integer(np.uint16(7), "x") == 7 and type(integer(np.int64(7), "x")) is int
 
 
 def test_first_failure_labels_the_leading_axes():

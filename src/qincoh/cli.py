@@ -154,7 +154,10 @@ _real = _typed((int, float), "a number")
 
 
 def _number(v: Any, name: str) -> float:
-    x = float(_real(v, name))
+    try:
+        x = float(_real(v, name))
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {v!r}")
     return x

@@ -105,10 +105,12 @@ class SpectralSampleSet:
         are averaged, and (0, 1) is inserted as the DC anchor.  A drop, or a
         merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
         warns the first caller outside ``nudft`` and ``spectral``.  Arrays
-        that are not 1-d of one length are refused by name first."""
+        that are not 1-d of one length are refused by name first, then
+        arrays that :func:`~qincoh.validation.numeric` refuses."""
+        if np.ndim(k) != 1 or np.shape(f) != np.shape(k):
+            raise ValueError(f"sample set needs matching 1-d k and f arrays, "
+                             f"got shapes {np.shape(k)} and {np.shape(f)}")
         k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
-        if k.ndim != 1 or f.shape != k.shape:
-            raise ValueError(f"sample set needs matching 1-d k and f arrays, got shapes {k.shape} and {f.shape}")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
             _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")

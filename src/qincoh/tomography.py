@@ -227,10 +227,10 @@ def run_qpt_scenarios(
     fails the earliest failing stage.
     """
     params = _parameter_stack(alpha, beta, gamma)
+    if params.ndim != 2 or params.shape[1] < 1:
+        raise ValueError(f"expected one parameter per scenario, got shape {params.shape[1:]}")
     inputs = prepare_correlated_inputs(*params)
     reduced = inputs.reduced_inputs
-    if reduced.ndim != 4:
-        raise ValueError(f"expected one parameter per scenario, got shape {reduced.shape[:-3]}")
     n = reduced.shape[0]
     correlated = numeric(correlated, bool, "correlated")
     apply_cp_filter = numeric(apply_cp_filter, bool, "apply_cp_filter")

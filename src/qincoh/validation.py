@@ -1,8 +1,8 @@
 """Input validation helpers used across the package.
 
 Every array from outside is read once, by :func:`numeric`, which refuses a
-non-numeric array, or one of a kind that does not cast to the expected
-dtype, by name, and every scalar from outside by :func:`real_scalar` or
+non-numeric array, or one of a kind the expected dtype does not admit, by
+name, and every scalar from outside by :func:`real_scalar` or
 :func:`integer`, neither of which takes a bool.  The checks here know
 matrices and stacks of them, and the 1-d point arrays of a profile or a
 sample set (:func:`point_arrays`), and no superoperator layout

@@ -348,8 +348,9 @@ MALFORMED = {
     "rud-h0-k-sizes": ("rud2q.json", lambda c: c.update(h0="0.5 * ZI", k="0.1 * Z")),
     "recover-h0-k-sizes": ("recover3q.json", lambda c: (
         c.pop("fixture"), c.update(h0="0.5 * ZI", k="0.1 * Z"))),
-    # JSON NaN and Infinity
+    # JSON NaN and Infinity, and an integer beyond the float range
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
+    "huge-integer-center": ("recover3q.json", lambda c: c["profile"].update(center=10**400)),
     # a field in a mode that does not read it (no mode reads method)
     "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
     "method-in-rud-build": ("rud2q.json", lambda c: c.update(method="least_squares")),

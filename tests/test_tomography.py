@@ -609,3 +609,12 @@ def test_scenario_flags_must_be_booleans():
     # booleans of any container are read as given
     reports = run_qpt_scenarios(U_ZZ, *params, np.array([True, False]), (np.bool_(False), True))
     assert [r.removed_weight is None for r in reports] == [True, False]
+
+
+def test_run_refuses_parameters_that_are_not_one_per_scenario_by_name():
+    # an empty run has no (alpha, beta, gamma) to solve for; numpy read its
+    # empty flag list as floats and its stack failed to reshape
+    for params, shape in ((([], [], []), r"\(0,\)"), ((0.5, 0.5, 0.6), r"\(\)"),
+                          (([[0.5]], [[0.5]], [[0.6]]), r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=f"^expected one parameter per scenario, got shape {shape}$"):
+            run_qpt_scenarios(U_ZZ, *params, [], [])

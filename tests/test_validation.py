@@ -134,7 +134,7 @@ def test_numeric_converts_valid_input_as_asarray_does(x, dtypes):
         assert numeric(a, dtype, "a") is a
 
 
-def test_numeric_refuses_what_does_not_cast_within_its_kind_by_name():
+def test_numeric_refuses_kinds_the_dtype_does_not_admit_by_name():
     for x, dtype, refusal in (([1.0], bool, "x is real, expected boolean"),
                               (np.array([1, 0]), bool, "x is integer, expected boolean"),
                               ([0.5, 1j], float, "x is complex, expected real"),
@@ -159,7 +159,7 @@ def test_scalar_checks_refuse_bools_and_non_numbers_by_name():
     for x in (True, 1.0, np.float64(2.0), "1", None):
         with pytest.raises(ValueError, match=f"^x must be an integer, got {re.escape(repr(x))}$"):
             integer(x, "x")
-    with pytest.raises(ValueError, match="^x overflows a float, got 10{400}$".replace("10{400}", str(10**400))):
+    with pytest.raises(ValueError, match=f"^x overflows a float, got {10**400}$"):
         real_scalar(10**400, "x")
     assert real_scalar(np.int64(3), "x") == 3.0 and type(real_scalar(np.float32(0.5), "x")) is float
     assert integer(np.uint16(7), "x") == 7 and type(integer(np.int64(7), "x")) is int

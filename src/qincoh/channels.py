@@ -88,12 +88,9 @@ def make_synthetic_profile(
     array is built.  A width too small for ``n_points`` distinct floats around
     ``center`` is refused by name too.
     """
-    for name, x in (("center", center), ("width", width), ("skew", skew)):
-        if not np.isfinite(real_scalar(x, name)):
-            raise ValueError(f"{name} must be finite, got {x!r}")
     # Python floats overflow to inf without a warning, so the support is
     # checked in them before numpy computes on it
-    center, width, skew = float(center), float(width), float(skew)
+    center, width, skew = real_scalar(center, "center"), real_scalar(width, "width"), real_scalar(skew, "skew")
     n_points = integer(n_points, "n_points")
     if not 3 <= n_points <= MAX_PROFILE_POINTS:
         raise ValueError(
@@ -108,7 +105,7 @@ def make_synthetic_profile(
         if not -1.0 < skew < 1.0:
             raise ValueError("skew must lie strictly inside (-1, 1)")
     else:
-        raise ValueError(f"unknown profile kind {kind!r}")
+        raise ValueError(f"unknown profile kind {kind!r}, expected 'uniform', 'gaussian' or 'skewed'")
     # a gaussian has equal sides; a uniform profile reaches one width out
     sigma_left = width * (1.0 - skew)
     sigma_right = width * (1.0 + skew)

@@ -6,13 +6,17 @@ incoherent channel and dumps its spectrum; ``recover_profile`` runs the full
 spectral recovery pipeline.  Matrices are entered as Pauli-string sums
 (e.g. ``"0.785398 * ZZ + 0.1 * XI"``) so every fixture stays auditable.
 Each config object is described once, by a table of ``{key: (check,
-default)}`` entries.  Parsing runs every check, range checks included (every
-number must be finite, ``h0`` and ``k`` must have the same size, ``u_ab``
-must act on 2 qubits, a Pauli string may have at most ``MAX_QUBITS``
-letters, and the profile's points and the grid's bins are capped before
-anything is allocated), and builds the finished objects (matrices, the
-profile, the recovery grid), so ``validate`` rejects every config that
-``run`` would reject as a config error.
+default)}`` entries.  The reader checks the JSON shape: objects, lists,
+strings, flags and Pauli sums (a Pauli sum's matrix must be finite, ``h0``
+and ``k`` must have the same size, ``u_ab`` must act on 2 qubits, a Pauli
+string may have at most ``MAX_QUBITS`` letters).  Every number goes as given
+to the library, which checks it: the profile's and the grid's to their
+constructors, which also cap the profile's points and the grid's bins
+before anything is allocated, and a scenario's ``alpha``, ``beta`` and
+``gamma`` to ``validation.real_scalar``; a library refusal becomes a config
+error.  Parsing builds the finished objects (matrices, the profile, the
+recovery grid), so ``validate`` rejects every config that ``run`` would
+reject as a config error.
 A field is accepted only by the modes that read it, and the config file is
 the only input, so the manifest's config hash covers exactly what ran.  No
 tolerance is a field: the CP test of ``qpt_demo`` and ``rud_build`` reads
@@ -54,6 +58,7 @@ from .spectral import (
     three_qubit_fixture,
 )
 from .tomography import SIGMA_X, SIGMA_Y, SIGMA_Z, run_qpt_scenarios
+from .validation import real_scalar
 
 # The tolerances that reports state next to a tested value.
 # qpt_demo: the forward residual of an unfiltered tomographic map.
@@ -138,29 +143,22 @@ def _fields(d: Any, table: dict[str, tuple[_Check, Any]], ctx: str) -> dict:
     }
 
 
-def _typed(kind: type | tuple[type, ...], what: str) -> _Check:
-    """A check accepting instances of ``kind``; a JSON boolean is not a number."""
+def _typed(kind: type, what: str) -> _Check:
+    """A check accepting instances of ``kind``."""
     def check(v: Any, name: str) -> Any:
-        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        if not isinstance(v, kind):
             raise ConfigError(f"{name} must be {what}, got {v!r}")
         return v
     return check
 
 
 _flag = _typed(bool, "a boolean")
-_integer = _typed(int, "an integer")
 _string = _typed(str, "a string")
-_real = _typed((int, float), "a number")
 
 
-def _number(v: Any, name: str) -> float:
-    try:
-        x = float(_real(v, name))
-    except OverflowError:  # a JSON integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {v!r}")
-    return x
+def _given(v: Any, name: str) -> Any:
+    """A value that the library checks where the object built from it is built."""
+    return v
 
 
 def _one_of(*choices: str) -> _Check:
@@ -188,7 +186,8 @@ def _two_qubit_pauli(v: Any, name: str) -> np.ndarray:
 
 def _built(table: dict[str, tuple[_Check, Any]], build: Callable[..., Any]) -> _Check:
     """A check for a nested object whose fields are passed to ``build`` by key;
-    a ValueError from ``build`` (its range checks) becomes a ConfigError."""
+    a ValueError from ``build`` (the library's check of a value) becomes a
+    ConfigError, the one place where one does."""
     def check(v: Any, name: str) -> Any:
         fields = _fields(v, table, name)
         try:
@@ -206,27 +205,32 @@ def _nonempty_list(item: _Check) -> _Check:
     return check
 
 
+def _scenario(**fields: Any) -> dict:
+    """A scenario's fields, its ``alpha``, ``beta`` and ``gamma`` read as real numbers."""
+    return {**fields, **{key: real_scalar(fields[key], key) for key in ("alpha", "beta", "gamma")}}
+
+
 _SCENARIO = {
     "name": (_string, _REQUIRED),
-    "alpha": (_number, _REQUIRED),
-    "beta": (_number, _REQUIRED),
-    "gamma": (_number, _REQUIRED),
+    "alpha": (_given, _REQUIRED),
+    "beta": (_given, _REQUIRED),
+    "gamma": (_given, _REQUIRED),
     "correlated": (_flag, True),
     "cp_filter": (_flag, False),
 }
 
 _PROFILE = {
-    "kind": (_one_of("uniform", "gaussian", "skewed"), _REQUIRED),
-    "center": (_number, 0.0),
-    "width": (_number, _REQUIRED),
-    "skew": (_number, 0.0),
-    "n_points": (_integer, 41),
+    "kind": (_given, _REQUIRED),
+    "center": (_given, 0.0),
+    "width": (_given, _REQUIRED),
+    "skew": (_given, 0.0),
+    "n_points": (_given, 41),
 }
 
 _GRID = {
-    "min": (_number, _REQUIRED),
-    "max": (_number, _REQUIRED),
-    "n_bins": (_integer, _REQUIRED),
+    "min": (_given, _REQUIRED),
+    "max": (_given, _REQUIRED),
+    "n_bins": (_given, _REQUIRED),
 }
 
 # make_synthetic_profile is looked up at each call rather than bound here, so
@@ -238,7 +242,7 @@ _CHANNEL = {
 _MODES = {
     "qpt_demo": {
         "u_ab": (_two_qubit_pauli, _REQUIRED),
-        "scenarios": (_nonempty_list(_built(_SCENARIO, dict)), _REQUIRED),
+        "scenarios": (_nonempty_list(_built(_SCENARIO, _scenario)), _REQUIRED),
     },
     "rud_build": {"h0": (_pauli, _REQUIRED), "k": (_pauli, _REQUIRED), **_CHANNEL},
     "recover_profile": {

@@ -50,7 +50,12 @@ def _warn(message: str) -> None:
 
 @dataclass(frozen=True)
 class RecoveryGrid:
-    """Uniform grid of deviation values on which the profile is recovered."""
+    """Uniform grid of deviation values on which the profile is recovered.
+
+    The bounds are finite real numbers and ``n_bins`` an integer, none of
+    them a bool (:func:`~qincoh.validation.real_scalar`,
+    :func:`~qincoh.validation.integer`); the grid stores them as the float
+    and the int that were checked."""
 
     delta_omega_min: float
     delta_omega_max: float
@@ -63,11 +68,13 @@ class RecoveryGrid:
         # Python floats overflow to inf without the warning numpy gives
         if not np.isfinite(hi - lo):
             raise ValueError("grid span delta_omega_max - delta_omega_min is not finite")
-        integer(self.n_bins, "grid n_bins")
-        if self.n_bins < 8:
+        n_bins = integer(self.n_bins, "grid n_bins")
+        if n_bins < 8:
             raise ValueError("grid needs at least 8 bins")
-        if self.n_bins > MAX_GRID_BINS:
-            raise ValueError(f"grid has {self.n_bins} bins, more than MAX_GRID_BINS = {MAX_GRID_BINS}")
+        if n_bins > MAX_GRID_BINS:
+            raise ValueError(f"grid has {n_bins} bins, more than MAX_GRID_BINS = {MAX_GRID_BINS}")
+        for name, value in (("delta_omega_min", lo), ("delta_omega_max", hi), ("n_bins", n_bins)):
+            object.__setattr__(self, name, value)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.delta_omega_min, self.delta_omega_max, self.n_bins)

@@ -14,6 +14,7 @@ failing matrix by its index in the leading axes, as ``name[i][j]``
 """
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -45,13 +46,17 @@ def numeric(a, dtype: type, name: str) -> np.ndarray:
 
 
 def real_scalar(x, name: str) -> float:
-    """``x`` as a float, once it is checked to be a real number and not a bool."""
+    """``x`` as a float, once it is checked to be a real number, not a bool,
+    that fits a float and is finite."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ValueError(f"{name} overflows a float, got {x!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return value
 
 
 def integer(x, name: str) -> int:

@@ -87,7 +87,7 @@ def test_rud_refuses_a_non_finite_member_by_name():
 
 def test_rud_refuses_non_finite_weights_by_name():
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="^ensemble weights sum to"):
+        with pytest.raises(ValueError, match=f"^ensemble\\[0\\] weight must be finite, got {bad!r}$"):
             rud_superoperator([(bad, SZ), (0.5, np.eye(2, dtype=complex))])
 
 

@@ -273,9 +273,11 @@ def test_inverse_refuses_a_grid_from_pi_on():
 
 @pytest.mark.filterwarnings("error")
 def test_grid_refuses_a_non_finite_span_without_a_warning():
-    for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (-np.inf, 0.0)):
+    for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
         with pytest.raises(ValueError, match="^grid span delta_omega_max - delta_omega_min is not finite$"):
             RecoveryGrid(lo, hi, 101)
+    with pytest.raises(ValueError, match="^grid delta_omega_min must be finite, got -inf$"):
+        RecoveryGrid(-np.inf, 0.0, 101)
     assert np.isfinite(RecoveryGrid(-8e307, 8e307, 101).points()).all()
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -83,7 +82,9 @@ _TERM_RE = re.compile(
 
 
 def parse_pauli_sum(expr: str) -> np.ndarray:
-    """Hermitian matrix from a sum of weighted Pauli strings."""
+    """Hermitian matrix from a sum of weighted Pauli strings; a sum whose
+    matrix is not finite (a coefficient or a sum of them overflows) is
+    refused."""
     if not isinstance(expr, str) or not expr.strip():
         raise ConfigError(f"expected a Pauli-sum string, got {expr!r}")
     pos = 0
@@ -98,8 +99,6 @@ def parse_pauli_sum(expr: str) -> np.ndarray:
         if sign is None and not first:
             raise ConfigError(f"missing +/- between terms in {expr!r}")
         coeff = float(m.group("coeff")) * (-1.0 if sign == "-" else 1.0)
-        if not math.isfinite(coeff):
-            raise ConfigError(f"coefficient {m.group('coeff')} overflows in {expr!r}")
         label = m.group("label")
         if len(label) > MAX_QUBITS:
             raise ConfigError(f"a Pauli string of {len(label)} letters exceeds MAX_QUBITS = {MAX_QUBITS}")
@@ -111,9 +110,12 @@ def parse_pauli_sum(expr: str) -> np.ndarray:
         term = np.eye(1, dtype=complex)
         for letter in label:
             term = np.kron(term, _PAULI_1Q[letter])
-        matrix += coeff * term
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix += coeff * term
         pos = m.end()
         first = False
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"the matrix of {expr!r} is not finite")
     return matrix
 
 

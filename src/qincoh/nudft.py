@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RFProfile
-from .validation import integer, numeric, point_arrays, real_scalar
+from .validation import integer, matching_1d, numeric, point_arrays, real_scalar
 
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -114,9 +114,7 @@ class SpectralSampleSet:
         warns the first caller outside ``nudft`` and ``spectral``.  Arrays
         that are not 1-d of one length are refused by name first, then
         arrays that :func:`~qincoh.validation.numeric` refuses."""
-        if np.ndim(k) != 1 or np.shape(f) != np.shape(k):
-            raise ValueError(f"sample set needs matching 1-d k and f arrays, "
-                             f"got shapes {np.shape(k)} and {np.shape(f)}")
+        matching_1d(k, f, "sample set", ("k", "f"), 0)
         k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():

@@ -34,7 +34,7 @@ from .channels import RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
 from .liouville import GENERATOR_HERMITIAN_TOL, eigenbasis_form, require_hermiticity_preserving
 from .nudft import K_DEDUP_TOL, SpectralSampleSet, forward_nudft
-from .validation import require_hermitian
+from .validation import require_hermitian, shape
 
 # Nominal eigenphases closer than this make first-order pairing invalid.
 DEGENERACY_TOL = 1e-6
@@ -225,8 +225,8 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     """
     vectors, unperturbed, k_jm = _label_basis(h0t, k)
     n = vectors.shape[0]
-    if np.shape(s) != (n * n, n * n):
-        raise ValueError(f"superoperator shape {np.shape(s)} does not match dim {n}")
+    if (s_shape := shape(s, "superoperator")) != (n * n, n * n):
+        raise ValueError(f"superoperator shape {s_shape} does not match dim {n}")
     s = require_hermiticity_preserving(s, "superoperator")
     half = eigenbasis_form(s, vectors)
     # the labels of the rows of half, j-major, and their mirrors

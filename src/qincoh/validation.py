@@ -1,9 +1,13 @@
 """Input validation helpers used across the package.
 
-Every array from outside is read once, by :func:`numeric`, which refuses a
-non-numeric array, or one of a kind the expected dtype does not admit, by
-name, and every scalar from outside by :func:`real_scalar` or
-:func:`integer`, neither of which takes a bool.  The checks here know
+This module holds the one rule for a number from outside, a config's
+included: it is finite, it is no bool, it fits a float, and a ragged nested
+sequence is refused by name.  Every array from outside is read once, by
+:func:`numeric`, which refuses a ragged, a non-numeric array, or one of a
+kind the expected dtype does not admit, by name, its shape by
+:func:`shape`, and every scalar from outside by :func:`real_scalar` (a
+finite real number that fits a float) or :func:`integer`, neither of which
+takes a bool.  The checks here know
 matrices and stacks of them, and the 1-d point arrays of a profile or a
 sample set (:func:`point_arrays`), and no superoperator layout
 (``liouville`` owns that).  Every matrix check is tolerance-based and
@@ -26,14 +30,29 @@ _KINDS = {"b": "boolean", "i": "integer", "u": "integer", "f": "real", "c": "com
 _ADMITS = {bool: "b", float: "biuf", complex: "biufc"}
 
 
+def _as_array(a, name: str) -> np.ndarray:
+    """``np.asarray(a)``, where numpy's bare error on a ragged nested
+    sequence becomes a refusal that names ``name``."""
+    try:
+        return np.asarray(a)
+    except ValueError:
+        raise ValueError(f"{name} is ragged: its nested sequences differ in length") from None
+
+
+def shape(a, name: str) -> tuple[int, ...]:
+    """The shape of ``a``, an array from outside, with no copy of an array;
+    a ragged nested sequence is refused by name."""
+    return _as_array(a, name).shape
+
+
 def numeric(a, dtype: type, name: str) -> np.ndarray:
     """``a``, an array from outside, as a ``dtype`` (bool, float or complex)
-    array, once it is checked to be numeric (an object array by its values)
-    and of a kind that ``dtype`` admits: no complex where real, and nothing
-    but booleans where boolean; a refusal names ``name``."""
-    a = np.asarray(a)
+    array, once it is checked to be rectangular, numeric (an object array by
+    its values) and of a kind that ``dtype`` admits: no complex where real,
+    and nothing but booleans where boolean; a refusal names ``name``."""
+    a = _as_array(a, name)
     if a.dtype == object:
-        values = np.array(a.tolist())
+        values = _as_array(a.tolist(), name)
         # an object array of sequences reads back with more axes; it stays
         # an object array, which is no number
         a = values if values.shape == a.shape else a
@@ -66,13 +85,21 @@ def integer(x, name: str) -> int:
     return int(x)
 
 
+def matching_1d(x, y, what: str, names: tuple[str, str], min_size: int) -> None:
+    """Refuse ``x`` and ``y`` unless they are 1-d of one length of at least
+    ``min_size``; a refusal names ``what`` and the arrays."""
+    x_shape, y_shape = (shape(a, f"{what} {name}") for a, name in zip((x, y), names))
+    if len(x_shape) != 1 or y_shape != x_shape or x_shape[0] < min_size:
+        raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
+                         f"got shapes {x_shape} and {y_shape}")
+
+
 def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
-    once checked in this order: 1-d of one non-zero length, :func:`numeric`,
-    finite, and ``x`` strictly increasing; a refusal names ``what`` and the array."""
-    if np.ndim(x) != 1 or np.shape(y) != np.shape(x) or np.size(x) < 1:
-        raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
-                         f"got shapes {np.shape(x)} and {np.shape(y)}")
+    once checked in this order: 1-d of one non-zero length (:func:`matching_1d`),
+    :func:`numeric`, finite, and ``x`` strictly increasing; a refusal names
+    ``what`` and the array."""
+    matching_1d(x, y, what, names, 1)
     xs, ys = (numeric(a, dtype, f"{what} {name}") for a, dtype, name in zip((x, y), (float, y_dtype), names))
     for name, a in zip(names, (xs, ys)):
         if not np.isfinite(a).all():
@@ -114,12 +141,12 @@ def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def square_side(m: np.ndarray, name: str) -> int:
-    """The side of ``m``, read from its shape with no conversion, once that
-    shape is checked to be a square 2-d one."""
-    shape = np.shape(m)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {shape}")
-    return shape[0]
+    """The side of ``m``, read from its :func:`shape` with no copy of an
+    array, once that shape is checked to be a square 2-d one."""
+    m_shape = shape(m, name)
+    if len(m_shape) != 2 or m_shape[0] != m_shape[1]:
+        raise ValueError(f"{name} must be a square 2-d array, got shape {m_shape}")
+    return m_shape[0]
 
 
 def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:

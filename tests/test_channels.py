@@ -394,6 +394,9 @@ def test_rf_channel_refuses_a_duration_that_is_not_a_real_number():
     for bad in (1j, 1 + 0j, "1.0", True, None):
         with pytest.raises(ValueError, match=f"^t must be a real number, got {re.escape(repr(bad))}$"):
             rf_incoherent_channel(h0t, k, profile, t=bad)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {bad!r}$"):
+            rf_incoherent_channel(h0t, k, profile, t=bad)
     assert np.array_equal(rf_incoherent_channel(h0t, k, profile, t=np.float64(2.0)),
                           rf_incoherent_channel(h0t, k, profile, t=2))
 

@@ -340,6 +340,9 @@ MALFORMED = {
     "unknown-fixture": ("recover3q.json", lambda c: c.update(fixture="five_qubit")),
     "bad-pauli-sum": ("rud2q.json", lambda c: c.update(k="0.1 * ZQ")),
     "pauli-coefficient-overflow": ("eq4_demo.json", lambda c: c.update(u_ab="1e999 * ZZ")),
+    # finite coefficients whose sum overflows
+    "pauli-sum-overflow-u-ab": ("eq4_demo.json", lambda c: c.update(u_ab="1e308 * ZZ + 1e308 * ZZ")),
+    "pauli-sum-overflow-h0": ("rud2q.json", lambda c: c.update(h0="1e308 * ZZ + 1e308 * ZZ")),
     # refused before its 2**40-square matrix is allocated
     "pauli-string-too-long": ("rud2q.json", lambda c: c.update(k="0.1 * " + "Z" * 40)),
     # the joint unitary acts on the system and the environment qubit
@@ -351,6 +354,13 @@ MALFORMED = {
     # JSON NaN and Infinity, and an integer beyond the float range
     "nan-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=float("nan"))),
     "huge-integer-center": ("recover3q.json", lambda c: c["profile"].update(center=10**400)),
+    "infinite-grid-min": ("recover3q.json", lambda c: c["grid"].update(min=float("-inf"))),
+    "nan-skew": ("recover3q.json", lambda c: c["profile"].update(skew=float("nan"))),
+    # a number that is not one, or not of the kind its field reads
+    "string-width": ("recover3q.json", lambda c: c["profile"].update(width="0.05")),
+    "null-alpha": ("eq4_demo.json", lambda c: c["scenarios"][0].update(alpha=None)),
+    "float-n-points": ("recover3q.json", lambda c: c["profile"].update(n_points=41.0)),
+    "kind-not-string": ("recover3q.json", lambda c: c["profile"].update(kind=["skewed"])),
     # a field in a mode that does not read it (no mode reads method)
     "method-in-qpt-demo": ("eq4_demo.json", lambda c: c.update(method="least_squares")),
     "method-in-rud-build": ("rud2q.json", lambda c: c.update(method="least_squares")),
@@ -366,6 +376,72 @@ def test_malformed_config_fails_validate(case, tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+# The library states each refusal of a config number, under the name of the
+# object that holds it; the reader adds the prefix once.
+NAMED_REFUSALS = {
+    "string-width": "config.profile: width must be a real number, got '0.05'",
+    "null-alpha": "config.scenarios[0]: alpha must be a real number, got None",
+    "infinite-grid-min": "config.grid: grid delta_omega_min must be finite, got -inf",
+    "nan-skew": "config.profile: skew must be finite, got nan",
+    "float-n-points": "config.profile: n_points must be an integer, got 41.0",
+    "kind-not-string": "config.profile: unknown profile kind ['skewed'], expected 'uniform', 'gaussian' or 'skewed'",
+    "pauli-sum-overflow-h0": "config.h0: the matrix of '1e308 * ZZ + 1e308 * ZZ' is not finite",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_REFUSALS))
+def test_config_number_refusals_are_the_library_s_named_once(case, tmp_path, capsys):
+    name, edit = MALFORMED[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_bundled(name, edit)))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {NAMED_REFUSALS[case]}"]
+
+
+def test_each_config_number_is_checked_once(monkeypatch):
+    from qincoh import channels, nudft, validation
+
+    calls = []
+
+    def counted(check):
+        def count(x, name):
+            calls.append(name)
+            return check(x, name)
+        return count
+
+    for module in (cli, channels, nudft):
+        for check in ("real_scalar", "integer"):
+            if hasattr(module, check):
+                monkeypatch.setattr(module, check, counted(getattr(validation, check)))
+    # explicit generators: a fixture's build reads its own integers
+    parse_config(_bundled("recover3q.json", lambda c: (c.pop("fixture"), c.update(h0="0.5 * ZI", k="0.1 * IZ"))))
+    assert sorted(calls) == sorted(["center", "width", "skew", "n_points",
+                                    "grid delta_omega_min", "grid delta_omega_max", "grid n_bins"])
+    calls.clear()
+    load_config(f"{CONFIG_DIR}/table1.json")
+    assert sorted(calls) == sorted(["alpha", "beta", "gamma"] * 5)
+
+
+def test_integer_valued_config_gives_the_artifacts_of_its_float_twin(tmp_path):
+    # a JSON integer is read as the float it equals, and written as that float
+    edits = {
+        "recover3q.json": lambda c, x: (c["grid"].update(min=x(-1)), c["profile"].update(center=x(0))),
+        "eq4_demo.json": lambda c, x: c["scenarios"][0].update(alpha=x(1), beta=x(0), gamma=x(0)),
+    }
+    for name, edit in edits.items():
+        outs = []
+        for number in (int, float):
+            path = tmp_path / f"{number.__name__}_{name}"
+            path.write_text(json.dumps(_bundled(name, lambda c: edit(c, number))))
+            outs.append(tmp_path / f"{number.__name__}_{Path(name).stem}")
+            assert main(["run", "--config", str(path), "--out", str(outs[-1])]) == 0
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+        manifests = [json.loads(f.pop("manifest.json")) for f in files]
+        assert files[0] == files[1], name
+        assert manifests[0]["files"] == manifests[1]["files"], name
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"], name
 
 
 # The profile's centre is its only shift and h0's coefficients its only

@@ -90,10 +90,17 @@ def _holding(value):
     return spoil
 
 
+def _ragged(x):
+    """A spoiler: nested lists of the valid array's first entry, of two lengths."""
+    v = np.ravel(x)[0]
+    return [[v, v], [v]]
+
+
 SPOILERS = {
     "string": (lambda x: np.full(np.shape(x), "a"), r"is not numeric \(dtype <U1\)"),
     "object complex": (_holding(1j), "is complex, expected real"),
     "object None": (_holding(None), r"is not numeric \(dtype object\)"),
+    "ragged": (_ragged, "is ragged: its nested sequences differ in length"),
 }
 
 
@@ -150,6 +157,10 @@ def test_numeric_refuses_kinds_the_dtype_does_not_admit_by_name():
         numeric(pairs, float, "x")
     with pytest.raises(ValueError, match=r"^profile delta_omega is not numeric \(dtype object\)$"):
         RFProfile(pairs, [0.5, 0.5])
+    # an object array of sequences of two lengths is ragged by its values
+    pairs[1] = [2.0]
+    with pytest.raises(ValueError, match="^x is ragged: its nested sequences differ in length$"):
+        numeric(pairs, float, "x")
 
 
 def test_scalar_checks_refuse_bools_and_non_numbers_by_name():
@@ -161,6 +172,9 @@ def test_scalar_checks_refuse_bools_and_non_numbers_by_name():
             integer(x, "x")
     with pytest.raises(ValueError, match=f"^x overflows a float, got {10**400}$"):
         real_scalar(10**400, "x")
+    for x in (float("nan"), float("inf"), -np.inf, np.float32("nan")):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(repr(x))}$"):
+            real_scalar(x, "x")
     assert real_scalar(np.int64(3), "x") == 3.0 and type(real_scalar(np.float32(0.5), "x")) is float
     assert integer(np.uint16(7), "x") == 7 and type(integer(np.int64(7), "x")) is int
 

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import parse_profile_csv
 from qincoh.channels import make_synthetic_profile, rf_incoherent_channel
-from qincoh import cli
+from qincoh import channels, cli, nudft, validation
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.liouville import CP_TOL, choi_spectrum
@@ -392,7 +392,7 @@ NAMED_REFUSALS = {
 
 
 @pytest.mark.parametrize("case", sorted(NAMED_REFUSALS))
-def test_config_number_refusals_are_the_library_s_named_once(case, tmp_path, capsys):
+def test_config_number_refusals_name_the_object_and_the_field(case, tmp_path, capsys):
     name, edit = MALFORMED[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_bundled(name, edit)))
@@ -401,8 +401,6 @@ def test_config_number_refusals_are_the_library_s_named_once(case, tmp_path, cap
 
 
 def test_each_config_number_is_checked_once(monkeypatch):
-    from qincoh import channels, nudft, validation
-
     calls = []
 
     def counted(check):

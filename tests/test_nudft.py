@@ -276,8 +276,9 @@ def test_grid_refuses_a_non_finite_span_without_a_warning():
     for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
         with pytest.raises(ValueError, match="^grid span delta_omega_max - delta_omega_min is not finite$"):
             RecoveryGrid(lo, hi, 101)
-    with pytest.raises(ValueError, match="^grid delta_omega_min must be finite, got -inf$"):
-        RecoveryGrid(-np.inf, 0.0, 101)
+    for bad in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^grid delta_omega_min must be finite, got {bad!r}$"):
+            RecoveryGrid(bad, 0.0, 101)
     assert np.isfinite(RecoveryGrid(-8e307, 8e307, 101).points()).all()
 
 
@@ -287,6 +288,10 @@ def test_grid_refuses_complex_and_non_real_bounds_by_name():
         with pytest.raises(ValueError, match=f"^grid {name} must be a real number, got "):
             RecoveryGrid(lo, hi, 11)
     assert RecoveryGrid(np.float64(-1.0), 1, 11).bin_width == 0.2
+    # the grid holds the float bounds and the int bin count that it checked
+    grid = RecoveryGrid(-1, np.float64(1.0), np.int64(11))
+    assert [type(x) for x in (grid.delta_omega_min, grid.delta_omega_max, grid.n_bins)] == [float, float, int]
+    assert grid == RecoveryGrid(-1.0, 1.0, 11)
 
 
 def test_grid_refuses_more_than_max_bins_before_allocating(monkeypatch):

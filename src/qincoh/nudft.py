@@ -114,7 +114,7 @@ class SpectralSampleSet:
         warns the first caller outside ``nudft`` and ``spectral``.  Arrays
         that are not 1-d of one length are refused by name first, then
         arrays that :func:`~qincoh.validation.numeric` refuses."""
-        matching_1d(k, f, "sample set", ("k", "f"), 0)
+        matching_1d(k, f, "sample set", ("k", "f"), min_size=0)
         k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():

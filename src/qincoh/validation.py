@@ -99,7 +99,7 @@ def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tupl
     once checked in this order: 1-d of one non-zero length (:func:`matching_1d`),
     :func:`numeric`, finite, and ``x`` strictly increasing; a refusal names
     ``what`` and the array."""
-    matching_1d(x, y, what, names, 1)
+    matching_1d(x, y, what, names, min_size=1)
     xs, ys = (numeric(a, dtype, f"{what} {name}") for a, dtype, name in zip((x, y), (float, y_dtype), names))
     for name, a in zip(names, (xs, ys)):
         if not np.isfinite(a).all():

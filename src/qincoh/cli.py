@@ -47,7 +47,7 @@ from . import __version__
 from .channels import RFProfile, expm_unitary, make_synthetic_profile, rf_incoherent_channel
 from .errors import ConfigError
 from .liouville import CP_TOL, choi_spectrum, columnize, superop_eigenvalues
-from .nudft import SYMMETRY_TOL, RecoveryGrid, inverse_nudft
+from .nudft import RecoveryGrid, inverse_nudft
 from .spectral import (
     MATCH_TOL,
     build_samples,
@@ -493,8 +493,8 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "mode": "recover_profile",
         "fixture": f["fixture"],
         "n_samples": len(samples),
-        "window_span": float(samples.k.max() - samples.k.min()),
-        "resolution_estimate": float(np.pi / np.abs(samples.k).max()),
+        "window_span": 2 * float(samples.k[-1]),
+        "resolution_estimate": float(np.pi / samples.k[-1]),
         "pairing": {
             "n_entries": len(entries),
             "n_degenerate": int(entries.degenerate.sum()),
@@ -503,12 +503,7 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "match_tol": MATCH_TOL,
             "n_warnings": len(pairing.warnings),
         },
-        "conjugate_symmetry_residual": {
-            "value": result.symmetry_residual,
-            "tol": SYMMETRY_TOL,
-        },
         "quality": {
-            "imag_residual": result.imag_residual,
             "clipped_mass": result.clipped_mass,
             "clipped_mass_tol": CLIPPED_MASS_TOL,
         },
@@ -521,10 +516,10 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "bin_width": grid.bin_width,
         },
     }
+    k_all, f_all = samples.mirrored()
     return [
         ("recovery_report.json", _json_bytes(report), "report"),
-        ("samples.csv", _csv("k,f_real,f_imag", samples.k, samples.f.real, samples.f.imag),
-         "spectral_samples"),
+        ("samples.csv", _csv("k,f_real,f_imag", k_all, f_all.real, f_all.imag), "spectral_samples"),
         ("true_profile.csv", _csv(PROFILE_CSV_HEADER, profile.delta_omega, profile.weight), "profile_truth"),
         ("recovered_profile.csv", _csv(PROFILE_CSV_HEADER, recovered.delta_omega, recovered.weight),
          "profile_recovered"),

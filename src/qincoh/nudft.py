@@ -1,15 +1,16 @@
 """Fourier samples at unequally spaced frequencies, and their inversion.
 
-A :class:`SpectralSampleSet` holds the samples strictly increasing in k, so
-its symmetry residual pairs each sample with its mirror; its merge rules live
-in :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds raw points.
-Warnings here name the first caller outside ``nudft`` and ``spectral``.  The
-forward direction is a discrete profile's characteristic function
-``f(k) = sum_b p_b exp(-i k x_b)`` at real k, which ``spectral``'s prediction
-calls too; the inverse maps a sample set onto a uniform deviation grid by one
-ridge-regularized least-squares fit, whose Hermitian Toeplitz normal matrix
-is built from one table of powers of ``exp(i * bin_width * k)``, never from
-the dense kernel: one direct solve of ``n_bins`` unknowns.
+The profile is real, so ``f(-k) = conj(f(k))`` and ``f(0) = 1``: a
+:class:`SpectralSampleSet` holds the samples at ``k > 0`` and implies the
+rest; :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds raw
+points, owns the fold onto ``k > 0`` and the merge rules.  Warnings here
+name the first caller outside ``nudft`` and ``spectral``.  The forward
+direction is a discrete profile's characteristic function
+``f(k) = sum_b p_b exp(-i k x_b)`` at real k, which ``spectral``'s
+prediction calls too; the inverse is one ridge least-squares fit onto a
+uniform grid: one real solve of ``n_bins`` unknowns, whose symmetric
+Toeplitz normal matrix comes from a table of powers of
+``exp(i * bin_width * k)``, never from the dense kernel.
 """
 from __future__ import annotations
 
@@ -27,16 +28,15 @@ from .validation import integer, matching_1d, numeric, point_arrays, real_scalar
 K_DEDUP_TOL = 1e-9
 # Merged samples that spread by more than this signal a model violation.
 F_DISAGREEMENT_TOL = 0.05
-# A sample set whose conjugate-symmetry residual exceeds this gets a warning.
-SYMMETRY_TOL = 1e-6
 # The least-squares ridge is this times the number of samples.  Every entry
 # of the kernel K has modulus 1, so the normal matrix K K^H + mu*I has
 # eigenvalues in [mu, mu + n_samples * n_bins] and, up to rounding, a condition
 # number of at most 1 + n_bins / RIDGE_PER_SAMPLE.
 RIDGE_PER_SAMPLE = 1e-6
-# The most bins a recovery grid may have: the fit holds an n_bins**2 complex
-# normal matrix, 268 MB at this cap, and an n_bins x n_samples complex power
-# table, 264 MB at this cap, since 6 qubits give at most 4033 samples.
+# The most bins a recovery grid may have: the fit holds an n_bins**2 real
+# normal matrix, 134 MB at this cap, and an n_bins x k.size complex power
+# table over the stored half, 132 MB at this cap, since 6 qubits give at most
+# 2016 samples at k > 0.
 MAX_GRID_BINS = 4096
 
 
@@ -95,31 +95,40 @@ class RecoveryGrid:
 
 @dataclass(frozen=True)
 class SpectralSampleSet:
-    """Samples ``(k, f(k))`` of the profile's Fourier transform, strictly increasing in real k."""
+    """Samples ``(k, f(k))`` of a real profile's Fourier transform at real k,
+    strictly increasing and above :data:`K_DEDUP_TOL`.  The DC anchor and
+    the mirror half are implied: the length is the ``2 * k.size + 1``
+    Fourier points the set stands for, 1 for an empty set."""
 
     k: np.ndarray
     f: np.ndarray
 
     def __post_init__(self):
-        k, f = point_arrays(self.k, self.f, complex, "sample set", ("k", "f"))
+        k, f = point_arrays(self.k, self.f, complex, "sample set", ("k", "f"), min_size=0)
+        if k.size and not k[0] > K_DEDUP_TOL:
+            raise ValueError(f"sample set k is not above K_DEDUP_TOL = {K_DEDUP_TOL:g}: "
+                             "the DC point and the mirror half are implied")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "f", f)
 
     @classmethod
     def from_points(cls, k: np.ndarray, f: np.ndarray) -> SpectralSampleSet:
         """The sample set of raw points: a point within :data:`K_DEDUP_TOL` of
-        ``k = 0`` is dropped, runs of sorted k whose neighbours lie within it
-        are averaged, and (0, 1) is inserted as the DC anchor.  A drop, or a
-        merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model violation),
-        warns the first caller outside ``nudft`` and ``spectral``.  Arrays
-        that are not 1-d of one length are refused by name first, then
-        arrays that :func:`~qincoh.validation.numeric` refuses."""
+        ``k = 0`` is dropped, one at ``k < 0`` is folded onto ``-k`` as
+        ``conj(f)``, and runs of sorted k whose neighbours lie within the
+        tolerance are averaged, a point and its mirror among them.  A drop,
+        or a merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model
+        violation, or a set that is not conjugate-symmetric), warns the first
+        caller outside ``nudft`` and ``spectral``.  Arrays that are not 1-d
+        of one length are refused by name first, then arrays that
+        :func:`~qincoh.validation.numeric` refuses."""
         matching_1d(k, f, "sample set", ("k", "f"), min_size=0)
         k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
             _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
             k, f = k[~near_dc], f[~near_dc]
+        k, f = np.abs(k), np.where(k < 0.0, np.conj(f), f)
         order = np.argsort(k)
         k, f = k[order], f[order]
         starts = np.flatnonzero(np.diff(k, prepend=-np.inf) > K_DEDUP_TOL)
@@ -131,29 +140,28 @@ class SpectralSampleSet:
         for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
             _warn(f"samples sharing k={k[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
                   "the perturbation model may be violated")
-        dc = np.searchsorted(k_mean, 0.0)
-        return cls(np.insert(k_mean, dc, 0.0), np.insert(f_mean, dc, 1.0))
+        return cls(k_mean, f_mean)
 
     def __len__(self) -> int:
-        return self.k.size
+        return 2 * self.k.size + 1
 
-    def conjugate_symmetry_residual(self) -> float:
-        """Worst mismatch between each sample and the conjugate of its
-        mirror: k is strictly increasing, so sample i pairs with sample
-        n-1-i, the nearest to -k[i] on a symmetric or nearly symmetric set."""
-        k, f = self.k, self.f
-        return float(max(np.abs(k + k[::-1]).max(), np.abs(f - np.conj(f[::-1])).max()))
+    def mirrored(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` and ``f`` of the Fourier points the set stands for,
+        strictly increasing in k: the mirror half, the DC anchor and the
+        stored half."""
+        return (np.concatenate([-self.k[::-1], [0.0], self.k]),
+                np.concatenate([np.conj(self.f[::-1]), [1.0], self.f]))
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Recovered profile plus the quality diagnostics of the inversion,
-    including the sample set's conjugate-symmetry residual."""
+    """Recovered profile plus the mass that clipping its negative weights removed."""
 
     profile: RFProfile
-    imag_residual: float
     clipped_mass: float
-    symmetry_residual: float
+    # The fit is real, so no imaginary part is left.  The benchmark's tracer
+    # reads this name until the benchmark change of ROADMAP item 1.
+    imag_residual = 0.0
 
 
 def forward_nudft(profile: RFProfile, ks: np.ndarray) -> np.ndarray:
@@ -175,51 +183,38 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
     """Recover a deviation profile from unequally spaced Fourier samples.
 
     The profile ``p`` on the grid points ``x`` minimizes
-    ``|K^H p - f|^2 + mu*|p|^2``, with the kernel ``K = exp(i * outer(x, k))``
-    and the ridge ``mu = RIDGE_PER_SAMPLE * n_samples``: one solve of
-    ``(K K^H + mu*I) p = K f``.  With ``x_a = x_0 + a*h`` and the power
-    table ``P[a, j] = exp(i*a*h*k_j)`` (:meth:`RecoveryGrid.powers`), the
-    normal matrix is the Hermitian Toeplitz ``g(a - b)`` with
-    ``g(d) = sum_j P[d, j]`` and ``g(-d) = conj(g(d))``, and ``K f`` is
-    ``P @ (exp(i*x_0*k) * f)``; ``K`` itself is never formed.
+    ``|K^H p - f|^2 + mu*|p|^2`` over the points of
+    :meth:`SpectralSampleSet.mirrored`, with ``K = exp(i * outer(x, k))`` and
+    ``mu = RIDGE_PER_SAMPLE * len(samples)``: one solve of the real system
+    ``(K K^H + mu*I) p = K f``.  With ``x_a = x_0 + a*h`` and the power table
+    ``P[a, j] = exp(i*a*h*k_j)`` over the stored half (:meth:`RecoveryGrid.powers`),
+    the normal matrix is the symmetric Toeplitz ``g(|a - b|)`` with
+    ``g(d) = 1 + 2 * sum_j Re P[d, j]``, and ``K f`` is
+    ``1 + 2 * Re(P @ (exp(i*x_0*k) * f))``; ``K`` itself is never formed.
 
-    A grid whose bin width times the largest ``|k|`` reaches pi is refused
+    A grid whose bin width times the largest ``k`` reaches pi is refused
     before the fit: on it, the kernel column of a sample at ``k > 0``
     equals, up to a constant phase, that of one at ``k - 2*pi/bin_width``,
-    inside the sampled window, so the samples alias.
-    A sample set whose conjugate-symmetry residual exceeds
-    :data:`SYMMETRY_TOL` draws a warning.  The imaginary part left over
-    after inversion is reported relative to the real part; negative weights
-    are clipped to zero and the clipped mass (relative to the retained
-    positive mass) is reported, then the profile is renormalized.
+    inside the sampled window, so the samples alias.  Negative weights are
+    clipped to zero and the clipped mass (relative to the retained positive
+    mass) is reported, then the profile is renormalized.
     """
     if len(samples) < 5:
         raise ValueError(f"need at least 5 samples, got {len(samples)}")
-    k_max = float(np.abs(samples.k).max())
+    k_max = float(samples.k[-1])
     if not grid.bin_width * k_max < np.pi:
         raise ValueError(
             f"grid bin width {grid.bin_width:.6g} times max|k| {k_max:.6g} is "
             f"{grid.bin_width * k_max:.6g}, not below pi: the samples alias on this grid"
         )
-    sym = samples.conjugate_symmetry_residual()
-    if sym > SYMMETRY_TOL:
-        _warn(f"sample set is conjugate-asymmetric by {sym:.3e}; the recovered profile may not be real")
     m = grid.n_bins
     table = grid.powers(samples.k)
-    g = table.sum(axis=1)
-    # entry i of g_desc is g(m-1-i), so row a of the normal matrix, g(a - b)
+    g = 1.0 + 2.0 * table.real.sum(axis=1)
+    # entry i of g_desc is g(|m-1-i|), so row a of the normal matrix, g(|a - b|)
     # over b, is the window of g_desc that starts at m-1-a
-    g_desc = np.concatenate([g[::-1], g[1:].conj()])
+    g_desc = np.concatenate([g[::-1], g[1:]])
     normal = np.lib.stride_tricks.sliding_window_view(g_desc, m)[::-1].copy()
     normal.flat[:: m + 1] += RIDGE_PER_SAMPLE * len(samples)
-    rhs = table @ (np.exp(1j * grid.delta_omega_min * samples.k) * samples.f)
-    raw = np.linalg.solve(normal, rhs)
-    re_norm = float(np.linalg.norm(raw.real))
-    imag_residual = float(np.linalg.norm(raw.imag)) / re_norm if re_norm > 0.0 else np.inf
-    weight, clipped_mass = _clip_and_normalize(raw.real)
-    return RecoveryResult(
-        profile=RFProfile(grid.points(), weight),
-        imag_residual=imag_residual,
-        clipped_mass=clipped_mass,
-        symmetry_residual=sym,
-    )
+    rhs = 1.0 + 2.0 * (table @ (np.exp(1j * grid.delta_omega_min * samples.k) * samples.f)).real
+    weight, clipped_mass = _clip_and_normalize(np.linalg.solve(normal, rhs))
+    return RecoveryResult(profile=RFProfile(grid.points(), weight), clipped_mass=clipped_mass)

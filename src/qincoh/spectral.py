@@ -20,8 +20,8 @@ does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
 any transform.  For such a map label ``(m, j)`` holds the conjugate of the
 eigenvalue at ``(j, m)``, so the pairing reads only the ``N(N+1)/2`` rows
 ``m >= j`` and conjugates.  This module keeps the discs and the
-second-order sum, and turns a pairing into the raw points of
-``nudft.SpectralSampleSet``.
+second-order sum, and turns the labels ``j < m`` of a pairing into the raw
+points of ``nudft.SpectralSampleSet``, which implies their mirrors.
 """
 from __future__ import annotations
 
@@ -262,9 +262,10 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
 def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     """Fourier samples from a pairing, merged by
     :meth:`~qincoh.nudft.SpectralSampleSet.from_points`: the points
-    ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the
-    non-degenerate labels, refused when every ``k_jm`` vanishes."""
-    live = pairing.entries[~pairing.entries.degenerate]
+    ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the labels
+    ``j < m``, refused when every ``k_jm`` vanishes; label ``(m, j)`` holds
+    the mirror point, which the sample set implies."""
+    live = pairing.entries[pairing.entries.j < pairing.entries.m]
     if not live.size:
         raise ValueError("pairing contains only degenerate entries")
     ks, a, b = live.k_jm, live.lambda_measured, live.lambda_unperturbed

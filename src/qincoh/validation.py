@@ -94,12 +94,13 @@ def matching_1d(x, y, what: str, names: tuple[str, str], min_size: int) -> None:
                          f"got shapes {x_shape} and {y_shape}")
 
 
-def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str],
+                 min_size: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
-    once checked in this order: 1-d of one non-zero length (:func:`matching_1d`),
-    :func:`numeric`, finite, and ``x`` strictly increasing; a refusal names
-    ``what`` and the array."""
-    matching_1d(x, y, what, names, min_size=1)
+    once checked in this order: 1-d of one length of at least ``min_size``
+    (:func:`matching_1d`), :func:`numeric`, finite, and ``x`` strictly
+    increasing; a refusal names ``what`` and the array."""
+    matching_1d(x, y, what, names, min_size)
     xs, ys = (numeric(a, dtype, f"{what} {name}") for a, dtype, name in zip((x, y), (float, y_dtype), names))
     for name, a in zip(names, (xs, ys)):
         if not np.isfinite(a).all():

@@ -34,21 +34,6 @@ def dense_ridge_fit(xs, ks, f, ridge):
     return weight / weight.sum()
 
 
-def symmetry_residual_loop(samples):
-    """The conjugate-symmetry residual by a full scan: the worst mismatch
-    between each sample and the conjugate of its nearest partner, the
-    sample whose k is nearest to -k, the lowest index among equally near."""
-    worst = 0.0
-    for i in range(samples.k.size):
-        partner = int(np.argmin(np.abs(samples.k + samples.k[i])))
-        worst = max(
-            worst,
-            abs(samples.k[partner] + samples.k[i]),
-            abs(samples.f[partner] - np.conj(samples.f[i])),
-        )
-    return worst
-
-
 def dense_eigenbasis_form(sup, v):
     """``B^dag S B`` with the dense basis ``B = conj(V) kron V``, whose
     column ``m*N + j`` is ``b_jm``, reordered to ``j*N + m``: every row."""

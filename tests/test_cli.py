@@ -16,9 +16,10 @@ from qincoh import channels, cli, nudft, validation
 from qincoh.cli import load_config, main, parse_config, parse_pauli_sum, run_scenario
 from qincoh.errors import ConfigError
 from qincoh.liouville import CP_TOL, choi_spectrum
-from qincoh.nudft import SYMMETRY_TOL, RecoveryGrid, SpectralSampleSet
+from qincoh.nudft import RecoveryGrid
 from qincoh.spectral import (
     MATCH_TOL,
+    build_samples,
     pair_eigenvalues,
     profile_metrics,
     three_qubit_fixture,
@@ -166,7 +167,6 @@ def test_recovery_report_reads_the_applied_tolerances_and_moments(tmp_path):
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     assert report["pairing"]["match_tol"] == MATCH_TOL
-    assert report["conjugate_symmetry_residual"]["tol"] == SYMMETRY_TOL
     recovered = parse_profile_csv((tmp_path / "recovered_profile.csv").read_text())
     assert report["recovered_moments"] == profile_metrics(recovered)._asdict()
 
@@ -185,21 +185,22 @@ def test_recovery_report_states_the_moments_of_the_profile_it_wrote(tmp_path):
     assert abs(recovered_mean - truth.mean) < report["grid"]["bin_width"]
 
 
-def test_recovery_computes_the_symmetry_residual_once(tmp_path, monkeypatch):
-    calls = []
-    residual = SpectralSampleSet.conjugate_symmetry_residual
-
-    def counted(samples):
-        calls.append(1)
-        return residual(samples)
-
-    monkeypatch.setattr(SpectralSampleSet, "conjugate_symmetry_residual", counted)
+def test_recovery_writes_every_fourier_point_of_the_sample_set(tmp_path):
+    # samples.csv holds the mirror half, the DC anchor and the stored half;
+    # the window and the resolution read the stored half's last sample
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
     report = json.loads((tmp_path / "recovery_report.json").read_text())
+    f = load_config(f"{CONFIG_DIR}/recover3q.json").fields
+    samples = build_samples(pair_eigenvalues(rf_incoherent_channel(f["h0"], f["k"], f["profile"]), f["h0"], f["k"]))
     k, f_real, f_imag = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1).T
-    samples = SpectralSampleSet(k, f_real + 1j * f_imag)
-    assert report["conjugate_symmetry_residual"]["value"] == residual(samples)
+    k_all, f_all = samples.mirrored()
+    assert np.array_equal(k, k_all) and np.array_equal(f_real + 1j * f_imag, f_all)
+    assert report["n_samples"] == k.size == len(samples)
+    assert report["window_span"] == k.max() - k.min()
+    assert report["resolution_estimate"] == np.pi / np.abs(k).max()
+    assert sorted(report) == ["fixture", "grid", "mode", "n_samples", "pairing", "quality", "recovered_moments",
+                              "resolution_estimate", "true_profile_moments", "window_span"]
+    assert sorted(report["quality"]) == ["clipped_mass", "clipped_mass_tol"]
 
 
 def test_recovery_report_states_the_certified_radius(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from oracles import dense_ridge_fit
 from qincoh.channels import RFProfile, make_synthetic_profile, rf_incoherent_channel
 from qincoh.nudft import (
+    K_DEDUP_TOL,
     MAX_GRID_BINS,
     RIDGE_PER_SAMPLE,
     RecoveryGrid,
@@ -27,12 +28,11 @@ GRID = RecoveryGrid(-0.15, 0.15, 61)
 
 
 def jittered_samples(profile, k_max, seed=42, n_half=28, jitter=0.3):
-    """Conjugate-symmetric irregular sample set from the forward oracle."""
+    """Irregular sample set at k > 0 from the forward oracle."""
     rng = np.random.default_rng(seed)
     base = np.linspace(k_max / 40, k_max, n_half)
     pos = np.sort(base + rng.uniform(-jitter, jitter, n_half))
-    ks = np.concatenate([-pos[::-1], [0.0], pos])
-    return SpectralSampleSet(ks, forward_nudft(profile, ks))
+    return SpectralSampleSet(pos, forward_nudft(profile, pos))
 
 
 def test_forward_at_zero_is_one():
@@ -94,8 +94,8 @@ def test_flat_spectrum_recovers_a_delta():
     rng = np.random.default_rng(42)
     base = np.linspace(10, 300, 28)
     pos = np.sort(base + rng.uniform(-4, 4, 28))
-    ks = np.concatenate([-pos[::-1], [0.0], pos])
-    samples = SpectralSampleSet(ks, np.ones(57, dtype=complex))
+    samples = SpectralSampleSet(pos, np.ones(28, dtype=complex))
+    assert len(samples) == 57
     grid = RecoveryGrid(-0.15, 0.15, 31)
     res = inverse_nudft(samples, grid)
     prof = res.profile
@@ -115,13 +115,6 @@ def test_round_trip_total_variation():
     assert abs(profile_metrics(res.profile).mean - profile_metrics(true).mean) < grid.bin_width
 
 
-def test_conjugate_symmetric_input_keeps_imag_residual_tiny():
-    true = make_synthetic_profile("gaussian", center=0.01, width=0.1, n_points=41)
-    samples = jittered_samples(true, 25.0)
-    res = inverse_nudft(samples, RecoveryGrid(-0.5, 0.5, 41))
-    assert res.imag_residual < 1e-8
-
-
 def test_recovered_profile_is_always_valid():
     true = make_synthetic_profile("skewed", width=0.1, skew=0.4, n_points=41)
     samples = jittered_samples(true, 30.0)
@@ -132,9 +125,11 @@ def test_recovered_profile_is_always_valid():
 
 
 def assert_matches_dense_fit(samples, grid):
+    # the dense fit runs over every Fourier point the set stands for
     res = inverse_nudft(samples, grid)
-    ridge = RIDGE_PER_SAMPLE * len(samples)
-    expected = dense_ridge_fit(grid.points(), samples.k, samples.f, ridge)
+    ks, f = samples.mirrored()
+    assert ks.size == len(samples)
+    expected = dense_ridge_fit(grid.points(), ks, f, RIDGE_PER_SAMPLE * ks.size)
     assert np.abs(res.profile.weight - expected).max() <= 1e-8
 
 
@@ -147,16 +142,32 @@ def test_toeplitz_fit_matches_the_dense_kernel_fit(fixture):
 
 
 def test_toeplitz_fit_matches_the_dense_kernel_fit_on_asymmetric_samples():
-    # coordinates without their mirror images make g(d) complex, so the
-    # normal matrix's lower triangle must be the conjugate of its upper one
+    # raw points without their mirror images, and noise that breaks
+    # f(-k) = conj(f(k)): from_points folds the points at k < 0 onto -k
     true = make_synthetic_profile("skewed", width=0.1, skew=0.4, n_points=41)
     rng = np.random.default_rng(8)
-    ks = np.concatenate([[0.0], rng.uniform(-20.0, 30.0, 60)])
+    ks = rng.uniform(-20.0, 30.0, 60)
     noise = 0.01 * (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
-    order = np.argsort(ks)
-    samples = SpectralSampleSet(ks[order], (forward_nudft(true, ks) + noise)[order])
-    with pytest.warns(UserWarning, match="asymmetric"):
-        assert_matches_dense_fit(samples, RecoveryGrid(-0.6, 0.6, 49))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = SpectralSampleSet.from_points(ks, forward_nudft(true, ks) + noise)
+    assert samples.k.size == 60 and np.any(ks < 0.0)
+    assert_matches_dense_fit(samples, RecoveryGrid(-0.6, 0.6, 49))
+
+
+def test_the_fit_solves_one_real_system(monkeypatch):
+    h0t, k = three_qubit_fixture()
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
+    samples = build_samples(pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k))
+    solve, dtypes = np.linalg.solve, []
+
+    def recorded(a, b):
+        dtypes.append((a.dtype, b.dtype))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    inverse_nudft(samples, RecoveryGrid(-0.25, 0.25, 101))
+    assert dtypes == [(np.dtype(float), np.dtype(float))]
 
 
 def test_power_table_stays_within_1e_11_of_exp_at_the_bin_cap():
@@ -169,21 +180,30 @@ def test_power_table_stays_within_1e_11_of_exp_at_the_bin_cap():
 
 
 def test_inverse_requires_five_samples():
-    s = SpectralSampleSet(np.array([-1.0, 0.0, 1.0]), np.array([1, 1, 1], dtype=complex))
+    s = SpectralSampleSet(np.array([1.0]), np.array([1], dtype=complex))
+    assert len(s) == 3
     with pytest.raises(ValueError, match="at least 5"):
         inverse_nudft(s, GRID)
 
 
+def test_points_that_all_drop_near_dc_end_in_the_five_sample_refusal():
+    with pytest.warns(UserWarning, match="^dropping 3 sample"):
+        samples = SpectralSampleSet.from_points([-K_DEDUP_TOL, 0.0, K_DEDUP_TOL], np.ones(3))
+    assert samples.k.size == 0 and len(samples) == 1
+    with pytest.raises(ValueError, match="^need at least 5 samples, got 1$"):
+        inverse_nudft(samples, GRID)
+
+
 @pytest.mark.filterwarnings("error")
 def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
-    ks = np.linspace(-2.0, 2.0, 5)
+    ks = np.linspace(1.0, 5.0, 5)
     f = np.ones(5, dtype=complex)
     samples = SpectralSampleSet(list(ks), [1, 1, 1, 1, 1])
     assert samples.k.dtype == float and samples.f.dtype == complex
     assert np.array_equal(samples.k, ks) and np.array_equal(samples.f, f)
-    for bad_k, bad_f, name in ((np.where(ks == 0.0, np.nan, ks), f, "k"),
-                               (ks, np.where(ks == 0.0, np.nan, f), "f"),
-                               (ks, np.where(ks == 0.0, np.inf, f), "f")):
+    for bad_k, bad_f, name in ((np.where(ks == 3.0, np.nan, ks), f, "k"),
+                               (ks, np.where(ks == 3.0, np.nan, f), "f"),
+                               (ks, np.where(ks == 3.0, np.inf, f), "f")):
         with pytest.raises(ValueError, match=f"^sample set {name} is not finite$"):
             SpectralSampleSet(bad_k, bad_f)
     for bad_k, bad_f in ((ks, f[:-1]), (ks[None, :], f[None, :])):
@@ -193,14 +213,27 @@ def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
 
 @pytest.mark.filterwarnings("error")
 def test_sample_set_refuses_complex_and_not_strictly_increasing_k_by_name():
-    for bad_k in (np.array([-1.0, 0.0 + 1j, 1.0]), [-1.0, 1j, 1.0]):
+    for bad_k in (np.array([1.0, 2.0 + 1j, 3.0]), [1.0, 2j, 3.0]):
         with pytest.raises(ValueError, match="^sample set k is complex, expected real$"):
             SpectralSampleSet(bad_k, np.ones(3, dtype=complex))
-    for bad_k in ([-1.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -0.0, 1.0]):
+    for bad_k in ([1.0, 3.0, 2.0], [1.0, 2.0, 2.0], [1.0, 1.0 + 1e-17, 2.0]):
         with pytest.raises(ValueError, match="^sample set k is not strictly increasing$"):
             SpectralSampleSet(np.array(bad_k), np.ones(3, dtype=complex))
-    with pytest.raises(ValueError, match=r"^sample set needs matching 1-d k and f arrays, got shapes \(0,\) and \(0,\)$"):
-        SpectralSampleSet(np.array([]), np.array([], dtype=complex))
+    # no stored sample: the DC anchor alone, which the fit refuses
+    empty = SpectralSampleSet(np.array([]), np.array([], dtype=complex))
+    assert len(empty) == 1
+    with pytest.raises(ValueError, match="^need at least 5 samples, got 1$"):
+        inverse_nudft(empty, GRID)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_set_refuses_k_at_or_below_the_dedup_tolerance_by_name():
+    for bad_k in ([-2.0, -1.0, 1.0], [0.0, 1.0, 2.0], [K_DEDUP_TOL, 1.0, 2.0]):
+        with pytest.raises(ValueError, match=(
+            "^sample set k is not above K_DEDUP_TOL = 1e-09: the DC point and the mirror half are implied$"
+        )):
+            SpectralSampleSet(np.array(bad_k), np.ones(3, dtype=complex))
+    assert len(SpectralSampleSet([2 * K_DEDUP_TOL, 1.0, 2.0], np.ones(3))) == 7
 
 
 def test_from_points_refuses_mismatched_lengths_by_name():
@@ -219,27 +252,36 @@ def test_from_points_refuses_2d_arrays_by_name():
 
 def test_from_points_reads_lists_as_arrays():
     samples = SpectralSampleSet.from_points([1.0, -1.0], [0.5 + 0.1j, 0.5 - 0.1j])
-    assert np.array_equal(samples.k, [-1.0, 0.0, 1.0])
-    assert np.array_equal(samples.f, [0.5 - 0.1j, 1.0, 0.5 + 0.1j])
+    assert np.array_equal(samples.k, [1.0]) and np.array_equal(samples.f, [0.5 + 0.1j])
+    ks, f = samples.mirrored()
+    assert np.array_equal(ks, [-1.0, 0.0, 1.0])
+    assert np.array_equal(f, [0.5 - 0.1j, 1.0, 0.5 + 0.1j])
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_points_folds_a_point_at_negative_k_onto_its_mirror():
+    a, b = 0.6 + 0.2j, 0.62 - 0.21j
+    samples = SpectralSampleSet.from_points([1.0, -1.0], [a, b])
+    assert np.array_equal(samples.k, [1.0])
+    assert samples.f[0] == (a + np.conj(b)) / 2
+    # a lone point at k < 0 is stored at -k as its conjugate
+    samples = SpectralSampleSet.from_points([-2.0, 1.0], [a, b])
+    assert np.array_equal(samples.k, [1.0, 2.0]) and np.array_equal(samples.f, [b, np.conj(a)])
 
 
 def test_nudft_warnings_are_attributed_to_the_direct_caller():
     ks = np.array([-2.0, -1.0, 1e-12, 1.0, 1.0, 2.0])
     f = np.array([0.5, 0.8, 1.0, 0.8, 0.2, 0.5], dtype=complex)
-    asymmetric = SpectralSampleSet(np.linspace(-2.0, 2.0, 5), np.array([0.5, 0.8, 1.0, 0.8 + 0.2j, 0.5]))
+    # a mirror pair whose values are not conjugates: the fold lands 0.8 and
+    # 0.8 + 0.2j on k = 1, a spread of 0.1 above F_DISAGREEMENT_TOL
+    asymmetric = np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.5, 0.8, 0.8 + 0.2j, 0.5])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SpectralSampleSet.from_points(ks, f)
-        inverse_nudft(asymmetric, GRID)
-    assert [str(w.message).split()[0] for w in caught] == ["dropping", "samples", "sample"]
+        SpectralSampleSet.from_points(*asymmetric)
+    assert [str(w.message).split()[:3] for w in caught] == [
+        ["dropping", "1", "sample(s)"], ["samples", "sharing", "k=1"], ["samples", "sharing", "k=1"]]
     assert all(w.filename == __file__ for w in caught), [w.filename for w in caught]
-
-
-def test_inverse_warns_on_asymmetric_samples():
-    ks = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    f = np.array([0.5, 0.8, 1.0, 0.8 + 0.2j, 0.5], dtype=complex)
-    with pytest.warns(UserWarning, match="asymmetric"):
-        inverse_nudft(SpectralSampleSet(ks, f), GRID)
 
 
 def test_inverse_refuses_an_aliasing_grid_before_the_fit(monkeypatch):
@@ -264,8 +306,8 @@ def test_inverse_refuses_an_aliasing_grid_before_the_fit(monkeypatch):
 def test_inverse_refuses_a_grid_from_pi_on():
     # bin width 0.1: a max|k| just below pi / 0.1 is fitted, just above it is refused
     grid = RecoveryGrid(-0.5, 0.5, 11)
-    ks = np.linspace(-1.0, 1.0, 5) * (np.pi / grid.bin_width)
-    f = np.ones(5, dtype=complex)
+    ks = np.array([0.5, 1.0]) * (np.pi / grid.bin_width)
+    f = np.ones(2, dtype=complex)
     inverse_nudft(SpectralSampleSet(ks * (1 - 1e-9), f), grid)
     with pytest.raises(ValueError, match="not below pi"):
         inverse_nudft(SpectralSampleSet(ks * (1 + 1e-9), f), grid)

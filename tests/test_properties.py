@@ -1,8 +1,7 @@
 """Property tests over seeded random-unitary channels of 1-3 qubits, over
 their pairings in a random label basis at 2-5 levels, over sets of
-Gershgorin discs, over synthetic profile parameters, over sample sets
-near a mirror-symmetric one and over the JSON documents that the artifact
-encoder writes.
+Gershgorin discs, over synthetic profile parameters, over mirror-symmetric
+sample sets and over the JSON documents that the artifact encoder writes.
 
 Each channel example draws a seed, a qubit count and a member count, and
 builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
@@ -26,7 +25,6 @@ from oracles import (  # noqa: E402
     kraus_sum,
     random_rud_ensemble,
     second_order_loop,
-    symmetry_residual_loop,
 )
 from qincoh.channels import expm_unitary, make_synthetic_profile, random_unitary, rud_superoperator  # noqa: E402
 from qincoh.liouville import CP_TOL, choi_spectrum, cp_filter, superop_to_choi  # noqa: E402
@@ -159,30 +157,27 @@ def test_synthetic_profile_is_built_or_refused_by_name(kind, center, width, skew
 
 
 @st.composite
-def mirrored_sample_sets(draw):
-    # k symmetric about 0, with or without the DC point, on integer multiples
-    # of a drawn scale; f conjugate-symmetric; and a seed for perturbations
+def half_sample_sets(draw):
+    # k > 0 on integer multiples of a drawn scale, any f there, and a seed
+    # for the order of the raw points
     scale = draw(st.floats(1e-3, 1e3))
     pos = scale * np.cumsum(draw(st.lists(st.integers(1, 100), min_size=1, max_size=20)))
-    ks = np.concatenate([-pos[::-1], [0.0] if draw(st.booleans()) else [], pos])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = rng.normal(size=pos.size) + 1j * rng.normal(size=pos.size)
-    f = np.concatenate([np.conj(g[::-1]), rng.normal(size=ks.size - 2 * pos.size), g])
-    return ks, f, rng
+    return pos, rng.normal(size=pos.size) + 1j * rng.normal(size=pos.size), rng
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(mirrored_sample_sets())
-def test_symmetry_residual_is_zero_on_mirrored_sets_and_the_nearest_partner_loop_near_them(drawn):
-    ks, f, rng = drawn
-    assert SpectralSampleSet(ks, f).conjugate_symmetry_residual() == 0.0
-    # moves below a quarter of the smallest spacing keep k sorted and leave
-    # each sample's mirror its unique nearest partner
-    ks = ks + rng.uniform(-0.24, 0.24, ks.size) * np.diff(ks).min()
-    f = f + rng.normal(scale=rng.choice([1e-9, 1.0]), size=(ks.size, 2)) @ [1.0, 1j]
-    samples = SpectralSampleSet(ks, f)
-    expected = symmetry_residual_loop(samples)
-    assert abs(samples.conjugate_symmetry_residual() - expected) <= 1e-15 * expected
+@given(half_sample_sets())
+def test_from_points_folds_a_mirrored_set_back_onto_its_half_bit_for_bit(drawn):
+    pos, g, rng = drawn
+    ks, f = SpectralSampleSet(pos, g).mirrored()
+    assert np.array_equal(ks, -ks[::-1]) and np.array_equal(f, np.conj(f[::-1]))
+    # every point but the DC anchor, which would warn as a drop, in any order
+    order = rng.permutation(np.flatnonzero(ks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        folded = SpectralSampleSet.from_points(ks[order], f[order])
+    assert np.array_equal(folded.k, pos) and np.array_equal(folded.f, g)
 
 
 # the leaves a report holds, with the edge cases of each drawn often

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_eigenbasis_form, second_order_loop, symmetry_residual_loop
+from oracles import dense_eigenbasis_form, second_order_loop
 from qincoh import spectral
 from qincoh.channels import (
     expm_unitary,
@@ -598,29 +598,30 @@ def test_pairing_rejects_non_finite_superoperator():
 def test_build_samples_on_fixture():
     h0t, k, s = fixture_channel()
     samples = build_samples(pair_eigenvalues(s, h0t, k))
-    assert len(samples) == 57
-    assert samples.conjugate_symmetry_residual() < 1e-9
-    assert np.all(np.diff(samples.k) > 0)
-    dc = np.flatnonzero(samples.k == 0.0)
-    assert dc.size == 1
-    assert samples.f[dc[0]] == 1.0 + 0.0j
+    assert len(samples) == 57 and samples.k.size == 28
+    assert samples.k[0] > K_DEDUP_TOL and np.all(np.diff(samples.k) > 0)
+    ks, f = samples.mirrored()
+    assert ks.size == 57 and ks[28] == 0.0 and f[28] == 1.0 + 0.0j
 
 
-def test_conjugate_symmetry_residual_matches_loop_on_asymmetric_sets():
-    # each k moves off a symmetric set by less than a quarter of its smallest
-    # spacing (0.5), so the nearest partner of every sample is its mirror
-    rng = np.random.default_rng(42)
-    for trial in range(300):
-        pos = np.cumsum(rng.uniform(0.5, 2.0, int(rng.integers(1, 20))))
-        ks = np.concatenate([-pos[::-1], [0.0] if trial % 2 else [], pos])
-        ks += rng.uniform(-0.12, 0.12, ks.size)
-        f = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
-        samples = SpectralSampleSet(ks, f)
-        expected = symmetry_residual_loop(samples)
-        assert abs(samples.conjugate_symmetry_residual() - expected) <= 1e-15 * expected
-    h0t, k, s = fixture_channel()
-    samples = build_samples(pair_eigenvalues(s, h0t, k))
-    assert samples.conjugate_symmetry_residual() == symmetry_residual_loop(samples)
+@pytest.mark.filterwarnings("error")
+def test_build_samples_reads_the_labels_j_lt_m_and_their_mirrors_agree_bit_for_bit():
+    # label (m, j) holds -k_jm and the conjugate value of (j, m), so folding
+    # every label merges each mirror pair with no spread, and the mirrored
+    # set is the raw points of all non-degenerate labels, bit for bit
+    for h0t, k in (three_qubit_fixture(), four_qubit_fixture()):
+        profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+        pairing = pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k)
+        samples = build_samples(pairing)
+        live = pairing.entries[~pairing.entries.degenerate]
+        f_live = np.array([complex(a) * complex(b).conjugate()
+                           for a, b in zip(live.lambda_measured, live.lambda_unperturbed)])
+        every_label = SpectralSampleSet.from_points(live.k_jm, f_live)
+        assert np.array_equal(every_label.k, samples.k) and np.array_equal(every_label.f, samples.f)
+        order = np.argsort(live.k_jm)
+        ks, f = samples.mirrored()
+        assert np.array_equal(ks[ks != 0.0], live.k_jm[order])
+        assert np.array_equal(f[ks != 0.0], f_live[order])
 
 
 def test_build_samples_flat_spectrum_for_unperturbed_channel():
@@ -685,9 +686,10 @@ def test_build_samples_attributes_its_drop_warning_to_the_caller():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         samples = build_samples(_pairing(entries))
-    assert [str(w.message) for w in caught] == ["dropping 2 sample(s) indistinguishable from the DC point"]
+    # the labels j < m are read, so a drop counts mirror pairs of labels
+    assert [str(w.message) for w in caught] == ["dropping 1 sample(s) indistinguishable from the DC point"]
     assert caught[0].filename == __file__
-    assert np.array_equal(samples.k, [-2.0, 0.0, 2.0])
+    assert np.array_equal(samples.k, [2.0]) and np.array_equal(samples.mirrored()[0], [-2.0, 0.0, 2.0])
 
 
 def test_build_samples_warns_on_model_disagreement():
@@ -702,18 +704,20 @@ def test_build_samples_warns_on_model_disagreement():
 
 
 def _build_samples_loop(pairing):
-    """Reference: the per-group merge loop that the grouped reduction replaced."""
-    live = [e for e in pairing.entries if not e.degenerate]
-    ks = np.array([e.k_jm for e in live])
+    """Reference: the per-group merge loop that the grouped reduction
+    replaced, over the labels j < m, each folded onto k > 0 first."""
+    live = [e for e in pairing.entries if e.j < e.m]
+    ks = np.array([abs(e.k_jm) for e in live])
     fs = np.array([e.lambda_measured * np.conj(e.lambda_unperturbed) for e in live], dtype=complex)
-    near_dc = np.abs(ks) <= K_DEDUP_TOL
+    fs = np.array([np.conj(x) if e.k_jm < 0 else x for e, x in zip(live, fs)], dtype=complex)
+    near_dc = ks <= K_DEDUP_TOL
     if near_dc.any():
         warnings.warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
         ks, fs = ks[~near_dc], fs[~near_dc]
     order = np.argsort(ks)
     ks, fs = ks[order], fs[order]
-    out_k = [0.0]
-    out_f = [1.0 + 0.0j]
+    out_k = []
+    out_f = []
     start = 0
     while start < ks.size:
         stop = start + 1

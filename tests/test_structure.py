@@ -1,5 +1,6 @@
 """Structure rules of the package source, checked on its syntax tree."""
 import ast
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -374,3 +375,18 @@ def test_outer_product_detector_sees_each_form(tmp_path):
         "f = np.multiply(x, y)\n"
     )
     assert sorted(_outer_products(probe)) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+def test_every_benchmark_record_names_its_machine_and_holds_a_correct_run_per_workload():
+    # a BENCH_<commit>.json at the root holds one `perfbench/run.py --workload
+    # all` run: its machine context and one result line per workload
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    workloads = sorted(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
+    for path in records:
+        record = json.loads(path.read_text())
+        context, results = record["context"], record["results"]
+        assert {"nproc", "blas", "commit"} <= context.keys(), path.name
+        assert path.stem == f"BENCH_{context['commit'][:7]}"
+        assert sorted(r["workload"] for r in results) == workloads
+        assert len(results) == 3 and all(r["correct"] is True for r in results), path.name

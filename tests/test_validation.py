@@ -51,7 +51,7 @@ def test_unitarity_check_refuses_a_nan_deviation():
 # spoiled: (entry, the call of the spoiled argument, a valid value of it,
 # the name a refusal gives it, whether it is real).
 PROFILE = make_synthetic_profile("gaussian", n_points=11)
-KS, FS = np.array([-2.0, -1.0, 1.0, 2.0, 3.0]), np.ones(5, dtype=complex)
+KS, FS = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.ones(5, dtype=complex)
 H2, M4 = 0.3 * np.diag([1.0, -1.0 + 0j]), np.eye(4, dtype=complex)
 H0T, K3 = three_qubit_fixture()
 ARRAY_ARGUMENTS = [

@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .channels import RFProfile, expm_unitary, make_synthetic_profile, rf_incoherent_channel
+from .channels import expm_unitary, make_synthetic_profile, rf_incoherent_channel
 from .errors import ConfigError
 from .liouville import CP_TOL, choi_spectrum, columnize, superop_eigenvalues
 from .nudft import RecoveryGrid, inverse_nudft
@@ -396,11 +396,6 @@ def _csv(header: str, *columns: np.ndarray) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _moments_json(profile: RFProfile) -> dict:
-    m = profile_metrics(profile)
-    return {"mean": m.mean, "std": m.std, "skewness": m.skewness}
-
-
 def _write_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to a new private temporary file beside ``path``, by
     ``os.write`` on its descriptor until every byte is written, then rename
@@ -493,13 +488,10 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
         "mode": "recover_profile",
         "fixture": f["fixture"],
         "n_samples": len(samples),
-        "window_span": 2 * float(samples.k[-1]),
-        "resolution_estimate": float(np.pi / samples.k[-1]),
         "pairing": {
             "n_entries": len(entries),
-            "n_degenerate": int(entries.degenerate.sum()),
             "max_match_distance": float(entries.distance.max()),
-            "max_certified_radius": float(entries.radius[~entries.degenerate].max()),
+            "max_certified_radius": float(entries.radius[entries.j != entries.m].max()),
             "match_tol": MATCH_TOL,
             "n_warnings": len(pairing.warnings),
         },
@@ -507,8 +499,8 @@ def _run_recover_profile(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
             "clipped_mass": result.clipped_mass,
             "clipped_mass_tol": CLIPPED_MASS_TOL,
         },
-        "true_profile_moments": _moments_json(profile),
-        "recovered_moments": _moments_json(recovered),
+        "true_profile_moments": profile_metrics(profile)._asdict(),
+        "recovered_moments": profile_metrics(recovered)._asdict(),
         "grid": {
             "min": grid.delta_omega_min,
             "max": grid.delta_omega_max,

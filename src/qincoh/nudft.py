@@ -121,9 +121,13 @@ class SpectralSampleSet:
         violation, or a set that is not conjugate-symmetric), warns the first
         caller outside ``nudft`` and ``spectral``.  Arrays that are not 1-d
         of one length are refused by name first, then arrays that
-        :func:`~qincoh.validation.numeric` refuses."""
+        :func:`~qincoh.validation.numeric` refuses, then a NaN or infinite
+        entry, before any point is dropped."""
         matching_1d(k, f, "sample set", ("k", "f"), min_size=0)
         k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
+        for name, a in (("k", k), ("f", f)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"sample set {name} is not finite")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
             _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
@@ -210,10 +214,8 @@ def inverse_nudft(samples: SpectralSampleSet, grid: RecoveryGrid) -> RecoveryRes
     m = grid.n_bins
     table = grid.powers(samples.k)
     g = 1.0 + 2.0 * table.real.sum(axis=1)
-    # entry i of g_desc is g(|m-1-i|), so row a of the normal matrix, g(|a - b|)
-    # over b, is the window of g_desc that starts at m-1-a
-    g_desc = np.concatenate([g[::-1], g[1:]])
-    normal = np.lib.stride_tricks.sliding_window_view(g_desc, m)[::-1].copy()
+    index = np.arange(m)
+    normal = g[np.abs(index[:, None] - index[None, :])]
     normal.flat[:: m + 1] += RIDGE_PER_SAMPLE * len(samples)
     rhs = 1.0 + 2.0 * (table @ (np.exp(1j * grid.delta_omega_min * samples.k) * samples.f)).real
     weight, clipped_mass = _clip_and_normalize(np.linalg.solve(normal, rhs))

@@ -53,7 +53,7 @@ MAX_DISC_PAIRS = 2**22
 PAIRING_DTYPE = np.dtype([
     ("j", np.int64), ("m", np.int64),
     ("lambda_measured", complex), ("lambda_unperturbed", complex),
-    ("k_jm", float), ("distance", float), ("radius", float), ("degenerate", bool),
+    ("k_jm", float), ("distance", float), ("radius", float),
 ])
 
 
@@ -61,9 +61,10 @@ PAIRING_DTYPE = np.dtype([
 class EigenPairing:
     """Measured eigenvalues labelled by (j, m).
 
-    ``entries`` is one :data:`PAIRING_DTYPE` record array over the labels.
-    ``warnings`` lists the (j, m, radius) triples whose certified radius
-    exceeded :data:`MATCH_TOL`.
+    ``entries`` is one :data:`PAIRING_DTYPE` record array over all ``N**2``
+    labels, j-major; a label ``j = m`` holds an eigenvalue near 1 at
+    ``k_jm = 0``, and no Fourier sample.  ``warnings`` lists the (j, m,
+    radius) triples whose certified radius exceeded :data:`MATCH_TOL`.
     """
 
     entries: np.recarray
@@ -247,7 +248,7 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     radii = _component_extents(seeds, disc_radii, component)
     values = mirrored(_second_order_values(half, upper, lower, component))
     entries = np.rec.fromarrays(
-        (j, m, values, unperturbed.ravel(), k_jm.ravel(), np.abs(values - seeds), radii, j == m),
+        (j, m, values, unperturbed.ravel(), k_jm.ravel(), np.abs(values - seeds), radii),
         dtype=PAIRING_DTYPE,
     )
     warn = radii > MATCH_TOL
@@ -263,11 +264,12 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     """Fourier samples from a pairing, merged by
     :meth:`~qincoh.nudft.SpectralSampleSet.from_points`: the points
     ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the labels
-    ``j < m``, refused when every ``k_jm`` vanishes; label ``(m, j)`` holds
-    the mirror point, which the sample set implies."""
+    ``j < m``, refused when there is none (``N = 1``) or every ``k_jm``
+    vanishes; label ``(m, j)`` holds the mirror point, which the sample set
+    implies."""
     live = pairing.entries[pairing.entries.j < pairing.entries.m]
     if not live.size:
-        raise ValueError("pairing contains only degenerate entries")
+        raise ValueError("pairing has no label with j < m")
     ks, a, b = live.k_jm, live.lambda_measured, live.lambda_unperturbed
     # a * conj(b) in real parts, which rounds as the scalar complex product
     # does; numpy's array product can differ from it in the last bit

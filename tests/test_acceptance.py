@@ -159,7 +159,7 @@ def test_c07_perturbation_order_check():
     pairing = pair_eigenvalues(s, h0t, k)
     pred = predict_eigenvalues(h0t, k, SKEWED_PROFILE)
     err_skew = max(
-        abs(pred[e.j, e.m] - e.lambda_measured) for e in pairing.entries if not e.degenerate
+        abs(pred[e.j, e.m] - e.lambda_measured) for e in pairing.entries if e.j != e.m
     )
 
     # the halving test uses a narrow profile so eigenvalues stay spread and
@@ -173,7 +173,7 @@ def test_c07_perturbation_order_check():
         return max(
             abs(pred_x[e.j, e.m] - e.lambda_measured)
             for e in pairing_x.entries
-            if not e.degenerate
+            if e.j != e.m
         )
 
     err_full, err_half = max_err(k), max_err(k / 2)
@@ -187,7 +187,7 @@ def test_c07_perturbation_order_check():
     err_commuting = max(
         abs(pred_c[e.j, e.m] - e.lambda_measured)
         for e in pairing_c.entries
-        if not e.degenerate
+        if e.j != e.m
     )
     ok = err_skew < 0.05 and 3.0 <= ratio <= 5.0 and err_commuting < 1e-10
     _report(7, "first-order prediction: error < 0.05, halving ratio in [3, 5], commuting exact",

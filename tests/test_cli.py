@@ -140,7 +140,7 @@ def test_recover3q_artifacts(tmp_path):
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     assert report["n_samples"] == 57
-    assert report["pairing"]["n_degenerate"] == 8
+    assert report["pairing"]["n_entries"] == 64
     assert report["quality"]["clipped_mass"] < report["quality"]["clipped_mass_tol"]
     samples_lines = (tmp_path / "samples.csv").read_text().splitlines()
     assert samples_lines[0] == "k,f_real,f_imag"
@@ -148,6 +148,23 @@ def test_recover3q_artifacts(tmp_path):
     recovered = (tmp_path / "recovered_profile.csv").read_text().splitlines()
     assert recovered[0] == "delta_omega,weight"
     assert len(recovered) == 102
+
+
+@pytest.mark.filterwarnings("error")
+def test_recover_the_four_qubit_fixture_through_the_cli(tmp_path):
+    # README's config table offers this fixture; the run is held to C08's bounds
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bundled("recover3q.json", lambda c: c.update(fixture="four_qubit"))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "recovery_report.json").read_text())
+    assert report["fixture"] == "four_qubit"
+    assert report["n_samples"] == 241
+    assert report["pairing"]["n_warnings"] == 0
+    true_m, rec_m = report["true_profile_moments"], report["recovered_moments"]
+    assert abs(rec_m["mean"] - true_m["mean"]) < report["grid"]["bin_width"]
+    assert abs(rec_m["std"] - true_m["std"]) / true_m["std"] < 0.30
+    assert report["quality"]["clipped_mass"] < 0.1
 
 
 def test_profile_csv_round_trip(tmp_path):
@@ -186,8 +203,7 @@ def test_recovery_report_states_the_moments_of_the_profile_it_wrote(tmp_path):
 
 
 def test_recovery_writes_every_fourier_point_of_the_sample_set(tmp_path):
-    # samples.csv holds the mirror half, the DC anchor and the stored half;
-    # the window and the resolution read the stored half's last sample
+    # samples.csv holds the mirror half, the DC anchor and the stored half
     assert main(["run", "--config", f"{CONFIG_DIR}/recover3q.json", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     f = load_config(f"{CONFIG_DIR}/recover3q.json").fields
@@ -196,10 +212,8 @@ def test_recovery_writes_every_fourier_point_of_the_sample_set(tmp_path):
     k_all, f_all = samples.mirrored()
     assert np.array_equal(k, k_all) and np.array_equal(f_real + 1j * f_imag, f_all)
     assert report["n_samples"] == k.size == len(samples)
-    assert report["window_span"] == k.max() - k.min()
-    assert report["resolution_estimate"] == np.pi / np.abs(k).max()
     assert sorted(report) == ["fixture", "grid", "mode", "n_samples", "pairing", "quality", "recovered_moments",
-                              "resolution_estimate", "true_profile_moments", "window_span"]
+                              "true_profile_moments"]
     assert sorted(report["quality"]) == ["clipped_mass", "clipped_mass_tol"]
 
 
@@ -208,7 +222,7 @@ def test_recovery_report_states_the_certified_radius(tmp_path):
     report = json.loads((tmp_path / "recovery_report.json").read_text())
     f = load_config(f"{CONFIG_DIR}/recover3q.json").fields
     pairing = pair_eigenvalues(rf_incoherent_channel(f["h0"], f["k"], f["profile"]), f["h0"], f["k"])
-    radius = max(e.radius for e in pairing.entries if not e.degenerate)
+    radius = max(e.radius for e in pairing.entries if e.j != e.m)
     assert report["pairing"]["max_certified_radius"] == radius
     assert 0.0 < radius <= MATCH_TOL
 

@@ -250,6 +250,18 @@ def test_from_points_refuses_2d_arrays_by_name():
         SpectralSampleSet.from_points(np.array([[-1.0, 1.0]]), np.ones((1, 2), dtype=complex))
 
 
+@pytest.mark.filterwarnings("error")
+def test_from_points_refuses_a_non_finite_point_by_name_before_any_drop():
+    # a NaN k is neither near DC nor sortable, so it must be refused before
+    # the DC drop warns and before the fold and the merge read it
+    for bad_k in ([np.nan], [np.nan, np.nan], [np.nan, 0.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="^sample set k is not finite$"):
+            SpectralSampleSet.from_points(bad_k, np.ones(len(bad_k), dtype=complex))
+    for bad_f in ([np.nan, 1.0], [1.0, complex(np.inf, 0.0)]):
+        with pytest.raises(ValueError, match="^sample set f is not finite$"):
+            SpectralSampleSet.from_points([0.0, 1.0], bad_f)
+
+
 def test_from_points_reads_lists_as_arrays():
     samples = SpectralSampleSet.from_points([1.0, -1.0], [0.5 + 0.1j, 0.5 - 0.1j])
     assert np.array_equal(samples.k, [1.0]) and np.array_equal(samples.f, [0.5 + 0.1j])

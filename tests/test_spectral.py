@@ -152,7 +152,7 @@ def test_pairing_on_fixture_channel():
     h0t, k, s = fixture_channel()
     pairing = pair_eigenvalues(s, h0t, k)
     assert len(pairing.entries) == 64
-    assert sum(e.degenerate for e in pairing.entries) == 8
+    assert sum(e.j == e.m for e in pairing.entries) == 8
     assert len(pairing.warnings) == 0
     # distinct: each label holds its own eigenvalue
     measured = sorted((e.lambda_measured.real, e.lambda_measured.imag) for e in pairing.entries)
@@ -333,7 +333,7 @@ def test_pairing_agrees_with_greedy_oracle():
         picked, evals = _greedy_pairing_oracle(s, h0t)
         assert len(pairing.warnings) == 0
         for a, e in enumerate(pairing.entries):
-            if not e.degenerate:
+            if e.j != e.m:
                 assert abs(e.lambda_measured - picked[a]) < 1e-12
             # the certificate, with room for the oracle solver's rounding
             assert np.abs(evals - e.lambda_measured).min() <= e.radius + 1e-13
@@ -387,7 +387,7 @@ def test_fixture_discs_isolate_every_off_diagonal_label():
         assert np.unique(component[diagonal]).size == 1
         assert np.unique(component).size == n * n - n + 1
         for a, e in enumerate(pair_eigenvalues(s, h0t, k).entries):
-            if not e.degenerate:
+            if e.j != e.m:
                 assert e.radius == radii[a]
 
 
@@ -608,12 +608,12 @@ def test_build_samples_on_fixture():
 def test_build_samples_reads_the_labels_j_lt_m_and_their_mirrors_agree_bit_for_bit():
     # label (m, j) holds -k_jm and the conjugate value of (j, m), so folding
     # every label merges each mirror pair with no spread, and the mirrored
-    # set is the raw points of all non-degenerate labels, bit for bit
+    # set is the raw points of all labels j != m, bit for bit
     for h0t, k in (three_qubit_fixture(), four_qubit_fixture()):
         profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
         pairing = pair_eigenvalues(rf_incoherent_channel(h0t, k, profile), h0t, k)
         samples = build_samples(pairing)
-        live = pairing.entries[~pairing.entries.degenerate]
+        live = pairing.entries[pairing.entries.j != pairing.entries.m]
         f_live = np.array([complex(a) * complex(b).conjugate()
                            for a, b in zip(live.lambda_measured, live.lambda_unperturbed)])
         every_label = SpectralSampleSet.from_points(live.k_jm, f_live)
@@ -648,13 +648,13 @@ def test_four_qubit_fixture_sample_count():
     s = rf_incoherent_channel(h0t, k, profile)
     pairing = pair_eigenvalues(s, h0t, k)
     assert len(pairing.entries) == 256
-    assert sum(e.degenerate for e in pairing.entries) == 16
+    assert sum(e.j == e.m for e in pairing.entries) == 16
     samples = build_samples(pairing)
     assert len(samples) == 241
 
 
 def _entry(j, m, lam, lam0, kjm):
-    return (j, m, lam, lam0, kjm, 0.0, 0.0, j == m)
+    return (j, m, lam, lam0, kjm, 0.0, 0.0)
 
 
 def _pairing(entries):
@@ -794,6 +794,15 @@ def test_build_samples_rejects_contrastless_model():
     s = rf_incoherent_channel(h0, k, profile)
     pairing = pair_eigenvalues(s, h0, k)
     with pytest.raises(PairingError, match="contrast"):
+        build_samples(pairing)
+
+
+def test_build_samples_refuses_a_one_level_channel_by_name():
+    # N = 1 has the one label (0, 0), so no label j < m gives a sample
+    h0, k = np.array([[0.3]]), np.array([[0.1]])
+    profile = make_synthetic_profile("gaussian", width=0.02, n_points=11)
+    pairing = pair_eigenvalues(rf_incoherent_channel(h0, k, profile), h0, k)
+    with pytest.raises(ValueError, match=r"^pairing has no label with j < m$"):
         build_samples(pairing)
 
 

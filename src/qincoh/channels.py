@@ -199,6 +199,8 @@ def rf_incoherent_channel(
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary (QR of a complex Ginibre matrix, phase-corrected)."""
     dim = integer(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -43,11 +43,13 @@ from .validation import (
 
 
 def columnize(rho: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into a single vector (|rho>)."""
+    """Stack the columns of an ``(n, m)`` matrix into an ``(n*m,)`` vector
+    (|rho>), or of each matrix of an ``(..., n, m)`` stack into an
+    ``(..., n*m)`` stack; like ``ravel``, it may return a view of ``rho``."""
     rho = numeric(rho, complex, "rho")
-    if rho.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {rho.shape}")
-    return rho.flatten(order="F")
+    if rho.ndim < 2:
+        raise ValueError(f"rho must be a matrix or a stack of them, got shape {rho.shape}")
+    return rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], rho.shape[-2] * rho.shape[-1])
 
 
 # unitary_superoperator accepts U with max|U^dag U - I| up to this.
@@ -111,9 +113,7 @@ def superop_to_choi(s: np.ndarray) -> np.ndarray:
     gives back the superoperator)."""
     s = as_square_stack(s, "s")
     n = _hilbert_dim(s.shape[-1], "s")
-    lead = s.shape[:-2]
-    axes = tuple(range(len(lead))) + tuple(len(lead) + a for a in (3, 1, 2, 0))
-    return s.reshape(*lead, n, n, n, n).transpose(axes).reshape(*lead, n * n, n * n)
+    return s.reshape(-1, n, n, n, n).transpose(0, 4, 2, 3, 1).reshape(s.shape)
 
 
 # A map is refused as not Hermiticity-preserving when its Choi matrix is

@@ -264,9 +264,10 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     """Fourier samples from a pairing, merged by
     :meth:`~qincoh.nudft.SpectralSampleSet.from_points`: the points
     ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the labels
-    ``j < m``, refused when there is none (``N = 1``) or every ``k_jm``
-    vanishes; label ``(m, j)`` holds the mirror point, which the sample set
-    implies."""
+    ``j < m``, refused when there is none (``N = 1``) or every ``|k_jm|`` is
+    at most :data:`~qincoh.nudft.K_DEDUP_TOL`, where the sample set would
+    drop it as the DC point; label ``(m, j)`` holds the mirror point, which
+    the sample set implies."""
     live = pairing.entries[pairing.entries.j < pairing.entries.m]
     if not live.size:
         raise ValueError("pairing has no label with j < m")
@@ -274,7 +275,7 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
     # a * conj(b) in real parts, which rounds as the scalar complex product
     # does; numpy's array product can differ from it in the last bit
     fs = (a.real * b.real + a.imag * b.imag) + 1j * (a.imag * b.real - a.real * b.imag)
-    if float(np.abs(ks).max()) < K_DEDUP_TOL:
+    if float(np.abs(ks).max()) <= K_DEDUP_TOL:
         raise PairingError(
             "all diagonal perturbation differences vanish; the model "
             "perturbation provides no spectral contrast"

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, NonPhysicalStateError
-from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, cp_filter
+from .liouville import CP_TOL, UNITARY_TOL, choi_spectrum, columnize, cp_filter
 from .validation import as_square_stack, first_failure, first_non_finite, numeric, require_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -155,11 +155,14 @@ def evolve_and_reduce(u_ab: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
     """Joint unitary evolution followed by the environment partial trace.
 
     ``rho_ab`` may be a ``(..., n, n)`` stack; it is checked to be finite,
-    then evolved by one batched product after one unitarity check of ``u_ab``,
-    and the evolved stack is reduced without a second check.
+    then evolved by one batched product after one unitarity check of ``u_ab``
+    and a check that the sides agree, and the evolved stack is reduced
+    without a second check.
     """
     u_ab = require_unitary(u_ab, UNITARY_TOL, "u_ab")
     rho_ab = as_square_stack(rho_ab, "rho_ab")
+    if u_ab.shape[-1] != rho_ab.shape[-1]:
+        raise ValueError(f"u_ab has side {u_ab.shape[-1]}, but rho_ab has side {rho_ab.shape[-1]}")
     return _trace_out_b(u_ab @ rho_ab @ u_ab.conj().T)
 
 
@@ -170,16 +173,20 @@ def _parameters(params: np.ndarray, scenario: tuple[int, ...]) -> str:
 
 
 def _solve_stack(
-    in_mats: np.ndarray,
-    out_mats: np.ndarray,
+    inputs: np.ndarray,
+    outputs: np.ndarray,
     params: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve ``S @ In = Out`` for each of a ``(S, n, n)`` stack of input and
-    output matrices: every input matrix is checked against
+    """Solve ``S @ In = Out`` for each scenario of ``(S, K, d, d)`` stacks of
+    K input and K output states, where column k of ``In`` and ``Out`` is
+    ``columnize`` of state k: every input matrix is checked against
     :data:`COND_LIMIT` (the first that fails is the error, named by its row
     and its scenario of the ``(3, S)`` ``params``), then one batched solve.
     Returns the maps, the condition numbers and the residuals ``max|S @ In - Out|``.
     """
+    # C order, as np.column_stack builds one map's matrix, so the residual
+    # product makes the same BLAS call for a stack as for one map
+    in_mats, out_mats = (np.ascontiguousarray(columnize(x).swapaxes(-1, -2)) for x in (inputs, outputs))
     cond = np.linalg.cond(in_mats)
     if found := first_failure(~(cond <= COND_LIMIT)):
         where, index = found
@@ -191,15 +198,6 @@ def _solve_stack(
     s_obs = np.linalg.solve(in_mats.swapaxes(-1, -2), out_mats.swapaxes(-1, -2)).swapaxes(-1, -2)
     residual = np.abs(s_obs @ in_mats - out_mats).max(axis=(-2, -1))
     return s_obs, cond, residual
-
-
-def _vector_columns(stack: np.ndarray) -> np.ndarray:
-    """A ``(..., K, d, d)`` stack of K states to ``(..., d*d, K)`` matrices
-    whose column k is ``columnize`` of state k, in C order as
-    ``np.column_stack`` builds one map's matrix, so the residual product
-    makes the same BLAS call for a stack as for one map."""
-    vectors = stack.swapaxes(-1, -2).reshape(*stack.shape[:-2], -1)
-    return np.ascontiguousarray(vectors.swapaxes(-1, -2))
 
 
 def run_qpt_scenarios(
@@ -243,7 +241,7 @@ def run_qpt_scenarios(
         correlated[:, None, None, None], inputs.joint_states, products.reshape(n, 4, 4, 4)
     )
     outputs = evolve_and_reduce(u_ab, joints)
-    s_obs, cond, residual = _solve_stack(_vector_columns(reduced), _vector_columns(outputs), params)
+    s_obs, cond, residual = _solve_stack(reduced, outputs, params)
 
     removed_weight = [None] * n
     for i in np.flatnonzero(apply_cp_filter):

@@ -410,4 +410,7 @@ def test_ensemble_weights_and_dimension_are_scalars_by_name():
     for bad in (True, 2.0, "2"):
         with pytest.raises(ValueError, match=f"^dim must be an integer, got {re.escape(repr(bad))}$"):
             random_unitary(bad, np.random.default_rng(0))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, got {bad}$"):
+            random_unitary(bad, np.random.default_rng(0))
     assert random_unitary(np.int64(2), np.random.default_rng(0)).shape == (2, 2)

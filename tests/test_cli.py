@@ -51,6 +51,11 @@ def test_parse_pauli_sum_rejects_garbage():
             parse_pauli_sum(bad)
 
 
+def test_parse_pauli_sum_refuses_terms_with_no_sign_between_them_by_name():
+    with pytest.raises(ConfigError, match=r"^missing \+/- between terms in '1 \* ZZ 2 \* XX'$"):
+        parse_pauli_sum("1 * ZZ 2 * XX")
+
+
 def test_bundled_configs_validate():
     for name in ("eq4_demo.json", "table1.json", "recover3q.json"):
         cfg = load_config(f"{CONFIG_DIR}/{name}")
@@ -75,6 +80,14 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     bad.write_text('{"mode": "qpt_demo"}')
     assert main(["validate", "--config", str(bad)]) == 1
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1
+    capsys.readouterr()
+    for text, refusal in (
+        ("[1, 2]", "top-level config must be a JSON object"),
+        ('{"mode": ', f"config {bad} is not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+    ):
+        bad.write_text(text)
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {refusal}"]
 
 
 def test_eq4_demo_run(tmp_path):

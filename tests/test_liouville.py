@@ -78,6 +78,23 @@ def test_columnize_round_trip_is_exact():
         assert np.array_equal(columnize(v.reshape(dim, dim, order="F")), v)
 
 
+def test_columnize_of_a_stack_equals_the_per_matrix_column_stacks():
+    rng = np.random.default_rng(12)
+    for shape in ((5, 3, 3), (2, 3, 2, 4)):
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vectors = columnize(stack)
+        assert vectors.shape == (*shape[:-2], shape[-2] * shape[-1])
+        for index in np.ndindex(*shape[:-2]):
+            assert np.array_equal(vectors[index], columnize(stack[index]))
+    assert columnize(np.zeros((0, 2, 2))).shape == (0, 4)
+
+
+def test_columnize_refuses_a_scalar_and_a_vector_by_name():
+    for rho, shape in ((np.float64(0.5), r"\(\)"), (np.ones(4), r"\(4,\)")):
+        with pytest.raises(ValueError, match=rf"^rho must be a matrix or a stack of them, got shape {shape}$"):
+            columnize(rho)
+
+
 def test_vectorization_identity():
     rng = np.random.default_rng(12)
     for dim in (2, 3, 4):
@@ -200,9 +217,11 @@ def test_choi_spectrum_of_a_stack_equals_the_per_map_spectra():
             assert np.array_equal(w, choi_spectrum(s))
             assert np.array_equal(c, superop_to_choi(s))
         # any number of leading axes
-        grid = choi_spectrum(stack[:6].reshape(2, 3, *stack.shape[1:]))
-        assert np.array_equal(grid.reshape(6, -1), spectra[:6])
+        grid = stack[:6].reshape(2, 3, *stack.shape[1:])
+        assert np.array_equal(choi_spectrum(grid).reshape(6, -1), spectra[:6])
+        assert np.array_equal(superop_to_choi(grid).reshape(6, *stack.shape[1:]), superop_to_choi(stack[:6]))
     assert np.array_equal(superop_to_choi(superop_to_choi(stack)), stack)
+    assert superop_to_choi(np.zeros((0, 16, 16))).shape == (0, 16, 16)
 
 
 def test_choi_spectrum_of_a_stack_names_the_first_non_hermitian_choi_matrix():
@@ -332,6 +351,16 @@ def test_superop_eigenvalues_rejects_non_square_side():
         superop_eigenvalues(np.eye(3))
 
 
+def test_superop_eigenvalues_names_the_matrix_size_when_eigvals_fails(monkeypatch):
+    def fail(s):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^eigendecomposition did not converge for 4x4 matrix "
+                       r"\(max\|entry\| = 1\.000e\+00\): Eigenvalues did not converge$"):
+        superop_eigenvalues(np.eye(4))
+
+
 def test_cp_filter_eq4_example():
     filtered, removed = cp_filter(EQ4_S)
     assert abs(removed - 0.2) < 1e-12
@@ -353,6 +382,11 @@ def test_cp_filter_keeps_cp_input():
 def test_cp_filter_differs_from_decorrelation():
     filtered, _ = cp_filter(EQ4_S)
     assert np.abs(filtered - UNCORR_S).max() > 0.1
+
+
+def test_cp_filter_refuses_a_map_with_no_positive_choi_eigenvalue():
+    with pytest.raises(ValueError, match=r"^entire Choi spectrum is non-positive; cannot CP-filter$"):
+        cp_filter(-unitary_superoperator(np.eye(2)))
 
 
 def test_cp_filter_output_is_cp_with_unit_choi_trace():

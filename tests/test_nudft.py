@@ -170,6 +170,13 @@ def test_the_fit_solves_one_real_system(monkeypatch):
     assert dtypes == [(np.dtype(float), np.dtype(float))]
 
 
+def test_inverse_refuses_a_fit_with_no_positive_weight_by_name(monkeypatch):
+    samples = jittered_samples(make_synthetic_profile("gaussian", width=0.03, n_points=31), 40.0)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -np.abs(b))
+    with pytest.raises(ValueError, match="^recovered profile has no positive mass$"):
+        inverse_nudft(samples, GRID)
+
+
 def test_power_table_stays_within_1e_11_of_exp_at_the_bin_cap():
     grid = RecoveryGrid(-1.0, 1.0, MAX_GRID_BINS)
     h = grid.bin_width

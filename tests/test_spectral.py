@@ -595,6 +595,12 @@ def test_pairing_rejects_non_finite_superoperator():
         pair_eigenvalues(s_bad, h0t, k)
 
 
+def test_pairing_refuses_a_map_of_another_size_by_name():
+    h0t, k = three_qubit_fixture()
+    with pytest.raises(ValueError, match=r"^superoperator shape \(16, 16\) does not match dim 8$"):
+        pair_eigenvalues(np.eye(16), h0t, k)
+
+
 def test_build_samples_on_fixture():
     h0t, k, s = fixture_channel()
     samples = build_samples(pair_eigenvalues(s, h0t, k))
@@ -792,9 +798,18 @@ def test_build_samples_rejects_contrastless_model():
     k = 0.5 * SX  # zero diagonal in the h0 eigenbasis
     profile = make_synthetic_profile("gaussian", width=0.02, n_points=11)
     s = rf_incoherent_channel(h0, k, profile)
-    pairing = pair_eigenvalues(s, h0, k)
-    with pytest.raises(PairingError, match="contrast"):
-        build_samples(pairing)
+    # every |k_jm| at K_DEDUP_TOL, which the sample set drops as the DC point
+    at_dc = _pairing((
+        _entry(0, 0, 1.0, 1.0, 0.0),
+        _entry(0, 1, 0.9 + 0.1j, 1.0, K_DEDUP_TOL),
+        _entry(1, 0, 0.9 - 0.1j, 1.0, -K_DEDUP_TOL),
+        _entry(1, 1, 1.0, 1.0, 0.0),
+    ))
+    for pairing in (pair_eigenvalues(s, h0, k), at_dc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PairingError, match="contrast"):
+                build_samples(pairing)
 
 
 def test_build_samples_refuses_a_one_level_channel_by_name():

@@ -344,6 +344,70 @@ def test_four_axis_and_mirror_detectors_see_each_form(tmp_path):
     assert sorted(_mirror_permutations(probe)) == ["probe.py:2", "probe.py:3", "probe.py:7"]
 
 
+def _axis_swap(node: ast.expr | None) -> str | None:
+    """``swapaxes`` or ``transpose`` when ``node`` calls one (as a method or
+    as ``np.swapaxes``), ``T`` when it reads ``.T``, else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return "T"
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        return name if name in ("swapaxes", "transpose") else None
+    return None
+
+
+def _hand_vectorizations(path: Path) -> list[str]:
+    """Calls that vectorize matrices by hand: a ``reshape``, ``flatten`` or
+    ``ravel`` with ``order="F"``, and a ``reshape`` (method or
+    ``np.reshape``) of a ``swapaxes``, ``transpose`` or ``.T`` result."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in ("reshape", "flatten", "ravel"):
+            continue
+        if any(kw.arg == "order" and getattr(kw.value, "value", None) == "F" for kw in node.keywords):
+            found.append(f"{path.name}:{node.lineno}: {name} in F order")
+        array = getattr(node.func, "value", None)
+        if getattr(array, "id", None) in ("np", "numpy"):
+            array = node.args[0] if node.args else None  # np.reshape(a, shape)
+        if name == "reshape" and (swap := _axis_swap(array)):
+            found.append(f"{path.name}:{node.lineno}: reshape of {swap}")
+    return found
+
+
+def test_liouville_alone_vectorizes_a_matrix():
+    # column stacking is liouville.columnize's; every other module calls it
+    found = [
+        line for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "liouville.py"
+        for line in _hand_vectorizations(path)
+    ]
+    assert found == []
+
+
+def test_hand_vectorization_detector_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'a = rho.flatten(order="F")\n'
+        'b = np.reshape(v, (n, n), order="F")\n'
+        'c = np.ravel(rho, order="F")\n'
+        "d = stack.swapaxes(-1, -2).reshape(*lead, -1)\n"
+        "e = np.reshape(np.transpose(s, (0, 2, 1)), (k, -1))\n"
+        "f = m.conj().T.reshape(-1)\n"
+        "g = s.reshape(-1, n, n, n, n).transpose(0, 4, 2, 3, 1)\n"
+        'h = rho.flatten(order="C")\n'
+        "i = np.ascontiguousarray(columnize(x).swapaxes(-1, -2))\n"
+    )
+    assert _hand_vectorizations(probe) == [
+        "probe.py:1: flatten in F order",
+        "probe.py:2: reshape in F order",
+        "probe.py:3: ravel in F order",
+        "probe.py:4: reshape of swapaxes",
+        "probe.py:5: reshape of transpose",
+        "probe.py:6: reshape of T",
+    ]
+
+
 def _outer_products(path: Path) -> list[str]:
     """Calls of ``multiply.outer`` (``np.multiply.outer`` or a bare
     ``multiply.outer``), the profile sum's kernel."""

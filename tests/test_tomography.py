@@ -180,6 +180,13 @@ def test_scenario_rejects_non_unitary_u_ab():
         run_qpt_scenarios(2.0 * U_ZZ, [0.5], [0.5], [0.6], [True], [False])
 
 
+def test_a_joint_unitary_of_another_side_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^u_ab has side 8, but rho_ab has side 4$"):
+        run_qpt_scenarios(np.eye(8), [0.5], [0.5], [0.6], [True], [False])
+    with pytest.raises(ValueError, match=r"^u_ab has side 2, but rho_ab has side 4$"):
+        evolve_and_reduce(np.eye(2), np.eye(4) / 4)
+
+
 def test_stacked_evolution_and_partial_trace_equal_single_matrix_results():
     rng = np.random.default_rng(37)
     u_ab = random_unitary(4, rng)

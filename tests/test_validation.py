@@ -212,6 +212,13 @@ def test_as_square_stack_names_the_first_non_finite_matrix():
                 as_square_stack(m, "m")
 
 
+def test_as_square_stack_refuses_a_non_square_and_an_empty_matrix_by_name():
+    with pytest.raises(ValueError, match=r"^m must be a square matrix or a stack of them, got shape \(2, 3\)$"):
+        as_square_stack(np.zeros((2, 3)), "m")
+    with pytest.raises(ValueError, match=r"^m must have at least one row$"):
+        as_square_stack(np.zeros((0, 0)), "m")
+
+
 def test_hermitian_part_names_the_first_non_hermitian_matrix():
     for lead, first, later, index in STACKS:
         m = _identities(lead)

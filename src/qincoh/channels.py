@@ -45,9 +45,10 @@ def _require_distribution(weights: np.ndarray, name: str) -> None:
 class RFProfile:
     """Discrete probability distribution over the normalized amplitude deviation.
 
-    Both arrays must be real and finite, ``delta_omega`` strictly increasing
-    (:func:`~qincoh.validation.point_arrays`), weights non-negative and
-    normalized to 1 within :data:`WEIGHT_SUM_TOL`.
+    Both arrays must be real, finite, 1-d of one non-zero length
+    (:func:`~qincoh.validation.point_arrays`), ``delta_omega`` strictly
+    increasing, weights non-negative and normalized to 1 within
+    :data:`WEIGHT_SUM_TOL`.
     """
 
     delta_omega: np.ndarray
@@ -55,6 +56,8 @@ class RFProfile:
 
     def __post_init__(self):
         dw, w = point_arrays(self.delta_omega, self.weight, float, "profile", ("delta_omega", "weight"))
+        if np.any(dw[1:] <= dw[:-1]):
+            raise ValueError("profile delta_omega is not strictly increasing")
         _require_distribution(w, "profile")
         object.__setattr__(self, "delta_omega", dw)
         object.__setattr__(self, "weight", w)

@@ -157,7 +157,7 @@ def _mirror_row(x: np.ndarray, a: int) -> None:
     _average_with_mirror(x[a:a + 1, a:a + 1])
 
 
-def require_hermiticity_preserving(s: np.ndarray, name: str = "superoperator") -> np.ndarray:
+def require_hermiticity_preserving(s: np.ndarray, name: str) -> np.ndarray:
     """``s`` as a complex array, once it is checked to be a square matrix of
     side ``n^2`` whose map preserves Hermiticity within
     :data:`CHOI_HERMITIAN_TOL`.

@@ -2,9 +2,9 @@
 
 The profile is real, so ``f(-k) = conj(f(k))`` and ``f(0) = 1``: a
 :class:`SpectralSampleSet` holds the samples at ``k > 0`` and implies the
-rest; :meth:`SpectralSampleSet.from_points`, which ``spectral`` feeds raw
-points, owns the fold onto ``k > 0`` and the merge rules.  Warnings here
-name the first caller outside ``nudft`` and ``spectral``.  The forward
+rest.  Its one constructor, which ``spectral`` feeds raw points, owns the
+fold onto ``k > 0`` and the merge rules.  Warnings here name the first
+caller outside ``nudft`` and ``spectral``.  The forward
 direction is a discrete profile's characteristic function
 ``f(k) = sum_b p_b exp(-i k x_b)`` at real k, which ``spectral``'s
 prediction calls too; the inverse is one ridge least-squares fit onto a
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import RFProfile
-from .validation import integer, matching_1d, numeric, point_arrays, real_scalar
+from .validation import integer, numeric, point_arrays, real_scalar
 
 # Sample k coordinates closer than this estimate the same Fourier point; a
 # |k| within it is indistinguishable from the DC anchor.
@@ -96,38 +96,27 @@ class RecoveryGrid:
 @dataclass(frozen=True)
 class SpectralSampleSet:
     """Samples ``(k, f(k))`` of a real profile's Fourier transform at real k,
-    strictly increasing and above :data:`K_DEDUP_TOL`.  The DC anchor and
-    the mirror half are implied: the length is the ``2 * k.size + 1``
-    Fourier points the set stands for, 1 for an empty set."""
+    stored as their canonical half: strictly increasing and above
+    :data:`K_DEDUP_TOL`.  The DC anchor and the mirror half are implied: the
+    length is the ``2 * k.size + 1`` Fourier points the set stands for, 1
+    for an empty set.
+
+    The constructor takes raw points.  A point within :data:`K_DEDUP_TOL` of
+    ``k = 0`` is dropped, one at ``k < 0`` is folded onto ``-k`` as
+    ``conj(f)``, and runs of sorted k whose neighbours lie within the
+    tolerance are averaged, a point and its mirror among them; on canonical
+    points it is the identity, bit for bit.  A drop, or a merged spread
+    beyond :data:`F_DISAGREEMENT_TOL` (a model violation, or a set that is
+    not conjugate-symmetric), warns the first caller outside ``nudft`` and
+    ``spectral``.  Arrays that :func:`~qincoh.validation.point_arrays`
+    refuses (not 1-d of one length, not numeric, complex k, a NaN or
+    infinite entry) are refused by name before any point is dropped."""
 
     k: np.ndarray
     f: np.ndarray
 
     def __post_init__(self):
         k, f = point_arrays(self.k, self.f, complex, "sample set", ("k", "f"), min_size=0)
-        if k.size and not k[0] > K_DEDUP_TOL:
-            raise ValueError(f"sample set k is not above K_DEDUP_TOL = {K_DEDUP_TOL:g}: "
-                             "the DC point and the mirror half are implied")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "f", f)
-
-    @classmethod
-    def from_points(cls, k: np.ndarray, f: np.ndarray) -> SpectralSampleSet:
-        """The sample set of raw points: a point within :data:`K_DEDUP_TOL` of
-        ``k = 0`` is dropped, one at ``k < 0`` is folded onto ``-k`` as
-        ``conj(f)``, and runs of sorted k whose neighbours lie within the
-        tolerance are averaged, a point and its mirror among them.  A drop,
-        or a merged spread beyond :data:`F_DISAGREEMENT_TOL` (a model
-        violation, or a set that is not conjugate-symmetric), warns the first
-        caller outside ``nudft`` and ``spectral``.  Arrays that are not 1-d
-        of one length are refused by name first, then arrays that
-        :func:`~qincoh.validation.numeric` refuses, then a NaN or infinite
-        entry, before any point is dropped."""
-        matching_1d(k, f, "sample set", ("k", "f"), min_size=0)
-        k, f = numeric(k, float, "sample set k"), numeric(f, complex, "sample set f")
-        for name, a in (("k", k), ("f", f)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"sample set {name} is not finite")
         near_dc = np.abs(k) <= K_DEDUP_TOL
         if near_dc.any():
             _warn(f"dropping {int(near_dc.sum())} sample(s) indistinguishable from the DC point")
@@ -144,7 +133,8 @@ class SpectralSampleSet:
         for i in np.flatnonzero(spread > F_DISAGREEMENT_TOL):
             _warn(f"samples sharing k={k[starts[i]]:.6g} disagree by {spread[i]:.3g}; "
                   "the perturbation model may be violated")
-        return cls(k_mean, f_mean)
+        object.__setattr__(self, "k", k_mean)
+        object.__setattr__(self, "f", f_mean)
 
     def __len__(self) -> int:
         return 2 * self.k.size + 1

@@ -20,8 +20,9 @@ does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
 any transform.  For such a map label ``(m, j)`` holds the conjugate of the
 eigenvalue at ``(j, m)``, so the pairing reads only the ``N(N+1)/2`` rows
 ``m >= j`` and conjugates.  This module keeps the discs and the
-second-order sum, and turns the labels ``j < m`` of a pairing into the raw
-points of ``nudft.SpectralSampleSet``, which implies their mirrors.
+second-order sum, and hands the raw points of the labels ``j < m`` of a
+pairing to the one constructor of ``nudft.SpectralSampleSet``, which owns
+the fold and merge rules and implies their mirrors.
 """
 from __future__ import annotations
 
@@ -261,10 +262,10 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
 
 
 def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
-    """Fourier samples from a pairing, merged by
-    :meth:`~qincoh.nudft.SpectralSampleSet.from_points`: the points
+    """The sample set of a pairing: the raw points
     ``(k_jm, lambda_measured * conj(lambda_unperturbed))`` of the labels
-    ``j < m``, refused when there is none (``N = 1``) or every ``|k_jm|`` is
+    ``j < m``, which :class:`~qincoh.nudft.SpectralSampleSet` folds and
+    merges, refused when there is none (``N = 1``) or every ``|k_jm|`` is
     at most :data:`~qincoh.nudft.K_DEDUP_TOL`, where the sample set would
     drop it as the DC point; label ``(m, j)`` holds the mirror point, which
     the sample set implies."""
@@ -280,7 +281,7 @@ def build_samples(pairing: EigenPairing) -> SpectralSampleSet:
             "all diagonal perturbation differences vanish; the model "
             "perturbation provides no spectral contrast"
         )
-    return SpectralSampleSet.from_points(ks, fs)
+    return SpectralSampleSet(ks, fs)
 
 
 def profile_metrics(profile: RFProfile) -> ProfileMoments:

@@ -137,10 +137,10 @@ def _parameter_stack(alpha, beta, gamma) -> np.ndarray:
 
 def _trace_out_b(rho_ab: np.ndarray) -> np.ndarray:
     """:func:`partial_trace_b` of a stack whose entries are already known to
-    be finite; only the dimension is checked."""
+    be finite; only the side is checked, and a refusal names ``rho_ab``."""
     n = rho_ab.shape[-1]
     if n % ENV_DIM != 0:
-        raise ValueError(f"dimension {n} is not divisible by environment dim {ENV_DIM}")
+        raise ValueError(f"rho_ab has side {n}, which is not divisible by environment dim {ENV_DIM}")
     da = n // ENV_DIM
     blocks = rho_ab.reshape(*rho_ab.shape[:-2], da, ENV_DIM, da, ENV_DIM)
     return np.einsum("...abcb->...ac", blocks)

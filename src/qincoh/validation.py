@@ -85,28 +85,19 @@ def integer(x, name: str) -> int:
     return int(x)
 
 
-def matching_1d(x, y, what: str, names: tuple[str, str], min_size: int) -> None:
-    """Refuse ``x`` and ``y`` unless they are 1-d of one length of at least
-    ``min_size``; a refusal names ``what`` and the arrays."""
+def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str],
+                 min_size: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
+    once checked in this order: 1-d of one length of at least ``min_size``,
+    :func:`numeric`, finite; a refusal names ``what`` and the array."""
     x_shape, y_shape = (shape(a, f"{what} {name}") for a, name in zip((x, y), names))
     if len(x_shape) != 1 or y_shape != x_shape or x_shape[0] < min_size:
         raise ValueError(f"{what} needs matching 1-d {names[0]} and {names[1]} arrays, "
                          f"got shapes {x_shape} and {y_shape}")
-
-
-def point_arrays(x, y, y_dtype: type, what: str, names: tuple[str, str],
-                 min_size: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as a float and ``y`` as a ``y_dtype`` (float or complex) array,
-    once checked in this order: 1-d of one length of at least ``min_size``
-    (:func:`matching_1d`), :func:`numeric`, finite, and ``x`` strictly
-    increasing; a refusal names ``what`` and the array."""
-    matching_1d(x, y, what, names, min_size)
     xs, ys = (numeric(a, dtype, f"{what} {name}") for a, dtype, name in zip((x, y), (float, y_dtype), names))
     for name, a in zip(names, (xs, ys)):
         if not np.isfinite(a).all():
             raise ValueError(f"{what} {name} is not finite")
-    if np.any(xs[1:] <= xs[:-1]):
-        raise ValueError(f"{what} {names[0]} is not strictly increasing")
     return xs, ys
 
 
@@ -127,7 +118,7 @@ def first_non_finite(m: np.ndarray) -> tuple[tuple[int, ...], str] | None:
     return None if finite.all() else first_failure(~finite.all(axis=(-2, -1)))
 
 
-def as_square_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def as_square_stack(m: np.ndarray, name: str) -> np.ndarray:
     """``m`` as a complex array, once it is checked to be a ``(..., n, n)``
     stack of non-empty square matrices with finite entries; ``name`` labels
     it in a rejection."""
@@ -150,7 +141,7 @@ def square_side(m: np.ndarray, name: str) -> int:
     return m_shape[0]
 
 
-def as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def as_square_matrix(m: np.ndarray, name: str) -> np.ndarray:
     """:func:`as_square_stack` for a single square 2-d matrix; the shape is
     read before the one conversion there."""
     square_side(m, name)
@@ -165,7 +156,7 @@ def _refuse_deviation(dev: np.ndarray, tol: float, name: str, what: str) -> None
         raise ValueError(f"{name}{index} is not {what} within {tol:g} (deviation {dev[where]:.3e})")
 
 
-def hermitian_part(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+def hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
     """``(m + m^dag) / 2`` of each matrix of ``m``, a stack already checked
     by :func:`as_square_stack`, once every ``max|m - m^dag|`` is at most
     ``tol``; one vectorized check covers the stack."""
@@ -174,7 +165,7 @@ def hermitian_part(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarra
     return (m + m_dag) / 2
 
 
-def unitary_stack(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+def unitary_stack(u: np.ndarray, tol: float, name: str) -> np.ndarray:
     """``u``, a stack already checked by :func:`as_square_stack`, once every
     ``max|u^dag u - I|`` is at most ``tol``; one batched product covers the
     stack."""
@@ -183,13 +174,13 @@ def unitary_stack(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray
     return u
 
 
-def require_hermitian(m: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, tol: float, name: str) -> np.ndarray:
     """The Hermitian part ``(m + m^dag) / 2`` of ``m``, once ``max|m - m^dag|``
     is checked to be at most ``tol``; callers use it in place of ``m``."""
     return hermitian_part(as_square_matrix(m, name), tol, name)
 
 
-def require_unitary(u: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, tol: float, name: str) -> np.ndarray:
     """:func:`unitary_stack` for a single square 2-d matrix."""
     return unitary_stack(as_square_matrix(u, name), tol, name)
 

@@ -351,8 +351,11 @@ def test_profile_refuses_a_string_array_by_name():
 
 
 def test_profile_requires_increasing_support_and_normalization():
-    with pytest.raises(ValueError, match="increasing"):
-        RFProfile(np.array([0.1, 0.0]), np.array([0.5, 0.5]))
+    # unordered and repeated points, refused before the weights are read
+    for dw, w in (([0.1, 0.0], [0.5, 0.5]), ([0.0, 1.0, 0.5], [0.2, 0.3, 0.5]),
+                  ([0.0, 0.5, 0.5], [0.2, 0.3, 0.5]), ([0.0, 0.5, 0.5], [0.2, 0.3, 0.6])):
+        with pytest.raises(ValueError, match="^profile delta_omega is not strictly increasing$"):
+            RFProfile(np.array(dw), np.array(w))
     with pytest.raises(ValueError, match="sum"):
         RFProfile(np.array([0.0, 0.1]), np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="non-negative"):

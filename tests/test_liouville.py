@@ -239,7 +239,7 @@ def test_is_cp_converts_and_checks_its_map_once(monkeypatch):
 
     calls = []
 
-    def counted(m, name="matrix"):
+    def counted(m, name):
         calls.append(name)
         return convert(m, name)
 

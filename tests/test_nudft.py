@@ -143,14 +143,14 @@ def test_toeplitz_fit_matches_the_dense_kernel_fit(fixture):
 
 def test_toeplitz_fit_matches_the_dense_kernel_fit_on_asymmetric_samples():
     # raw points without their mirror images, and noise that breaks
-    # f(-k) = conj(f(k)): from_points folds the points at k < 0 onto -k
+    # f(-k) = conj(f(k)): the sample set folds the points at k < 0 onto -k
     true = make_synthetic_profile("skewed", width=0.1, skew=0.4, n_points=41)
     rng = np.random.default_rng(8)
     ks = rng.uniform(-20.0, 30.0, 60)
     noise = 0.01 * (rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        samples = SpectralSampleSet.from_points(ks, forward_nudft(true, ks) + noise)
+        samples = SpectralSampleSet(ks, forward_nudft(true, ks) + noise)
     assert samples.k.size == 60 and np.any(ks < 0.0)
     assert_matches_dense_fit(samples, RecoveryGrid(-0.6, 0.6, 49))
 
@@ -195,7 +195,7 @@ def test_inverse_requires_five_samples():
 
 def test_points_that_all_drop_near_dc_end_in_the_five_sample_refusal():
     with pytest.warns(UserWarning, match="^dropping 3 sample"):
-        samples = SpectralSampleSet.from_points([-K_DEDUP_TOL, 0.0, K_DEDUP_TOL], np.ones(3))
+        samples = SpectralSampleSet([-K_DEDUP_TOL, 0.0, K_DEDUP_TOL], np.ones(3))
     assert samples.k.size == 0 and len(samples) == 1
     with pytest.raises(ValueError, match="^need at least 5 samples, got 1$"):
         inverse_nudft(samples, GRID)
@@ -219,13 +219,19 @@ def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
 
 
 @pytest.mark.filterwarnings("error")
-def test_sample_set_refuses_complex_and_not_strictly_increasing_k_by_name():
+def test_sample_set_refuses_complex_k_by_name_and_sorts_and_merges_unordered_k():
     for bad_k in (np.array([1.0, 2.0 + 1j, 3.0]), [1.0, 2j, 3.0]):
         with pytest.raises(ValueError, match="^sample set k is complex, expected real$"):
             SpectralSampleSet(bad_k, np.ones(3, dtype=complex))
-    for bad_k in ([1.0, 3.0, 2.0], [1.0, 2.0, 2.0], [1.0, 1.0 + 1e-17, 2.0]):
-        with pytest.raises(ValueError, match="^sample set k is not strictly increasing$"):
-            SpectralSampleSet(np.array(bad_k), np.ones(3, dtype=complex))
+    f = np.array([0.6, 0.61 + 0.01j, 0.5])
+    samples = SpectralSampleSet(np.array([1.0, 3.0, 2.0]), f)
+    assert np.array_equal(samples.k, [1.0, 2.0, 3.0]) and np.array_equal(samples.f, f[[0, 2, 1]])
+    # a repeated k, and a k within K_DEDUP_TOL of its neighbour, are one
+    # point at the mean k with the mean f; their spread is below F_DISAGREEMENT_TOL
+    for ks in ([1.0, 1.0, 2.0], [1.0, 1.0 + 1e-10, 2.0]):
+        samples = SpectralSampleSet(np.array(ks), f)
+        assert np.array_equal(samples.k, [(ks[0] + ks[1]) / 2, 2.0])
+        assert np.array_equal(samples.f, [(f[0] + f[1]) / 2, f[2]])
     # no stored sample: the DC anchor alone, which the fit refuses
     empty = SpectralSampleSet(np.array([]), np.array([], dtype=complex))
     assert len(empty) == 1
@@ -234,43 +240,46 @@ def test_sample_set_refuses_complex_and_not_strictly_increasing_k_by_name():
 
 
 @pytest.mark.filterwarnings("error")
-def test_sample_set_refuses_k_at_or_below_the_dedup_tolerance_by_name():
-    for bad_k in ([-2.0, -1.0, 1.0], [0.0, 1.0, 2.0], [K_DEDUP_TOL, 1.0, 2.0]):
-        with pytest.raises(ValueError, match=(
-            "^sample set k is not above K_DEDUP_TOL = 1e-09: the DC point and the mirror half are implied$"
-        )):
-            SpectralSampleSet(np.array(bad_k), np.ones(3, dtype=complex))
+def test_sample_set_folds_k_below_zero_and_drops_k_within_the_dedup_tolerance():
+    f = np.array([0.5 + 0.1j, 0.6 - 0.2j, 0.7 + 0.3j])
+    samples = SpectralSampleSet(np.array([-2.0, -1.0, 3.0]), f)
+    assert np.array_equal(samples.k, [1.0, 2.0, 3.0])
+    assert np.array_equal(samples.f, [np.conj(f[1]), np.conj(f[0]), f[2]])
+    for ks in ([0.0, 1.0, 2.0], [K_DEDUP_TOL, 1.0, 2.0], [-K_DEDUP_TOL, 1.0, 2.0]):
+        with pytest.warns(UserWarning, match="^dropping 1 sample\\(s\\) indistinguishable from the DC point$"):
+            samples = SpectralSampleSet(np.array(ks), f)
+        assert np.array_equal(samples.k, [1.0, 2.0]) and np.array_equal(samples.f, f[1:])
     assert len(SpectralSampleSet([2 * K_DEDUP_TOL, 1.0, 2.0], np.ones(3))) == 7
 
 
-def test_from_points_refuses_mismatched_lengths_by_name():
+def test_sample_set_refuses_mismatched_lengths_by_name():
     with pytest.raises(ValueError, match=(
         r"^sample set needs matching 1-d k and f arrays, got shapes \(3,\) and \(2,\)$"
     )):
-        SpectralSampleSet.from_points(np.array([-1.0, 1.0, 2.0]), np.ones(2, dtype=complex))
+        SpectralSampleSet(np.array([-1.0, 1.0, 2.0]), np.ones(2, dtype=complex))
 
 
-def test_from_points_refuses_2d_arrays_by_name():
+def test_sample_set_refuses_2d_arrays_by_name():
     with pytest.raises(ValueError, match=(
         r"^sample set needs matching 1-d k and f arrays, got shapes \(1, 2\) and \(1, 2\)$"
     )):
-        SpectralSampleSet.from_points(np.array([[-1.0, 1.0]]), np.ones((1, 2), dtype=complex))
+        SpectralSampleSet(np.array([[-1.0, 1.0]]), np.ones((1, 2), dtype=complex))
 
 
 @pytest.mark.filterwarnings("error")
-def test_from_points_refuses_a_non_finite_point_by_name_before_any_drop():
+def test_sample_set_refuses_a_non_finite_point_by_name_before_any_drop():
     # a NaN k is neither near DC nor sortable, so it must be refused before
     # the DC drop warns and before the fold and the merge read it
     for bad_k in ([np.nan], [np.nan, np.nan], [np.nan, 0.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="^sample set k is not finite$"):
-            SpectralSampleSet.from_points(bad_k, np.ones(len(bad_k), dtype=complex))
+            SpectralSampleSet(bad_k, np.ones(len(bad_k), dtype=complex))
     for bad_f in ([np.nan, 1.0], [1.0, complex(np.inf, 0.0)]):
         with pytest.raises(ValueError, match="^sample set f is not finite$"):
-            SpectralSampleSet.from_points([0.0, 1.0], bad_f)
+            SpectralSampleSet([0.0, 1.0], bad_f)
 
 
-def test_from_points_reads_lists_as_arrays():
-    samples = SpectralSampleSet.from_points([1.0, -1.0], [0.5 + 0.1j, 0.5 - 0.1j])
+def test_sample_set_reads_lists_as_arrays():
+    samples = SpectralSampleSet([1.0, -1.0], [0.5 + 0.1j, 0.5 - 0.1j])
     assert np.array_equal(samples.k, [1.0]) and np.array_equal(samples.f, [0.5 + 0.1j])
     ks, f = samples.mirrored()
     assert np.array_equal(ks, [-1.0, 0.0, 1.0])
@@ -278,13 +287,13 @@ def test_from_points_reads_lists_as_arrays():
 
 
 @pytest.mark.filterwarnings("error")
-def test_from_points_folds_a_point_at_negative_k_onto_its_mirror():
+def test_sample_set_folds_a_point_at_negative_k_onto_its_mirror():
     a, b = 0.6 + 0.2j, 0.62 - 0.21j
-    samples = SpectralSampleSet.from_points([1.0, -1.0], [a, b])
+    samples = SpectralSampleSet([1.0, -1.0], [a, b])
     assert np.array_equal(samples.k, [1.0])
     assert samples.f[0] == (a + np.conj(b)) / 2
     # a lone point at k < 0 is stored at -k as its conjugate
-    samples = SpectralSampleSet.from_points([-2.0, 1.0], [a, b])
+    samples = SpectralSampleSet([-2.0, 1.0], [a, b])
     assert np.array_equal(samples.k, [1.0, 2.0]) and np.array_equal(samples.f, [b, np.conj(a)])
 
 
@@ -296,8 +305,8 @@ def test_nudft_warnings_are_attributed_to_the_direct_caller():
     asymmetric = np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.5, 0.8, 0.8 + 0.2j, 0.5])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        SpectralSampleSet.from_points(ks, f)
-        SpectralSampleSet.from_points(*asymmetric)
+        SpectralSampleSet(ks, f)
+        SpectralSampleSet(*asymmetric)
     assert [str(w.message).split()[:3] for w in caught] == [
         ["dropping", "1", "sample(s)"], ["samples", "sharing", "k=1"], ["samples", "sharing", "k=1"]]
     assert all(w.filename == __file__ for w in caught), [w.filename for w in caught]

@@ -168,7 +168,7 @@ def half_sample_sets(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(half_sample_sets())
-def test_from_points_folds_a_mirrored_set_back_onto_its_half_bit_for_bit(drawn):
+def test_sample_set_folds_a_mirrored_set_back_onto_its_half_and_rebuilds_itself_bit_for_bit(drawn):
     pos, g, rng = drawn
     ks, f = SpectralSampleSet(pos, g).mirrored()
     assert np.array_equal(ks, -ks[::-1]) and np.array_equal(f, np.conj(f[::-1]))
@@ -176,8 +176,11 @@ def test_from_points_folds_a_mirrored_set_back_onto_its_half_bit_for_bit(drawn):
     order = rng.permutation(np.flatnonzero(ks))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        folded = SpectralSampleSet.from_points(ks[order], f[order])
-    assert np.array_equal(folded.k, pos) and np.array_equal(folded.f, g)
+        folded = SpectralSampleSet(ks[order], f[order])
+        # construction is idempotent: the identity on canonical points
+        rebuilt = SpectralSampleSet(folded.k, folded.f)
+    for samples in (folded, rebuilt):
+        assert samples.k.tobytes() == pos.tobytes() and samples.f.tobytes() == g.tobytes()
 
 
 # the leaves a report holds, with the edge cases of each drawn often

@@ -622,7 +622,7 @@ def test_build_samples_reads_the_labels_j_lt_m_and_their_mirrors_agree_bit_for_b
         live = pairing.entries[pairing.entries.j != pairing.entries.m]
         f_live = np.array([complex(a) * complex(b).conjugate()
                            for a, b in zip(live.lambda_measured, live.lambda_unperturbed)])
-        every_label = SpectralSampleSet.from_points(live.k_jm, f_live)
+        every_label = SpectralSampleSet(live.k_jm, f_live)
         assert np.array_equal(every_label.k, samples.k) and np.array_equal(every_label.f, samples.f)
         order = np.argsort(live.k_jm)
         ks, f = samples.mirrored()

@@ -1,6 +1,9 @@
 """Structure rules of the package source, checked on its syntax tree."""
 import ast
+import functools
+import importlib
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -439,6 +442,91 @@ def test_outer_product_detector_sees_each_form(tmp_path):
         "f = np.multiply(x, y)\n"
     )
     assert sorted(_outer_products(probe)) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+def _named_defaults(path: Path) -> list[str]:
+    """Parameters named ``name`` that have a default: a refusal that falls
+    back on it names no argument of the caller."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        with_default = positional[len(positional) - len(args.defaults):]
+        with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [f"{path.name}:{node.lineno}: {a.arg}" for a in with_default if a.arg == "name"]
+    return found
+
+
+def test_every_refusal_name_is_passed_by_the_caller():
+    found = [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _named_defaults(path)]
+    assert found == []
+
+
+def test_name_default_detector_sees_each_parameter_kind(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'def a(m, name="matrix"): pass\n'
+        'def b(m, tol, *, name="superoperator"): pass\n'
+        "def c(m, name): pass\n"
+        'def d(m, *, name, label="x"): pass\n'
+        'f = lambda m, name="m": m\n'
+    )
+    assert [line.split(": ", 1)[1] for line in _named_defaults(probe)] == ["name", "name", "name"]
+    assert [line.split(":")[1] for line in _named_defaults(probe)] == ["1", "2", "5"]
+
+
+def _readme_references(text: str, modules: set[str]) -> list[tuple[str, str]]:
+    """The backticked ``<module>.<name>`` and ``<module>.<name>.<attr>``
+    spans of a markdown text, optionally prefixed ``qincoh.``, whose module
+    is one of ``modules``, as (module, dotted path) pairs; a file name such
+    as ``nudft.py`` is none, and fenced code blocks are skipped."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    reference = re.compile(rf"(?:qincoh\.)?({'|'.join(sorted(modules))})\.(\w+(?:\.\w+)?)")
+    found = []
+    for span in re.findall(r"`([^`]+)`", text):
+        if (match := reference.fullmatch(span)) and match[2] != "py":
+            found.append((match[1], match[2]))
+    return found
+
+
+def _unresolved(references: list[tuple[str, str]]) -> list[str]:
+    """The references that ``getattr`` on their ``qincoh`` module does not resolve."""
+    found = []
+    for module, path in references:
+        try:
+            functools.reduce(getattr, path.split("."), importlib.import_module(f"qincoh.{module}"))
+        except AttributeError:
+            found.append(f"{module}.{path}")
+    return found
+
+
+def test_every_module_reference_in_the_readme_resolves():
+    modules = {p.stem for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"}
+    references = _readme_references((ROOT / "README.md").read_text(), modules)
+    assert references
+    assert _unresolved(references) == []
+
+
+def test_readme_reference_detector_sees_each_form():
+    text = (
+        "| `qincoh.nudft` | `nudft.SpectralSampleSet` and `qincoh.spectral.build_samples`, "
+        "`nudft.RecoveryGrid.powers`, `nudft.py`, `np.add.reduceat`, `nudft.forward_nudft(profile, ks)`\n"
+        "gone: `nudft.SpectralSampleSet.from_raw`, `validation.matching_arrays`,\n"
+        "`qincoh.nudft.K_DEDUP_TOL`, `nudft.SpectralSampleSet.k.size`\n"
+        "```python\nx = `nudft.gone`\n```\n"
+    )
+    references = _readme_references(text, {"nudft", "spectral", "validation"})
+    assert references == [
+        ("nudft", "SpectralSampleSet"),
+        ("spectral", "build_samples"),
+        ("nudft", "RecoveryGrid.powers"),
+        ("nudft", "SpectralSampleSet.from_raw"),
+        ("validation", "matching_arrays"),
+        ("nudft", "K_DEDUP_TOL"),
+    ]
+    assert _unresolved(references) == ["nudft.SpectralSampleSet.from_raw", "validation.matching_arrays"]
 
 
 def test_every_benchmark_record_names_its_machine_and_holds_a_correct_run_per_workload():

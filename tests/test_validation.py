@@ -56,8 +56,6 @@ H2, M4 = 0.3 * np.diag([1.0, -1.0 + 0j]), np.eye(4, dtype=complex)
 H0T, K3 = three_qubit_fixture()
 ARRAY_ARGUMENTS = [
     ("forward_nudft", lambda x: forward_nudft(PROFILE, x), KS, "forward_nudft coordinates ks", True),
-    ("from_points k", lambda x: SpectralSampleSet.from_points(x, FS), KS, "sample set k", True),
-    ("from_points f", lambda x: SpectralSampleSet.from_points(KS, x), FS, "sample set f", False),
     ("RFProfile delta_omega", lambda x: RFProfile(x, [0.5, 0.5]), [0.0, 1.0], "profile delta_omega", True),
     ("RFProfile weight", lambda x: RFProfile([0.0, 1.0], x), [0.5, 0.5], "profile weight", True),
     ("SpectralSampleSet k", lambda x: SpectralSampleSet(x, FS), KS, "sample set k", True),
@@ -274,7 +272,7 @@ def test_hermiticity_preservation_reads_every_row_block():
 
 def test_hermiticity_preservation_is_checked_against_the_tolerance():
     s = _preserving_map(3, 1)
-    assert np.array_equal(require_hermiticity_preserving(s), s)
+    assert np.array_equal(require_hermiticity_preserving(s, "s"), s)
     # S[(0,1),(2,0)] against its mirror S[(1,0),(0,2)], moved by 2x and 0.5x
     for move, refused in ((2e-10, True), (0.5e-10, False), (2e-10j, True)):
         moved = s.copy()

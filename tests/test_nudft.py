@@ -219,10 +219,14 @@ def test_sample_set_refuses_non_finite_and_mismatched_arrays_by_name():
 
 
 @pytest.mark.filterwarnings("error")
-def test_sample_set_refuses_complex_k_by_name_and_sorts_and_merges_unordered_k():
+def test_sample_set_refuses_complex_k_by_name():
     for bad_k in (np.array([1.0, 2.0 + 1j, 3.0]), [1.0, 2j, 3.0]):
         with pytest.raises(ValueError, match="^sample set k is complex, expected real$"):
             SpectralSampleSet(bad_k, np.ones(3, dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_set_sorts_and_merges_unordered_k():
     f = np.array([0.6, 0.61 + 0.01j, 0.5])
     samples = SpectralSampleSet(np.array([1.0, 3.0, 2.0]), f)
     assert np.array_equal(samples.k, [1.0, 2.0, 3.0]) and np.array_equal(samples.f, f[[0, 2, 1]])
@@ -232,6 +236,10 @@ def test_sample_set_refuses_complex_k_by_name_and_sorts_and_merges_unordered_k()
         samples = SpectralSampleSet(np.array(ks), f)
         assert np.array_equal(samples.k, [(ks[0] + ks[1]) / 2, 2.0])
         assert np.array_equal(samples.f, [(f[0] + f[1]) / 2, f[2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_sample_set_is_the_dc_anchor_alone():
     # no stored sample: the DC anchor alone, which the fit refuses
     empty = SpectralSampleSet(np.array([]), np.array([], dtype=complex))
     assert len(empty) == 1
@@ -240,11 +248,16 @@ def test_sample_set_refuses_complex_k_by_name_and_sorts_and_merges_unordered_k()
 
 
 @pytest.mark.filterwarnings("error")
-def test_sample_set_folds_k_below_zero_and_drops_k_within_the_dedup_tolerance():
+def test_sample_set_folds_k_below_zero_onto_its_mirror_as_the_conjugate():
     f = np.array([0.5 + 0.1j, 0.6 - 0.2j, 0.7 + 0.3j])
     samples = SpectralSampleSet(np.array([-2.0, -1.0, 3.0]), f)
     assert np.array_equal(samples.k, [1.0, 2.0, 3.0])
     assert np.array_equal(samples.f, [np.conj(f[1]), np.conj(f[0]), f[2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_set_drops_k_within_the_dedup_tolerance_of_dc():
+    f = np.array([0.5 + 0.1j, 0.6 - 0.2j, 0.7 + 0.3j])
     for ks in ([0.0, 1.0, 2.0], [K_DEDUP_TOL, 1.0, 2.0], [-K_DEDUP_TOL, 1.0, 2.0]):
         with pytest.warns(UserWarning, match="^dropping 1 sample\\(s\\) indistinguishable from the DC point$"):
             samples = SpectralSampleSet(np.array(ks), f)

@@ -611,6 +611,15 @@ def test_build_samples_on_fixture():
 
 
 @pytest.mark.filterwarnings("error")
+def test_build_samples_output_rebuilds_itself_bit_for_bit():
+    # the pipeline's points are canonical, so reading them again changes nothing
+    h0t, k, s = fixture_channel()
+    samples = build_samples(pair_eigenvalues(s, h0t, k))
+    again = SpectralSampleSet(samples.k, samples.f)
+    assert np.array_equal(again.k, samples.k) and np.array_equal(again.f, samples.f)
+
+
+@pytest.mark.filterwarnings("error")
 def test_build_samples_reads_the_labels_j_lt_m_and_their_mirrors_agree_bit_for_bit():
     # label (m, j) holds -k_jm and the conjugate value of (j, m), so folding
     # every label merges each mirror pair with no spread, and the mirrored

@@ -225,10 +225,14 @@ def test_partial_trace_bell_state():
     assert np.abs(partial_trace_b(bell) - np.eye(2) / 2).max() < 1e-12
 
 
-def test_an_odd_side_is_refused_by_name_at_both_entry_points():
-    for refused in (lambda: partial_trace_b(np.eye(3)), lambda: evolve_and_reduce(np.eye(3), np.eye(3) / 3)):
-        with pytest.raises(ValueError, match="^rho_ab has side 3, which is not divisible by environment dim 2$"):
-            refused()
+def test_partial_trace_rejects_odd_dimension():
+    with pytest.raises(ValueError, match="^rho_ab has side 3, which is not divisible by environment dim 2$"):
+        partial_trace_b(np.eye(3))
+
+
+def test_evolve_and_reduce_rejects_odd_dimension_by_name():
+    with pytest.raises(ValueError, match="^rho_ab has side 3, which is not divisible by environment dim 2$"):
+        evolve_and_reduce(np.eye(3), np.eye(3) / 3)
 
 
 def test_non_finite_matrix_in_a_stack_is_refused_by_index():

@@ -2,6 +2,7 @@
 control-parameter distributions from superoperator eigenvalue spectra."""
 
 from .channels import (
+    RandomUnitaryChannel,
     RFProfile,
     expm_unitary,
     make_synthetic_profile,

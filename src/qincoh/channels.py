@@ -1,7 +1,9 @@
-"""Incoherent channels as probability-weighted random-unitary superoperators.
+"""Incoherent channels as probability-weighted ensembles of unitaries.
 
-A channel is built from an ensemble ``{(p_k, U_k)}`` as
-``S = sum_k p_k conj(U_k) kron U_k``.  The inhomogeneity model takes a
+A channel is an ensemble ``{(p_k, U_k)}``, held checked as a
+:class:`RandomUnitaryChannel`; its superoperator
+``S = sum_k p_k conj(U_k) kron U_k`` is formed only when asked for
+(:meth:`RandomUnitaryChannel.superoperator`).  The inhomogeneity model takes a
 nominal generator ``H0*t`` and a perturbation generator ``K`` (with the
 pulse duration already absorbed, so the deviation coordinate is
 dimensionless) and exponentiates ``H0*t + dw*K`` for every point ``dw`` of
@@ -19,6 +21,7 @@ from .validation import (
     as_square_matrix,
     as_square_stack,
     integer,
+    numeric,
     point_arrays,
     real_scalar,
     require_hermitian,
@@ -152,23 +155,63 @@ def expm_unitary(h: np.ndarray) -> np.ndarray:
     return _expm_hermitian(require_hermitian(h, GENERATOR_HERMITIAN_TOL, "h"))
 
 
-def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``.
+@dataclass(frozen=True)
+class RandomUnitaryChannel:
+    """The channel ``rho -> sum_k p_k U_k rho U_k^dag`` of an ensemble,
+    held as its members: a ``(K, N, N)`` stack of unitaries and ``K``
+    weights.
 
-    Weights must be non-negative and sum to 1 within ``WEIGHT_SUM_TOL``, and
-    every member unitary within ``UNITARY_TOL``.  The sum is built by
-    :func:`liouville.conjugation_sum` from half its ``N x N`` blocks, so it
-    preserves Hermiticity exactly, and the same ensemble gives the same
-    bytes for a given BLAS and thread count.
+    The constructor is the one check of an ensemble: the stack must be
+    finite (:func:`~qincoh.validation.as_square_stack`) and unitary within
+    ``UNITARY_TOL``, and the weights real, 1-d, one per member, finite,
+    non-negative and normalized to 1 within :data:`WEIGHT_SUM_TOL`.  It
+    stores read-only copies, so what was checked cannot change.
+    """
+
+    unitaries: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        u = as_square_stack(self.unitaries, "ensemble")
+        if u.ndim != 3:
+            raise ValueError(f"ensemble must be a (K, N, N) stack of unitaries, got shape {u.shape}")
+        unitary_stack(u, UNITARY_TOL, "ensemble")
+        w = numeric(self.weights, float, "ensemble weights")
+        if w.shape != u.shape[:1]:
+            raise ValueError(
+                f"ensemble needs one weight per member: {u.shape[0]} members, weights of shape {w.shape}"
+            )
+        if not np.isfinite(w).all():
+            raise ValueError("ensemble weights are not finite")
+        _require_distribution(w, "ensemble")
+        for name, a in (("unitaries", u), ("weights", w)):
+            a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def superoperator(self) -> np.ndarray:
+        """The ``N^2 x N^2`` map ``sum_k p_k conj(U_k) kron U_k``, built by
+        :func:`liouville.conjugation_sum` from half its ``N x N`` blocks, so
+        it preserves Hermiticity exactly, and the same ensemble gives the
+        same bytes for a given BLAS and thread count."""
+        return conjugation_sum(self.unitaries, self.weights)
+
+
+def rud_superoperator(ensemble: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Weighted random-unitary superoperator ``sum_k p_k conj(U_k) kron U_k``
+    of ``(p_k, U_k)`` pairs.
+
+    Each weight must be a real number and each member a square matrix of
+    one shape; the stack is then checked and summed as a
+    :class:`RandomUnitaryChannel` (:meth:`RandomUnitaryChannel.superoperator`).
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must contain at least one member")
     weights = np.array([real_scalar(p, f"ensemble[{i}] weight") for i, (p, _) in enumerate(ensemble)])
-    _require_distribution(weights, "ensemble")
     mats = [as_square_matrix(u, f"ensemble[{i}]") for i, (_, u) in enumerate(ensemble)]
     if any(u.shape != mats[0].shape for u in mats):
         raise ValueError("ensemble members have mismatched dimensions")
-    return conjugation_sum(unitary_stack(np.stack(mats), UNITARY_TOL, "ensemble"), weights)
+    return RandomUnitaryChannel(np.stack(mats), weights).superoperator()
 
 
 def rf_incoherent_channel(
@@ -176,8 +219,9 @@ def rf_incoherent_channel(
     k: np.ndarray,
     profile: RFProfile,
     t: float = 1.0,
-) -> np.ndarray:
-    """Incoherent channel of an inhomogeneous control amplitude.
+) -> RandomUnitaryChannel:
+    """Incoherent channel of an inhomogeneous control amplitude, as its
+    members.
 
     Each profile point ``dw`` contributes the unitary
     ``exp(-i (h0*t + dw*k))`` with its probability weight; note that ``k``
@@ -185,7 +229,10 @@ def rf_incoherent_channel(
     scales the nominal generator only, and must be a real number.  The
     member generators are real combinations of the validated ``h0`` and
     ``k``, so they are Hermitian without a check of their own and are
-    diagonalized as one stack.
+    diagonalized as one stack.  No superoperator is formed: callers that
+    need the ``N^2 x N^2`` map call
+    :meth:`~RandomUnitaryChannel.superoperator`, and
+    :func:`~qincoh.spectral.pair_eigenvalues` pairs the members directly.
     """
     h0 = require_hermitian(h0, GENERATOR_HERMITIAN_TOL, "h0")
     k = require_hermitian(k, GENERATOR_HERMITIAN_TOL, "k")
@@ -195,8 +242,7 @@ def rf_incoherent_channel(
     # finite h0, k and t can still overflow; such a member is refused by name
     with np.errstate(over="ignore", invalid="ignore"):
         generators = as_square_stack(h0 * t + profile.delta_omega[:, None, None] * k, "ensemble")
-    members = unitary_stack(_expm_hermitian(generators), UNITARY_TOL, "ensemble")
-    return conjugation_sum(members, profile.weight)
+    return RandomUnitaryChannel(_expm_hermitian(generators), profile.weight)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -448,7 +448,7 @@ def _run_qpt_demo(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
 def _run_rud_build(cfg: ScenarioConfig) -> list[tuple[str, bytes, str]]:
     f = cfg.fields
     h0, profile = f["h0"], f["profile"]
-    s = rf_incoherent_channel(h0, f["k"], profile)
+    s = rf_incoherent_channel(h0, f["k"], profile).superoperator()
     evals = superop_eigenvalues(s)
     dim = h0.shape[0]
     ident = columnize(np.eye(dim) / dim)

@@ -21,9 +21,10 @@ Hermiticity when the view equals its mirror ``x[a,b,c,d] = conj x[b,a,d,c]``
 (``C = C^dag``): one private helper writes the mirror for
 :func:`conjugation_sum`, :func:`require_hermiticity_preserving` checks it on
 the same axes, and :func:`eigenbasis_form` forms only the label-basis rows
-that the mirror does not give.  All three take one step shape at every map
-size: one row block ``a`` (the build and the check) or one label ``j`` (the
-transform) at a time.
+that the mirror does not give.  :func:`ensemble_eigenbasis_form` forms the
+same rows from a random-unitary ensemble's members, with no ``N^2 x N^2``
+array.  All four take one step shape at every map size: one row block ``a``
+(the build and the check) or one label ``j`` (the transforms) at a time.
 """
 from __future__ import annotations
 
@@ -188,6 +189,16 @@ def require_hermiticity_preserving(s: np.ndarray, name: str) -> np.ndarray:
     return s4.reshape(n * n, n * n)
 
 
+def _block_factors(ops: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``left``, ``right`` of a ``(K, N, N)`` stack and real weights such
+    that ``left[a] @ right[c]`` is block ``(a, c)``, ``sum_k w_k
+    conj(A_k[a])^T A_k[c]``, of ``sum_k w_k conj(A_k) kron A_k`` in its
+    ``[(a,c), (b,d)]`` layout; ``right`` is a view of ``ops``."""
+    left = ops.conj()
+    left *= weights[:, None, None]
+    return left.transpose(1, 2, 0), ops.transpose(1, 0, 2)  # [a, b, k], [c, k, d]
+
+
 def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_k w_k conj(A_k) kron A_k`` for a ``(K, N, N)`` stack and real
     weights, written straight into the superoperator's ``[(a,c), (b,d)]``
@@ -202,10 +213,7 @@ def conjugation_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     BLAS and thread count.
     """
     _, n, _ = ops.shape
-    left = ops.conj()
-    left *= weights[:, None, None]
-    left = left.transpose(1, 2, 0)  # [a, b, k]
-    right = ops.transpose(1, 0, 2)  # [c, k, d]
+    left, right = _block_factors(ops, weights)
     s = np.empty((n, n, n, n), dtype=complex)  # [a, c, b, d]
     for a in range(n):
         np.matmul(left[a], right[a:], out=s[a, a:])
@@ -242,6 +250,35 @@ def eigenbasis_form(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         t = (t.reshape(-1, n) @ v).reshape(n - j, 1, n, n)  # d -> j': [m, j, c, j']
         block = np.matmul(t.transpose(0, 1, 3, 2), vc, out=half[start[j]:start[j + 1], None])  # c -> m': [m, j, j', m']
         _average_with_mirror(block[:1])
+    return half.reshape(-1, n * n)
+
+
+def ensemble_eigenbasis_form(unitaries: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`eigenbasis_form` of ``S = conjugation_sum(unitaries, weights)``,
+    formed from the members without S, for a ``(K, N, N)`` stack of
+    unitaries and real weights, as :class:`~qincoh.channels.RandomUnitaryChannel`
+    holds them checked.
+
+    With ``W_x = V^dag U_x V`` (one batched product),
+    ``S_B[(j,m),(j',m')] = sum_x p_x W_x[j,j'] conj(W_x[m,m'])``: the block
+    ``(j, m)`` of the conjugation sum of the ``conj(W_x)``.  So the rows
+    ``(j, m >= j)`` of label ``j`` are one ``(N, K) x (K, N)`` product per
+    ``m``, written straight into the result, about ``K N^4 / 2`` complex
+    multiply-adds in all; the row ``(j, j)`` is averaged with its own
+    mirror, so it equals it bit for bit, as in :func:`eigenbasis_form`.
+    With real weights S preserves Hermiticity exactly, whatever the
+    matrices, so no check is needed.  No ``N^2 x N^2`` array is formed:
+    the peak is the ``N(N+1)/2 x N^2`` result plus a few ``K x N x N``
+    stacks.
+    """
+    n = vectors.shape[0]
+    left, right = _block_factors((vectors.conj().T @ unitaries @ vectors).conj(), weights)
+    half = np.empty((n * (n + 1) // 2, n, n), dtype=complex)  # [(j, m >= j), j', m']
+    start = 0
+    for j in range(n):
+        rows = np.matmul(left[j], right[j:], out=half[start:start + n - j])
+        _average_with_mirror(rows[:1, None])
+        start += n - j
     return half.reshape(-1, n * n)
 
 

@@ -13,9 +13,11 @@ what the recovery transform consumes.  One private function gives the
 prediction and the pairing the nominal eigenvectors, the unperturbed phases
 and ``K_jm``; the sum over the profile is ``nudft.forward_nudft``.
 
-Pairing reads the map in the unperturbed label basis
-(``liouville.eigenbasis_form``) and requires a map that preserves
-Hermiticity, as every physical map does; ``liouville`` refuses one that
+Pairing reads the map in the unperturbed label basis.  A
+``channels.RandomUnitaryChannel`` is read there from its members
+(``liouville.ensemble_eigenbasis_form``), with no ``N^2 x N^2``
+superoperator; a matrix (``liouville.eigenbasis_form``) must preserve
+Hermiticity, as every physical map does, and ``liouville`` refuses one that
 does not within ``CHOI_HERMITIAN_TOL`` by name, with its deviation, before
 any transform.  For such a map label ``(m, j)`` holds the conjugate of the
 eigenvalue at ``(j, m)``, so the pairing reads only the ``N(N+1)/2`` rows
@@ -31,9 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import RFProfile, random_unitary
+from .channels import RandomUnitaryChannel, RFProfile, random_unitary
 from .errors import DegenerateSpectrumError, PairingError
-from .liouville import GENERATOR_HERMITIAN_TOL, eigenbasis_form, require_hermiticity_preserving
+from .liouville import (
+    GENERATOR_HERMITIAN_TOL,
+    eigenbasis_form,
+    ensemble_eigenbasis_form,
+    require_hermiticity_preserving,
+)
 from .nudft import K_DEDUP_TOL, SpectralSampleSet, forward_nudft
 from .validation import require_hermitian, shape
 
@@ -201,16 +208,22 @@ def _second_order_values(half: np.ndarray, upper: np.ndarray, lower: np.ndarray,
     return values
 
 
-def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPairing:
-    """Label the eigenvalues of a measured superoperator by (j, m), with a
-    Gershgorin certificate and no eigensolver on S.
+def pair_eigenvalues(s: RandomUnitaryChannel | np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPairing:
+    """Label the eigenvalues of a channel by (j, m), with a Gershgorin
+    certificate and no eigensolver on its superoperator S.
 
-    S must preserve Hermiticity: one check
+    ``s`` is a :class:`~qincoh.channels.RandomUnitaryChannel` or a measured
+    superoperator.  A channel's members must be ``N x N``, as ``h0t`` is;
+    its rows of S_B are formed from them
+    (:func:`~qincoh.liouville.ensemble_eigenbasis_form`), with no
+    ``N^2 x N^2`` array, and need no check: a real-weighted sum of unitary
+    conjugations preserves Hermiticity exactly.  A matrix must preserve
+    Hermiticity: one check
     (:func:`~qincoh.liouville.require_hermiticity_preserving`, within
     :data:`~qincoh.liouville.CHOI_HERMITIAN_TOL`, the tolerance of the Choi
     Hermiticity check) refuses a map that does not, naming its deviation,
     and refuses a NaN or infinite entry as ``superoperator is not finite``.
-    That is the one validation of S, and it licenses the half-label
+    That is the one validation of a matrix, and it licenses the half-label
     pairing: only the rows ``m >= j`` of S_B are read, and label ``(m, j)``
     takes the conjugate seed and value of ``(j, m)``, and the same radius.
 
@@ -227,10 +240,16 @@ def pair_eigenvalues(s: np.ndarray, h0t: np.ndarray, k: np.ndarray) -> EigenPair
     """
     vectors, unperturbed, k_jm = _label_basis(h0t, k)
     n = vectors.shape[0]
-    if (s_shape := shape(s, "superoperator")) != (n * n, n * n):
-        raise ValueError(f"superoperator shape {s_shape} does not match dim {n}")
-    s = require_hermiticity_preserving(s, "superoperator")
-    half = eigenbasis_form(s, vectors)
+    if isinstance(s, RandomUnitaryChannel):
+        if s.unitaries.shape[1:] != vectors.shape:
+            raise ValueError(
+                f"channel members have shape {s.unitaries.shape[1:]}, but h0t has shape {vectors.shape}"
+            )
+        half = ensemble_eigenbasis_form(s.unitaries, s.weights, vectors)
+    else:
+        if (s_shape := shape(s, "superoperator")) != (n * n, n * n):
+            raise ValueError(f"superoperator shape {s_shape} does not match dim {n}")
+        half = eigenbasis_form(require_hermiticity_preserving(s, "superoperator"), vectors)
     # the labels of the rows of half, j-major, and their mirrors
     j, m = np.divmod(np.arange(n * n), n)
     upper = np.flatnonzero(m >= j)

@@ -130,7 +130,7 @@ def test_c05_rud_channel_property_suite():
 
 def test_c06_eigenvalue_counting_and_sample_sizes():
     h0t, k, s = skewed_channel()
-    w = np.linalg.eigvals(s)
+    w = np.linalg.eigvals(s.superoperator())
     n_unit = int(np.sum(np.abs(w - 1.0) < 1e-9))
     rest = w[np.argsort(np.abs(w - 1.0))][8:]
     used = np.zeros(rest.size, dtype=bool)

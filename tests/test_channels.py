@@ -8,6 +8,7 @@ from oracles import random_rud_ensemble
 from qincoh.channels import (
     MAX_PROFILE_POINTS,
     WEIGHT_SUM_TOL,
+    RandomUnitaryChannel,
     RFProfile,
     expm_unitary,
     make_synthetic_profile,
@@ -107,6 +108,39 @@ def test_profile_and_ensemble_weights_share_one_rule():
         build([0.5, 0.5 + 5e-13])
 
 
+def test_random_unitary_channel_refuses_a_bad_ensemble_by_name():
+    members = np.stack([np.eye(2, dtype=complex), SZ])
+    half = np.array([0.5, 0.5])
+    refusals = [
+        ((np.stack([SZ, np.array([[1.0, 0.1], [0.0, 1.0]])]), half),
+         r"^ensemble\[1\] is not unitary within 1e-10 \(deviation 1\.000e-01\)$"),
+        ((np.stack([SZ, np.full((2, 2), np.nan)]), half), r"^ensemble\[1\] is not finite$"),
+        ((SZ, [1.0]), r"^ensemble must be a \(K, N, N\) stack of unitaries, got shape \(2, 2\)$"),
+        ((members, [1.5, -0.5]), "^ensemble weights must be non-negative$"),
+        ((members, [0.5, np.nan]), "^ensemble weights are not finite$"),
+        ((members, [0.5, 0.5 + 0j]), "^ensemble weights is complex, expected real$"),
+        ((members, [1.0]), r"^ensemble needs one weight per member: 2 members, weights of shape \(1,\)$"),
+        ((members, [[0.5, 0.5]]), r"^ensemble needs one weight per member: 2 members, weights of shape \(1, 2\)$"),
+    ]
+    for (unitaries, weights), refused in refusals:
+        with pytest.raises(ValueError, match=refused):
+            RandomUnitaryChannel(unitaries, weights)
+
+
+def test_random_unitary_channel_holds_read_only_copies_of_what_it_checked():
+    members, weights = np.stack([np.eye(2, dtype=complex), SZ]), np.array([0.25, 0.75])
+    channel = RandomUnitaryChannel(members, weights)
+    members[1] = np.nan
+    weights[0] = -1.0
+    assert np.array_equal(channel.unitaries, np.stack([np.eye(2), SZ]))
+    assert np.array_equal(channel.weights, [0.25, 0.75])
+    for stored in (channel.unitaries, channel.weights):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
+    assert np.array_equal(channel.superoperator(), rud_superoperator([(0.25, np.eye(2)), (0.75, SZ)]))
+
+
 def test_rf_channel_refuses_non_finite_generators_and_members_by_name():
     profile = RFProfile(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
     for bad in (np.nan, np.inf):
@@ -159,7 +193,7 @@ def test_rud_channel_properties_seeded():
 def test_rf_channel_trivial_profile():
     h0 = np.pi / 2 * SX / 2
     profile = RFProfile(np.array([0.0]), np.array([1.0]))
-    s = rf_incoherent_channel(h0, h0, profile)
+    s = rf_incoherent_channel(h0, h0, profile).superoperator()
     assert np.abs(s - unitary_superoperator(expm_unitary(h0))).max() < 1e-12
 
 
@@ -168,7 +202,7 @@ def test_rf_channel_sinc_attenuation_oracle():
     # oracle over the profile is the exact eigenvalue
     h0 = np.pi / 2 * SX / 2
     profile = make_synthetic_profile("uniform", center=0.0, width=0.1, n_points=51)
-    s = rf_incoherent_channel(h0, h0, profile)
+    s = rf_incoherent_channel(h0, h0, profile).superoperator()
     w = np.linalg.eigvals(s)
     oracle = np.exp(-1j * np.pi / 2) * np.sum(
         profile.weight * np.exp(-1j * np.pi / 2 * profile.delta_omega)
@@ -198,7 +232,7 @@ def test_rf_channel_matches_member_loop():
             for dw, p in zip(profile.delta_omega, profile.weight):
                 u = expm_unitary(h0 * t + dw * k)
                 oracle += p * np.kron(u.conj(), u)
-            assert np.abs(rf_incoherent_channel(h0, k, profile, t=t) - oracle).max() < 1e-14
+            assert np.abs(rf_incoherent_channel(h0, k, profile, t=t).superoperator() - oracle).max() < 1e-14
 
 
 def test_rf_channel_dim_mismatch():
@@ -211,7 +245,7 @@ def test_rf_channel_dim_mismatch():
 def test_three_qubit_channel_unit_eigenvalue_count():
     h0t, k = three_qubit_fixture()
     profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=41)
-    s = rf_incoherent_channel(h0t, k, profile)
+    s = rf_incoherent_channel(h0t, k, profile).superoperator()
     w = np.linalg.eigvals(s)
     assert w.size == 64
     assert int(np.sum(np.abs(w - 1.0) < 1e-9)) == 8
@@ -400,8 +434,8 @@ def test_rf_channel_refuses_a_duration_that_is_not_a_real_number():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match=f"^t must be finite, got {bad!r}$"):
             rf_incoherent_channel(h0t, k, profile, t=bad)
-    assert np.array_equal(rf_incoherent_channel(h0t, k, profile, t=np.float64(2.0)),
-                          rf_incoherent_channel(h0t, k, profile, t=2))
+    assert np.array_equal(rf_incoherent_channel(h0t, k, profile, t=np.float64(2.0)).superoperator(),
+                          rf_incoherent_channel(h0t, k, profile, t=2).superoperator())
 
 
 @pytest.mark.filterwarnings("error")

@@ -13,6 +13,7 @@ from qincoh.liouville import (
     choi_spectrum,
     columnize,
     conjugation_sum,
+    ensemble_eigenbasis_form,
     cp_filter,
     superop_eigenvalues,
     superop_to_choi,
@@ -294,6 +295,24 @@ def test_conjugation_sum_peak_memory_is_one_superoperator_and_a_half():
     assert peak <= 1.5 * n**4 * 16, peak / (n**4 * 16)
 
 
+def test_ensemble_eigenbasis_form_peak_memory_stays_below_one_superoperator():
+    # the rows m >= j of S_B are N(N+1)/2 x N^2 complex entries, about half
+    # of S, and the members add a few K x N x N stacks; S itself is never made
+    n, n_members = 32, 41
+    rng = np.random.default_rng(29)
+    unitaries = np.stack([random_unitary(n, rng) for _ in range(n_members)])
+    weights = rng.random(n_members)
+    weights /= weights.sum()
+    vectors = random_unitary(n, rng)
+    tracemalloc.start()
+    try:
+        ensemble_eigenbasis_form(unitaries, weights, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * n**4 * 16, peak / (n**4 * 16)
+
+
 def test_superop_eigenvalues_match_eig_multiset():
     rng = np.random.default_rng(25)
     preserving = [EQ4_S, UNCORR_S] + [
@@ -331,7 +350,7 @@ def test_superop_eigenvalues_order_survives_rounding_of_a_preserving_map():
         parse_pauli_sum("0.5 * ZI + 0.3 * IZ + 0.2 * XX"),
         parse_pauli_sum("0.1 * ZI + 0.05 * IZ"),
         make_synthetic_profile("gaussian", width=0.05, n_points=11),
-    )
+    ).superoperator()
     w = superop_eigenvalues(s)
     assert np.array_equal(w, tie_ordered(w))
     for seed in range(5):

@@ -1,5 +1,6 @@
 """Property tests over seeded random-unitary channels of 1-3 qubits, over
-their pairings in a random label basis at 2-5 levels, over sets of
+their pairings in a random label basis at 2-5 levels, over the label-basis
+rows of seeded ensembles of side 1-16 read from their members, over sets of
 Gershgorin discs, over synthetic profile parameters, over mirror-symmetric
 sample sets and over the JSON documents that the artifact encoder writes.
 
@@ -27,7 +28,15 @@ from oracles import (  # noqa: E402
     second_order_loop,
 )
 from qincoh.channels import expm_unitary, make_synthetic_profile, random_unitary, rud_superoperator  # noqa: E402
-from qincoh.liouville import CP_TOL, choi_spectrum, cp_filter, superop_to_choi  # noqa: E402
+from qincoh.liouville import (  # noqa: E402
+    CP_TOL,
+    choi_spectrum,
+    conjugation_sum,
+    cp_filter,
+    eigenbasis_form,
+    ensemble_eigenbasis_form,
+    superop_to_choi,
+)
 from qincoh.nudft import SpectralSampleSet  # noqa: E402
 from qincoh.spectral import _component_extents, _disc_components, _label_basis, pair_eigenvalues  # noqa: E402
 
@@ -69,6 +78,29 @@ def test_cp_filter_is_idempotent(s, seed, strength):
 def test_kraus_round_trip(s):
     # the eigenvectors of superop_to_choi's matrix, column-unstacked, are Kraus operators
     assert np.abs(kraus_sum(kraus_operators(s)) - s).max() <= 1e-12
+
+
+@st.composite
+def ensembles(draw):
+    """A seeded ensemble of side 1-16, as its member stack and weights, and
+    a random label basis of that side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 16))
+    weights, members = zip(*random_rud_ensemble(dim, draw(st.integers(1, 6)), rng))
+    return np.stack(members), np.array(weights), random_unitary(dim, rng)
+
+
+@PROPERTY
+@given(ensembles())
+def test_ensemble_eigenbasis_form_matches_the_form_of_the_map_and_its_own_mirror(ensemble):
+    unitaries, weights, vectors = ensemble
+    n = vectors.shape[0]
+    half = ensemble_eigenbasis_form(unitaries, weights, vectors)
+    assert np.abs(half - eigenbasis_form(conjugation_sum(unitaries, weights), vectors)).max() <= 1e-13
+    # each row (j, j) equals its own mirror bit for bit
+    j, m = np.triu_indices(n)
+    own = half.reshape(-1, n, n)[j == m]
+    assert np.array_equal(own, own.conj().transpose(0, 2, 1))
 
 
 @st.composite

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_eigenbasis_form, second_order_loop
+from oracles import dense_eigenbasis_form, random_rud_ensemble, second_order_loop
 from qincoh import spectral
 from qincoh.channels import (
     expm_unitary,
     make_synthetic_profile,
     rf_incoherent_channel,
+    RandomUnitaryChannel,
     RFProfile,
     random_unitary,
 )
@@ -22,6 +23,7 @@ from qincoh.liouville import (
     CHOI_HERMITIAN_TOL,
     GENERATOR_HERMITIAN_TOL,
     eigenbasis_form,
+    ensemble_eigenbasis_form,
     superop_to_choi,
     unitary_superoperator,
 )
@@ -172,12 +174,17 @@ def _random_preserving_map(n, rng):
 
 
 def _label_form(sup, v):
-    """The full ``S_B``: the rows ``m >= j`` of :func:`eigenbasis_form`, and
-    each row ``(m, j)`` the conjugate of row ``(j, m)`` with its column
-    pairs swapped."""
+    """The full ``S_B`` of a map or a channel: the rows ``m >= j`` that
+    the pairing reads (:func:`eigenbasis_form` of a map,
+    :func:`ensemble_eigenbasis_form` of a channel's members), and each row
+    ``(m, j)`` the conjugate of row ``(j, m)`` with its column pairs
+    swapped."""
     n = v.shape[0]
     j, m = np.triu_indices(n)
-    half = eigenbasis_form(sup, v).reshape(-1, n, n)
+    if isinstance(sup, RandomUnitaryChannel):
+        half = ensemble_eigenbasis_form(sup.unitaries, sup.weights, v).reshape(-1, n, n)
+    else:
+        half = eigenbasis_form(sup, v).reshape(-1, n, n)
     sb4 = np.empty((n, n, n, n), dtype=complex)
     sb4[m, j] = half.conj().transpose(0, 2, 1)
     sb4[j, m] = half
@@ -185,21 +192,31 @@ def _label_form(sup, v):
 
 
 def _transform_cases():
-    """Maps with their label bases, each transformed one label at a time:
-    the 3q fixture (N = 8), the 4q fixture (N = 16), and seeded maps at
-    N = 1, 2, 3, 4, 8, 10 and 16."""
-    h0t, _, s = fixture_channel()
+    """The rows ``m >= j`` of ``S_B``, each formed one label at a time, with
+    the map and the label basis they come from: of the 3q (N = 8) and 4q
+    (N = 16) fixture channels, both from the map (:func:`eigenbasis_form`)
+    and from the members (:func:`ensemble_eigenbasis_form`); of seeded maps
+    at N = 1, 2, 3, 4, 8, 10 and 16 from the map; and of seeded ensembles
+    of those sides from the members."""
+    h0t, _, channel = fixture_channel()
     h4, k4 = four_qubit_fixture()
-    cases = [(s, _vectors(h0t)), (rf_incoherent_channel(h4, k4, SKEWED_PROFILE), _vectors(h4))]
+    channels = [(channel, _vectors(h0t)), (rf_incoherent_channel(h4, k4, SKEWED_PROFILE), _vectors(h4))]
     rng = np.random.default_rng(27)
-    return cases + [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
+    maps = [(_random_preserving_map(n, rng), random_unitary(n, rng)) for n in (1, 2, 3, 4, 8, 10, 16)]
+    for n in (1, 2, 3, 4, 8, 10, 16):
+        weights, members = zip(*random_rud_ensemble(n, 5, rng))
+        channels.append((RandomUnitaryChannel(np.stack(members), np.array(weights)), random_unitary(n, rng)))
+    cases = [(eigenbasis_form(sup, v), sup, v) for sup, v in maps]
+    for ch, v in channels:
+        sup = ch.superoperator()
+        cases += [(eigenbasis_form(sup, v), sup, v), (ensemble_eigenbasis_form(ch.unitaries, ch.weights, v), sup, v)]
+    return cases
 
 
 def test_eigenbasis_form_rows_m_ge_j_match_dense_change_of_basis():
-    for sup, v in _transform_cases():
+    for half, sup, v in _transform_cases():
         n = v.shape[0]
         j, m = np.triu_indices(n)
-        half = eigenbasis_form(sup, v)
         assert half.shape == (j.size, n * n)
         assert np.abs(half - dense_eigenbasis_form(sup, v)[j * n + m]).max() < 1e-13
 
@@ -207,10 +224,10 @@ def test_eigenbasis_form_rows_m_ge_j_match_dense_change_of_basis():
 def test_eigenbasis_form_rows_j_eq_m_equal_their_own_mirror_bit_for_bit():
     # row (j, j) is its own mirror: as an (N, N) matrix over the column pair
     # (j', m'), it equals its conjugate transpose, so its seed is real
-    for sup, v in _transform_cases():
+    for half, _, v in _transform_cases():
         n = v.shape[0]
         j, m = np.triu_indices(n)
-        own = eigenbasis_form(sup, v).reshape(-1, n, n)[j == m]
+        own = half.reshape(-1, n, n)[j == m]
         assert np.array_equal(own, own.conj().transpose(0, 2, 1))
         assert not own[:, range(n), range(n)].imag.any()
 
@@ -269,7 +286,8 @@ def test_k_of_another_shape_is_refused_by_name():
 def test_pairing_reads_nothing_that_depends_on_eigenvector_phases():
     # eigenvectors carry no phase convention: rotating each column by a phase
     # must leave the diagonal of S_B, |S_B| and S_B[a,b] S_B[b,a] unchanged
-    h0t, _, s = fixture_channel()
+    h0t, _, channel = fixture_channel()
+    s = channel.superoperator()
     rng = np.random.default_rng(28)
     v = _vectors(h0t)
     rotated = v * np.exp(2j * np.pi * rng.random(v.shape[1]))
@@ -323,9 +341,9 @@ def test_pairing_agrees_with_greedy_oracle():
     hc, kc = h3, DIAGONAL_COUPLING * h3
     h4, k4 = four_qubit_fixture()
     channels = (
-        (rf_incoherent_channel(h3, k3, SKEWED_PROFILE), h3, k3),
-        (rf_incoherent_channel(h4, k4, profile), h4, k4),
-        (rf_incoherent_channel(hc, kc, SKEWED_PROFILE), hc, kc),
+        (rf_incoherent_channel(h3, k3, SKEWED_PROFILE).superoperator(), h3, k3),
+        (rf_incoherent_channel(h4, k4, profile).superoperator(), h4, k4),
+        (rf_incoherent_channel(hc, kc, SKEWED_PROFILE).superoperator(), hc, kc),
         (unitary_superoperator(expm_unitary(h3)), h3, k3),
     )
     for s, h0t, k in channels:
@@ -348,8 +366,9 @@ def _noisy_map(s, sigma, rng):
 
 
 def _discs(s, h0t):
-    """The label discs' centres and radii; disc (m, j) is the reflection of
-    disc (j, m), and takes its radius, summed over row (j, m)."""
+    """The label discs' centres and radii of a map or a channel; disc
+    (m, j) is the reflection of disc (j, m), and takes its radius, summed
+    over row (j, m)."""
     n = h0t.shape[0]
     sb = _label_form(s, _vectors(h0t))
     radii = np.abs(sb - np.diag(sb.diagonal())).sum(axis=1).reshape(n, n)
@@ -392,7 +411,8 @@ def test_fixture_discs_isolate_every_off_diagonal_label():
 
 
 def test_each_disc_component_holds_as_many_eigenvalues_as_discs():
-    h0t, _, s = fixture_channel()
+    h0t, _, channel = fixture_channel()
+    s = channel.superoperator()
     rng = np.random.default_rng(71)
     n_joined = 0
     for sigma in (1e-8, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2):
@@ -496,7 +516,7 @@ def test_pairing_reads_as_the_benchmark_harness_reads_it():
     assert residual == max(abs(x) for x in entries.lambda_measured - predicted.ravel())
     assert max(e.distance for e in pairing.entries) == pairing.entries.distance.max()
     assert pairing.warnings == () and not pairing.warnings
-    noisy = pair_eigenvalues(_noisy_map(s, 1e-3, np.random.default_rng(72)), h0t, k)
+    noisy = pair_eigenvalues(_noisy_map(s.superoperator(), 1e-3, np.random.default_rng(72)), h0t, k)
     assert isinstance(noisy.warnings, tuple) and noisy.warnings
     for j, m, radius in noisy.warnings:
         assert type(j) is int and type(m) is int and type(radius) is float
@@ -504,7 +524,8 @@ def test_pairing_reads_as_the_benchmark_harness_reads_it():
 
 
 def test_noisy_map_warns_then_fails_by_name():
-    h0t, k, s = fixture_channel()
+    h0t, k, channel = fixture_channel()
+    s = channel.superoperator()
     rng = np.random.default_rng(72)
     quiet = pair_eigenvalues(_noisy_map(s, 1e-6, rng), h0t, k)
     assert len(quiet.warnings) == 0
@@ -569,7 +590,8 @@ def test_pairing_refuses_a_map_that_does_not_preserve_hermiticity_by_name():
     with pytest.raises(ValueError, match=NOT_PRESERVING + r"2\.000e\+00\)$"):
         pair_eigenvalues(np.diag([1.0, 1.0, -1.0, -1.0]), h0, 0.3 * h0)
     # one entry moved off its mirror by twice the tolerance, then by half
-    h0t, k, s = fixture_channel()
+    h0t, k, channel = fixture_channel()
+    s = channel.superoperator()
     s_moved = s.copy()
     s_moved[3, 17] += 2 * CHOI_HERMITIAN_TOL
     with pytest.raises(ValueError, match=NOT_PRESERVING + r"2\.000e-10\)$"):
@@ -579,7 +601,8 @@ def test_pairing_refuses_a_map_that_does_not_preserve_hermiticity_by_name():
 
 
 def test_pairing_rejects_non_finite_superoperator():
-    h0t, k, s = fixture_channel()
+    h0t, k, channel = fixture_channel()
+    s = channel.superoperator()
     # an entry and its mirror, and an entry that is its own mirror
     for where in ((3, 17), (0, 0)):
         for bad in (np.nan, np.inf, -np.inf):
@@ -599,6 +622,34 @@ def test_pairing_refuses_a_map_of_another_size_by_name():
     h0t, k = three_qubit_fixture()
     with pytest.raises(ValueError, match=r"^superoperator shape \(16, 16\) does not match dim 8$"):
         pair_eigenvalues(np.eye(16), h0t, k)
+
+
+def test_pairing_refuses_a_channel_of_another_side_by_name():
+    h0t, k, channel = fixture_channel()
+    h2 = 0.7 * SX
+    refused = r"^channel members have shape \(8, 8\), but h0t has shape \(2, 2\)$"
+    with pytest.raises(ValueError, match=refused):
+        pair_eigenvalues(channel, h2, 0.3 * h2)
+    # h0t, then k, then the channel
+    with pytest.raises(ValueError, match="^h0t is not Hermitian"):
+        pair_eigenvalues(channel, h2 + np.triu(h2), 0.3 * h2)
+    with pytest.raises(ValueError, match=r"^k has shape \(8, 8\), but h0t has shape \(2, 2\)$"):
+        pair_eigenvalues(channel, h2, k)
+
+
+def test_pairing_a_channel_from_its_members_matches_pairing_its_superoperator():
+    profile = make_synthetic_profile("skewed", width=0.05, skew=0.5, n_points=21)
+    h3, k3 = three_qubit_fixture()
+    h4, k4 = four_qubit_fixture()
+    # the 3q and 4q fixtures and the commuting variant of the 3q one
+    for h0t, k, p in ((h3, k3, SKEWED_PROFILE), (h4, k4, profile), (h3, DIAGONAL_COUPLING * h3, SKEWED_PROFILE)):
+        channel = rf_incoherent_channel(h0t, k, p)
+        members, dense = pair_eigenvalues(channel, h0t, k), pair_eigenvalues(channel.superoperator(), h0t, k)
+        for name in ("lambda_measured", "distance", "radius"):
+            assert np.abs(members.entries[name] - dense.entries[name]).max() < 1e-13
+        for name in ("j", "m", "k_jm", "lambda_unperturbed"):
+            assert np.array_equal(members.entries[name], dense.entries[name])
+        assert members.warnings == dense.warnings == ()
 
 
 def test_build_samples_on_fixture():

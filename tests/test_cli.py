@@ -3,6 +3,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from typing import Any
@@ -551,6 +553,41 @@ def test_usage_errors_exit_64_apart_from_numerical_failures(tmp_path, capsys):
         assert exc.value.code == 64, argv
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main builds its parser on the first call in a process and reuses it
+    # after; each reused call must behave as that first call
+    config = f"{CONFIG_DIR}/table1.json"
+    cli._parser.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", config])
+        assert exc.value.code == 64
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "required: --out" in errors[0]
+    # a reused parser's run writes the bytes of a run in a fresh process
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    src = Path(cli.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-m", "qincoh.cli", "run", "--config", config, "--out", str(fresh)],
+                   check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert main(["run", "--config", config, "--out", str(reused)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in reused.iterdir()) and "qpt_report.json" in names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["validate", "--config", config]) == 0
+    assert capsys.readouterr().out == "ok: mode=qpt_demo\n"
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: qincoh")
+    assert cli._parser() is cli._parser()
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

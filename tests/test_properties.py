@@ -9,6 +9,7 @@ builds the channel ``sum_k p_k conj(U_k) kron U_k`` from
 ``oracles.random_rud_ensemble``.  The examples are derandomized and kept
 few so the suite stays fast and reproducible.
 """
+import enum
 import json
 import re
 import warnings
@@ -238,11 +239,28 @@ _JSON_DOCUMENTS = st.recursive(
 )
 
 
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Tag(str):
+    """A str subclass whose str() differs from its text."""
+
+    def __str__(self) -> str:
+        return "other"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_JSON_DOCUMENTS)
 @example({"": [], "a": {}, "b": (), "nan": [float("nan"), float("inf"), float("-inf"), -0.0],
           "ints": [10**40, -(10**40), True, False, None], "np": np.float64(0.1),
           "text": 'é"\\\x01\u2028\U0001d11e'})
+# exact leaves and subclass leaves side by side in one list and one dict: the
+# encoder writes an exact float, str, int, bool or None in its container's
+# loop, and each subclass as the type it subclasses, as the stdlib does
+@example([0.5, np.float64(0.25), True, 1, _Level.HIGH, _Tag("a\u00e9"), float("nan"), -0.0, float("-inf")])
+@example({"f": 0.5, "np": np.float64(0.25), "t": True, "i": 1, "enum": _Level.HIGH, "tag": _Tag("b"),
+          "nan": float("nan"), "zero": -0.0, "ninf": float("-inf"), "none": None})
 def test_json_bytes_equal_the_stdlib_indent_2_encoding(doc):
     assert cli._json_bytes(doc) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
@@ -253,6 +271,7 @@ def test_json_bytes_equal_the_stdlib_indent_2_encoding(doc):
     ({"a": {1: 2.0}}, "int"),
     ({"a": [{None: 1}]}, "NoneType"),
     (np.int64(3), "int64"),
+    ({"a": [1.0, np.int64(3)]}, "int64"),
 ])
 def test_json_bytes_refuse_other_types_by_name(doc, name):
     with pytest.raises(TypeError, match=rf"\b{name}\b"):

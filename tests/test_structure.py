@@ -3,7 +3,10 @@ import ast
 import functools
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +77,15 @@ def test_the_import_graph_is_acyclic_with_no_type_checking_guard():
     assert "nudft" in graph["spectral"] and "spectral" not in graph["nudft"]
     assert _modules_on_or_above_cycles(graph) == []
     assert [line for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _type_checking_guards(path)] == []
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_argparse():
+    # the command line's parser is built and paid for on the CLI path only,
+    # so a library caller that imports qincoh never loads qincoh.cli or argparse
+    probe = "import sys, qincoh; print(sorted({'qincoh.cli', 'argparse'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_import_graph_detectors_see_a_guarded_back_import(tmp_path):

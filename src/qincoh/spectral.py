@@ -187,8 +187,9 @@ def _second_order_values(half: np.ndarray, upper: np.ndarray, lower: np.ndarray,
     """
     d = half[np.arange(upper.size), upper]
     values, dc, own, paired = d.copy(), d.conj(), component[upper], (upper != lower).astype(float)
-    # Q1, then Q2: b, whether a transpose is conjugated, the weights of the sums, conj d at b
-    for b, conj, weight, ec in ((upper, False, np.ones(d.size), dc), (lower, True, paired, d)):
+    # Q1, then Q2: b, the flip of a transpose (none in Q1), the weights of the sums, conj d at b
+    for b, flip, weight, ec in ((upper, lambda a, out=None: a, np.ones(d.size), dc),
+                                (lower, np.conjugate, paired, d)):
         outer = component[b]
         for lo in range(0, d.size, _TILE):
             rows = slice(lo, lo + _TILE)
@@ -197,15 +198,14 @@ def _second_order_values(half: np.ndarray, upper: np.ndarray, lower: np.ndarray,
                 gap = dc[rows, None] - ec[None, cols]  # conj(g)
                 scale = np.divide(1.0, gap.real**2 + gap.imag**2, out=np.zeros(gap.shape),
                                   where=own[rows, None] != outer[None, cols])
-                # R[rows, b[cols]] times the (in Q2 conjugated) transpose of R[cols, b[rows]]
+                # R[rows, b[cols]] times the flipped transpose of R[cols, b[rows]]
                 terms, y = np.take(half[rows], b[cols], axis=1), np.take(half[cols], b[rows], axis=1)
-                terms *= (np.conjugate(y, out=y) if conj else y).T
+                terms *= flip(y, out=y).T
                 terms *= gap
                 terms *= scale
                 values[rows] += terms @ weight[cols]
                 if co != lo:
-                    sums = weight[rows] @ terms
-                    values[cols] -= sums.conj() if conj else sums
+                    values[cols] -= flip(weight[rows] @ terms)
     return values
 
 

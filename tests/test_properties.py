@@ -256,8 +256,7 @@ class _Tag(str):
           "ints": [10**40, -(10**40), True, False, None], "np": np.float64(0.1),
           "text": 'é"\\\x01\u2028\U0001d11e'})
 # exact leaves and subclass leaves side by side in one list and one dict: the
-# encoder writes an exact float, str, int, bool or None in its container's
-# loop, and each subclass as the type it subclasses, as the stdlib does
+# encoder writes each subclass as the type it subclasses, as the stdlib does
 @example([0.5, np.float64(0.25), True, 1, _Level.HIGH, _Tag("a\u00e9"), float("nan"), -0.0, float("-inf")])
 @example({"f": 0.5, "np": np.float64(0.25), "t": True, "i": 1, "enum": _Level.HIGH, "tag": _Tag("b"),
           "nan": float("nan"), "zero": -0.0, "ninf": float("-inf"), "none": None})
